@@ -46,15 +46,28 @@ from .specfile import SpecDocument, load_bundled, parse_spec, print_spec
 from .tileset import (
     DecoratedTile,
     DecorationTriple,
+    Layout,
     Tileset,
     UNDEFINED,
-    allowed_pairs,
+    build_layout,
     decorate_base,
-    decorate_network_step,
-    derive_central_step,
-    extend_undefined,
+    decorate_network,
+    derive_central,
     generate_tileset,
     strip_decorations,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CountParams", "count_bound_first", "count_bound_second", "exact_count",
+    "params_from_system",
+    "BOUNDARY", "FacetClass", "GlobalNumbering", "MACRO_FACET", "MacroAdjacency",
+    "MacroTileTemplate", "PORT", "Prototype", "Rule", "SubstitutionSystem",
+    "ValidationReport", "build_numbering", "internal", "n_sigma", "validate_system",
+    "Branch", "Network", "check_port_condition", "search_networks", "validate_network",
+    "HierarchyPatch", "MacroTileInstance", "enumerate_macro_tiles", "hierarchy_decorate",
+    "phi", "quotient_hierarchy", "quotient_preimage", "verify_self_simulation",
+    "SpecDocument", "load_bundled", "parse_spec", "print_spec",
+    "DecoratedTile", "DecorationTriple", "Layout", "Tileset", "UNDEFINED",
+    "build_layout", "decorate_base", "decorate_network", "derive_central",
+    "generate_tileset", "strip_decorations",
+]

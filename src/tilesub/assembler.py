@@ -10,16 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import AmbiguousSignature, NonSquareSystem
-from .model import GlobalNumbering, SubstitutionSystem, ValidationReport, n_sigma
+from .model import GlobalNumbering, SubstitutionSystem, ValidationReport
 from .network import NetworkSet
 from .simulation import HierarchyPatch, MacroTileInstance
-from .tileset import (
-    DecoratedTile,
-    Tileset,
-    UNDEFINED,
-    decoration_key,
-    matches,
-)
+from .tileset import DecoratedTile, FacetDecoration, Tileset, UNDEFINED, build_layout
 
 S, N, W, E = 1, 2, 3, 4
 
@@ -38,10 +32,10 @@ class GridPatch:
         report = ValidationReport()
         for (x, y), tile in self.cells.items():
             east = self.cells.get((x + 1, y))
-            if east is not None and not matches(tile.triples[E - 1], east.triples[W - 1]):
+            if east is not None and tile.triples[E - 1] != east.triples[W - 1]:
                 report.add("SeamMismatch", f"({x},{y})-E vs ({x + 1},{y})-W")
             north = self.cells.get((x, y + 1))
-            if north is not None and not matches(tile.triples[N - 1], north.triples[S - 1]):
+            if north is not None and tile.triples[N - 1] != north.triples[S - 1]:
                 report.add("SeamMismatch", f"({x},{y})-N vs ({x},{y + 1})-S")
         return report
 
@@ -72,6 +66,7 @@ def build_grid_layout(system: SubstitutionSystem, numbering: GlobalNumbering,
     """Recover the w x h embedding of a rule's template and validate that the
     macro-index signatures identify positions uniquely."""
     _require_square(system)
+    nsigma = build_layout(numbering, networks).nsigma
     rule = system.rule(rule_id) if rule_id else system.rules[0]
     paired = system.paired_slots(rule)
     east: dict[str, str] = {}
@@ -116,7 +111,7 @@ def build_grid_layout(system: SubstitutionSystem, numbering: GlobalNumbering,
     for (x, yy), cell in cell_at.items():
         j = numbering.tile_index(rule.rule_id, cell)
         position_of[j] = (x, yy)
-        sig = tuple(n_sigma(numbering, networks, j, k) for k in (S, N, W, E))
+        sig = tuple(nsigma[(j, k)] for k in (S, N, W, E))
         if sig in seen:
             raise AmbiguousSignature(f"T{seen[sig]} and T{j} share signature {sig}")
         seen[sig] = j
@@ -137,9 +132,9 @@ def phase_of(tile: DecoratedTile, layout: GridLayout) -> tuple[int, int]:
         if all(s is None or s == f for s, f in zip(sig, full))
     ]
     if not hits:
-        raise KeyError(f"signature {sig} matches no template position")
+        raise KeyError(f"signature {sig} fits no template position")
     if len(hits) > 1:
-        raise AmbiguousSignature(f"signature {sig} matches positions {hits}")
+        raise AmbiguousSignature(f"signature {sig} fits positions {hits}")
     return layout.position_of[hits[0]]
 
 
@@ -181,12 +176,12 @@ def assemble_patches(tau: Tileset, numbering: GlobalNumbering, width: int,
     (tiles tried in tileset order)."""
     _require_square(numbering.system)
     seeds = seeds or {}
-    by_w: dict[tuple, list[DecoratedTile]] = {}
-    by_s: dict[tuple, list[DecoratedTile]] = {}
-    by_ws: dict[tuple, list[DecoratedTile]] = {}
+    by_w: dict[FacetDecoration, list[DecoratedTile]] = {}
+    by_s: dict[FacetDecoration, list[DecoratedTile]] = {}
+    by_ws: dict[tuple[FacetDecoration, FacetDecoration], list[DecoratedTile]] = {}
     for tile in tau:
-        wk = decoration_key(tile.triples[W - 1])
-        sk = decoration_key(tile.triples[S - 1])
+        wk = tile.triples[W - 1]
+        sk = tile.triples[S - 1]
         by_w.setdefault(wk, []).append(tile)
         by_s.setdefault(sk, []).append(tile)
         by_ws.setdefault((wk, sk), []).append(tile)
@@ -200,19 +195,16 @@ def assemble_patches(tau: Tileset, numbering: GlobalNumbering, width: int,
         south = placed.get((x, y - 1))
         seed = seeds.get((x, y))
         if seed is not None:
-            ok = (west is None or matches(west.triples[E - 1], seed.triples[W - 1])) and (
-                south is None or matches(south.triples[N - 1], seed.triples[S - 1])
+            ok = (west is None or west.triples[E - 1] == seed.triples[W - 1]) and (
+                south is None or south.triples[N - 1] == seed.triples[S - 1]
             )
             return [seed] if ok else []
         if west is not None and south is not None:
-            return by_ws.get(
-                (decoration_key(west.triples[E - 1]), decoration_key(south.triples[N - 1])),
-                [],
-            )
+            return by_ws.get((west.triples[E - 1], south.triples[N - 1]), [])
         if west is not None:
-            return by_w.get(decoration_key(west.triples[E - 1]), [])
+            return by_w.get(west.triples[E - 1], [])
         if south is not None:
-            return by_s.get(decoration_key(south.triples[N - 1]), [])
+            return by_s.get(south.triples[N - 1], [])
         return list(tau)
 
     def fill(idx: int) -> None:

@@ -128,10 +128,12 @@ def _parse_seeds(path: str, tau) -> dict[tuple[int, int], object]:
         if not line:
             continue
         try:
-            xs, ys, idx = line.split()
-            seeds[(int(xs), int(ys))] = tau.tiles[int(idx)]
-        except (ValueError, IndexError):
+            x, y, idx = (int(v) for v in line.split())
+        except ValueError:
             raise ParseError(f"bad seed line {raw!r}", lineno) from None
+        if not 0 <= idx < len(tau):
+            raise ParseError(f"seed tile index {idx} outside 0..{len(tau) - 1}", lineno)
+        seeds[(x, y)] = tau.tiles[idx]
     return seeds
 
 
@@ -204,6 +206,18 @@ def cmd_render(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid value
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tilesub",
@@ -226,18 +240,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--second", action="store_true", help="second-network bound")
     p.add_argument("--exact", action="store_true", help="compare against |tau|")
     p = add("assemble", cmd_assemble, help="enumerate valid patches")
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
+    p.add_argument("--width", type=_at_least(1), required=True)
+    p.add_argument("--height", type=_at_least(1), required=True)
     p.add_argument("--seed", help="seed file: lines of 'x y tile-index'")
     p.add_argument("--print-patches", action="store_true")
     p = add("hierarchy", cmd_hierarchy, help="finite-depth hierarchy patch")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_at_least(1), required=True)
     p.add_argument("--rule", help="seed rule (default: first)")
     p = add("render", cmd_render, help="SVG rendering")
     p.add_argument("--svg", required=True, metavar="OUT")
-    p.add_argument("--tile", type=int, help="tileset index of a single tile")
-    p.add_argument("--instance", type=int, help="macro-tile instance index")
-    p.add_argument("--hierarchy-depth", type=int)
+    p.add_argument("--tile", type=_at_least(0), help="tileset index of a single tile")
+    p.add_argument("--instance", type=_at_least(0), help="macro-tile instance index")
+    p.add_argument("--hierarchy-depth", type=_at_least(1))
     p.add_argument("--empty", metavar="WxH", help="empty grid of that size")
     return parser
 
@@ -250,10 +264,7 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TilesubError as exc:

@@ -78,7 +78,10 @@ def count_bound_first(params: CountParams) -> FirstBound:
     np_ = (p - r) * ((n - p) * n + p * m * n)
     bound = (r + 1) * (n0 + np_)
     coarse = (r + 2) * p * p * m * n
-    assert bound <= coarse, "coarse bound must dominate (template connectivity)"
+    if bound > coarse:
+        # Templates of a valid system are connected, which makes the coarse
+        # bound dominate; parameters breaking this describe no such system.
+        raise InvalidParams(f"bound={bound} exceeds coarse={coarse}")
     return FirstBound(n0, np_, bound, coarse)
 
 

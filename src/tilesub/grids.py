@@ -1,6 +1,6 @@
 """Programmatic square-grid substitutions: one rule blowing a unit square up
 to a w x h block. Used by tests and handy for bound exploration; the 3x3
-instance matches the bundled document exactly."""
+instance equals the bundled document exactly."""
 from __future__ import annotations
 
 from .model import (

@@ -12,6 +12,7 @@ signs. Facet indices are 1-based throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping
 
 from .errors import IndexOutOfRange, InvalidSystem
@@ -110,10 +111,12 @@ class MacroTileTemplate:
         return tuple(c for c, _ in self.cells)
 
     def prototype_name(self, cell: str) -> str:
-        for c, p in self.cells:
-            if c == cell:
-                return p
-        raise KeyError(cell)
+        return self._prototype_by_cell[cell]
+
+    @cached_property
+    def _prototype_by_cell(self) -> dict[str, str]:
+        # Built in reverse so the first declaration of a repeated id wins.
+        return dict(reversed(self.cells))
 
 
 @dataclass(frozen=True)
@@ -160,16 +163,21 @@ class SubstitutionSystem:
     macro_adjacency: tuple[MacroAdjacency, ...] = ()
 
     def prototype(self, name: str) -> Prototype:
-        for p in self.prototypes:
-            if p.name == name:
-                return p
-        raise KeyError(name)
+        return self._prototype_by_name[name]
 
     def rule(self, rule_id: str) -> Rule:
-        for r in self.rules:
-            if r.rule_id == rule_id:
-                return r
-        raise KeyError(rule_id)
+        return self._rule_by_id[rule_id]
+
+    # Lookup tables are built once per instance. They are not fields, so
+    # equality and hashing still compare the declared data only. Each is
+    # built in reverse so the first declaration of a repeated name wins.
+    @cached_property
+    def _prototype_by_name(self) -> dict[str, Prototype]:
+        return {p.name: p for p in reversed(self.prototypes)}
+
+    @cached_property
+    def _rule_by_id(self) -> dict[str, Rule]:
+        return {r.rule_id: r for r in reversed(self.rules)}
 
     def cell_prototype(self, rule: Rule, cell: str) -> Prototype:
         return self.prototype(rule.template.prototype_name(cell))
@@ -405,7 +413,7 @@ class GlobalNumbering:
     m: int
 
     def tile_index(self, rule_id: str, cell: str) -> int:
-        return self._tile_lookup()[(rule_id, cell)]
+        return self._tile_lookup[(rule_id, cell)]
 
     def base_of(self, j: int) -> tuple[str, str]:
         if not 1 <= j <= self.n:
@@ -417,21 +425,15 @@ class GlobalNumbering:
         return self.system.cell_prototype(self.system.rule(rule_id), cell)
 
     def facet_index(self, rule_id: str, pairing: Pairing) -> int:
-        return self._facet_lookup()[(rule_id, pairing)]
+        return self._facet_lookup[(rule_id, pairing)]
 
+    @cached_property
     def _tile_lookup(self) -> dict[tuple[str, str], int]:
-        cache = getattr(self, "_tiles_by_key", None)
-        if cache is None:
-            cache = {key: i + 1 for i, key in enumerate(self.tiles)}
-            object.__setattr__(self, "_tiles_by_key", cache)
-        return cache
+        return {key: i + 1 for i, key in enumerate(self.tiles)}
 
+    @cached_property
     def _facet_lookup(self) -> dict[tuple[str, Pairing], int]:
-        cache = getattr(self, "_facets_by_key", None)
-        if cache is None:
-            cache = {key: i + 1 for i, key in enumerate(self.internal_facets)}
-            object.__setattr__(self, "_facets_by_key", cache)
-        return cache
+        return {key: i + 1 for i, key in enumerate(self.internal_facets)}
 
 
 def build_numbering(system: SubstitutionSystem) -> GlobalNumbering:

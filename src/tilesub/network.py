@@ -8,6 +8,7 @@ network of a rule exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import MissingNetwork
 from .model import (
@@ -42,10 +43,12 @@ class Network:
         return tuple(out)
 
     def branch(self, k: int) -> Branch:
-        for b in self.branches:
-            if b.k == k:
-                return b
-        raise KeyError(k)
+        return self._branch_by_k[k]
+
+    @cached_property
+    def _branch_by_k(self) -> dict[int, Branch]:
+        # Built in reverse so the first branch of a repeated k wins.
+        return {b.k: b for b in reversed(self.branches)}
 
     def ports(self) -> dict[int, FacetRef]:
         return {b.k: b.port for b in self.branches}

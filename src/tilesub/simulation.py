@@ -4,7 +4,9 @@
 tiles from the tileset so that all internal facets match and the non-central
 cells agree on a parent index. `phi` folds such an assembly back onto a
 single decorated parent tile; `verify_self_simulation` checks exhaustively
-that the tileset and its assemblies behave identically through `phi`.
+that the tileset and its assemblies behave identically through `phi`. Each
+public entry point compiles the system's `tileset.Layout` once and hands it
+to the steps below it.
 
 `hierarchy_decorate` builds the finite-depth telescope of images with the
 distinguished UNDEFINED decoration confined to the networks of every level,
@@ -20,6 +22,7 @@ from .errors import (
     InconsistentGluing,
     NoMacroTiles,
     PartialBlock,
+    TilesubError,
     UnresolvedReference,
 )
 from .model import (
@@ -28,18 +31,16 @@ from .model import (
     SubstitutionSystem,
     ValidationReport,
 )
-from .network import NetworkSet, crossed_facets
+from .network import NetworkSet
 from .tileset import (
     DecoratedTile,
     DecorationTriple,
     FacetDecoration,
+    Layout,
     Tileset,
     UNDEFINED,
-    _Layout,
     _steps13,
     build_layout,
-    decoration_key,
-    matches,
 )
 
 
@@ -58,7 +59,7 @@ class MacroTileInstance:
         return self.tiles[self.cells.index(cell)]
 
 
-def _parent_of_tile(layout: _Layout, tile: DecoratedTile) -> int | None:
+def _parent_of_tile(layout: Layout, tile: DecoratedTile) -> int | None:
     ks = layout.parent_facets.get(tile.base)
     if not ks:
         return None
@@ -73,13 +74,12 @@ def enumerate_macro_tiles(tau: Tileset, system: SubstitutionSystem,
     matching and parent agreement; canonical order follows the template cell
     order and the tileset's canonical tile order."""
     layout = build_layout(numbering, networks)
-    instances: list[MacroTileInstance] = []
-    for rule in system.rules:
-        instances.extend(_enumerate_rule(tau, system, layout, rule))
-    return tuple(instances)
+    return tuple(
+        inst for rule in system.rules for inst in _enumerate_rule(tau, layout, rule)
+    )
 
 
-def _enumerate_rule(tau, system, layout, rule: Rule) -> list[MacroTileInstance]:
+def _enumerate_rule(tau: Tileset, layout: Layout, rule: Rule) -> list[MacroTileInstance]:
     numbering = layout.numbering
     cells = rule.template.cell_ids()
     pos = {c: i for i, c in enumerate(cells)}
@@ -98,13 +98,13 @@ def _enumerate_rule(tau, system, layout, rule: Rule) -> list[MacroTileInstance]:
         else:
             back[ca].append((ka, pos[cb], kb))
     # Index candidates by their decoration on the first back-constraint facet.
-    first_index: dict[str, dict[tuple, list[DecoratedTile]]] = {}
+    first_index: dict[str, dict[FacetDecoration, list[DecoratedTile]]] = {}
     for cell, constraints in back.items():
         if constraints:
             k0 = constraints[0][0]
-            bucket: dict[tuple, list[DecoratedTile]] = {}
+            bucket: dict[FacetDecoration, list[DecoratedTile]] = {}
             for tile in candidates[cell]:
-                bucket.setdefault(decoration_key(tile.triples[k0 - 1]), []).append(tile)
+                bucket.setdefault(tile.triples[k0 - 1], []).append(tile)
             first_index[cell] = bucket
 
     out: list[MacroTileInstance] = []
@@ -113,7 +113,10 @@ def _enumerate_rule(tau, system, layout, rule: Rule) -> list[MacroTileInstance]:
     def place(idx: int, parent: int | None) -> None:
         if idx == len(cells):
             central = placed[pos[center]]
-            assert parent is not None, "instance parent must be readable"
+            if parent is None:
+                raise TilesubError(
+                    f"rule {rule.rule_id}: no cell of an instance reads its parent"
+                )
             out.append(
                 MacroTileInstance(rule.rule_id, cells, tuple(placed), parent, central)
             )
@@ -122,14 +125,12 @@ def _enumerate_rule(tau, system, layout, rule: Rule) -> list[MacroTileInstance]:
         constraints = back[cell]
         if constraints:
             _, i0, ko0 = constraints[0]
-            pool = first_index[cell].get(
-                decoration_key(placed[i0].triples[ko0 - 1]), ()
-            )
+            pool = first_index[cell].get(placed[i0].triples[ko0 - 1], ())
         else:
             pool = candidates[cell]
         for tile in pool:
             if any(
-                not matches(tile.triples[k - 1], placed[i].triples[ko - 1])
+                tile.triples[k - 1] != placed[i].triples[ko - 1]
                 for k, i, ko in constraints[1:]
             ):
                 continue
@@ -147,27 +148,17 @@ def _enumerate_rule(tau, system, layout, rule: Rule) -> list[MacroTileInstance]:
     return out
 
 
-def phi(instance: MacroTileInstance, numbering: GlobalNumbering,
-        networks: NetworkSet) -> DecoratedTile:
+def phi(layout: Layout, instance: MacroTileInstance) -> DecoratedTile:
     """Fold an assembly onto its parent tile: facet k of T_{parent} takes the
     parent/neighbor pair found on facet k of the central tile, under the
     parent's own macro-indices."""
-    layout = build_layout(numbering, networks)
-    return _phi(layout, instance)
-
-
-def _phi(layout: _Layout, instance: MacroTileInstance) -> DecoratedTile:
     parent = instance.parent_index
-    numbering = layout.numbering
-    count = numbering.prototype_of(parent).facet_count
-    triples: list[FacetDecoration] = []
-    for k in range(1, count + 1):
-        dec = instance.central_tile.triples[k - 1]
-        if dec is UNDEFINED:
-            triples.append(UNDEFINED)
-        else:
-            triples.append(DecorationTriple(layout.nsigma[(parent, k)], dec.j, dec.g))
-    return DecoratedTile(parent, tuple(triples), central=parent in layout.central_cells)
+    count = layout.numbering.prototype_of(parent).facet_count
+    triples = tuple(
+        dec if dec is UNDEFINED else DecorationTriple(layout.nsigma[(parent, k)], dec.j, dec.g)
+        for k, dec in enumerate(instance.central_tile.triples[:count], start=1)
+    )
+    return DecoratedTile(parent, triples, central=parent in layout.central_cells)
 
 
 @dataclass
@@ -214,7 +205,9 @@ def verify_self_simulation(tau: Tileset, system: SubstitutionSystem,
     """
     layout = build_layout(numbering, networks)
     if instances is None:
-        instances = enumerate_macro_tiles(tau, system, numbering, networks)
+        instances = tuple(
+            inst for rule in system.rules for inst in _enumerate_rule(tau, layout, rule)
+        )
     if not instances:
         raise NoMacroTiles("the tileset admits no macro-tile")
     failures: list[str] = []
@@ -228,7 +221,7 @@ def verify_self_simulation(tau: Tileset, system: SubstitutionSystem,
         rule = system.rule(inst.rule_id)
         expected = tuple(p for _, p in rule.template.cells)
         got = tuple(numbering.prototype_of(t.base).name for t in inst.tiles)
-        image = _phi(layout, inst)
+        image = phi(layout, inst)
         images[idx] = image
         if got != expected or numbering.prototype_of(image.base).name != rule.parent:
             cond1 = False
@@ -237,30 +230,21 @@ def verify_self_simulation(tau: Tileset, system: SubstitutionSystem,
             phi_ok = False
             failures.append(f"instance {idx}: phi image not in tileset")
 
+    def seam_keys(rule_id: str, members) -> dict[int, tuple]:
+        """Each instance of the rule, read along the given facet slots."""
+        return {
+            idx: tuple(instances[idx].tile_at(c).triples[k - 1] for c, k in members)
+            for idx in by_rule.get(rule_id, ())
+        }
+
     cond3 = True
-    for entry in system.iter_adjacency_directed():
-        (rid_a, a), (rid_b, b) = entry.side_a, entry.side_b
-        ga = system.rule(rid_a).gamma_map()[a]
-        gb = system.rule(rid_b).gamma_map()[b]
-        mapping = sorted(entry.mapping)
-        side_key_a = {}
-        side_key_b = {}
-        for idx in by_rule.get(rid_a, ()):
-            inst = instances[idx]
-            key = tuple(
-                decoration_key(inst.tile_at(ga[pa - 1][0]).triples[ga[pa - 1][1] - 1])
-                for pa, _ in mapping
-            )
-            side_key_a[idx] = key
-        for idx in by_rule.get(rid_b, ()):
-            inst = instances[idx]
-            key = tuple(
-                decoration_key(inst.tile_at(gb[pb - 1][0]).triples[gb[pb - 1][1] - 1])
-                for _, pb in mapping
-            )
-            side_key_b[idx] = key
-        phi_key_a = {idx: decoration_key(images[idx].triples[a - 1]) for idx in side_key_a}
-        phi_key_b = {idx: decoration_key(images[idx].triples[b - 1]) for idx in side_key_b}
+    for ((rid_a, a), (rid_b, b)), entry_mapping in layout.adjacency.items():
+        ga, gb = layout.gamma[rid_a][a], layout.gamma[rid_b][b]
+        mapping = sorted(entry_mapping)
+        side_key_a = seam_keys(rid_a, [ga[pa - 1] for pa, _ in mapping])
+        side_key_b = seam_keys(rid_b, [gb[pb - 1] for _, pb in mapping])
+        phi_key_a = {idx: images[idx].triples[a - 1] for idx in side_key_a}
+        phi_key_b = {idx: images[idx].triples[b - 1] for idx in side_key_b}
         label = f"({rid_a},{a})~({rid_b},{b})"
         if not _biconditional_holds(side_key_a, phi_key_a, side_key_b, phi_key_b):
             cond3 = False
@@ -323,7 +307,7 @@ class LevelPatch:
     def matching_report(self) -> ValidationReport:
         report = ValidationReport()
         for sa, sb in self.pairs:
-            if not matches(self.decoration[sa], self.decoration[sb]):
+            if self.decoration[sa] != self.decoration[sb]:
                 report.add("SeamMismatch", f"{sa} vs {sb}")
         return report
 
@@ -338,26 +322,6 @@ class HierarchyPatch:
     @property
     def bottom(self) -> LevelPatch:
         return self.levels[0]
-
-
-def _rule_for_prototype(system: SubstitutionSystem, proto: str) -> Rule:
-    for rule in system.rules:
-        if rule.parent == proto:
-            return rule
-    raise InconsistentGluing(f"no rule expands prototype {proto}")
-
-
-def _native_undefined(system, rule, net) -> set[tuple[str, int]]:
-    """Rule-local slots the hierarchy leaves undefined: ports, both sides of
-    branch-crossed pairings, and everything on the central cell (its pairs
-    are derived data, never fixed by the base decoration)."""
-    out: set[tuple[str, int]] = {b.port for b in net.branches}
-    for pairings in crossed_facets(system, rule, net).values():
-        for pairing in pairings:
-            out.update(pairing)
-    center_proto = system.cell_prototype(rule, net.center)
-    out.update((net.center, k) for k in range(1, center_proto.facet_count + 1))
-    return out
 
 
 def _sorted_pairs(pairs: Iterable[tuple[Slot, Slot]]) -> tuple[tuple[Slot, Slot], ...]:
@@ -384,19 +348,14 @@ def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
     except KeyError:
         raise UnresolvedReference(f"rule {seed_rule}") from None
     layout = build_layout(numbering, networks)
-    eligible = sorted(
-        j for j in range(1, numbering.n + 1)
-        if numbering.prototype_of(j).name == seed.parent
-    )
     if top_parent is None:
+        eligible = [
+            j for j in range(1, numbering.n + 1)
+            if numbering.prototype_of(j).name == seed.parent
+        ]
         if not eligible:
             raise InconsistentGluing(f"no tile has prototype {seed.parent}")
         top_parent = eligible[0]
-
-    native = {
-        rule.rule_id: _native_undefined(system, rule, networks[rule.rule_id])
-        for rule in system.rules
-    }
 
     # Top expansion: the seed's template as a single block.
     cells: list[Address] = [(c,) for c in seed.template.cell_ids()]
@@ -414,19 +373,19 @@ def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
     for step in range(depth):
         level = _decorate_level(
             layout, depth - 1 - step, cells, rule_of, base_of, parent_of,
-            pairs, inherited, native,
+            pairs, inherited,
         )
         levels.append(level)
         if step + 1 < depth:
             cells, rule_of, base_of, parent_of, pairs, inherited = _expand_level(
-                system, numbering, level, native
+                layout, level
             )
     levels.reverse()
     return HierarchyPatch(seed_rule, depth, top_parent, tuple(levels))
 
 
-def _decorate_level(layout, level_no, cells, rule_of, base_of, parent_of,
-                    pairs, inherited, native) -> LevelPatch:
+def _decorate_level(layout: Layout, level_no, cells, rule_of, base_of, parent_of,
+                    pairs, inherited) -> LevelPatch:
     decoration: dict[Slot, FacetDecoration] = {}
     undefined_from: dict[Slot, int] = {}
     for addr in cells:
@@ -434,7 +393,7 @@ def _decorate_level(layout, level_no, cells, rule_of, base_of, parent_of,
         parent = parent_of[addr]
         count = layout.numbering.prototype_of(j0).facet_count
         plain = _steps13(layout, j0, parent, ())
-        local = native[rule_of[addr]]
+        local = layout.native_undefined[rule_of[addr]]
         for k in range(1, count + 1):
             slot = (addr, k)
             if (addr[-1], k) in local:
@@ -457,9 +416,10 @@ def _decorate_level(layout, level_no, cells, rule_of, base_of, parent_of,
     )
 
 
-def _expand_level(system, numbering, level: LevelPatch, native):
+def _expand_level(layout: Layout, level: LevelPatch):
     """Blow every cell of a level up by one rule application, gluing the
     blocks along macro-facets via the adjacency table."""
+    numbering = layout.numbering
     new_cells: list[Address] = []
     rule_of: dict[Address, str] = {}
     base_of: dict[Address, int] = {}
@@ -469,7 +429,9 @@ def _expand_level(system, numbering, level: LevelPatch, native):
     expander: dict[Address, Rule] = {}
     for addr in level.cells:
         proto = numbering.prototype_of(level.base_of[addr]).name
-        rule = _rule_for_prototype(system, proto)
+        rule = layout.rule_for_prototype.get(proto)
+        if rule is None:
+            raise InconsistentGluing(f"no rule expands prototype {proto}")
         expander[addr] = rule
         for cell, _ in rule.template.cells:
             sub = addr + (cell,)
@@ -479,24 +441,21 @@ def _expand_level(system, numbering, level: LevelPatch, native):
             parent_of[sub] = level.base_of[addr]
         for (ca, ka), (cb, kb) in rule.template.internal_pairings:
             pairs.append(((addr + (ca,), ka), (addr + (cb,), kb)))
-        gamma = rule.gamma_map()
+        gamma = layout.gamma[rule.rule_id]
         count = numbering.prototype_of(level.base_of[addr]).facet_count
         for a in range(1, count + 1):
             children[(addr, a)] = tuple(
                 (addr + (cm,), km) for cm, km in gamma[a]
             )
-    adjacency = {}
-    for entry in system.iter_adjacency_directed():
-        adjacency[(entry.side_a, entry.side_b)] = entry.mapping
     for (addr_a, a), (addr_b, b) in level.pairs:
         ra, rb = expander[addr_a].rule_id, expander[addr_b].rule_id
-        mapping = adjacency.get(((ra, a), (rb, b)))
+        mapping = layout.adjacency.get(((ra, a), (rb, b)))
         if mapping is None:
             raise InconsistentGluing(
                 f"no macro-adjacency for ({ra},{a}) ~ ({rb},{b})"
             )
-        ga = expander[addr_a].gamma_map()[a]
-        gb = expander[addr_b].gamma_map()[b]
+        ga = layout.gamma[ra][a]
+        gb = layout.gamma[rb][b]
         for pa, pb in mapping:
             ca, ka = ga[pa - 1]
             cb, kb = gb[pb - 1]
@@ -545,21 +504,17 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
 
     # Which macro-facet of which block each bottom slot belongs to.
     member_of: dict[Slot, tuple[Address, int]] = {}
-    for prefix, members in blocks.items():
-        rule = system.rule(bottom.rule_of[members[0]])
-        mf = system.macro_facet_of(rule)
-        for addr in members:
-            cell = addr[-1]
-            for (c, k), a in mf.items():
-                if c == cell:
-                    member_of[(addr, k)] = (prefix, a)
+    for (addr, k) in bottom.decoration:
+        a = layout.macro_facet_idx.get((bottom.base_of[addr], k))
+        if a is not None:
+            member_of[(addr, k)] = (addr[:-1], a)
 
     pairs: set[tuple[Slot, Slot]] = set()
     for sa, sb in bottom.pairs:
         if sa[0][:-1] == sb[0][:-1]:
             continue
         (block_a, a), (block_b, b) = member_of[sa], member_of[sb]
-        pairs.add(tuple(sorted((((block_a), a), ((block_b), b)))))
+        pairs.add(((block_a, a), (block_b, b)))
 
     decoration: dict[Slot, FacetDecoration] = {}
     undefined_from: dict[Slot, int] = {}
@@ -569,24 +524,17 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
         rule_id, cell = numbering.base_of(j_b)
         rule_of[prefix] = rule_id
         parent_of[prefix] = ancestor_parent
-        gamma = system.rule(bottom.rule_of[blocks[prefix][0]]).gamma_map()
+        gamma = layout.gamma[bottom.rule_of[blocks[prefix][0]]]
         count = numbering.prototype_of(j_b).facet_count
         plain = _steps13(layout, j_b, ancestor_parent, ())
-        native = _native_undefined(
-            system, system.rule(rule_id), networks[rule_id]
-        )
+        native = layout.native_undefined[rule_id]
         for a in range(1, count + 1):
             slot = (prefix, a)
-            states = [
-                bottom.decoration[(prefix + (cm,), km)] for cm, km in gamma[a]
-            ]
-            if all(s is UNDEFINED for s in states):
+            members = [(prefix + (cm,), km) for cm, km in gamma[a]]
+            if all(bottom.decoration[m] is UNDEFINED for m in members):
                 decoration[slot] = UNDEFINED
-                origins = [
-                    bottom.undefined_from[(prefix + (cm,), km)]
-                    for cm, km in gamma[a]
-                ]
-                undefined_from[slot] = max(0, max(origins) - 1)
+                origin = max(bottom.undefined_from[m] for m in members)
+                undefined_from[slot] = max(0, origin - 1)
             else:
                 if (cell, a) in native:
                     raise PartialBlock(
@@ -636,33 +584,28 @@ def quotient_preimage(decomposed, system: SubstitutionSystem,
     layout = build_layout(numbering, networks)
     report = ValidationReport()
     nodes = {
-        bid: _phi(layout, inst) for bid, inst in decomposed.blocks.items()
+        bid: phi(layout, inst) for bid, inst in decomposed.blocks.items()
     }
     if tau is not None:
         for bid, node in nodes.items():
             if node not in tau:
                 report.add("PhiNotInTileset", f"block {bid}")
-    directed = {
-        (e.side_a, e.side_b): e.mapping for e in system.iter_adjacency_directed()
-    }
     edges = []
     for bid_a, a, bid_b, b in decomposed.adjacencies:
         inst_a = decomposed.blocks[bid_a]
         inst_b = decomposed.blocks[bid_b]
-        mapping = directed.get(((inst_a.rule_id, a), (inst_b.rule_id, b)))
+        mapping = layout.adjacency.get(((inst_a.rule_id, a), (inst_b.rule_id, b)))
         if mapping is None:
             report.add("NoAdjacency", f"({inst_a.rule_id},{a})~({inst_b.rule_id},{b})")
             continue
-        ga = system.rule(inst_a.rule_id).gamma_map()[a]
-        gb = system.rule(inst_b.rule_id).gamma_map()[b]
+        ga = layout.gamma[inst_a.rule_id][a]
+        gb = layout.gamma[inst_b.rule_id][b]
         seam_ok = all(
-            matches(
-                inst_a.tile_at(ga[pa - 1][0]).triples[ga[pa - 1][1] - 1],
-                inst_b.tile_at(gb[pb - 1][0]).triples[gb[pb - 1][1] - 1],
-            )
+            inst_a.tile_at(ga[pa - 1][0]).triples[ga[pa - 1][1] - 1]
+            == inst_b.tile_at(gb[pb - 1][0]).triples[gb[pb - 1][1] - 1]
             for pa, pb in mapping
         )
-        node_ok = matches(nodes[bid_a].triples[a - 1], nodes[bid_b].triples[b - 1])
+        node_ok = nodes[bid_a].triples[a - 1] == nodes[bid_b].triples[b - 1]
         if seam_ok != node_ok:
             report.add(
                 "PreimageBiconditional",

@@ -223,7 +223,7 @@ class _Parser:
 
     def _kw_network2(self, tokens, lineno):
         rb = self._require_rule(lineno)
-        if tokens[1] != "cells" or "crossings" not in tokens:
+        if len(tokens) < 2 or tokens[1] != "cells" or "crossings" not in tokens:
             raise ParseError("usage: network2 cells <cids...> crossings <cids...>", lineno)
         split = tokens.index("crossings")
         cells = tuple(tokens[2:split])
@@ -252,7 +252,7 @@ class _Parser:
             self.adjacency.append(entry)
 
     def _side(self, token: str, lineno) -> tuple[str, int]:
-        if not (token.startswith("(") and token.endswith(")")):
+        if not (token.startswith("(") and token.endswith(")")) or token.count(",") != 1:
             raise ParseError(f"expected (<rid>,<k>), got {token!r}", lineno)
         rid, facet = token[1:-1].split(",")
         rb = self.rule_builder(rid, lineno)

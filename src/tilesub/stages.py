@@ -15,22 +15,16 @@ from .tileset import (
     Tileset,
     _steps13,
     build_layout,
-    decoration_key,
 )
 
 STAGE_NAMES = ("step1", "step2", "step3", "step4", "step5")
-
-
-def _cell_kinds(layout):
-    slots_of = {j0: ks for j0, _, ks in layout.network_cells}
-    return slots_of
 
 
 def stage_views(tau: Tileset, numbering: GlobalNumbering,
                 networks: NetworkSet) -> dict[str, str]:
     """Render the five stage files from a generated tileset."""
     layout = build_layout(numbering, networks)
-    slots_of = _cell_kinds(layout)
+    slots_of = {j0: ks for j0, _, ks in layout.network_cells}
     facets = {
         j: numbering.prototype_of(j).facet_count for j in range(1, numbering.n + 1)
     }
@@ -71,7 +65,6 @@ def stage_views(tau: Tileset, numbering: GlobalNumbering,
             step2.append(f"T{j} parent={parent} | " + " ".join(cols2))
             step3.append(f"T{j} parent={parent} | " + " ".join(cols3))
 
-    step4: list[str] = []
     rows4 = []
     for tile, prov in zip(tau.tiles, tau.provenance):
         if prov != PROVENANCE_NETWORK:
@@ -80,29 +73,18 @@ def stage_views(tau: Tileset, numbering: GlobalNumbering,
         pair_dec = tile.triples[slot_ks[0] - 1]
         parent_ks = layout.parent_facets[tile.base]
         parent = tile.triples[parent_ks[0] - 1].j if parent_ks else 0
-        rows4.append((tile.base, parent, decoration_key(pair_dec), tile, pair_dec))
-    rows4.sort(key=lambda r: (r[0], r[1], r[2]))
-    for base, parent, _, tile, pair_dec in rows4:
-        cols = " ".join(
-            f"k={k}:{tile.triples[k - 1].render()}" for k in range(1, facets[base] + 1)
-        )
-        pair = f"({pair_dec.j},{pair_dec.g.render()})"
-        step4.append(f"T{base} parent={parent} pair={pair} | {cols}")
+        rows4.append((tile.base, parent, pair_dec, tile))
+    rows4.sort(key=lambda r: r[:3])
+    step4 = [
+        f"T{base} parent={parent} pair=({pair.j},{pair.g.render()}) | {tile.columns()}"
+        for base, parent, pair, tile in rows4
+    ]
 
     step5 = [
-        f"T{tile.base} | " + " ".join(
-            f"k={k}:{tile.triples[k - 1].render()}"
-            for k in range(1, facets[tile.base] + 1)
-        )
+        f"T{tile.base} | {tile.columns()}"
         for tile, prov in zip(tau.tiles, tau.provenance)
         if prov == PROVENANCE_CENTRAL
     ]
 
-    views = {
-        "step1": step1,
-        "step2": step2,
-        "step3": step3,
-        "step4": step4,
-        "step5": step5,
-    }
-    return {name: "\n".join(lines) + "\n" for name, lines in views.items()}
+    views = (step1, step2, step3, step4, step5)
+    return {name: "\n".join(lines) + "\n" for name, lines in zip(STAGE_NAMES, views)}

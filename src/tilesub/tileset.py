@@ -1,31 +1,45 @@
 """Decorated tiles and the finite tileset construction.
 
 Every facet of a decorated tile carries a triple (macro-index, parent-index,
-neighbor-index). The tileset is built as a least fixpoint: base tiles for
-cells off the networks, pair-carrying tiles for cells on network branches,
-and center tiles derived from every non-central tile. The closure is
-round-based and canonically ordered, so two runs on the same input produce
-byte-identical dumps regardless of any internal scheduling.
+neighbor-index); two facets match when their triples are equal. `build_layout`
+compiles a numbered system and its networks once into a `Layout`, which the
+construction steps here and the enumeration and hierarchy in `simulation`
+take as their first argument. The tileset is built as a least fixpoint of
+three steps: `decorate_base` for cells off the networks, `decorate_network`
+for cells on network branches, and `derive_central` for the center tiles.
+The closure is round-based and canonically ordered, so two runs on the same
+input produce byte-identical dumps regardless of any internal scheduling.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Collection, Iterable, NamedTuple
 
-from .errors import BoundViolated, InvalidNetwork, InvalidSystem
+from .counting import exact_count, params_from_system
+from .errors import InvalidNetwork, InvalidSystem, TilesubError
 from .model import (
     FacetClass,
+    FacetRef,
     GlobalNumbering,
+    Rule,
     SubstitutionSystem,
     n_sigma,
     validate_system,
 )
-from .network import NetworkSet, check_port_condition, network_slots, validate_network
+from .network import (
+    Network,
+    NetworkSet,
+    check_port_condition,
+    crossed_facets,
+    network_slots,
+    validate_network,
+)
 
 
 class _Undefined:
-    """The distinguished facet decoration used by the tileset extension and
-    the hierarchy; it matches only itself."""
+    """The distinguished facet decoration of the hierarchy, placed on the
+    network slots of every level; it equals only itself."""
 
     _instance = None
 
@@ -44,9 +58,12 @@ class _Undefined:
 UNDEFINED = _Undefined()
 
 
-@dataclass(frozen=True)
-class DecorationTriple:
-    """(macro-index f, parent-index j, neighbor-index g) on one facet."""
+class DecorationTriple(NamedTuple):
+    """(macro-index f, parent-index j, neighbor-index g) on one facet.
+
+    Two facets match exactly when their decorations are equal, so a
+    decoration is its own dict key and, ordered field by field, its own sort
+    key."""
 
     f: FacetClass
     j: int
@@ -59,16 +76,6 @@ class DecorationTriple:
 FacetDecoration = DecorationTriple | _Undefined
 
 
-def decoration_key(dec: FacetDecoration):
-    if dec is UNDEFINED:
-        return (1,)
-    return (0, dec.f, dec.j, dec.g)
-
-
-def render_decoration(dec: FacetDecoration) -> str:
-    return dec.render()
-
-
 @dataclass(frozen=True)
 class DecoratedTile:
     """A tile T_{base} with one decoration per facet. `central` marks tiles
@@ -79,13 +86,13 @@ class DecoratedTile:
     central: bool = False
 
     def sort_key(self):
-        return (self.base, tuple(decoration_key(t) for t in self.triples))
+        return (self.base, self.triples)
+
+    def columns(self) -> str:
+        return " ".join(f"k={k}:{t.render()}" for k, t in enumerate(self.triples, start=1))
 
     def render(self, provenance: str) -> str:
-        cols = " ".join(
-            f"k={i}:{render_decoration(t)}" for i, t in enumerate(self.triples, start=1)
-        )
-        return f"T{self.base} {provenance} | {cols}"
+        return f"T{self.base} {provenance} | {self.columns()}"
 
 
 PROVENANCE_BASE = "base"
@@ -108,17 +115,14 @@ class Tileset:
         return iter(self.tiles)
 
     def __contains__(self, tile: DecoratedTile) -> bool:
-        return tile in self._index()
+        return tile in self._by_tile
 
     def index(self, tile: DecoratedTile) -> int:
-        return self._index()[tile]
+        return self._by_tile[tile]
 
-    def _index(self) -> dict[DecoratedTile, int]:
-        cache = getattr(self, "_by_tile", None)
-        if cache is None:
-            cache = {t: i for i, t in enumerate(self.tiles)}
-            object.__setattr__(self, "_by_tile", cache)
-        return cache
+    @cached_property
+    def _by_tile(self) -> dict[DecoratedTile, int]:
+        return {t: i for i, t in enumerate(self.tiles)}
 
     def dump(self) -> str:
         return "\n".join(
@@ -127,42 +131,56 @@ class Tileset:
 
 
 def strip_decorations(numbering: GlobalNumbering, tile: DecoratedTile) -> str:
-    """The projection pi: forget decorations, keep the prototype name.
-    Extended pointwise over assignments and patches by `strip_many`."""
+    """The projection pi: forget decorations, keep the prototype name."""
     return numbering.prototype_of(tile.base).name
 
 
-def strip_many(numbering: GlobalNumbering, tiles: Iterable[DecoratedTile]) -> tuple[str, ...]:
-    return tuple(strip_decorations(numbering, t) for t in tiles)
-
-
-def _nsigma_table(numbering: GlobalNumbering, networks: NetworkSet) -> dict[tuple[int, int], FacetClass]:
-    table = {}
-    for j in range(1, numbering.n + 1):
-        count = numbering.prototype_of(j).facet_count
-        for k in range(1, count + 1):
-            table[(j, k)] = n_sigma(numbering, networks, j, k)
-    return table
+Side = tuple[str, int]  # (rule id, parent facet): one macro-facet
 
 
 @dataclass(frozen=True)
-class _Layout:
-    """Precomputed per-system structure shared by the construction steps."""
+class Layout:
+    """The compiled view of one system with its networks, built once by
+    `build_layout` and passed to every construction, enumeration and
+    hierarchy step."""
 
     numbering: GlobalNumbering
     networks: NetworkSet
-    nsigma: dict[tuple[int, int], FacetClass]
+    nsigma: dict[tuple[int, int], FacetClass]  # (j, k) -> n_sigma(j, k)
     central_cells: tuple[int, ...]
     off_network: tuple[int, ...]
     network_cells: tuple[tuple[int, int, tuple[int, ...]], ...]  # (j0, branch k, slots)
     macro_facet_idx: dict[tuple[int, int], int]  # (j0, facet) -> macro-facet k
     parents_for: dict[int, tuple[int, ...]]  # j0 -> eligible parent indices
     parent_facets: dict[int, tuple[int, ...]]  # j0 -> internal non-crossed facets
+    gamma: dict[str, dict[int, tuple[FacetRef, ...]]]  # rule id -> gamma map
+    adjacency: dict[tuple[Side, Side], tuple[tuple[int, int], ...]]  # both directions
+    native_undefined: dict[str, frozenset[FacetRef]]  # rule id -> hierarchy slots
+    rule_for_prototype: dict[str, Rule]  # prototype -> the first rule expanding it
 
 
-def build_layout(numbering: GlobalNumbering, networks: NetworkSet) -> _Layout:
+def _native_undefined(system: SubstitutionSystem, rule: Rule, net: Network) -> frozenset[FacetRef]:
+    """Rule-local slots the hierarchy leaves undefined: ports, both sides of
+    branch-crossed pairings, and everything on the central cell (its pairs
+    are derived data, never fixed by the base decoration)."""
+    out: set[FacetRef] = {b.port for b in net.branches}
+    for pairings in crossed_facets(system, rule, net).values():
+        for pairing in pairings:
+            out.update(pairing)
+    center_proto = system.cell_prototype(rule, net.center)
+    out.update((net.center, k) for k in range(1, center_proto.facet_count + 1))
+    return frozenset(out)
+
+
+def build_layout(numbering: GlobalNumbering, networks: NetworkSet) -> Layout:
+    """Compile a numbered system and its networks (one per rule, already
+    validated) into the tables every later step reads."""
     system = numbering.system
-    nsigma = _nsigma_table(numbering, networks)
+    nsigma = {
+        (j, k): n_sigma(numbering, networks, j, k)
+        for j in range(1, numbering.n + 1)
+        for k in range(1, numbering.prototype_of(j).facet_count + 1)
+    }
     central_cells = []
     off = []
     on_network = []
@@ -202,7 +220,10 @@ def build_layout(numbering: GlobalNumbering, networks: NetworkSet) -> _Layout:
             for k in range(1, count + 1)
             if nsigma[(j, k)].is_internal and k not in slot_ks
         )
-    return _Layout(
+    rule_for_prototype: dict[str, Rule] = {}
+    for rule in system.rules:
+        rule_for_prototype.setdefault(rule.parent, rule)
+    return Layout(
         numbering=numbering,
         networks=networks,
         nsigma=nsigma,
@@ -212,10 +233,19 @@ def build_layout(numbering: GlobalNumbering, networks: NetworkSet) -> _Layout:
         macro_facet_idx=macro_idx,
         parents_for=parents_for,
         parent_facets=parent_facets,
+        gamma={rule.rule_id: rule.gamma_map() for rule in system.rules},
+        adjacency={
+            (e.side_a, e.side_b): e.mapping for e in system.iter_adjacency_directed()
+        },
+        native_undefined={
+            rule.rule_id: _native_undefined(system, rule, networks[rule.rule_id])
+            for rule in system.rules
+        },
+        rule_for_prototype=rule_for_prototype,
     )
 
 
-def _steps13(layout: _Layout, j0: int, parent: int, slot_ks: tuple[int, ...],
+def _steps13(layout: Layout, j0: int, parent: int, slot_ks: tuple[int, ...],
              blind_seams: bool = False) -> list[FacetDecoration | None]:
     """Decorations fixed before any pair flows on the network: macro-index
     everywhere, parent 0 outside / parent j inside, neighbor equal to the
@@ -239,16 +269,10 @@ def _steps13(layout: _Layout, j0: int, parent: int, slot_ks: tuple[int, ...],
     return out
 
 
-def decorate_base(numbering: GlobalNumbering, networks: NetworkSet,
-                  blind_seams: bool = False) -> list[DecoratedTile]:
+def decorate_base(layout: Layout, blind_seams: bool = False) -> list[DecoratedTile]:
     """Tiles for every non-central cell off the networks, one per eligible
     parent index (any tile whose prototype equals the rule's parent,
     across all rules)."""
-    layout = build_layout(numbering, networks)
-    return _decorate_base(layout, blind_seams)
-
-
-def _decorate_base(layout: _Layout, blind_seams: bool = False) -> list[DecoratedTile]:
     tiles = []
     for j0 in layout.off_network:
         for parent in layout.parents_for[j0]:
@@ -257,20 +281,10 @@ def _decorate_base(layout: _Layout, blind_seams: bool = False) -> list[Decorated
     return tiles
 
 
-def allowed_pairs(current: Iterable[DecoratedTile], j: int, k: int) -> set[tuple[int, FacetClass]]:
-    """Every (parent-index, neighbor-index) pair realized on facet k of some
-    decorated T_j in `current` (central tiles included)."""
-    pairs = set()
-    for tile in current:
-        if tile.base != j:
-            continue
-        dec = tile.triples[k - 1]
-        if dec is not UNDEFINED:
-            pairs.add((dec.j, dec.g))
-    return pairs
-
-
 def _pairs_table(tiles: Iterable[DecoratedTile]) -> dict[tuple[int, int], set[tuple[int, FacetClass]]]:
+    """Every (parent-index, neighbor-index) pair realized on facet k of some
+    decorated T_j among `tiles`, keyed by (j, k); UNDEFINED facets carry
+    none."""
     table: dict[tuple[int, int], set] = {}
     for tile in tiles:
         for k, dec in enumerate(tile.triples, start=1):
@@ -279,20 +293,15 @@ def _pairs_table(tiles: Iterable[DecoratedTile]) -> dict[tuple[int, int], set[tu
     return table
 
 
-def decorate_network_step(current: Iterable[DecoratedTile], numbering: GlobalNumbering,
-                          networks: NetworkSet, blind_seams: bool = False) -> set[DecoratedTile]:
+def decorate_network(layout: Layout, tiles: Iterable[DecoratedTile],
+                     blind_seams: bool = False) -> set[DecoratedTile]:
     """One round of pair-carrying tiles for non-central network cells.
 
-    A cell serving branch k with parent j gets one tile per pair currently
-    realized on facet k of a decorated T_j; the pair is written on all its
+    A cell serving branch k with parent j gets one tile per pair realized on
+    facet k of a decorated T_j among `tiles`; the pair is written on all its
     network slots at once.
     """
-    layout = build_layout(numbering, networks)
-    return _decorate_network(layout, list(current), _pairs_table(current), blind_seams)
-
-
-def _decorate_network(layout: _Layout, current: list[DecoratedTile],
-                      pairs: dict[tuple[int, int], set], blind_seams: bool = False) -> set[DecoratedTile]:
+    pairs = _pairs_table(tiles)
     new: set[DecoratedTile] = set()
     for j0, branch_k, slot_ks in layout.network_cells:
         for parent in layout.parents_for[j0]:
@@ -305,22 +314,16 @@ def _decorate_network(layout: _Layout, current: list[DecoratedTile],
     return new
 
 
-def derive_central_step(current: Iterable[DecoratedTile], numbering: GlobalNumbering,
-                        networks: NetworkSet) -> set[DecoratedTile]:
+def derive_central(layout: Layout, tiles: Collection[DecoratedTile]) -> set[DecoratedTile]:
     """Center tiles derived from every non-central tile with a matching facet
     count: the k-th facet copies the source tile's k-th parent/neighbor pair
     under the center's own macro-indices."""
-    layout = build_layout(numbering, networks)
-    return _derive_central(layout, list(current))
-
-
-def _derive_central(layout: _Layout, current: list[DecoratedTile]) -> set[DecoratedTile]:
     new: set[DecoratedTile] = set()
     numbering = layout.numbering
     for j in layout.central_cells:
         count = numbering.prototype_of(j).facet_count
         heads = tuple(layout.nsigma[(j, k)] for k in range(1, count + 1))
-        for tile in current:
+        for tile in tiles:
             if tile.central or len(tile.triples) != count:
                 continue
             if any(t is UNDEFINED for t in tile.triples):
@@ -333,8 +336,7 @@ def _derive_central(layout: _Layout, current: list[DecoratedTile]) -> set[Decora
 
 
 def generate_tileset(system: SubstitutionSystem, numbering: GlobalNumbering,
-                     networks: NetworkSet, blind_seams: bool = False,
-                     check_bound: bool = True) -> Tileset:
+                     networks: NetworkSet, blind_seams: bool = False) -> Tileset:
     """Least fixpoint of the three construction steps, canonically ordered.
 
     `blind_seams=True` is a diagnostic negative control: macro-facet members
@@ -357,29 +359,26 @@ def generate_tileset(system: SubstitutionSystem, numbering: GlobalNumbering,
         raise InvalidNetwork(f"port condition fails: {sorted(port_report.codes())}")
 
     layout = build_layout(numbering, networks)
-    tiles: set[DecoratedTile] = set(_decorate_base(layout, blind_seams))
-    sizes = [len(tiles)]
+    tiles: set[DecoratedTile] = set(decorate_base(layout, blind_seams))
     while True:
-        pairs = _pairs_table(tiles)
-        new = _decorate_network(layout, list(tiles), pairs, blind_seams)
-        new |= _derive_central(layout, list(tiles))
+        new = decorate_network(layout, tiles, blind_seams)
+        new |= derive_central(layout, tiles)
         new -= tiles
         if not new:
             break
         tiles |= new
-        sizes.append(len(tiles))
-    assert sizes == sorted(sizes), "closure must grow monotonically"
 
     ordered = sorted(tiles, key=DecoratedTile.sort_key)
     provenance = tuple(_provenance_of(layout, t) for t in ordered)
     result = Tileset(tuple(ordered), provenance)
     _check_step1(layout, result)
-    if check_bound:
-        _check_bound(layout, result)
+    params = params_from_system(system, numbering, networks)
+    if params.p >= params.r:  # else the first-network bound is undefined
+        exact_count(result, params)  # raises BoundViolated above the bound
     return result
 
 
-def _provenance_of(layout: _Layout, tile: DecoratedTile) -> str:
+def _provenance_of(layout: Layout, tile: DecoratedTile) -> str:
     if tile.base in layout.central_cells:
         return PROVENANCE_CENTRAL
     if tile.base in layout.off_network:
@@ -387,45 +386,17 @@ def _provenance_of(layout: _Layout, tile: DecoratedTile) -> str:
     return PROVENANCE_NETWORK
 
 
-def _check_step1(layout: _Layout, tileset: Tileset) -> None:
+def _check_step1(layout: Layout, tileset: Tileset) -> None:
+    """Every facet of every closure tile is defined and carries the facet's
+    fixed macro-index."""
     for tile in tileset:
         for k, dec in enumerate(tile.triples, start=1):
-            assert dec is not UNDEFINED, "closure output never carries UNDEFINED"
-            assert dec.f == layout.nsigma[(tile.base, k)], (
-                f"macro-index of T{tile.base} facet {k} must be fixed"
-            )
+            if dec is UNDEFINED:
+                raise TilesubError(f"T{tile.base} facet {k}: closure tile is undefined")
+            fixed = layout.nsigma[(tile.base, k)]
+            if dec.f != fixed:
+                raise TilesubError(
+                    f"T{tile.base} facet {k}: macro-index {dec.f.render()} "
+                    f"is not the fixed {fixed.render()}"
+                )
 
-
-def _check_bound(layout: _Layout, tileset: Tileset) -> None:
-    from .counting import count_bound_first, params_from_system
-
-    params = params_from_system(layout.numbering.system, layout.numbering, layout.networks)
-    if params.p < params.r:
-        return
-    bound = count_bound_first(params).bound
-    if len(tileset) > bound:
-        raise BoundViolated(f"{len(tileset)} tiles exceed the bound {bound}")
-
-
-def extend_undefined(tau: Tileset) -> Tileset:
-    """The tileset extension: for every tile and every subset of its facets,
-    the variant with that subset replaced by UNDEFINED (deduplicated)."""
-    seen: dict[DecoratedTile, str] = {}
-    for tile, prov in zip(tau.tiles, tau.provenance):
-        count = len(tile.triples)
-        for mask in range(1 << count):
-            triples = tuple(
-                UNDEFINED if mask >> i & 1 else dec
-                for i, dec in enumerate(tile.triples)
-            )
-            variant = DecoratedTile(tile.base, triples, tile.central)
-            seen.setdefault(variant, prov)
-    ordered = sorted(seen, key=DecoratedTile.sort_key)
-    return Tileset(tuple(ordered), tuple(seen[t] for t in ordered))
-
-
-def matches(a: FacetDecoration, b: FacetDecoration) -> bool:
-    """Facet matching: equal triples, or UNDEFINED against UNDEFINED."""
-    if a is UNDEFINED or b is UNDEFINED:
-        return a is b
-    return a == b

@@ -4,7 +4,7 @@ from tilesub.assembler import assemble_patches, build_grid_layout
 from tilesub.model import build_numbering
 from tilesub.simulation import enumerate_macro_tiles
 from tilesub.specfile import load_bundled
-from tilesub.tileset import generate_tileset
+from tilesub.tileset import build_layout, generate_tileset
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +25,13 @@ def numbering(doc3):
 @pytest.fixture(scope="session")
 def networks(doc3):
     return doc3.networks
+
+
+@pytest.fixture(scope="session")
+def compiled(numbering, networks):
+    """The compiled tileset layout of the bundled system (not the grid
+    layout, which is the `layout` fixture)."""
+    return build_layout(numbering, networks)
 
 
 @pytest.fixture(scope="session")

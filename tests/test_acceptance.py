@@ -26,7 +26,7 @@ from tilesub.simulation import (
     verify_self_simulation,
 )
 from tilesub.stages import stage_views
-from tilesub.tileset import generate_tileset, matches
+from tilesub.tileset import generate_tileset
 
 GOLDEN = Path(__file__).parent / "golden" / "square3x3"
 SPEC = str(resources.files("tilesub.data") / "square3x3.sub")
@@ -69,23 +69,24 @@ def test_criterion_3_closure_soundness(doc3, numbering):
     elapsed = time.perf_counter() - start
     assert 36 <= len(tau1) <= 4680
     assert tau1.dump() == tau2.dump()
-    from tilesub.tileset import decorate_network_step, derive_central_step
+    from tilesub.tileset import build_layout, decorate_network, derive_central
 
-    more = decorate_network_step(tau1, numbering, doc3.networks)
-    more |= derive_central_step(tau1, numbering, doc3.networks)
+    compiled = build_layout(numbering, doc3.networks)
+    more = decorate_network(compiled, tau1)
+    more |= derive_central(compiled, tau1)
     assert more <= set(tau1.tiles)
     assert elapsed < 10.0
     report(3, f"|tau|={len(tau1)} <= 4680, fixpoint stable, {elapsed:.2f}s")
 
 
-def test_criterion_4_self_simulation(doc3, numbering, tau, instances):
+def test_criterion_4_self_simulation(doc3, numbering, compiled, tau, instances):
     """Conditions (1) and (3) hold exhaustively; the seam-blind negative
     control fails condition (3)."""
     start = time.perf_counter()
     verdict = verify_self_simulation(tau, doc3.system, numbering, doc3.networks,
                                      instances)
     assert verdict.condition1_ok and verdict.phi_in_tileset and verdict.condition3_ok
-    assert all(phi(q, numbering, doc3.networks) in tau for q in instances)
+    assert all(phi(compiled, q) in tau for q in instances)
     mutant = generate_tileset(doc3.system, numbering, doc3.networks, blind_seams=True)
     mutant_verdict = verify_self_simulation(mutant, doc3.system, numbering,
                                             doc3.networks)
@@ -116,8 +117,8 @@ def test_criterion_5_patch_scale_condition_2(tau, numbering, layout, patches_2x2
     fast = assemble_patches(tau, numbering, 2, 3, seeds=seeds)
     oracle = [
         t for t in tau
-        if matches(seeds[(0, 2)].triples[E - 1], t.triples[W - 1])
-        and matches(seeds[(1, 1)].triples[N - 1], t.triples[S - 1])
+        if seeds[(0, 2)].triples[E - 1] == t.triples[W - 1]
+        and seeds[(1, 1)].triples[N - 1] == t.triples[S - 1]
     ]
     assert [p.cells[(1, 2)] for p in fast] == oracle
     report(5, f"{len(patches_2x2)} 2x2 patches all coherent; oracle equality")

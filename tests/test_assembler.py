@@ -16,7 +16,7 @@ from tilesub.assembler import (
 )
 from tilesub.errors import AmbiguousSignature, NonSquareSystem
 from tilesub.simulation import hierarchy_decorate
-from tilesub.tileset import DecoratedTile, Tileset, UNDEFINED, matches
+from tilesub.tileset import DecoratedTile, Tileset, UNDEFINED
 
 
 def brute_force_patches(tiles, width, height):
@@ -28,11 +28,11 @@ def brute_force_patches(tiles, width, height):
         ok = True
         for (x, y), tile in cells.items():
             right = cells.get((x + 1, y))
-            if right is not None and not matches(tile.triples[E - 1], right.triples[W - 1]):
+            if right is not None and tile.triples[E - 1] != right.triples[W - 1]:
                 ok = False
                 break
             up = cells.get((x, y + 1))
-            if up is not None and not matches(tile.triples[N - 1], up.triples[S - 1]):
+            if up is not None and tile.triples[N - 1] != up.triples[S - 1]:
                 ok = False
                 break
         if ok:
@@ -138,8 +138,8 @@ def test_assemble_seeded_2x3_matches_bruteforce(tau, numbering):
     fast = assemble_patches(tau, numbering, 2, 3, seeds=seeds)
     oracle = [
         t for t in tau
-        if matches(seeds[(0, 2)].triples[E - 1], t.triples[W - 1])
-        and matches(seeds[(1, 1)].triples[N - 1], t.triples[S - 1])
+        if seeds[(0, 2)].triples[E - 1] == t.triples[W - 1]
+        and seeds[(1, 1)].triples[N - 1] == t.triples[S - 1]
     ]
     assert [p.cells[(1, 2)] for p in fast] == oracle
     assert all(p.matching_report().ok for p in fast[:5])

@@ -170,3 +170,36 @@ rule r1 parent sq
     code, out, _ = run(capsys, "validate", str(bad))
     assert code == 1
     assert "DisconnectedTemplate" in out
+
+
+def test_hierarchy_depth_zero_is_usage_error(capsys):
+    code, out, err = run(capsys, "hierarchy", SPEC, "--depth", "0")
+    assert code == 2
+    assert "--depth: 0 is below the minimum 1" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_assemble_empty_grid_is_usage_error(capsys):
+    code, out, err = run(capsys, "assemble", SPEC, "--width", "0", "--height", "2")
+    assert code == 2
+    assert "--width: 0 is below the minimum 1" in err
+    assert "patches=" not in out
+
+
+def test_assemble_negative_seed_index_is_parse_error(capsys, tmp_path):
+    seed = tmp_path / "seed.txt"
+    seed.write_text("0 0 -1\n")
+    code, out, err = run(
+        capsys, "assemble", SPEC, "--width", "1", "--height", "1", "--seed", str(seed),
+    )
+    assert code == 2
+    assert "line 1: seed tile index -1 outside 0..1543" in err
+    assert "patches=" not in out
+
+
+def test_render_negative_tile_is_usage_error(capsys, tmp_path):
+    out_path = tmp_path / "tile.svg"
+    code, _, err = run(capsys, "render", SPEC, "--svg", str(out_path), "--tile", "-1")
+    assert code == 2
+    assert "--tile: -1 is below the minimum 0" in err
+    assert not out_path.exists()

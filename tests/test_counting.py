@@ -42,6 +42,14 @@ def test_first_bound_requires_p_at_least_r():
         count_bound_first(CountParams(r=2, n=6, m=6, p=1))
 
 
+def test_first_bound_rejects_params_beyond_coarse():
+    # m = 0 internal facets gives coarse = 0 below bound = 4; no connected
+    # template has these parameters. The check must not be an assert, which
+    # `python -O` would strip.
+    with pytest.raises(InvalidParams, match="coarse"):
+        count_bound_first(CountParams(r=1, n=2, m=0, p=1))
+
+
 def test_second_bound_worked_values():
     second = count_bound_second(CountParams(r=1, n=9, m=12, p=5, q=5, c=4))
     assert (second.n0, second.nq, second.np_, second.nc) == (3, 9, 57, 276)

@@ -51,13 +51,10 @@ def test_parent1_instances_collapse_to_single_index(instances, numbering, networ
         assert north.j == east.j
 
 
-def test_instances_have_uniform_parent(instances, numbering, networks):
-    from tilesub.tileset import build_layout
-
-    layout = build_layout(numbering, networks)
+def test_instances_have_uniform_parent(instances, compiled):
     for inst in instances[::97]:
         for cell, tile in zip(inst.cells, inst.tiles):
-            ks = layout.parent_facets.get(tile.base, ())
+            ks = compiled.parent_facets.get(tile.base, ())
             for k in ks:
                 assert tile.triples[k - 1].j == inst.parent_index
 
@@ -69,9 +66,9 @@ def test_instances_match_internally(instances, doc3):
             assert inst.tile_at(ca).triples[ka - 1] == inst.tile_at(cb).triples[kb - 1]
 
 
-def test_phi_parent1_reproduces_base_tile(instances, numbering, networks, tau):
+def test_phi_parent1_reproduces_base_tile(instances, compiled, tau):
     for inst in (i for i in instances if i.parent_index == 1):
-        image = phi(inst, numbering, networks)
+        image = phi(compiled, inst)
         a = inst.central_tile.triples[N - 1].j
         assert image == DecoratedTile(1, (
             DecorationTriple(fc("m"), 0, inst.central_tile.triples[S - 1].g),
@@ -82,13 +79,13 @@ def test_phi_parent1_reproduces_base_tile(instances, numbering, networks, tau):
         assert image in tau
 
 
-def test_phi_projects_to_parent_prototype(instances, numbering, networks):
-    image = phi(instances[0], numbering, networks)
+def test_phi_projects_to_parent_prototype(instances, numbering, compiled):
+    image = phi(compiled, instances[0])
     assert numbering.prototype_of(image.base).name == "sq"
 
 
-def test_phi_membership_exhaustive(instances, numbering, networks, tau):
-    assert all(phi(inst, numbering, networks) in tau for inst in instances)
+def test_phi_membership_exhaustive(instances, compiled, tau):
+    assert all(phi(compiled, inst) in tau for inst in instances)
 
 
 def test_verify_passes(tau, system, numbering, networks, instances):
@@ -207,11 +204,15 @@ def test_hierarchy_errors(system, numbering, networks):
 def test_hierarchy_needs_adjacency_to_glue(system, numbering, networks):
     import dataclasses
 
+    from tilesub.model import build_numbering
+
     bare = dataclasses.replace(system, macro_adjacency=())
+    # The adjacency table is read from the numbered system.
+    bare_numbering = build_numbering(bare)
     # Depth 1 never glues blocks, depth 2 must.
-    hierarchy_decorate(bare, numbering, networks, "r1", 1)
+    hierarchy_decorate(bare, bare_numbering, networks, "r1", 1)
     with pytest.raises(InconsistentGluing):
-        hierarchy_decorate(bare, numbering, networks, "r1", 2)
+        hierarchy_decorate(bare, bare_numbering, networks, "r1", 2)
 
 
 def test_quotient_single_instance(instances, system, numbering, networks, tau):

@@ -72,6 +72,26 @@ def test_parse_error_carries_line_number():
         parse_spec(text)
 
 
+def _bundled_with(old, new):
+    from importlib import resources
+
+    text = resources.files("tilesub.data").joinpath("square3x3.sub").read_text()
+    assert old in text
+    return text.replace(old, new)
+
+
+def test_macroadj_side_without_facet_is_parse_error():
+    text = _bundled_with("macroadj (r1,S) ~ (r1,N)", "macroadj (r1) ~ (r1,N)")
+    with pytest.raises(ParseError, match=r"line \d+: expected \(<rid>,<k>\)"):
+        parse_spec(text)
+
+
+def test_bare_network2_is_parse_error():
+    text = _bundled_with("  network2 cells c2 c4 c5 c6 c8 crossings c2 c4 c6 c8", "  network2")
+    with pytest.raises(ParseError, match="usage: network2"):
+        parse_spec(text)
+
+
 def test_roundtrip_bundled(doc3):
     assert parse_spec(print_spec(doc3)) == doc3
 

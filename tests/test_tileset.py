@@ -3,22 +3,24 @@
 import pytest
 
 from helpers import E, N, S, W, fc, trip
+from tilesub.errors import TilesubError
 from tilesub.model import n_sigma
 from tilesub.tileset import (
     DecoratedTile,
+    DecorationTriple,
     PROVENANCE_BASE,
     PROVENANCE_CENTRAL,
     PROVENANCE_NETWORK,
+    Tileset,
     UNDEFINED,
-    allowed_pairs,
+    _check_step1,
+    _pairs_table,
+    build_layout,
     decorate_base,
-    decorate_network_step,
-    derive_central_step,
-    extend_undefined,
+    decorate_network,
+    derive_central,
     generate_tileset,
-    matches,
     strip_decorations,
-    strip_many,
 )
 
 # Frozen regression constant: the closure on the 3x3 system. Derived by the
@@ -51,17 +53,15 @@ def test_strip_decorations(tau, numbering, instances):
     t5 = next(t for t in tau if t.base == 5)
     assert strip_decorations(numbering, t5) == "sq"
     inst = instances[0]
-    assert strip_many(numbering, inst.tiles) == ("sq",) * 9
+    assert tuple(strip_decorations(numbering, t) for t in inst.tiles) == ("sq",) * 9
 
 
-def test_base_tiles_count_and_schema(numbering, networks):
-    base = decorate_base(numbering, networks)
+def test_base_tiles_count_and_schema(compiled):
+    base = decorate_base(compiled)
     assert len(base) == 36  # (n - p) * n = 4 * 9
     assert {t.base for t in base} == {1, 3, 7, 9}
     # T_1 with parent j carries (m,0,s) (f3,j,f3) (m,0,w) (f1,j,f1) where the
     # neighbor indices report the parent's own south/west classes.
-    from tilesub.tileset import DecorationTriple
-
     for j in range(1, 10):
         tile = base_tile_of(base, 1, j)
         s, w = fc(SIG[j][0]), fc(SIG[j][2])
@@ -73,16 +73,16 @@ def test_base_tiles_count_and_schema(numbering, networks):
         )
 
 
-def test_base_tile_parent5_instantiation(numbering, networks):
-    base = decorate_base(numbering, networks)
+def test_base_tile_parent5_instantiation(compiled):
+    base = decorate_base(compiled)
     tile = base_tile_of(base, 1, 5)
     assert tile.triples == (
         trip("m", 0, 4), trip(3, 5, 3), trip("m", 0, 6), trip(1, 5, 1)
     )
 
 
-def test_base_tile_corner7(numbering, networks):
-    base = decorate_base(numbering, networks)
+def test_base_tile_corner7(compiled):
+    base = decorate_base(compiled)
     tile = base_tile_of(base, 7, 2)
     assert tile.triples == (
         trip(8, 2, 8), trip("m", 0, 4), trip("m", 0, 1), trip(11, 2, 11)
@@ -91,12 +91,13 @@ def test_base_tile_corner7(numbering, networks):
 
 def test_allowed_pairs_off_network_rows(tau):
     # Parent column W of T_2: nine pairs (j', f1).
-    assert allowed_pairs(tau, 2, W) == {(j, fc(1)) for j in range(1, 10)}
+    pairs = _pairs_table(tau)
+    assert pairs[(2, W)] == {(j, fc(1)) for j in range(1, 10)}
     # Parent column W of T_1: one pair per distinct west class of the
     # grandparent, eight in all. (The worked figure's "for any j" family.)
     expected = {(0, fc(SIG[j][2])) for j in range(1, 10)}
     assert len(expected) == 8
-    assert allowed_pairs(tau, 1, W) == expected
+    assert pairs[(1, W)] == expected
 
 
 def test_allowed_pairs_on_network_closure_set(tau):
@@ -104,12 +105,12 @@ def test_allowed_pairs_on_network_closure_set(tau):
     horizontal = {(0, fc(x)) for x in ("m", "p", 1, 2, 6, 7, 11, 12)} | {
         (j, fc(y)) for j in range(1, 10) for y in (1, 2, 11, 12)
     }
-    assert allowed_pairs(tau, 4, W) == horizontal
+    assert _pairs_table(tau)[(4, W)] == horizontal
     assert len(horizontal) == 44
 
 
-def test_network_step_examples(numbering, networks, tau):
-    new = decorate_network_step(tau, numbering, networks)
+def test_network_step_examples(compiled, tau):
+    new = decorate_network(compiled, tau)
     t4_parent1 = DecoratedTile(
         4, (trip(3, 1, 3), trip(8, 1, 8), trip("p", 0, "m"), trip(6, 0, "m"))
     )
@@ -125,9 +126,9 @@ def test_network_step_examples(numbering, networks, tau):
         assert t.triples[E - 1].f == fc(6)
 
 
-def test_network_step_empty_pairs_yield_nothing(numbering, networks):
-    base = decorate_base(numbering, networks)
-    first = decorate_network_step(base, numbering, networks)
+def test_network_step_empty_pairs_yield_nothing(compiled):
+    base = decorate_base(compiled)
+    first = decorate_network(compiled, base)
     # With only base tiles present, no pairs exist yet for parents that sit
     # on the network, so no tiles with those parents can be produced.
     assert not any(
@@ -135,13 +136,11 @@ def test_network_step_empty_pairs_yield_nothing(numbering, networks):
     )
 
 
-def test_derive_central_examples(numbering, networks, tau):
-    base = decorate_base(numbering, networks)
-    derived = derive_central_step(base, numbering, networks)
+def test_derive_central_examples(compiled, tau):
+    base = decorate_base(compiled)
+    derived = derive_central(compiled, base)
     for j in range(1, 10):
         s, w = fc(SIG[j][0]), fc(SIG[j][2])
-        from tilesub.tileset import DecorationTriple
-
         expected = DecoratedTile(5, (
             DecorationTriple(fc(4), 0, s),
             trip(9, j, 3),
@@ -153,26 +152,26 @@ def test_derive_central_examples(numbering, networks, tau):
     t2 = next(
         t for t in tau if t.base == 2 and t.triples[S - 1] == trip("p", 3, 8)
     )
-    central = derive_central_step([t2], numbering, networks)
+    central = derive_central(compiled, [t2])
     assert DecoratedTile(5, (
         trip(4, 3, 8), trip(9, 3, 8),
         trip(6, t2.triples[W - 1].j, 1), trip(7, t2.triples[W - 1].j, 2),
     ), central=True) in central
 
 
-def test_derive_central_skips_undefined_and_centrals(numbering, networks, tau):
+def test_derive_central_skips_undefined_and_centrals(compiled, tau):
     some_central = next(t for t in tau if t.central)
-    assert derive_central_step([some_central], numbering, networks) == set()
+    assert derive_central(compiled, [some_central]) == set()
     holed = DecoratedTile(1, (UNDEFINED,) * 4)
-    assert derive_central_step([holed], numbering, networks) == set()
+    assert derive_central(compiled, [holed]) == set()
 
 
-def test_generate_is_fixpoint_and_canonical(system, numbering, networks, tau):
+def test_generate_is_fixpoint_and_canonical(system, numbering, networks, compiled, tau):
     assert len(tau) == TAU_3X3
     assert 36 <= len(tau) <= 4680
     # Stability: one more round adds nothing.
-    more = decorate_network_step(tau, numbering, networks)
-    more |= derive_central_step(tau, numbering, networks)
+    more = decorate_network(compiled, tau)
+    more |= derive_central(compiled, tau)
     assert more <= set(tau.tiles)
     # Determinism: a fresh run is byte-identical.
     again = generate_tileset(system, numbering, networks)
@@ -200,12 +199,22 @@ def test_step1_invariant_holds_everywhere(tau, numbering, networks):
             assert dec.f == n_sigma(numbering, networks, tile.base, k)
 
 
+def test_step1_check_rejects_wrong_macro_index(compiled, tau):
+    _check_step1(compiled, tau)
+    tile = next(t for t in tau if t.base == 1)
+    # T1's south facet is a macro-facet member; f1 is not its class.
+    forged = DecoratedTile(1, (trip(1, 1, 1),) + tile.triples[1:])
+    with pytest.raises(TilesubError, match="T1 facet 1"):
+        _check_step1(compiled, Tileset((forged,), (PROVENANCE_BASE,)))
+    holed = DecoratedTile(1, tile.triples[:3] + (UNDEFINED,))
+    with pytest.raises(TilesubError, match="T1 facet 4"):
+        _check_step1(compiled, Tileset((holed,), (PROVENANCE_BASE,)))
+
+
 def _algebra_count(numbering, networks):
     """Independent size computation in the pair-set domain: solve for the
     pair families column by column, then count descriptors instead of
     constructing tiles."""
-    from tilesub.tileset import build_layout
-
     layout = build_layout(numbering, networks)
     n = numbering.n
     parents = {j: layout.parents_for[j] for j in layout.parents_for}
@@ -284,25 +293,19 @@ def test_closure_size_matches_pair_algebra(numbering, networks, tau):
 
 
 def test_matching_semantics():
+    """Facets match exactly when their decorations are equal; UNDEFINED
+    matches only itself. Equal decorations are one dict key, and they sort
+    field by field."""
     a = trip(1, 2, 3)
-    assert matches(a, trip(1, 2, 3))
-    assert not matches(a, trip(1, 2, 4))
-    assert matches(UNDEFINED, UNDEFINED)
-    assert not matches(a, UNDEFINED)
-    assert not matches(UNDEFINED, a)
-
-
-def test_extend_undefined(tau):
-    prime = extend_undefined(tau)
-    tiles = set(prime.tiles)
-    # The empty subset reproduces every original tile.
-    assert set(tau.tiles) <= tiles
-    # The full subset collapses to one all-undefined tile per base cell.
-    all_undef = [t for t in prime if all(d is UNDEFINED for d in t.triples)]
-    assert len(all_undef) == 9
-    assert len(prime) <= len(tau) * 2 ** 4
-    assert len(prime) > len(tau)
-    assert "k=1:u" in prime.dump()
+    assert a == trip(1, 2, 3)
+    assert a != trip(1, 2, 4)
+    assert UNDEFINED == UNDEFINED
+    assert a != UNDEFINED
+    assert UNDEFINED != a
+    assert {a: 1, trip(1, 2, 3): 2, UNDEFINED: 3} == {a: 2, UNDEFINED: 3}
+    assert sorted([trip(2, 0, 1), trip(1, 5, 3), trip(1, 2, 4), trip("m", 0, 1)]) == [
+        trip(1, 2, 4), trip(1, 5, 3), trip(2, 0, 1), trip("m", 0, 1),
+    ]
 
 
 def test_generate_rejects_broken_networks(system, numbering, networks):
