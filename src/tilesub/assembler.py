@@ -1,5 +1,9 @@
 """Square-grid patch assembly, phase analysis and macro-decomposition.
 
+Patches are filled by the key-indexed search that also enumerates macro-tiles
+(`simulation._search`); phases are read off a table of wildcard-masked
+macro-index signatures built with the grid layout.
+
 This is the specialization to systems whose prototypes are unit squares with
 the facet convention (S, N, W, E) = (1, 2, 3, 4) and orientations
 (-, +, -, +). Generic polytope assembly would need geometric realization,
@@ -8,12 +12,13 @@ which the model deliberately excludes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import AmbiguousSignature, NonSquareSystem
 from .model import GlobalNumbering, SubstitutionSystem, ValidationReport
 from .network import NetworkSet
-from .simulation import HierarchyPatch, MacroTileInstance
-from .tileset import DecoratedTile, FacetDecoration, Tileset, UNDEFINED, build_layout
+from .simulation import HierarchyPatch, MacroTileInstance, _seam_keys, _search
+from .tileset import DecoratedTile, Tileset, UNDEFINED, build_layout
 
 S, N, W, E = 1, 2, 3, 4
 
@@ -43,14 +48,16 @@ class GridPatch:
 @dataclass(frozen=True)
 class GridLayout:
     """The grid embedding of one rule's template, recovered from its facet
-    pairings, plus the per-position macro-index signatures used for phases."""
+    pairings, plus the table that reads a phase off a tile's macro-indices."""
 
     rule_id: str
     width: int
     height: int
     cell_at: dict[tuple[int, int], str]
     position_of: dict[int, tuple[int, int]]  # tile index -> (x, y)
-    signatures: dict[int, tuple]  # tile index -> macro-index signature
+    # (S, N, W, E) macro-index signature with any facets masked to None ->
+    # the tile indices whose full signature it fits
+    fits: dict[tuple, list[int]]
 
 
 def _require_square(system: SubstitutionSystem) -> None:
@@ -106,31 +113,27 @@ def build_grid_layout(system: SubstitutionSystem, numbering: GlobalNumbering,
     if len(cell_at) != len(cells):
         raise NonSquareSystem(f"rule {rule.rule_id}: cells do not form a grid")
     position_of = {}
-    signatures = {}
-    seen: dict[tuple, int] = {}
+    fits: dict[tuple, list[int]] = {}
     for (x, yy), cell in cell_at.items():
         j = numbering.tile_index(rule.rule_id, cell)
         position_of[j] = (x, yy)
         sig = tuple(nsigma[(j, k)] for k in (S, N, W, E))
-        if sig in seen:
-            raise AmbiguousSignature(f"T{seen[sig]} and T{j} share signature {sig}")
-        seen[sig] = j
-        signatures[j] = sig
-    return GridLayout(rule.rule_id, width, y, cell_at, position_of, signatures)
+        if sig in fits:
+            raise AmbiguousSignature(f"T{fits[sig][0]} and T{j} share signature {sig}")
+        for mask in product((False, True), repeat=4):
+            masked = tuple(None if hide else f for f, hide in zip(sig, mask))
+            fits.setdefault(masked, []).append(j)
+    return GridLayout(rule.rule_id, width, y, cell_at, position_of, fits)
 
 
 def phase_of(tile: DecoratedTile, layout: GridLayout) -> tuple[int, int]:
     """Position of the tile's base cell inside the template, read off the
-    macro-index signature. UNDEFINED facets are wildcards; the defined part
-    must still identify a unique position."""
+    macro-index signature with one lookup in `layout.fits`. UNDEFINED facets
+    are wildcards; the defined part must still identify a unique position."""
     sig = tuple(
         None if dec is UNDEFINED else dec.f for dec in tile.triples
     )
-    hits = [
-        j
-        for j, full in layout.signatures.items()
-        if all(s is None or s == f for s, f in zip(sig, full))
-    ]
+    hits = layout.fits.get(sig)
     if not hits:
         raise KeyError(f"signature {sig} fits no template position")
     if len(hits) > 1:
@@ -171,54 +174,23 @@ def assemble_patches(tau: Tileset, numbering: GlobalNumbering, width: int,
                      height: int, seeds: dict[tuple[int, int], DecoratedTile] | None = None
                      ) -> list[GridPatch]:
     """Exhaustively enumerate all valid width x height patches in scanline
-    order (bottom row first, west to east), with facet-indexed candidate
-    lookup. Seeded positions are fixed in advance; output order is canonical
-    (tiles tried in tileset order)."""
+    order (bottom row first, west to east). A position's candidates are
+    keyed by their W and S decorations, which must equal the E facet of the
+    west neighbor and the N facet of the south neighbor; a seeded position
+    has its seed as sole candidate. Patches come out in lexicographic order
+    of the tiles' canonical positions in `tau`, positions taken in scanline
+    order."""
     _require_square(numbering.system)
     seeds = seeds or {}
-    by_w: dict[FacetDecoration, list[DecoratedTile]] = {}
-    by_s: dict[FacetDecoration, list[DecoratedTile]] = {}
-    by_ws: dict[tuple[FacetDecoration, FacetDecoration], list[DecoratedTile]] = {}
-    for tile in tau:
-        wk = tile.triples[W - 1]
-        sk = tile.triples[S - 1]
-        by_w.setdefault(wk, []).append(tile)
-        by_s.setdefault(sk, []).append(tile)
-        by_ws.setdefault((wk, sk), []).append(tile)
-
     order = [(x, y) for y in range(height) for x in range(width)]
-    out: list[GridPatch] = []
-    placed: dict[tuple[int, int], DecoratedTile] = {}
-
-    def candidates(x: int, y: int) -> list[DecoratedTile]:
-        west = placed.get((x - 1, y))
-        south = placed.get((x, y - 1))
-        seed = seeds.get((x, y))
-        if seed is not None:
-            ok = (west is None or west.triples[E - 1] == seed.triples[W - 1]) and (
-                south is None or south.triples[N - 1] == seed.triples[S - 1]
-            )
-            return [seed] if ok else []
-        if west is not None and south is not None:
-            return by_ws.get((west.triples[E - 1], south.triples[N - 1]), [])
-        if west is not None:
-            return by_w.get(west.triples[E - 1], [])
-        if south is not None:
-            return by_s.get(south.triples[N - 1], [])
-        return list(tau)
-
-    def fill(idx: int) -> None:
-        if idx == len(order):
-            out.append(GridPatch(width, height, dict(placed)))
-            return
-        x, y = order[idx]
-        for tile in candidates(x, y):
-            placed[(x, y)] = tile
-            fill(idx + 1)
-            del placed[(x, y)]
-
-    fill(0)
-    return out
+    cells = [
+        ((seeds[(x, y)],) if (x, y) in seeds else tau,
+         *_seam_keys([(W, i - 1, E)] * (x > 0) + [(S, i - width, N)] * (y > 0)))
+        for i, (x, y) in enumerate(order)
+    ]
+    return [
+        GridPatch(width, height, dict(zip(order, placed))) for placed in _search(cells)
+    ]
 
 
 @dataclass
@@ -316,10 +288,7 @@ def grid_from_hierarchy(hpatch: HierarchyPatch, layout: GridLayout,
             x, y = x * w + px, y * h + py
         rule_id = bottom.rule_of[addr]
         central = networks[rule_id].center == addr[-1]
-        count = len(layout.signatures[bottom.base_of[addr]])
-        triples = tuple(
-            bottom.decoration[(addr, k)] for k in range(1, count + 1)
-        )
+        triples = tuple(bottom.decoration[(addr, k)] for k in (S, N, W, E))
         cells[(x, y)] = DecoratedTile(bottom.base_of[addr], triples, central)
     side = w ** hpatch.depth, h ** hpatch.depth
     return GridPatch(side[0], side[1], cells)

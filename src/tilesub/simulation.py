@@ -2,7 +2,9 @@
 
 `enumerate_macro_tiles` lists every way a rule's template can be filled with
 tiles from the tileset so that all internal facets match and the non-central
-cells agree on a parent index. `phi` folds such an assembly back onto a
+cells agree on a parent index. It runs on `_search`, the one key-indexed,
+iterative backtracking search of the package, which the grid assembler also
+uses to fill patches. `phi` folds such an assembly back onto a
 single decorated parent tile; `verify_self_simulation` checks exhaustively
 that the tileset and its assemblies behave identically through `phi`. Each
 public entry point compiles the system's `tileset.Layout` once and hands it
@@ -16,7 +18,7 @@ one level up.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     InconsistentGluing,
@@ -59,93 +61,112 @@ class MacroTileInstance:
         return self.tiles[self.cells.index(cell)]
 
 
-def _parent_of_tile(layout: Layout, tile: DecoratedTile) -> int | None:
-    ks = layout.parent_facets.get(tile.base)
-    if not ks:
-        return None
-    dec = tile.triples[ks[0] - 1]
-    return None if dec is UNDEFINED else dec.j
+_EXHAUSTED = object()
+
+
+def _search(cells: Sequence[tuple[Iterable[Any], Callable, Callable]]
+            ) -> Iterator[tuple[Any, ...]]:
+    """Every way to pick one candidate per cell such that each candidate's
+    key equals the key wanted by the candidates placed before it.
+
+    `cells` lists, per cell, a candidate pool in canonical order, the key
+    read off a candidate and the key wanted by the placed prefix (a list).
+    Each pool is grouped by key once, so a placement is one dict lookup;
+    solutions come out in lexicographic pool order. The backtracking keeps
+    its own stack, so recursion depth does not bound the number of cells.
+    """
+    if not cells:
+        yield ()
+        return
+    groups: list[dict[Any, list[Any]]] = []
+    for pool, key, _ in cells:
+        by_key: dict[Any, list[Any]] = {}
+        for candidate in pool:
+            by_key.setdefault(key(candidate), []).append(candidate)
+        groups.append(by_key)
+    wants = [want for _, _, want in cells]
+    placed: list[Any] = []
+    stack = [iter(groups[0].get(wants[0](placed), ()))]
+    while stack:
+        candidate = next(stack[-1], _EXHAUSTED)
+        if candidate is _EXHAUSTED:
+            stack.pop()
+            if placed:
+                placed.pop()
+            continue
+        placed.append(candidate)
+        depth = len(placed)
+        if depth == len(cells):
+            yield tuple(placed)
+            placed.pop()
+        else:
+            stack.append(iter(groups[depth].get(wants[depth](placed), ())))
+
+
+def _seam_keys(seams: Sequence[tuple[int, int, int]]) -> tuple[Callable, Callable]:
+    """The key and wanted key of a cell whose facet k must carry the
+    decoration of facet k2 of placed cell i, for each (k, i, k2) in
+    `seams`."""
+    return (lambda tile: tuple([tile.triples[k - 1] for k, _, _ in seams]),
+            lambda placed: tuple([placed[i].triples[k2 - 1] for _, i, k2 in seams]))
 
 
 def enumerate_macro_tiles(tau: Tileset, system: SubstitutionSystem,
                           numbering: GlobalNumbering, networks: NetworkSet
                           ) -> tuple[MacroTileInstance, ...]:
-    """Exhaustive backtracking over each rule's cells, pruning on internal
-    matching and parent agreement; canonical order follows the template cell
-    order and the tileset's canonical tile order."""
+    """Every filling of each rule's template by tiles of `tau` whose internal
+    facets match and whose non-central cells read one parent index.
+
+    A cell's candidates are keyed by their decorations on all facets paired
+    with earlier template cells and, once an earlier cell has fixed it, by
+    the parent they read. Instances come out rule by rule, in lexicographic
+    order of the tiles' canonical positions in `tau`, cells taken in
+    template order.
+    """
     layout = build_layout(numbering, networks)
     return tuple(
         inst for rule in system.rules for inst in _enumerate_rule(tau, layout, rule)
     )
 
 
-def _enumerate_rule(tau: Tileset, layout: Layout, rule: Rule) -> list[MacroTileInstance]:
+def _enumerate_rule(tau: Tileset, layout: Layout, rule: Rule) -> Iterator[MacroTileInstance]:
     numbering = layout.numbering
     cells = rule.template.cell_ids()
     pos = {c: i for i, c in enumerate(cells)}
-    center = layout.networks[rule.rule_id].center
-    base_of = {c: numbering.tile_index(rule.rule_id, c) for c in cells}
-    candidates: dict[str, list[DecoratedTile]] = {c: [] for c in cells}
+    pools: dict[str, list[DecoratedTile]] = {c: [] for c in cells}
     for tile in tau:
         rule_id, cell = numbering.base_of(tile.base)
         if rule_id == rule.rule_id:
-            candidates[cell].append(tile)
-    # Constraints binding each cell to already-placed earlier cells.
+            pools[cell].append(tile)
+    # Seams binding each cell to earlier cells, as `_seam_keys` reads them.
     back: dict[str, list[tuple[int, int, int]]] = {c: [] for c in cells}
     for (ca, ka), (cb, kb) in rule.template.internal_pairings:
         if pos[ca] < pos[cb]:
             back[cb].append((kb, pos[ca], ka))
         else:
             back[ca].append((ka, pos[cb], kb))
-    # Index candidates by their decoration on the first back-constraint facet.
-    first_index: dict[str, dict[FacetDecoration, list[DecoratedTile]]] = {}
-    for cell, constraints in back.items():
-        if constraints:
-            k0 = constraints[0][0]
-            bucket: dict[FacetDecoration, list[DecoratedTile]] = {}
-            for tile in candidates[cell]:
-                bucket.setdefault(tile.triples[k0 - 1], []).append(tile)
-            first_index[cell] = bucket
+    # The facet each non-central cell reads its parent index from.
+    reads = {
+        i: ks[0] for i, c in enumerate(cells)
+        if (ks := layout.parent_facets.get(numbering.tile_index(rule.rule_id, c)))
+    }
+    if not reads:
+        raise TilesubError(f"rule {rule.rule_id}: no cell of an instance reads its parent")
+    first, k_first = min(reads.items())
 
-    out: list[MacroTileInstance] = []
-    placed: list[DecoratedTile] = []
+    def keys(i: int, cell: str) -> tuple[Callable, Callable]:
+        key, want = _seam_keys(back[cell])
+        if i not in reads or i == first:
+            return key, want
+        k = reads[i]
+        # Every later reader repeats the parent the first reader fixed.
+        return (lambda tile: (*key(tile), tile.triples[k - 1].j),
+                lambda placed: (*want(placed), placed[first].triples[k_first - 1].j))
 
-    def place(idx: int, parent: int | None) -> None:
-        if idx == len(cells):
-            central = placed[pos[center]]
-            if parent is None:
-                raise TilesubError(
-                    f"rule {rule.rule_id}: no cell of an instance reads its parent"
-                )
-            out.append(
-                MacroTileInstance(rule.rule_id, cells, tuple(placed), parent, central)
-            )
-            return
-        cell = cells[idx]
-        constraints = back[cell]
-        if constraints:
-            _, i0, ko0 = constraints[0]
-            pool = first_index[cell].get(placed[i0].triples[ko0 - 1], ())
-        else:
-            pool = candidates[cell]
-        for tile in pool:
-            if any(
-                tile.triples[k - 1] != placed[i].triples[ko - 1]
-                for k, i, ko in constraints[1:]
-            ):
-                continue
-            tile_parent = None if cell == center else _parent_of_tile(layout, tile)
-            next_parent = parent
-            if tile_parent is not None:
-                if parent is not None and tile_parent != parent:
-                    continue
-                next_parent = tile_parent
-            placed.append(tile)
-            place(idx + 1, next_parent)
-            placed.pop()
-
-    place(0, None)
-    return out
+    center = pos[layout.networks[rule.rule_id].center]
+    for tiles in _search([(pools[c], *keys(i, c)) for i, c in enumerate(cells)]):
+        parent = tiles[first].triples[k_first - 1].j
+        yield MacroTileInstance(rule.rule_id, cells, tiles, parent, tiles[center])
 
 
 def phi(layout: Layout, instance: MacroTileInstance) -> DecoratedTile:
@@ -205,9 +226,7 @@ def verify_self_simulation(tau: Tileset, system: SubstitutionSystem,
     """
     layout = build_layout(numbering, networks)
     if instances is None:
-        instances = tuple(
-            inst for rule in system.rules for inst in _enumerate_rule(tau, layout, rule)
-        )
+        instances = enumerate_macro_tiles(tau, system, numbering, networks)
     if not instances:
         raise NoMacroTiles("the tileset admits no macro-tile")
     failures: list[str] = []

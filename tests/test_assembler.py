@@ -122,6 +122,16 @@ def test_assemble_matches_bruteforce_synthetic(numbering, width, height):
     assert as_key_set(fast) == as_key_set(slow)
 
 
+def test_assemble_long_strip_one_tile(numbering):
+    """A 1200x1 strip is deeper than Python's default recursion limit; the
+    search keeps its own stack, so the strip's single patch comes out."""
+    a = trip(1, 0, 1)
+    tau = Tileset((DecoratedTile(1, (a, a, a, a)),), ("base",))
+    patches = assemble_patches(tau, numbering, 1200, 1)
+    assert len(patches) == 1
+    assert set(patches[0].cells.values()) == set(tau)
+
+
 @pytest.mark.parametrize("width,height", [(2, 1), (1, 2)])
 def test_assemble_matches_bruteforce_full_tileset(tau, numbering, width, height):
     fast = assemble_patches(tau, numbering, width, height)

@@ -5,12 +5,14 @@ from types import SimpleNamespace
 import pytest
 
 from helpers import E, N, S, W, fc, trip
+from tilesub.assembler import assemble_patches
 from tilesub.errors import (
     InconsistentGluing,
     NoMacroTiles,
     PartialBlock,
     UnresolvedReference,
 )
+from tilesub.model import build_numbering
 from tilesub.simulation import (
     enumerate_macro_tiles,
     hierarchy_decorate,
@@ -19,6 +21,7 @@ from tilesub.simulation import (
     quotient_preimage,
     verify_self_simulation,
 )
+from tilesub.specfile import load_bundled
 from tilesub.tileset import (
     DecoratedTile,
     DecorationTriple,
@@ -57,6 +60,32 @@ def test_instances_have_uniform_parent(instances, compiled):
             ks = compiled.parent_facets.get(tile.base, ())
             for k in ks:
                 assert tile.triples[k - 1].j == inst.parent_index
+
+
+@pytest.mark.parametrize("spec", ["square3x3", "tworule3x3"])
+def test_instances_and_patches_in_canonical_order(spec):
+    """Instances come rule by rule, and within a rule, like the 2x2 patches,
+    in strictly increasing lexicographic order of tileset indices."""
+    doc = load_bundled(spec)
+    numbering = build_numbering(doc.system)
+    tau = generate_tileset(doc.system, numbering, doc.networks)
+    instances = enumerate_macro_tiles(tau, doc.system, numbering, doc.networks)
+    rule_ids = [rule.rule_id for rule in doc.system.rules]
+    assert [inst.rule_id for inst in instances] == sorted(
+        (inst.rule_id for inst in instances), key=rule_ids.index
+    )
+    for rule_id in rule_ids:
+        keys = [
+            tuple(tau.index(t) for t in inst.tiles)
+            for inst in instances if inst.rule_id == rule_id
+        ]
+        assert keys and all(a < b for a, b in zip(keys, keys[1:]))
+    scanline = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    keys = [
+        tuple(tau.index(p.cells[pos]) for pos in scanline)
+        for p in assemble_patches(tau, numbering, 2, 2)
+    ]
+    assert keys and all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_instances_match_internally(instances, doc3):
