@@ -212,12 +212,16 @@ def decompose_macro(patch: GridPatch, instances: tuple[MacroTileInstance, ...],
     hierarchy patches are analyzed; a complete block matching no instance is
     reported as NonInstanceBlock (a verifier bug on valid patches). Cells
     outside complete blocks are margins.
+
+    A block is one lookup in a table of the instances keyed by their tiles'
+    bases and decorations outside the block's UNDEFINED slots (none without
+    `wildcard`); one table is built per pattern of such slots, the first
+    matching instance winning.
     """
     w, h = layout.width, layout.height
     report = ValidationReport()
-    exact: dict[tuple, int] = {}
-    if not wildcard:
-        exact = {inst.tiles: i for i, inst in enumerate(instances)}
+    # Per mask of hidden slots, the instances keyed by what the mask leaves.
+    tables: dict[tuple, dict[tuple, MacroTileInstance]] = {}
     phases = _known_phases(patch, layout, ValidationReport())
     anchors = [pos for pos, phase in phases.items() if phase == (0, 0)]
     # Template cell order is increasing tile index.
@@ -231,7 +235,15 @@ def decompose_macro(patch: GridPatch, instances: tuple[MacroTileInstance, ...],
         tiles = tuple(
             patch.cells[(ax + dx, ay + dy)] for dx, dy in template_positions
         )
-        instance = _match_instance(tiles, instances, exact, wildcard)
+        mask = tuple(
+            tuple([wildcard and dec is UNDEFINED for dec in tile.triples]) for tile in tiles
+        )
+        table = tables.get(mask)
+        if table is None:
+            table = tables[mask] = {}
+            for inst in instances:  # setdefault: the first instance wins
+                table.setdefault(_masked_key(inst.tiles, mask), inst)
+        instance = table.get(_masked_key(tiles, mask))
         if instance is None:
             report.add("NonInstanceBlock", f"anchor ({ax},{ay})")
             continue
@@ -249,21 +261,12 @@ def decompose_macro(patch: GridPatch, instances: tuple[MacroTileInstance, ...],
     return DecomposedPatch(blocks, tuple(adjacencies), margins, report)
 
 
-def _match_instance(tiles, instances, exact, wildcard):
-    if not wildcard:
-        idx = exact.get(tiles)
-        return instances[idx] if idx is not None else None
-    for inst in instances:
-        if all(
-            patch_tile.base == inst_tile.base
-            and all(
-                pd is UNDEFINED or pd == idd
-                for pd, idd in zip(patch_tile.triples, inst_tile.triples)
-            )
-            for patch_tile, inst_tile in zip(tiles, inst.tiles)
-        ):
-            return inst
-    return None
+def _masked_key(tiles, mask) -> tuple:
+    """The tiles' bases and their decorations outside the masked slots."""
+    return tuple(
+        (tile.base, tuple([dec for dec, hide in zip(tile.triples, hidden) if not hide]))
+        for tile, hidden in zip(tiles, mask)
+    )
 
 
 def patch_from_instance(instance: MacroTileInstance, layout: GridLayout) -> GridPatch:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import IndexOutOfRange, InvalidSystem
 
@@ -37,17 +37,26 @@ _KIND_BOUNDARY = 3
 _KIND_RENDER = {_KIND_PORT: "p", _KIND_MACRO: "m", _KIND_BOUNDARY: "b"}
 
 
-@dataclass(frozen=True, order=True)
-class FacetClass:
-    """What a facet slot is: internal facet f_i, port, macro-facet member, or
-    plain boundary. Ordering is the canonical dump order."""
-
+class _FacetClassFields(NamedTuple):
     kind: int
     index: int = 0
 
-    def __post_init__(self):
-        if self.kind == _KIND_INTERNAL and self.index < 1:
+
+class FacetClass(_FacetClassFields):
+    """What a facet slot is: internal facet f_i, port, macro-facet member, or
+    plain boundary.
+
+    A plain `(kind, index)` tuple underneath, so it hashes and compares in C
+    and equals the tuple `(kind, index)`. Ordering is tuple order, which is
+    the canonical dump order. (A `NamedTuple` body cannot override
+    `__new__`, hence the subclass.)"""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: int, index: int = 0):
+        if kind == _KIND_INTERNAL and index < 1:
             raise ValueError("internal facet class requires a positive index")
+        return super().__new__(cls, kind, index)
 
     @property
     def is_internal(self) -> bool:

@@ -182,9 +182,13 @@ def phi(layout: Layout, instance: MacroTileInstance) -> DecoratedTile:
     return DecoratedTile(parent, triples, central=parent in layout.central_cells)
 
 
+_SHOWN_FAILURES = 20
+
+
 @dataclass
 class SimulationReport:
-    """Outcome of the self-simulation verification."""
+    """Outcome of the self-simulation verification. `render` lists the first
+    20 failures and then, if there are more, how many it left out."""
 
     instance_count: int
     condition1_ok: bool
@@ -206,7 +210,10 @@ class SimulationReport:
             f"condition3 {'PASS' if self.condition3_ok else 'FAIL'}",
             f"condition2 {self.condition2_note}",
         ]
-        lines.extend(f"FAILURE {f}" for f in self.failures[:20])
+        lines.extend(f"FAILURE {f}" for f in self.failures[:_SHOWN_FAILURES])
+        hidden = len(self.failures) - _SHOWN_FAILURES
+        if hidden > 0:
+            lines.append(f"and {hidden} more failures, {len(self.failures)} in total")
         return "\n".join(lines)
 
 
@@ -230,6 +237,7 @@ def verify_self_simulation(tau: Tileset, system: SubstitutionSystem,
     if not instances:
         raise NoMacroTiles("the tileset admits no macro-tile")
     failures: list[str] = []
+    proto_name = {j: numbering.prototype_of(j).name for j in range(1, numbering.n + 1)}
 
     cond1 = True
     phi_ok = True
@@ -239,10 +247,10 @@ def verify_self_simulation(tau: Tileset, system: SubstitutionSystem,
         by_rule.setdefault(inst.rule_id, []).append(idx)
         rule = system.rule(inst.rule_id)
         expected = tuple(p for _, p in rule.template.cells)
-        got = tuple(numbering.prototype_of(t.base).name for t in inst.tiles)
+        got = tuple([proto_name[t.base] for t in inst.tiles])
         image = phi(layout, inst)
         images[idx] = image
-        if got != expected or numbering.prototype_of(image.base).name != rule.parent:
+        if got != expected or proto_name[image.base] != rule.parent:
             cond1 = False
             failures.append(f"instance {idx}: projection mismatch")
         if image not in tau:
@@ -251,8 +259,10 @@ def verify_self_simulation(tau: Tileset, system: SubstitutionSystem,
 
     def seam_keys(rule_id: str, members) -> dict[int, tuple]:
         """Each instance of the rule, read along the given facet slots."""
+        pos = {c: i for i, c in enumerate(system.rule(rule_id).template.cell_ids())}
+        at = [(pos[c], k - 1) for c, k in members]
         return {
-            idx: tuple(instances[idx].tile_at(c).triples[k - 1] for c, k in members)
+            idx: tuple([instances[idx].tiles[i].triples[k] for i, k in at])
             for idx in by_rule.get(rule_id, ())
         }
 

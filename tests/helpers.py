@@ -1,5 +1,7 @@
 """Shared shorthands for building decorations and small systems in tests."""
 
+from tilesub.assembler import phase_of
+from tilesub.errors import AmbiguousSignature
 from tilesub.model import (
     BOUNDARY,
     MACRO_FACET,
@@ -11,7 +13,7 @@ from tilesub.model import (
     internal,
     make_pairing,
 )
-from tilesub.tileset import DecorationTriple
+from tilesub.tileset import UNDEFINED, DecorationTriple
 
 S, N, W, E = 1, 2, 3, 4
 
@@ -51,3 +53,34 @@ def domino_system(rule=None):
         consistent=True,
         macro_adjacency=(),
     )
+
+
+def decompose_by_scan(patch, instances, layout):
+    """Oracle for `decompose_macro(wildcard=True)`: each complete block at a
+    phase-(0,0) anchor, mapped to the first instance that has the block's
+    bases and every defined decoration of the block (None if no instance
+    does), found by scanning every instance."""
+    order = [layout.position_of[j] for j in sorted(layout.position_of)]
+    blocks = {}
+    for (ax, ay), tile in patch.cells.items():
+        try:
+            if phase_of(tile, layout) != (0, 0):
+                continue
+        except (KeyError, AmbiguousSignature):
+            continue
+        if any((ax + dx, ay + dy) not in patch.cells for dx, dy in order):
+            continue
+        tiles = [patch.cells[(ax + dx, ay + dy)] for dx, dy in order]
+        blocks[(ax, ay)] = next(
+            (
+                inst for inst in instances
+                if all(
+                    mine.base == theirs.base
+                    and all(d is UNDEFINED or d == e
+                            for d, e in zip(mine.triples, theirs.triples))
+                    for mine, theirs in zip(tiles, inst.tiles)
+                )
+            ),
+            None,
+        )
+    return blocks

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from helpers import E, N, S, W, trip
+from helpers import E, N, S, W, decompose_by_scan, trip
 from tilesub.assembler import (
     GridPatch,
     assemble_patches,
@@ -232,3 +232,41 @@ def test_decompose_flags_non_instance_block(instances, tau, layout):
     decomposed = decompose_macro(forged, instances, layout)
     assert "NonInstanceBlock" in decomposed.report.codes()
     assert decomposed.blocks == {}
+
+
+def test_indexed_wildcard_decomposition_matches_linear_scan(system, numbering, networks,
+                                                            instances, layout):
+    """The per-mask lookup tables find, block by block, the instance a scan
+    of every instance finds first; a block with one defined seam corrupted
+    matches none and is reported."""
+    hpatch = hierarchy_decorate(system, numbering, networks, "r1", 3)
+    patch = grid_from_hierarchy(hpatch, layout, networks)
+    oracle = decompose_by_scan(patch, instances, layout)
+    assert len(oracle) == 81 and None not in oracle.values()
+    decomposed = decompose_macro(patch, instances, layout, wildcard=True)
+    assert decomposed.report.ok
+    assert decomposed.blocks.keys() == oracle.keys()
+    assert all(decomposed.blocks[a] is oracle[a] for a in oracle)
+    # Without wildcards UNDEFINED is a decoration like any other, which no
+    # enumerated instance carries.
+    exact = decompose_macro(patch, instances, layout)
+    assert exact.blocks == {} and len(exact.report.entries) == len(oracle)
+
+    # A defined E facet inside the block at (0, 0), given a parent index no
+    # tile has; its macro-index, and so every phase, is unchanged.
+    cells = dict(patch.cells)
+    x, y = next(
+        (x, y) for y in range(layout.height) for x in range(layout.width - 1)
+        if cells[(x, y)].triples[E - 1] is not UNDEFINED
+    )
+    tile = cells[(x, y)]
+    bad = tile.triples[E - 1]._replace(j=numbering.n + 1)
+    triples = tile.triples[:E - 1] + (bad,) + tile.triples[E:]
+    cells[(x, y)] = DecoratedTile(tile.base, triples, tile.central)
+    forged = GridPatch(patch.width, patch.height, cells)
+    oracle = decompose_by_scan(forged, instances, layout)
+    assert oracle[(0, 0)] is None and sum(v is None for v in oracle.values()) == 1
+    decomposed = decompose_macro(forged, instances, layout, wildcard=True)
+    assert decomposed.report.codes() == {"NonInstanceBlock"}
+    assert decomposed.blocks.keys() == oracle.keys() - {(0, 0)}
+    assert all(decomposed.blocks[a] is oracle[a] for a in decomposed.blocks)

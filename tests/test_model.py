@@ -7,7 +7,9 @@ import pytest
 from helpers import E, N, S, W, domino_rule, domino_system
 from tilesub.errors import IndexOutOfRange, InvalidSystem
 from tilesub.model import (
+    BOUNDARY,
     MACRO_FACET,
+    FacetClass,
     MacroTileTemplate,
     PORT,
     Prototype,
@@ -18,6 +20,7 @@ from tilesub.model import (
     n_sigma,
     validate_system,
 )
+from tilesub.tileset import DecorationTriple
 
 # Facet classes of the 3x3 cells, transcribed from the worked example
 # (columns S, N, W, E; integers are internal facet indices).
@@ -168,6 +171,26 @@ def test_internal_classes_cover_every_facet_twice(numbering, networks):
             if cls.is_internal:
                 counts[cls.index] = counts.get(cls.index, 0) + 1
     assert counts == {i: 2 for i in range(1, numbering.m + 1)}
+
+
+def test_facet_class_is_a_plain_tuple():
+    """Facet classes hash and compare as `(kind, index)` tuples, in C."""
+    assert FacetClass.__hash__ is tuple.__hash__ and FacetClass.__eq__ is tuple.__eq__
+    a, b = internal(3), internal(3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a == (0, 3) and PORT == (1, 0)
+    seen = {DecorationTriple(internal(3), 2, PORT): "seen"}
+    assert seen[DecorationTriple(internal(3), 2, FacetClass(PORT.kind))] == "seen"
+    shuffled = [BOUNDARY, internal(2), MACRO_FACET, PORT, internal(1), internal(10)]
+    assert sorted(shuffled) == [internal(1), internal(2), internal(10), PORT, MACRO_FACET,
+                                BOUNDARY]
+    assert [tuple(c) for c in sorted(shuffled)] == sorted(tuple(c) for c in shuffled)
+    with pytest.raises(ValueError, match="positive index"):
+        internal(0)
+    with pytest.raises(ValueError, match="positive index"):
+        FacetClass(0)
+    assert [c.render() for c in (internal(4), PORT, MACRO_FACET, BOUNDARY)] == [
+        "f4", "p", "m", "b"]
 
 
 def test_external_facet_outside_all_macro_facets_is_boundary():

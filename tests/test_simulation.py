@@ -137,6 +137,31 @@ def test_blind_seam_mutant_fails_condition3(system, numbering, networks):
     assert any("condition3" in f for f in report.failures)
 
 
+def test_report_counts_the_failures_it_leaves_out(tau, system, numbering, networks,
+                                                  instances):
+    """Up to 20 failures are listed; beyond that one line says how many more
+    there are. The true assemblies checked against the blind-seam mutant fail
+    once per phi image missing from it."""
+    mutant = generate_tileset(system, numbering, networks, blind_seams=True)
+    few = verify_self_simulation(mutant, system, numbering, networks)
+    assert 0 < len(few.failures) <= 20
+    assert few.render().splitlines()[-1] == f"FAILURE {few.failures[-1]}"
+    many = verify_self_simulation(mutant, system, numbering, networks, instances)
+    total = len(many.failures)
+    assert total > 20 and not many.phi_in_tileset
+    lines = many.render().splitlines()
+    assert lines[4:24] == [f"FAILURE {f}" for f in many.failures[:20]]
+    assert lines[24:] == [f"and {total - 20} more failures, {total} in total"]
+    passing = verify_self_simulation(tau, system, numbering, networks, instances)
+    assert passing.render() == (
+        "condition1 PASS instances=1544\n"
+        "phi_membership PASS\n"
+        "condition3 PASS\n"
+        "condition2 delegated to patch-scale evidence (exhaustive 2x2 coherence "
+        "in the assembler)"
+    )
+
+
 def test_hierarchy_depth1(system, numbering, networks):
     patch = hierarchy_decorate(system, numbering, networks, "r1", 1)
     bottom = patch.bottom

@@ -1,6 +1,10 @@
 """Parsing and printing of .sub documents."""
 
+from importlib import resources
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilesub.errors import ParseError, UnresolvedReference
 from tilesub.grids import make_square_grid_document
@@ -72,12 +76,78 @@ def test_parse_error_carries_line_number():
         parse_spec(text)
 
 
-def _bundled_with(old, new):
-    from importlib import resources
+BUNDLED_TEXT = resources.files("tilesub.data").joinpath("square3x3.sub").read_text()
+BUNDLED_LINES = [line.split() for line in BUNDLED_TEXT.splitlines()]
 
-    text = resources.files("tilesub.data").joinpath("square3x3.sub").read_text()
-    assert old in text
-    return text.replace(old, new)
+
+def _bundled_with(old, new):
+    assert old in BUNDLED_TEXT
+    return BUNDLED_TEXT.replace(old, new)
+
+
+# A token of the bundled spec, a short string over its punctuation, digits
+# and facet names, or any short string.
+SPEC_CHARS = "rc0123456789-+SNWE.,:()~#"
+TOKENS = (
+    st.sampled_from(sorted({t for line in BUNDLED_LINES for t in line}))
+    | st.text(alphabet=SPEC_CHARS, max_size=6)
+    | st.text(max_size=4)
+)
+# Lines grouped by their first token, so every directive is edited as often
+# as any other however many lines it has.
+LINES_BY_HEAD: dict[str, list[int]] = {}
+for _i, _line in enumerate(BUNDLED_LINES):
+    LINES_BY_HEAD.setdefault(_line[0] if _line else "", []).append(_i)
+
+
+@st.composite
+def mutated_bundled(draw):
+    """The bundled spec after one to four token edits: delete, insert or
+    replace a token, swap two tokens of a line, move a token to another line,
+    cut a line short, or delete or insert one character of a token."""
+    lines = [list(line) for line in BUNDLED_LINES]
+    rows = st.sampled_from(sorted(LINES_BY_HEAD)).flatmap(
+        lambda head: st.sampled_from(LINES_BY_HEAD[head]))
+    for _ in range(draw(st.integers(1, 4))):
+        row = lines[draw(rows)]
+        op = draw(st.sampled_from(["delete", "insert", "replace", "swap", "move", "cut",
+                                   "char"]))
+        if op == "insert" or not row:
+            row.insert(draw(st.integers(0, len(row))), draw(TOKENS))
+            continue
+        i = draw(st.integers(0, len(row) - 1))
+        if op == "delete":
+            del row[i]
+        elif op == "replace":
+            row[i] = draw(TOKENS)
+        elif op == "swap":
+            j = draw(st.integers(0, len(row) - 1))
+            row[i], row[j] = row[j], row[i]
+        elif op == "move":
+            target = lines[draw(rows)]
+            target.insert(draw(st.integers(0, len(target))), row.pop(i))
+        elif op == "cut":
+            del row[i:]
+        else:
+            token = row[i]
+            c = draw(st.integers(0, len(token)))
+            if c < len(token) and draw(st.booleans()):
+                row[i] = token[:c] + token[c + 1:]
+            else:
+                row[i] = token[:c] + draw(st.sampled_from(SPEC_CHARS)) + token[c:]
+    return "\n".join(" ".join(line) for line in lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_bundled())
+def test_mutated_bundled_spec_parses_or_raises_parse_error(text):
+    """Malformed input never escapes as another exception, and whatever
+    parses round-trips through the canonical printer."""
+    try:
+        doc = parse_spec(text)
+    except ParseError:
+        return
+    assert parse_spec(print_spec(doc)) == doc
 
 
 def test_macroadj_side_without_facet_is_parse_error():
