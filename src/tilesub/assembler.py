@@ -75,7 +75,7 @@ def build_grid_layout(system: SubstitutionSystem, numbering: GlobalNumbering,
     _require_square(system)
     nsigma = build_layout(numbering, networks).nsigma
     rule = system.rule(rule_id) if rule_id else system.rules[0]
-    paired = system.paired_slots(rule)
+    paired = rule.template.paired_slots
     east: dict[str, str] = {}
     north: dict[str, str] = {}
     for (ca, ka), (cb, kb) in rule.template.internal_pairings:

@@ -121,7 +121,7 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _parse_seeds(path: str, tau) -> dict[tuple[int, int], object]:
+def _parse_seeds(path: str, tau, width: int, height: int) -> dict[tuple[int, int], object]:
     seeds = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -131,6 +131,8 @@ def _parse_seeds(path: str, tau) -> dict[tuple[int, int], object]:
             x, y, idx = (int(v) for v in line.split())
         except ValueError:
             raise ParseError(f"bad seed line {raw!r}", lineno) from None
+        if not (0 <= x < width and 0 <= y < height):
+            raise ParseError(f"seed cell ({x},{y}) outside the {width}x{height} patch", lineno)
         if not 0 <= idx < len(tau):
             raise ParseError(f"seed tile index {idx} outside 0..{len(tau) - 1}", lineno)
         seeds[(x, y)] = tau.tiles[idx]
@@ -140,7 +142,7 @@ def _parse_seeds(path: str, tau) -> dict[tuple[int, int], object]:
 def cmd_assemble(args) -> int:
     doc = _load(args.spec)
     numbering, tau = _generated(doc)
-    seeds = _parse_seeds(args.seed, tau) if args.seed else None
+    seeds = _parse_seeds(args.seed, tau, args.width, args.height) if args.seed else None
     patches = assemble_patches(tau, numbering, args.width, args.height, seeds)
     print(f"patches={len(patches)}")
     if args.print_patches:

@@ -127,6 +127,26 @@ class MacroTileTemplate:
         # Built in reverse so the first declaration of a repeated id wins.
         return dict(reversed(self.cells))
 
+    @cached_property
+    def position(self) -> dict[str, int]:
+        """Cell id -> its 0-based position in declaration order."""
+        return {c: i for i, c in enumerate(self.cell_ids())}
+
+    @cached_property
+    def paired_slots(self) -> dict[FacetRef, Pairing]:
+        """Each paired slot -> the pairing it belongs to."""
+        return {slot: pairing for pairing in self.internal_pairings for slot in pairing}
+
+    @cached_property
+    def dual_neighbors(self) -> dict[str, list[str]]:
+        """Simple dual graph of the template: cell -> adjacent cells."""
+        adj: dict[str, set[str]] = {c: set() for c in self.cell_ids()}
+        for (ca, _), (cb, _) in self.internal_pairings:
+            if ca != cb:
+                adj[ca].add(cb)
+                adj[cb].add(ca)
+        return {c: sorted(ns) for c, ns in adj.items()}
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -197,16 +217,8 @@ class SubstitutionSystem:
             for k in range(1, proto.facet_count + 1):
                 yield (cell, k)
 
-    def paired_slots(self, rule: Rule) -> dict[FacetRef, Pairing]:
-        out: dict[FacetRef, Pairing] = {}
-        for pairing in rule.template.internal_pairings:
-            for slot in pairing:
-                out[slot] = pairing
-        return out
-
     def external_slots(self, rule: Rule) -> tuple[FacetRef, ...]:
-        paired = self.paired_slots(rule)
-        return tuple(s for s in self.slots(rule) if s not in paired)
+        return tuple(s for s in self.slots(rule) if s not in rule.template.paired_slots)
 
     def macro_facet_of(self, rule: Rule) -> dict[FacetRef, int]:
         out: dict[FacetRef, int] = {}
@@ -214,15 +226,6 @@ class SubstitutionSystem:
             for slot in members:
                 out[slot] = k
         return out
-
-    def dual_neighbors(self, rule: Rule) -> dict[str, list[str]]:
-        """Simple dual graph of the template: cell -> adjacent cells."""
-        adj: dict[str, set[str]] = {c: set() for c in rule.template.cell_ids()}
-        for (ca, _), (cb, _) in rule.template.internal_pairings:
-            if ca != cb:
-                adj[ca].add(cb)
-                adj[cb].add(ca)
-        return {c: sorted(ns) for c, ns in adj.items()}
 
     def pairings_between(self, rule: Rule, ca: str, cb: str) -> tuple[Pairing, ...]:
         return tuple(
@@ -339,7 +342,7 @@ def validate_system(system: SubstitutionSystem) -> ValidationReport:
                         "OrientationClash",
                         f"{rid}: pairing {a}--{b} glues equal orientations",
                     )
-        if not _connected(list(cells), system.dual_neighbors(rule)):
+        if not _connected(list(cells), rule.template.dual_neighbors):
             report.add("DisconnectedTemplate", f"{rid}: dual graph is not connected")
         externals = set(system.external_slots(rule))
         parent_proto = system.prototype(rule.parent)
@@ -475,7 +478,7 @@ def n_sigma(numbering: GlobalNumbering, networks, j: int, k: int) -> FacetClass:
     if not 1 <= k <= proto.facet_count:
         raise IndexOutOfRange(f"facet {k} outside 1..{proto.facet_count} of T_{j}")
     slot = (cell, k)
-    paired = system.paired_slots(rule)
+    paired = rule.template.paired_slots
     if slot in paired:
         return internal(numbering.facet_index(rule_id, paired[slot]))
     net = networks.get(rule_id) if networks else None

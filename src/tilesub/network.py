@@ -50,9 +50,6 @@ class Network:
         # Built in reverse so the first branch of a repeated k wins.
         return {b.k: b for b in reversed(self.branches)}
 
-    def ports(self) -> dict[int, FacetRef]:
-        return {b.k: b.port for b in self.branches}
-
 
 # Networks attached to a system: one per rule id.
 NetworkSet = dict[str, Network]
@@ -98,11 +95,11 @@ def network_slots(system: SubstitutionSystem, rule: Rule, net: Network) -> dict[
     return out
 
 
-def _residual_components(system, rule, net) -> list[set[str]]:
+def _residual_components(rule: Rule, net: Network) -> list[set[str]]:
     """Components after deleting the center vertex and all network edges."""
     removed = {frozenset((a, b)) for _, a, b in branch_edges(net)}
     cells = [c for c in rule.template.cell_ids() if c != net.center]
-    neighbors = system.dual_neighbors(rule)
+    neighbors = rule.template.dual_neighbors
     comps: list[set[str]] = []
     left = set(cells)
     while left:
@@ -145,7 +142,7 @@ def validate_network(system: SubstitutionSystem, rule: Rule, net: Network) -> Va
             f"macro-facets are {sorted(gamma)}",
         )
     used: dict[str, int] = {}
-    neighbors = system.dual_neighbors(rule)
+    neighbors = rule.template.dual_neighbors
     for branch in net.branches:
         if not branch.path:
             report.add("EmptyBranch", f"{rid}: branch {branch.k} has no cells")
@@ -193,7 +190,7 @@ def validate_network(system: SubstitutionSystem, rule: Rule, net: Network) -> Va
     external = set(system.external_slots(rule))
     if any(slot[0] == net.center for slot in external):
         report.add("CenterNotInterior", f"{rid}: center {net.center} has external facets")
-    comps = _residual_components(system, rule, net)
+    comps = _residual_components(rule, net)
     macro_cells = {
         slot[0]
         for k, members in gamma.items()
@@ -251,7 +248,7 @@ def search_networks(system: SubstitutionSystem, rule: Rule) -> tuple[Network, ..
     ks = sorted(gamma)
     cells = rule.template.cell_ids()
     external = set(system.external_slots(rule))
-    neighbors = system.dual_neighbors(rule)
+    neighbors = rule.template.dual_neighbors
     interior = [c for c in cells if not any(s[0] == c for s in external)]
     results: list[Network] = []
 
@@ -284,5 +281,6 @@ def search_networks(system: SubstitutionSystem, rule: Rule) -> tuple[Network, ..
 
     for center in interior:
         extend_branch(center, 0, set(), [])
-    results.sort(key=lambda net: (cells.index(net.center), tuple(b.path for b in net.branches)))
+    pos = rule.template.position
+    results.sort(key=lambda net: (pos[net.center], tuple(b.path for b in net.branches)))
     return tuple(results)

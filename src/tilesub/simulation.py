@@ -6,9 +6,9 @@ cells agree on a parent index. It runs on `_search`, the one key-indexed,
 iterative backtracking search of the package, which the grid assembler also
 uses to fill patches. `phi` folds such an assembly back onto a
 single decorated parent tile; `verify_self_simulation` checks exhaustively
-that the tileset and its assemblies behave identically through `phi`. Each
-public entry point compiles the system's `tileset.Layout` once and hands it
-to the steps below it.
+that the tileset and its assemblies behave identically through `phi`. The
+steps below the public entry points read every per-tile and per-seam fact
+from the `tileset.Layout`.
 
 `hierarchy_decorate` builds the finite-depth telescope of images with the
 distinguished UNDEFINED decoration confined to the networks of every level,
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
+    IndexOutOfRange,
     InconsistentGluing,
     NoMacroTiles,
     PartialBlock,
@@ -132,7 +133,7 @@ def enumerate_macro_tiles(tau: Tileset, system: SubstitutionSystem,
 def _enumerate_rule(tau: Tileset, layout: Layout, rule: Rule) -> Iterator[MacroTileInstance]:
     numbering = layout.numbering
     cells = rule.template.cell_ids()
-    pos = {c: i for i, c in enumerate(cells)}
+    pos = rule.template.position
     pools: dict[str, list[DecoratedTile]] = {c: [] for c in cells}
     for tile in tau:
         rule_id, cell = numbering.base_of(tile.base)
@@ -174,7 +175,7 @@ def phi(layout: Layout, instance: MacroTileInstance) -> DecoratedTile:
     parent/neighbor pair found on facet k of the central tile, under the
     parent's own macro-indices."""
     parent = instance.parent_index
-    count = layout.numbering.prototype_of(parent).facet_count
+    count = layout.facet_count[parent]
     triples = tuple(
         dec if dec is UNDEFINED else DecorationTriple(layout.nsigma[(parent, k)], dec.j, dec.g)
         for k, dec in enumerate(instance.central_tile.triples[:count], start=1)
@@ -237,7 +238,6 @@ def verify_self_simulation(tau: Tileset, system: SubstitutionSystem,
     if not instances:
         raise NoMacroTiles("the tileset admits no macro-tile")
     failures: list[str] = []
-    proto_name = {j: numbering.prototype_of(j).name for j in range(1, numbering.n + 1)}
 
     cond1 = True
     phi_ok = True
@@ -247,10 +247,10 @@ def verify_self_simulation(tau: Tileset, system: SubstitutionSystem,
         by_rule.setdefault(inst.rule_id, []).append(idx)
         rule = system.rule(inst.rule_id)
         expected = tuple(p for _, p in rule.template.cells)
-        got = tuple([proto_name[t.base] for t in inst.tiles])
+        got = tuple([layout.prototype_name[t.base] for t in inst.tiles])
         image = phi(layout, inst)
         images[idx] = image
-        if got != expected or proto_name[image.base] != rule.parent:
+        if got != expected or layout.prototype_name[image.base] != rule.parent:
             cond1 = False
             failures.append(f"instance {idx}: projection mismatch")
         if image not in tau:
@@ -259,7 +259,7 @@ def verify_self_simulation(tau: Tileset, system: SubstitutionSystem,
 
     def seam_keys(rule_id: str, members) -> dict[int, tuple]:
         """Each instance of the rule, read along the given facet slots."""
-        pos = {c: i for i, c in enumerate(system.rule(rule_id).template.cell_ids())}
+        pos = system.rule(rule_id).template.position
         at = [(pos[c], k - 1) for c, k in members]
         return {
             idx: tuple([instances[idx].tiles[i].triples[k] for i, k in at])
@@ -267,11 +267,9 @@ def verify_self_simulation(tau: Tileset, system: SubstitutionSystem,
         }
 
     cond3 = True
-    for ((rid_a, a), (rid_b, b)), entry_mapping in layout.adjacency.items():
-        ga, gb = layout.gamma[rid_a][a], layout.gamma[rid_b][b]
-        mapping = sorted(entry_mapping)
-        side_key_a = seam_keys(rid_a, [ga[pa - 1] for pa, _ in mapping])
-        side_key_b = seam_keys(rid_b, [gb[pb - 1] for _, pb in mapping])
+    for ((rid_a, a), (rid_b, b)), seam in layout.seams.items():
+        side_key_a = seam_keys(rid_a, [sa for sa, _ in seam])
+        side_key_b = seam_keys(rid_b, [sb for _, sb in seam])
         phi_key_a = {idx: images[idx].triples[a - 1] for idx in side_key_a}
         phi_key_b = {idx: images[idx].triples[b - 1] for idx in side_key_b}
         label = f"({rid_a},{a})~({rid_b},{b})"
@@ -368,7 +366,8 @@ def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
     every level's networks, blown down through the gluing so the bottom patch
     shows the whole stack of coarser and coarser grids. The parent of the
     topmost expansion is a free choice (`top_parent`, smallest eligible index
-    by default) since nothing above it exists to fix one.
+    by default) since nothing above it exists to fix one; it must have the
+    seed rule's parent prototype.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -378,13 +377,17 @@ def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
         raise UnresolvedReference(f"rule {seed_rule}") from None
     layout = build_layout(numbering, networks)
     if top_parent is None:
-        eligible = [
-            j for j in range(1, numbering.n + 1)
-            if numbering.prototype_of(j).name == seed.parent
-        ]
+        eligible = layout.tiles_of.get(seed.parent)
         if not eligible:
             raise InconsistentGluing(f"no tile has prototype {seed.parent}")
         top_parent = eligible[0]
+    if top_parent not in layout.facet_count:
+        raise IndexOutOfRange(f"top parent {top_parent} outside 1..{numbering.n}")
+    if layout.prototype_name[top_parent] != seed.parent:
+        raise InconsistentGluing(
+            f"top parent T{top_parent} has prototype "
+            f"{layout.prototype_name[top_parent]}, not {seed.parent}"
+        )
 
     # Top expansion: the seed's template as a single block.
     cells: list[Address] = [(c,) for c in seed.template.cell_ids()]
@@ -419,11 +422,9 @@ def _decorate_level(layout: Layout, level_no, cells, rule_of, base_of, parent_of
     undefined_from: dict[Slot, int] = {}
     for addr in cells:
         j0 = base_of[addr]
-        parent = parent_of[addr]
-        count = layout.numbering.prototype_of(j0).facet_count
-        plain = _steps13(layout, j0, parent, ())
+        plain = _steps13(layout, j0, parent_of[addr])
         local = layout.native_undefined[rule_of[addr]]
-        for k in range(1, count + 1):
+        for k in range(1, layout.facet_count[j0] + 1):
             slot = (addr, k)
             if (addr[-1], k) in local:
                 decoration[slot] = UNDEFINED
@@ -436,9 +437,9 @@ def _decorate_level(layout: Layout, level_no, cells, rule_of, base_of, parent_of
     return LevelPatch(
         level=level_no,
         cells=tuple(sorted(cells)),
-        rule_of=dict(rule_of),
-        base_of=dict(base_of),
-        parent_of=dict(parent_of),
+        rule_of=rule_of,
+        base_of=base_of,
+        parent_of=parent_of,
         pairs=_sorted_pairs(pairs),
         decoration=decoration,
         undefined_from=undefined_from,
@@ -447,17 +448,16 @@ def _decorate_level(layout: Layout, level_no, cells, rule_of, base_of, parent_of
 
 def _expand_level(layout: Layout, level: LevelPatch):
     """Blow every cell of a level up by one rule application, gluing the
-    blocks along macro-facets via the adjacency table."""
-    numbering = layout.numbering
+    blocks along macro-facets via the layout's seams."""
     new_cells: list[Address] = []
     rule_of: dict[Address, str] = {}
     base_of: dict[Address, int] = {}
     parent_of: dict[Address, int] = {}
     pairs: list[tuple[Slot, Slot]] = []
-    children: dict[Slot, tuple[Slot, ...]] = {}
     expander: dict[Address, Rule] = {}
     for addr in level.cells:
-        proto = numbering.prototype_of(level.base_of[addr]).name
+        j = level.base_of[addr]
+        proto = layout.prototype_name[j]
         rule = layout.rule_for_prototype.get(proto)
         if rule is None:
             raise InconsistentGluing(f"no rule expands prototype {proto}")
@@ -466,33 +466,23 @@ def _expand_level(layout: Layout, level: LevelPatch):
             sub = addr + (cell,)
             new_cells.append(sub)
             rule_of[sub] = rule.rule_id
-            base_of[sub] = numbering.tile_index(rule.rule_id, cell)
-            parent_of[sub] = level.base_of[addr]
+            base_of[sub] = layout.numbering.tile_index(rule.rule_id, cell)
+            parent_of[sub] = j
         for (ca, ka), (cb, kb) in rule.template.internal_pairings:
             pairs.append(((addr + (ca,), ka), (addr + (cb,), kb)))
-        gamma = layout.gamma[rule.rule_id]
-        count = numbering.prototype_of(level.base_of[addr]).facet_count
-        for a in range(1, count + 1):
-            children[(addr, a)] = tuple(
-                (addr + (cm,), km) for cm, km in gamma[a]
-            )
     for (addr_a, a), (addr_b, b) in level.pairs:
         ra, rb = expander[addr_a].rule_id, expander[addr_b].rule_id
-        mapping = layout.adjacency.get(((ra, a), (rb, b)))
-        if mapping is None:
+        seam = layout.seams.get(((ra, a), (rb, b)))
+        if seam is None:
             raise InconsistentGluing(
                 f"no macro-adjacency for ({ra},{a}) ~ ({rb},{b})"
             )
-        ga = layout.gamma[ra][a]
-        gb = layout.gamma[rb][b]
-        for pa, pb in mapping:
-            ca, ka = ga[pa - 1]
-            cb, kb = gb[pb - 1]
+        for (ca, ka), (cb, kb) in seam:
             pairs.append(((addr_a + (ca,), ka), (addr_b + (cb,), kb)))
     inherited: dict[Slot, int] = {}
-    for slot, origin in level.undefined_from.items():
-        for child in children[slot]:
-            inherited[child] = origin + 1
+    for (addr, a), origin in level.undefined_from.items():
+        for cm, km in layout.gamma[expander[addr].rule_id][a]:
+            inherited[(addr + (cm,), km)] = origin + 1
     return new_cells, rule_of, base_of, parent_of, pairs, inherited
 
 
@@ -512,6 +502,8 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
     if ancestor_parent is None:
         ancestor_parent = hpatch.top_parent
     layout = build_layout(numbering, networks)
+    if ancestor_parent not in layout.facet_count:
+        raise IndexOutOfRange(f"ancestor parent {ancestor_parent} outside 1..{numbering.n}")
     blocks: dict[Address, list[Address]] = {}
     for addr in bottom.cells:
         if len(addr) < 2:
@@ -554,10 +546,9 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
         rule_of[prefix] = rule_id
         parent_of[prefix] = ancestor_parent
         gamma = layout.gamma[bottom.rule_of[blocks[prefix][0]]]
-        count = numbering.prototype_of(j_b).facet_count
-        plain = _steps13(layout, j_b, ancestor_parent, ())
+        plain = _steps13(layout, j_b, ancestor_parent)
         native = layout.native_undefined[rule_id]
-        for a in range(1, count + 1):
+        for a in range(1, layout.facet_count[j_b] + 1):
             slot = (prefix, a)
             members = [(prefix + (cm,), km) for cm, km in gamma[a]]
             if all(bottom.decoration[m] is UNDEFINED for m in members):
@@ -623,16 +614,15 @@ def quotient_preimage(decomposed, system: SubstitutionSystem,
     for bid_a, a, bid_b, b in decomposed.adjacencies:
         inst_a = decomposed.blocks[bid_a]
         inst_b = decomposed.blocks[bid_b]
-        mapping = layout.adjacency.get(((inst_a.rule_id, a), (inst_b.rule_id, b)))
-        if mapping is None:
+        seam = layout.seams.get(((inst_a.rule_id, a), (inst_b.rule_id, b)))
+        if seam is None:
             report.add("NoAdjacency", f"({inst_a.rule_id},{a})~({inst_b.rule_id},{b})")
             continue
-        ga = layout.gamma[inst_a.rule_id][a]
-        gb = layout.gamma[inst_b.rule_id][b]
+        pos_a = system.rule(inst_a.rule_id).template.position
+        pos_b = system.rule(inst_b.rule_id).template.position
         seam_ok = all(
-            inst_a.tile_at(ga[pa - 1][0]).triples[ga[pa - 1][1] - 1]
-            == inst_b.tile_at(gb[pb - 1][0]).triples[gb[pb - 1][1] - 1]
-            for pa, pb in mapping
+            inst_a.tiles[pos_a[ca]].triples[ka - 1] == inst_b.tiles[pos_b[cb]].triples[kb - 1]
+            for (ca, ka), (cb, kb) in seam
         )
         node_ok = nodes[bid_a].triples[a - 1] == nodes[bid_b].triples[b - 1]
         if seam_ok != node_ok:

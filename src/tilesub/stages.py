@@ -25,9 +25,7 @@ def stage_views(tau: Tileset, numbering: GlobalNumbering,
     """Render the five stage files from a generated tileset."""
     layout = build_layout(numbering, networks)
     slots_of = {j0: ks for j0, _, ks in layout.network_cells}
-    facets = {
-        j: numbering.prototype_of(j).facet_count for j in range(1, numbering.n + 1)
-    }
+    facets = layout.facet_count
 
     step1 = [
         f"T{j} | " + " ".join(
@@ -50,7 +48,7 @@ def stage_views(tau: Tileset, numbering: GlobalNumbering,
             continue
         slot_ks = slots_of.get(j, ())
         for parent in layout.parents_for[j]:
-            partial = _steps13(layout, j, parent, slot_ks)
+            partial = _steps13(layout, j, parent)
             cols2 = []
             cols3 = []
             for k in range(1, facets[j] + 1):

@@ -2,17 +2,16 @@
 
 Every facet of a decorated tile carries a triple (macro-index, parent-index,
 neighbor-index); two facets match when their triples are equal. `build_layout`
-compiles a numbered system and its networks once into a `Layout`, which the
-construction steps here and the enumeration and hierarchy in `simulation`
-take as their first argument. The tileset is built as a least fixpoint of
-three steps: `decorate_base` for cells off the networks, `decorate_network`
-for cells on network branches, and `derive_central` for the center tiles.
-The closure is round-based and canonically ordered, so two runs on the same
-input produce byte-identical dumps regardless of any internal scheduling.
+compiles a numbered system and its networks once into a `Layout`, which
+every later step takes as its first argument. The tileset is built as a
+least fixpoint of three steps: `decorate_base` for cells off the networks,
+`decorate_network` for cells on network branches, and `derive_central` for
+the center tiles. The closure is semi-naive and canonically ordered, so two
+runs on the same input produce byte-identical dumps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Collection, Iterable, NamedTuple
 
@@ -140,12 +139,15 @@ Side = tuple[str, int]  # (rule id, parent facet): one macro-facet
 
 @dataclass(frozen=True)
 class Layout:
-    """The compiled view of one system with its networks, built once by
-    `build_layout` and passed to every construction, enumeration and
-    hierarchy step."""
+    """Every per-tile and per-seam table of one system with its networks,
+    built once by `build_layout` (the only code that walks the numbering and
+    the macro-adjacency table) and read by every later step."""
 
     numbering: GlobalNumbering
     networks: NetworkSet
+    facet_count: dict[int, int]  # j -> facet count of T_j
+    prototype_name: dict[int, str]  # j -> prototype of T_j
+    tiles_of: dict[str, tuple[int, ...]]  # prototype -> its tile indices, ascending
     nsigma: dict[tuple[int, int], FacetClass]  # (j, k) -> n_sigma(j, k)
     central_cells: tuple[int, ...]
     off_network: tuple[int, ...]
@@ -154,7 +156,9 @@ class Layout:
     parents_for: dict[int, tuple[int, ...]]  # j0 -> eligible parent indices
     parent_facets: dict[int, tuple[int, ...]]  # j0 -> internal non-crossed facets
     gamma: dict[str, dict[int, tuple[FacetRef, ...]]]  # rule id -> gamma map
-    adjacency: dict[tuple[Side, Side], tuple[tuple[int, int], ...]]  # both directions
+    # Each macro-adjacency entry, in both directions -> the member slot pairs
+    # ((cell_a, k_a), (cell_b, k_b)) it glues, in sorted mapping order.
+    seams: dict[tuple[Side, Side], tuple[tuple[FacetRef, FacetRef], ...]]
     native_undefined: dict[str, frozenset[FacetRef]]  # rule id -> hierarchy slots
     rule_for_prototype: dict[str, Rule]  # prototype -> the first rule expanding it
 
@@ -176,10 +180,15 @@ def build_layout(numbering: GlobalNumbering, networks: NetworkSet) -> Layout:
     """Compile a numbered system and its networks (one per rule, already
     validated) into the tables every later step reads."""
     system = numbering.system
+    prototypes = {j: numbering.prototype_of(j) for j in range(1, numbering.n + 1)}
+    facet_count = {j: proto.facet_count for j, proto in prototypes.items()}
+    tiles_of: dict[str, tuple[int, ...]] = {}
+    for j, proto in prototypes.items():
+        tiles_of[proto.name] = tiles_of.get(proto.name, ()) + (j,)
     nsigma = {
         (j, k): n_sigma(numbering, networks, j, k)
-        for j in range(1, numbering.n + 1)
-        for k in range(1, numbering.prototype_of(j).facet_count + 1)
+        for j, count in facet_count.items()
+        for k in range(1, count + 1)
     }
     central_cells = []
     off = []
@@ -191,15 +200,11 @@ def build_layout(numbering: GlobalNumbering, networks: NetworkSet) -> Layout:
         rule.rule_id: network_slots(system, rule, networks[rule.rule_id])
         for rule in system.rules
     }
-    by_proto: dict[str, list[int]] = {}
-    for j in range(1, numbering.n + 1):
-        by_proto.setdefault(numbering.prototype_of(j).name, []).append(j)
-    for j in range(1, numbering.n + 1):
+    for j, count in facet_count.items():
         rule_id, cell = numbering.base_of(j)
         rule = system.rule(rule_id)
         net = networks[rule_id]
         mf = system.macro_facet_of(rule)
-        count = numbering.prototype_of(j).facet_count
         for k in range(1, count + 1):
             if (cell, k) in mf:
                 macro_idx[(j, k)] = mf[(cell, k)]
@@ -214,7 +219,7 @@ def build_layout(numbering: GlobalNumbering, networks: NetworkSet) -> Layout:
             branch_k, slots = cell_slots
             slot_ks = tuple(sorted(k for (_, k) in slots))
             on_network.append((j, branch_k, slot_ks))
-        parents_for[j] = tuple(by_proto.get(rule.parent, ()))
+        parents_for[j] = tiles_of.get(rule.parent, ())
         parent_facets[j] = tuple(
             k
             for k in range(1, count + 1)
@@ -223,9 +228,20 @@ def build_layout(numbering: GlobalNumbering, networks: NetworkSet) -> Layout:
     rule_for_prototype: dict[str, Rule] = {}
     for rule in system.rules:
         rule_for_prototype.setdefault(rule.parent, rule)
+    gamma = {rule.rule_id: rule.gamma_map() for rule in system.rules}
+    seams = {}
+    for entry in system.iter_adjacency_directed():
+        (rid_a, a), (rid_b, b) = entry.side_a, entry.side_b
+        ga, gb = gamma[rid_a][a], gamma[rid_b][b]
+        seams[(entry.side_a, entry.side_b)] = tuple(
+            (ga[pa - 1], gb[pb - 1]) for pa, pb in sorted(entry.mapping)
+        )
     return Layout(
         numbering=numbering,
         networks=networks,
+        facet_count=facet_count,
+        prototype_name={j: proto.name for j, proto in prototypes.items()},
+        tiles_of=tiles_of,
         nsigma=nsigma,
         central_cells=tuple(central_cells),
         off_network=tuple(off),
@@ -233,10 +249,8 @@ def build_layout(numbering: GlobalNumbering, networks: NetworkSet) -> Layout:
         macro_facet_idx=macro_idx,
         parents_for=parents_for,
         parent_facets=parent_facets,
-        gamma={rule.rule_id: rule.gamma_map() for rule in system.rules},
-        adjacency={
-            (e.side_a, e.side_b): e.mapping for e in system.iter_adjacency_directed()
-        },
+        gamma=gamma,
+        seams=seams,
         native_undefined={
             rule.rule_id: _native_undefined(system, rule, networks[rule.rule_id])
             for rule in system.rules
@@ -245,40 +259,34 @@ def build_layout(numbering: GlobalNumbering, networks: NetworkSet) -> Layout:
     )
 
 
-def _steps13(layout: Layout, j0: int, parent: int, slot_ks: tuple[int, ...],
-             blind_seams: bool = False) -> list[FacetDecoration | None]:
+def _steps13(layout: Layout, j0: int, parent: int) -> tuple[DecorationTriple, ...]:
     """Decorations fixed before any pair flows on the network: macro-index
     everywhere, parent 0 outside / parent j inside, neighbor equal to the
     macro-index except on macro-facet members where it reports the parent's
-    own facet class. Network slots come back as None."""
+    own facet class. `decorate_network` overwrites the network slots."""
     nsigma = layout.nsigma
-    out: list[FacetDecoration | None] = []
-    count = layout.numbering.prototype_of(j0).facet_count
-    for k in range(1, count + 1):
-        if k in slot_ks:
-            out.append(None)
-            continue
+    out = []
+    for k in range(1, layout.facet_count[j0] + 1):
         f = nsigma[(j0, k)]
         if f.is_internal:
             out.append(DecorationTriple(f, parent, f))
-        elif (j0, k) in layout.macro_facet_idx and not blind_seams:
+        elif (j0, k) in layout.macro_facet_idx:
             mk = layout.macro_facet_idx[(j0, k)]
             out.append(DecorationTriple(f, 0, nsigma[(parent, mk)]))
         else:
             out.append(DecorationTriple(f, 0, f))
-    return out
+    return tuple(out)
 
 
-def decorate_base(layout: Layout, blind_seams: bool = False) -> list[DecoratedTile]:
+def decorate_base(layout: Layout) -> list[DecoratedTile]:
     """Tiles for every non-central cell off the networks, one per eligible
     parent index (any tile whose prototype equals the rule's parent,
     across all rules)."""
-    tiles = []
-    for j0 in layout.off_network:
-        for parent in layout.parents_for[j0]:
-            triples = _steps13(layout, j0, parent, (), blind_seams)
-            tiles.append(DecoratedTile(j0, tuple(triples)))
-    return tiles
+    return [
+        DecoratedTile(j0, _steps13(layout, j0, parent))
+        for j0 in layout.off_network
+        for parent in layout.parents_for[j0]
+    ]
 
 
 def _pairs_table(tiles: Iterable[DecoratedTile]) -> dict[tuple[int, int], set[tuple[int, FacetClass]]]:
@@ -293,21 +301,19 @@ def _pairs_table(tiles: Iterable[DecoratedTile]) -> dict[tuple[int, int], set[tu
     return table
 
 
-def decorate_network(layout: Layout, tiles: Iterable[DecoratedTile],
-                     blind_seams: bool = False) -> set[DecoratedTile]:
+def decorate_network(layout: Layout, tiles: Iterable[DecoratedTile]) -> set[DecoratedTile]:
     """One round of pair-carrying tiles for non-central network cells.
 
     A cell serving branch k with parent j gets one tile per pair realized on
     facet k of a decorated T_j among `tiles`; the pair is written on all its
-    network slots at once.
+    network slots at once. The result is a union of per-tile contributions.
     """
     pairs = _pairs_table(tiles)
     new: set[DecoratedTile] = set()
     for j0, branch_k, slot_ks in layout.network_cells:
         for parent in layout.parents_for[j0]:
-            base = _steps13(layout, j0, parent, slot_ks, blind_seams)
+            triples = list(_steps13(layout, j0, parent))
             for pj, pg in pairs.get((parent, branch_k), ()):
-                triples = list(base)
                 for k in slot_ks:
                     triples[k - 1] = DecorationTriple(layout.nsigma[(j0, k)], pj, pg)
                 new.add(DecoratedTile(j0, tuple(triples)))
@@ -319,9 +325,8 @@ def derive_central(layout: Layout, tiles: Collection[DecoratedTile]) -> set[Deco
     count: the k-th facet copies the source tile's k-th parent/neighbor pair
     under the center's own macro-indices."""
     new: set[DecoratedTile] = set()
-    numbering = layout.numbering
     for j in layout.central_cells:
-        count = numbering.prototype_of(j).facet_count
+        count = layout.facet_count[j]
         heads = tuple(layout.nsigma[(j, k)] for k in range(1, count + 1))
         for tile in tiles:
             if tile.central or len(tile.triples) != count:
@@ -338,10 +343,13 @@ def derive_central(layout: Layout, tiles: Collection[DecoratedTile]) -> set[Deco
 def generate_tileset(system: SubstitutionSystem, numbering: GlobalNumbering,
                      networks: NetworkSet, blind_seams: bool = False) -> Tileset:
     """Least fixpoint of the three construction steps, canonically ordered.
+    Both closure steps are unions of per-tile contributions, so each round
+    feeds them only the tiles new since the last one (semi-naive).
 
     `blind_seams=True` is a diagnostic negative control: macro-facet members
-    stop reporting the parent's facet class and repeat their own macro-index,
-    which is exactly the defect the self-simulation check must catch.
+    stop reporting the parent's facet class and repeat their own macro-index
+    (the layout loses its macro-facet table), which is exactly the defect
+    the self-simulation check must catch.
     """
     report = validate_system(system)
     if not report.ok:
@@ -359,13 +367,12 @@ def generate_tileset(system: SubstitutionSystem, numbering: GlobalNumbering,
         raise InvalidNetwork(f"port condition fails: {sorted(port_report.codes())}")
 
     layout = build_layout(numbering, networks)
-    tiles: set[DecoratedTile] = set(decorate_base(layout, blind_seams))
-    while True:
-        new = decorate_network(layout, tiles, blind_seams)
-        new |= derive_central(layout, tiles)
-        new -= tiles
-        if not new:
-            break
+    if blind_seams:
+        layout = replace(layout, macro_facet_idx={})
+    new = set(decorate_base(layout))
+    tiles = set(new)
+    while new:
+        new = (decorate_network(layout, new) | derive_central(layout, new)) - tiles
         tiles |= new
 
     ordered = sorted(tiles, key=DecoratedTile.sort_key)

@@ -197,6 +197,17 @@ def test_assemble_negative_seed_index_is_parse_error(capsys, tmp_path):
     assert "patches=" not in out
 
 
+def test_assemble_seed_outside_the_patch_is_parse_error(capsys, tmp_path):
+    seed = tmp_path / "seed.txt"
+    seed.write_text("0 0 7\n9 9 0\n")
+    code, out, err = run(
+        capsys, "assemble", SPEC, "--width", "2", "--height", "2", "--seed", str(seed),
+    )
+    assert code == 2
+    assert "line 2: seed cell (9,9) outside the 2x2 patch" in err
+    assert "patches=" not in out
+
+
 def test_render_negative_tile_is_usage_error(capsys, tmp_path):
     out_path = tmp_path / "tile.svg"
     code, _, err = run(capsys, "render", SPEC, "--svg", str(out_path), "--tile", "-1")

@@ -145,7 +145,7 @@ def _oracle_networks(system, rule):
     """Brute force over (center, vertex-disjoint simple paths, ports) with
     independently coded condition checks."""
     cells = rule.template.cell_ids()
-    nbr = system.dual_neighbors(rule)
+    nbr = rule.template.dual_neighbors
     gamma = rule.gamma_map()
     externals = set(system.external_slots(rule))
     interior = [c for c in cells if all(s[0] != c for s in externals)]

@@ -1,5 +1,6 @@
 """Macro-tile enumeration, phi, self-simulation, hierarchy and quotients."""
 
+from importlib import resources
 from types import SimpleNamespace
 
 import pytest
@@ -8,11 +9,13 @@ from helpers import E, N, S, W, fc, trip
 from tilesub.assembler import assemble_patches
 from tilesub.errors import (
     InconsistentGluing,
+    IndexOutOfRange,
     NoMacroTiles,
     PartialBlock,
     UnresolvedReference,
 )
 from tilesub.model import build_numbering
+from tilesub.network import check_port_condition
 from tilesub.simulation import (
     enumerate_macro_tiles,
     hierarchy_decorate,
@@ -21,11 +24,12 @@ from tilesub.simulation import (
     quotient_preimage,
     verify_self_simulation,
 )
-from tilesub.specfile import load_bundled
+from tilesub.specfile import load_bundled, parse_spec
 from tilesub.tileset import (
     DecoratedTile,
     DecorationTriple,
     Tileset,
+    build_layout,
     generate_tileset,
 )
 
@@ -255,6 +259,17 @@ def test_hierarchy_errors(system, numbering, networks):
         hierarchy_decorate(system, numbering, networks, "r1", 0)
 
 
+def test_hierarchy_top_parent_outside_the_tiles(system, numbering, networks):
+    with pytest.raises(IndexOutOfRange, match="top parent 0 outside 1..9"):
+        hierarchy_decorate(system, numbering, networks, "r1", 2, top_parent=0)
+
+
+def test_quotient_ancestor_parent_outside_the_tiles(system, numbering, networks):
+    patch = hierarchy_decorate(system, numbering, networks, "r1", 2)
+    with pytest.raises(IndexOutOfRange, match="ancestor parent 99 outside 1..9"):
+        quotient_hierarchy(patch, system, numbering, networks, ancestor_parent=99)
+
+
 def test_hierarchy_needs_adjacency_to_glue(system, numbering, networks):
     import dataclasses
 
@@ -340,3 +355,49 @@ def test_quotient_biconditional_detects_blind_seams(system, numbering, networks)
     )
     quotient = quotient_preimage(decomposed, system, numbering, networks, mutant)
     assert "PreimageBiconditional" in quotient.report.codes()
+
+
+def test_seams_follow_a_non_identity_mapping():
+    """The bundled 3x3 with its S~N seam reversed: S member p meets N member
+    4 - p. The ports (position 2) stay aligned, so the system stays valid."""
+    text = resources.files("tilesub.data").joinpath("square3x3.sub").read_text()
+    doc = parse_spec(text.replace(
+        "macroadj (r1,S) ~ (r1,N) map 1:1 2:2 3:3",
+        "macroadj (r1,S) ~ (r1,N) map 1:3 2:2 3:1",
+    ))
+    system, networks = doc.system, doc.networks
+    rule = system.rules[0]
+    assert system.macro_adjacency[0].mapping == ((1, 3), (2, 2), (3, 1))
+    assert check_port_condition(system, networks).ok
+    numbering = build_numbering(system)
+    seams = build_layout(numbering, networks).seams
+    south, north = ("r1", S), ("r1", N)
+    assert seams[(south, north)] == (
+        (("c1", S), ("c9", N)), (("c2", S), ("c8", N)), (("c3", S), ("c7", N)),
+    )
+    assert seams[(north, south)] == (
+        (("c7", N), ("c3", S)), (("c8", N), ("c2", S)), (("c9", N), ("c1", S)),
+    )
+
+    tau = generate_tileset(system, numbering, networks)
+    assert verify_self_simulation(tau, system, numbering, networks).ok
+
+    bottom = hierarchy_decorate(system, numbering, networks, "r1", 2).bottom
+    assert bottom.matching_report().ok
+    # Oracle: each level-1 pairing glued member by member, straight from
+    # gamma and the declared mapping, whichever way round the entry reads.
+    gamma = rule.gamma_map()
+    oracle = set()
+    for pairing in rule.template.internal_pairings:
+        for (x, a), (y, b) in (pairing, pairing[::-1]):
+            for entry in system.macro_adjacency:
+                if (entry.side_a, entry.side_b) != (("r1", a), ("r1", b)):
+                    continue
+                for pa, pb in entry.mapping:
+                    (xc, xk), (yc, yk) = gamma[a][pa - 1], gamma[b][pb - 1]
+                    oracle.add(tuple(sorted((((x, xc), xk), ((y, yc), yk)))))
+    crossing = {p for p in bottom.pairs if p[0][0][:-1] != p[1][0][:-1]}
+    assert len(oracle) == 12 * 3
+    assert crossing == oracle
+    # Block c4 sits on block c1: its first S member meets c1's last N member.
+    assert ((("c1", "c9"), N), (("c4", "c1"), S)) in crossing

@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from tilesub.errors import InconsistentGluing
 from tilesub.model import build_numbering, validate_system
 from tilesub.network import check_port_condition, validate_network
 from tilesub.simulation import (
@@ -91,3 +92,10 @@ def test_depth2_hierarchy_and_quotient(doc, numbering, seed_rule):
     lifted = quotient_hierarchy(hpatch, doc.system, numbering, doc.networks)
     assert len(lifted.cells) == 9
     assert lifted == hpatch.levels[1]
+
+
+def test_top_parent_of_another_prototype_is_inconsistent(doc, numbering):
+    # T1 is an a-square; rule rb expands b, whose only tile is T5.
+    with pytest.raises(InconsistentGluing, match="top parent T1 has prototype a, not b"):
+        hierarchy_decorate(doc.system, numbering, doc.networks, "rb", 2, top_parent=1)
+    assert hierarchy_decorate(doc.system, numbering, doc.networks, "rb", 1).top_parent == 5
