@@ -210,6 +210,8 @@ def validate_network(system: SubstitutionSystem, rule: Rule, net: Network) -> Va
 def check_port_condition(system: SubstitutionSystem, networks: NetworkSet) -> ValidationReport:
     """Across every macro-adjacency entry, ports must meet ports.
 
+    The condition is symmetric, so each declared entry is checked in its
+    declared direction only and a misaligned position is reported once.
     Raises MissingNetwork when a rule has no network. An empty adjacency
     table is itself a violation: macro-tiles could never meet.
     """
@@ -220,7 +222,7 @@ def check_port_condition(system: SubstitutionSystem, networks: NetworkSet) -> Va
     if not system.macro_adjacency:
         report.add("NoAdjacency", "macro_adjacency table is empty")
         return report
-    for entry in system.iter_adjacency_directed():
+    for entry in system.macro_adjacency:
         (rid_a, ka), (rid_b, kb) = entry.side_a, entry.side_b
         rule_a, rule_b = system.rule(rid_a), system.rule(rid_b)
         ga = rule_a.gamma_map()[ka]

@@ -29,6 +29,7 @@ from .errors import (
     UnresolvedReference,
 )
 from .model import (
+    FacetRef,
     GlobalNumbering,
     Rule,
     SubstitutionSystem,
@@ -352,8 +353,14 @@ class HierarchyPatch:
 
 
 def _sorted_pairs(pairs: Iterable[tuple[Slot, Slot]]) -> tuple[tuple[Slot, Slot], ...]:
-    canon = {tuple(sorted(p)) for p in pairs}
-    return tuple(sorted(canon))
+    """The distinct pairs, each with its smaller slot first, in ascending
+    order.
+
+    One comparison orients a pair. `dict.fromkeys` drops duplicates but keeps
+    generation order, and the levels generate their pairs in long ascending
+    runs, which the final sort merges in near-linear time.
+    """
+    return tuple(sorted(dict.fromkeys((a, b) if a <= b else (b, a) for a, b in pairs)))
 
 
 def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
@@ -402,9 +409,10 @@ def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
     ]
     inherited: dict[Slot, int] = {}
     levels: list[LevelPatch] = []
+    rows: dict[tuple[int, int, str, str], tuple[FacetDecoration, ...]] = {}
     for step in range(depth):
         level = _decorate_level(
-            layout, depth - 1 - step, cells, rule_of, base_of, parent_of,
+            layout, rows, depth - 1 - step, cells, rule_of, base_of, parent_of,
             pairs, inherited,
         )
         levels.append(level)
@@ -416,24 +424,39 @@ def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
     return HierarchyPatch(seed_rule, depth, top_parent, tuple(levels))
 
 
-def _decorate_level(layout: Layout, level_no, cells, rule_of, base_of, parent_of,
+def _decorate_level(layout: Layout, rows, level_no, cells, rule_of, base_of, parent_of,
                     pairs, inherited) -> LevelPatch:
+    """Decorate one level's slots: UNDEFINED on the cell's own network
+    slots (origin 0) and on the slots `inherited` from the level above,
+    `_steps13` of the cell's tile and parent everywhere else.
+
+    `rows` memoises, across the levels of one hierarchy, the row of each
+    (tile, parent, rule, cell): per facet the `_steps13` triple, or UNDEFINED
+    where the slot is native-undefined. So `_steps13` runs once per distinct
+    tile and parent, and only the `inherited` test runs per slot.
+    """
     decoration: dict[Slot, FacetDecoration] = {}
     undefined_from: dict[Slot, int] = {}
     for addr in cells:
-        j0 = base_of[addr]
-        plain = _steps13(layout, j0, parent_of[addr])
-        local = layout.native_undefined[rule_of[addr]]
-        for k in range(1, layout.facet_count[j0] + 1):
+        j0, parent, rule_id, cell = base_of[addr], parent_of[addr], rule_of[addr], addr[-1]
+        key = (j0, parent, rule_id, cell)
+        row = rows.get(key)
+        if row is None:
+            local = layout.native_undefined[rule_id]
+            row = rows[key] = tuple(
+                UNDEFINED if (cell, k) in local else dec
+                for k, dec in enumerate(_steps13(layout, j0, parent), start=1)
+            )
+        for k, dec in enumerate(row, start=1):
             slot = (addr, k)
-            if (addr[-1], k) in local:
+            if dec is UNDEFINED:
                 decoration[slot] = UNDEFINED
                 undefined_from[slot] = 0
             elif slot in inherited:
                 decoration[slot] = UNDEFINED
                 undefined_from[slot] = inherited[slot]
             else:
-                decoration[slot] = plain[k - 1]
+                decoration[slot] = dec
     return LevelPatch(
         level=level_no,
         cells=tuple(sorted(cells)),
@@ -448,13 +471,21 @@ def _decorate_level(layout: Layout, level_no, cells, rule_of, base_of, parent_of
 
 def _expand_level(layout: Layout, level: LevelPatch):
     """Blow every cell of a level up by one rule application, gluing the
-    blocks along macro-facets via the layout's seams."""
+    blocks along macro-facets via the layout's seams.
+
+    Each rule's child cells with their tile indices, and its internal
+    pairings oriented and sorted, are read off once per call. Blocks come in
+    ascending address order, so the internal pairs of all blocks form one
+    ascending run, and the seam pairs follow the level's sorted pairs.
+    """
     new_cells: list[Address] = []
     rule_of: dict[Address, str] = {}
     base_of: dict[Address, int] = {}
     parent_of: dict[Address, int] = {}
     pairs: list[tuple[Slot, Slot]] = []
     expander: dict[Address, Rule] = {}
+    children: dict[str, tuple[tuple[str, int], ...]] = {}
+    internal: dict[str, tuple[tuple[FacetRef, FacetRef], ...]] = {}
     for addr in level.cells:
         j = level.base_of[addr]
         proto = layout.prototype_name[j]
@@ -462,14 +493,23 @@ def _expand_level(layout: Layout, level: LevelPatch):
         if rule is None:
             raise InconsistentGluing(f"no rule expands prototype {proto}")
         expander[addr] = rule
-        for cell, _ in rule.template.cells:
+        rid = rule.rule_id
+        if rid not in children:
+            children[rid] = tuple(
+                (cell, layout.numbering.tile_index(rid, cell)) for cell, _ in rule.template.cells
+            )
+            internal[rid] = tuple(sorted(
+                (a, b) if a <= b else (b, a) for a, b in rule.template.internal_pairings
+            ))
+        for cell, j0 in children[rid]:
             sub = addr + (cell,)
             new_cells.append(sub)
-            rule_of[sub] = rule.rule_id
-            base_of[sub] = layout.numbering.tile_index(rule.rule_id, cell)
+            rule_of[sub] = rid
+            base_of[sub] = j0
             parent_of[sub] = j
-        for (ca, ka), (cb, kb) in rule.template.internal_pairings:
-            pairs.append(((addr + (ca,), ka), (addr + (cb,), kb)))
+        pairs += [
+            ((addr + (ca,), ka), (addr + (cb,), kb)) for (ca, ka), (cb, kb) in internal[rid]
+        ]
     for (addr_a, a), (addr_b, b) in level.pairs:
         ra, rb = expander[addr_a].rule_id, expander[addr_b].rule_id
         seam = layout.seams.get(((ra, a), (rb, b)))
@@ -492,11 +532,15 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
     """Collapse the bottom level one step up, using only bottom-level data.
 
     Blocks are grouped by address prefix; each block's tiles agree on a
-    parent index, which recovers the level-above tile. A facet of the
-    recovered tile is UNDEFINED exactly when its whole member seam is; the
-    defined facets are rebuilt from the recovered structure under
-    `ancestor_parent` (the hierarchy's own top parent by default), which is
-    the only level-above datum the bottom cannot carry.
+    parent index, which recovers the level-above tile. Two blocks are paired
+    wherever a bottom pair crosses between them, on the macro-facets its
+    slots belong to. A facet of the recovered tile is UNDEFINED exactly when
+    its whole member seam is; the defined facets are `_steps13` of the
+    recovered tile under `ancestor_parent` (the hierarchy's own top parent by
+    default), which is the only level-above datum the bottom cannot carry.
+    It is the parent of every block, so its prototype must be the parent of
+    some block's rule (InconsistentGluing otherwise); `_steps13` runs once
+    per recovered tile index.
     """
     bottom = hpatch.bottom
     if ancestor_parent is None:
@@ -523,30 +567,36 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
             raise PartialBlock(f"block {prefix}: parent indices {sorted(parents)}")
         base_of[prefix] = parents.pop()
 
-    # Which macro-facet of which block each bottom slot belongs to.
-    member_of: dict[Slot, tuple[Address, int]] = {}
-    for (addr, k) in bottom.decoration:
-        a = layout.macro_facet_idx.get((bottom.base_of[addr], k))
-        if a is not None:
-            member_of[(addr, k)] = (addr[:-1], a)
+    rule_of = {prefix: numbering.base_of(j_b)[0] for prefix, j_b in base_of.items()}
+    wanted = sorted({system.rule(rule_id).parent for rule_id in rule_of.values()})
+    proto = layout.prototype_name[ancestor_parent]
+    if proto not in wanted:
+        raise InconsistentGluing(
+            f"ancestor parent T{ancestor_parent} has prototype {proto}, "
+            f"not {' or '.join(wanted)}"
+        )
 
-    pairs: set[tuple[Slot, Slot]] = set()
-    for sa, sb in bottom.pairs:
-        if sa[0][:-1] == sb[0][:-1]:
-            continue
-        (block_a, a), (block_b, b) = member_of[sa], member_of[sb]
-        pairs.add(((block_a, a), (block_b, b)))
+    facet_idx = layout.macro_facet_idx
+    pairs: list[tuple[Slot, Slot]] = []
+    for (addr_a, ka), (addr_b, kb) in bottom.pairs:
+        block_a, block_b = addr_a[:-1], addr_b[:-1]
+        if block_a != block_b:
+            pairs.append((
+                (block_a, facet_idx[(bottom.base_of[addr_a], ka)]),
+                (block_b, facet_idx[(bottom.base_of[addr_b], kb)]),
+            ))
 
     decoration: dict[Slot, FacetDecoration] = {}
     undefined_from: dict[Slot, int] = {}
     parent_of: dict[Address, int] = {}
-    rule_of: dict[Address, str] = {}
+    plains: dict[int, tuple[DecorationTriple, ...]] = {}
     for prefix, j_b in base_of.items():
         rule_id, cell = numbering.base_of(j_b)
-        rule_of[prefix] = rule_id
         parent_of[prefix] = ancestor_parent
         gamma = layout.gamma[bottom.rule_of[blocks[prefix][0]]]
-        plain = _steps13(layout, j_b, ancestor_parent)
+        plain = plains.get(j_b)
+        if plain is None:
+            plain = plains[j_b] = _steps13(layout, j_b, ancestor_parent)
         native = layout.native_undefined[rule_id]
         for a in range(1, layout.facet_count[j_b] + 1):
             slot = (prefix, a)

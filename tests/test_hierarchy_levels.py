@@ -1,0 +1,110 @@
+"""Regression pins and properties of the hierarchy levels and quotients.
+
+The SHA-256 pins were measured on the implementation that sorted every slot
+pair and rebuilt `_steps13` per cell; they are regression pins, not
+independent answers.
+"""
+
+import hashlib
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tilesub import simulation
+from tilesub.model import build_numbering
+from tilesub.simulation import _sorted_pairs, hierarchy_decorate, quotient_hierarchy
+from tilesub.specfile import load_bundled
+
+# (spec, seed rule, ancestor parent of the quotient) -> SHA-256 of the
+# depth-3 levels, bottom first, then of the quotient of the bottom. The rb
+# quotient takes an a-tile as ancestor: every cell it recovers lies in ra.
+PINS = {
+    ("square3x3", "r1", None): (
+        "6a6f54f53ad4457ddbefe447ef4ad23deb2b43b78900b14cb7d225f148855152",
+        "9e12ba35bce4f7c51300a56cb4a04cfdfd7215c7654ce2d35d89cee2df2e964a",
+        "ddd8e909c3eb26371b92968e100f730b3779f65155a50d196ff180a6c7147f1b",
+        "617b93920048e67e32791a0302e57d9de6ec0a0b7f44d663fee50336e4c4daf6",
+    ),
+    ("tworule3x3", "ra", None): (
+        "e1007ca7f54c790bdb89cc2c03fd458845a25a54bde20aee64a739a0a8ce359b",
+        "dcfc8c985d2dfb42183ab4f4b442602ab885285bf7ca459fbc72ee22ace629b9",
+        "a5de3498e4eb2969e7e937a97745e90e4c19fe8e4bb0f7ab28748a913a00a995",
+        "d58f7c36fec8ecd766b94c0a61aee1d6e5c1bf6eed8c8d95bbaddb356c9927cb",
+    ),
+    ("tworule3x3", "rb", 1): (
+        "65e19cc858211007ed0d41afedaebedf16fa05672aa81805160005a7737cd232",
+        "883e2d25d9c9ca80dc654e0f17699b80603946c32a7eac3c31878f09e2264d15",
+        "174017b6d1122fc5207363c7b7fa1d1c9626af8e611dc778b77a618dad47ebef",
+        "1669193ebf1ec067e473886f97d31a205cb279d314ff894b0df2db083823ed89",
+    ),
+}
+
+
+def _level_sha256(level) -> str:
+    digest = hashlib.sha256()
+    for part in (level.level, level.cells, level.pairs):
+        digest.update(repr(part).encode())
+    for table in (level.rule_of, level.base_of, level.parent_of,
+                  level.decoration, level.undefined_from):
+        digest.update(repr(sorted(table.items())).encode())
+    return digest.hexdigest()
+
+
+def _bundled(spec):
+    doc = load_bundled(spec)
+    return doc, build_numbering(doc.system)
+
+
+@pytest.mark.parametrize("spec, seed_rule, ancestor", sorted(PINS, key=str))
+def test_depth3_levels_and_quotient_are_pinned(spec, seed_rule, ancestor):
+    doc, numbering = _bundled(spec)
+    hpatch = hierarchy_decorate(doc.system, numbering, doc.networks, seed_rule, 3)
+    lifted = quotient_hierarchy(hpatch, doc.system, numbering, doc.networks,
+                                ancestor_parent=ancestor)
+    got = tuple(_level_sha256(level) for level in (*hpatch.levels, lifted))
+    assert got == PINS[(spec, seed_rule, ancestor)]
+    # The quotient recovers the structure of the level above exactly.
+    assert lifted.pairs == hpatch.levels[1].pairs
+
+
+@pytest.mark.parametrize("spec, seed_rule, ancestor", sorted(PINS, key=str))
+def test_steps13_runs_once_per_tile_and_parent(monkeypatch, spec, seed_rule, ancestor):
+    doc, numbering = _bundled(spec)
+    calls = Counter()
+    steps13 = simulation._steps13
+
+    def counted(layout, j0, parent):
+        calls[(j0, parent)] += 1
+        return steps13(layout, j0, parent)
+
+    monkeypatch.setattr(simulation, "_steps13", counted)
+    hpatch = hierarchy_decorate(doc.system, numbering, doc.networks, seed_rule, 3)
+    assert calls and max(calls.values()) == 1
+    calls.clear()
+    quotient_hierarchy(hpatch, doc.system, numbering, doc.networks, ancestor_parent=ancestor)
+    assert calls and max(calls.values()) == 1
+
+
+@pytest.fixture(scope="module")
+def depth2_pairs():
+    doc, numbering = _bundled("tworule3x3")
+    return hierarchy_decorate(doc.system, numbering, doc.networks, "ra", 2).bottom.pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sorted_pairs_matches_sorting_each_pair(depth2_pairs, data):
+    """Shuffled copies of a level's pairs, some reversed, some repeated,
+    give what sorting each pair and then the distinct pairs gives."""
+    pairs = list(depth2_pairs)
+    order = data.draw(st.permutations(range(len(pairs))))
+    flipped = data.draw(st.sets(st.sampled_from(range(len(pairs)))))
+    repeats = data.draw(st.lists(st.sampled_from(range(len(pairs))), max_size=40))
+    fed = [pairs[i][::-1] if i in flipped else pairs[i] for i in order]
+    for i in repeats:
+        at = data.draw(st.integers(0, len(fed)))
+        fed.insert(at, pairs[i][::-1] if data.draw(st.booleans()) else pairs[i])
+    assert _sorted_pairs(fed) == tuple(sorted({tuple(sorted(p)) for p in fed}))
+    assert _sorted_pairs(fed) == depth2_pairs

@@ -1,6 +1,7 @@
 """Network validation, the port condition, and exhaustive search."""
 
 import dataclasses
+from importlib import resources
 from itertools import permutations
 
 import pytest
@@ -17,6 +18,7 @@ from tilesub.network import (
     search_networks,
     validate_network,
 )
+from tilesub.specfile import parse_spec
 
 # Count of valid networks on the 3x3 rule, frozen from exhaustive
 # enumeration: the straight cross, plus one variant per single branch
@@ -96,6 +98,22 @@ def test_port_misaligned(system, networks):
     )
     bad = dataclasses.replace(system, macro_adjacency=swapped)
     assert "PortMisaligned" in check_port_condition(bad, networks).codes()
+
+
+def test_port_misaligned_reported_once_per_position(networks):
+    """The bundled 3x3 with S member 1 meeting N member 2 and 2 meeting 1:
+    two misaligned positions (the port, member 2, meets a non-port twice),
+    each reported once although the entry is read in both directions."""
+    text = resources.files("tilesub.data").joinpath("square3x3.sub").read_text()
+    doc = parse_spec(text.replace(
+        "macroadj (r1,S) ~ (r1,N) map 1:1 2:2 3:3",
+        "macroadj (r1,S) ~ (r1,N) map 1:2 2:1 3:3",
+    ))
+    report = check_port_condition(doc.system, doc.networks)
+    assert [(v.code, v.detail) for v in report.entries] == [
+        ("PortMisaligned", f"(r1,{S})~(r1,{N}): position 1:2 pairs non-port with port"),
+        ("PortMisaligned", f"(r1,{S})~(r1,{N}): position 2:1 pairs port with non-port"),
+    ]
 
 
 def test_empty_adjacency_is_a_violation(system, networks):

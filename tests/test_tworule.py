@@ -99,3 +99,18 @@ def test_top_parent_of_another_prototype_is_inconsistent(doc, numbering):
     with pytest.raises(InconsistentGluing, match="top parent T1 has prototype a, not b"):
         hierarchy_decorate(doc.system, numbering, doc.networks, "rb", 2, top_parent=1)
     assert hierarchy_decorate(doc.system, numbering, doc.networks, "rb", 1).top_parent == 5
+
+
+def test_ancestor_parent_of_another_prototype_is_inconsistent(doc, numbering):
+    # The depth-2 ra quotient recovers the nine cells of ra, whose parent is
+    # an a-square; T5 is the b-square.
+    hpatch = hierarchy_decorate(doc.system, numbering, doc.networks, "ra", 2)
+    with pytest.raises(InconsistentGluing, match="ancestor parent T5 has prototype b, not a"):
+        quotient_hierarchy(hpatch, doc.system, numbering, doc.networks, ancestor_parent=5)
+    # At depth 3 from rb every recovered cell lies in ra, so the default
+    # ancestor, rb's top parent T5, is refused as well.
+    deep = hierarchy_decorate(doc.system, numbering, doc.networks, "rb", 3)
+    with pytest.raises(InconsistentGluing, match="ancestor parent T5 has prototype b, not a"):
+        quotient_hierarchy(deep, doc.system, numbering, doc.networks)
+    assert len(quotient_hierarchy(deep, doc.system, numbering, doc.networks,
+                                  ancestor_parent=1).cells) == 81
