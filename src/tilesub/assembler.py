@@ -69,12 +69,12 @@ def _require_square(system: SubstitutionSystem) -> None:
 
 
 def build_grid_layout(system: SubstitutionSystem, numbering: GlobalNumbering,
-                      networks: NetworkSet, rule_id: str | None = None) -> GridLayout:
-    """Recover the w x h embedding of a rule's template and validate that the
-    macro-index signatures identify positions uniquely."""
+                      networks: NetworkSet) -> GridLayout:
+    """Recover the w x h embedding of the first rule's template and validate
+    that the macro-index signatures identify positions uniquely."""
     _require_square(system)
     nsigma = build_layout(numbering, networks).nsigma
-    rule = system.rule(rule_id) if rule_id else system.rules[0]
+    rule = system.rules[0]
     paired = rule.template.paired_slots
     east: dict[str, str] = {}
     north: dict[str, str] = {}

@@ -368,13 +368,16 @@ def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
                        top_parent: int | None = None) -> HierarchyPatch:
     """Expand the seed rule `depth` times and decorate every level.
 
-    Each level's tiles carry the base decorations with the parent taken from
-    the level above; UNDEFINED sits on every port and branch-crossed facet of
-    every level's networks, blown down through the gluing so the bottom patch
-    shows the whole stack of coarser and coarser grids. The parent of the
-    topmost expansion is a free choice (`top_parent`, smallest eligible index
-    by default) since nothing above it exists to fix one; it must have the
-    seed rule's parent prototype.
+    Every level is built by `_expand_level` and then `_decorate_level`. The
+    top level expands the one block `((), top_parent, seed)`; every deeper
+    level expands the cells of the level above, each by the first rule of
+    its prototype. Each level's tiles carry the base decorations with the
+    parent taken from the level above; UNDEFINED sits on every port and
+    branch-crossed facet of every level's networks, blown down through the
+    gluing so the bottom patch shows the whole stack of coarser and coarser
+    grids. The parent of the topmost expansion is a free choice
+    (`top_parent`, smallest eligible index by default) since nothing above
+    it exists to fix one; it must have the seed rule's parent prototype.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -396,30 +399,26 @@ def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
             f"{layout.prototype_name[top_parent]}, not {seed.parent}"
         )
 
-    # Top expansion: the seed's template as a single block.
-    cells: list[Address] = [(c,) for c in seed.template.cell_ids()]
-    rule_of = {addr: seed.rule_id for addr in cells}
-    base_of = {
-        addr: numbering.tile_index(seed.rule_id, addr[0]) for addr in cells
-    }
-    parent_of = {addr: top_parent for addr in cells}
-    pairs = [
-        (((ca,), ka), ((cb,), kb))
-        for (ca, ka), (cb, kb) in seed.template.internal_pairings
-    ]
-    inherited: dict[Slot, int] = {}
+    blocks: list[tuple[Address, int, Rule]] = [((), top_parent, seed)]
+    pairs: tuple[tuple[Slot, Slot], ...] = ()
+    undefined_from: dict[Slot, int] = {}
     levels: list[LevelPatch] = []
     rows: dict[tuple[int, int, str, str], tuple[FacetDecoration, ...]] = {}
-    for step in range(depth):
+    for level_no in reversed(range(depth)):
         level = _decorate_level(
-            layout, rows, depth - 1 - step, cells, rule_of, base_of, parent_of,
-            pairs, inherited,
+            layout, rows, level_no, *_expand_level(layout, blocks, pairs, undefined_from)
         )
         levels.append(level)
-        if step + 1 < depth:
-            cells, rule_of, base_of, parent_of, pairs, inherited = _expand_level(
-                layout, level
-            )
+        if level_no:
+            blocks = []
+            for addr in level.cells:
+                j = level.base_of[addr]
+                proto = layout.prototype_name[j]
+                rule = layout.rule_for_prototype.get(proto)
+                if rule is None:
+                    raise InconsistentGluing(f"no rule expands prototype {proto}")
+                blocks.append((addr, j, rule))
+            pairs, undefined_from = level.pairs, level.undefined_from
     levels.reverse()
     return HierarchyPatch(seed_rule, depth, top_parent, tuple(levels))
 
@@ -428,9 +427,11 @@ def _decorate_level(layout: Layout, rows, level_no, cells, rule_of, base_of, par
                     pairs, inherited) -> LevelPatch:
     """Decorate one level's slots: UNDEFINED on the cell's own network
     slots (origin 0) and on the slots `inherited` from the level above,
-    `_steps13` of the cell's tile and parent everywhere else.
+    `_steps13` of the cell's tile and parent everywhere else. This is the
+    only place that decorates a level: every level of a hierarchy and the
+    quotient of its bottom go through it.
 
-    `rows` memoises, across the levels of one hierarchy, the row of each
+    `rows` memoises, across the levels of one call, the row of each
     (tile, parent, rule, cell): per facet the `_steps13` triple, or UNDEFINED
     where the slot is native-undefined. So `_steps13` runs once per distinct
     tile and parent, and only the `inherited` test runs per slot.
@@ -469,29 +470,28 @@ def _decorate_level(layout: Layout, rows, level_no, cells, rule_of, base_of, par
     )
 
 
-def _expand_level(layout: Layout, level: LevelPatch):
-    """Blow every cell of a level up by one rule application, gluing the
-    blocks along macro-facets via the layout's seams.
+def _expand_level(layout: Layout, blocks: Sequence[tuple[Address, int, Rule]],
+                  pairs: Sequence[tuple[Slot, Slot]], undefined_from: dict[Slot, int]):
+    """Blow each block `(address, tile, rule)` up by one application of
+    its rule, gluing the blocks along macro-facets via the layout's seams.
 
-    Each rule's child cells with their tile indices, and its internal
-    pairings oriented and sorted, are read off once per call. Blocks come in
-    ascending address order, so the internal pairs of all blocks form one
-    ascending run, and the seam pairs follow the level's sorted pairs.
+    `pairs` and `undefined_from` are those of the level the blocks form:
+    each pair becomes the member pairs of its seam, and each UNDEFINED slot
+    passes down to its members one origin further. Each rule's child cells
+    with their tile indices, and its internal pairings oriented and sorted,
+    are read off once per call. Blocks come in ascending address order, so
+    the internal pairs of all blocks form one ascending run, and the seam
+    pairs follow the level's sorted pairs.
     """
     new_cells: list[Address] = []
     rule_of: dict[Address, str] = {}
     base_of: dict[Address, int] = {}
     parent_of: dict[Address, int] = {}
-    pairs: list[tuple[Slot, Slot]] = []
+    new_pairs: list[tuple[Slot, Slot]] = []
     expander: dict[Address, Rule] = {}
     children: dict[str, tuple[tuple[str, int], ...]] = {}
     internal: dict[str, tuple[tuple[FacetRef, FacetRef], ...]] = {}
-    for addr in level.cells:
-        j = level.base_of[addr]
-        proto = layout.prototype_name[j]
-        rule = layout.rule_for_prototype.get(proto)
-        if rule is None:
-            raise InconsistentGluing(f"no rule expands prototype {proto}")
+    for addr, j, rule in blocks:
         expander[addr] = rule
         rid = rule.rule_id
         if rid not in children:
@@ -507,10 +507,10 @@ def _expand_level(layout: Layout, level: LevelPatch):
             rule_of[sub] = rid
             base_of[sub] = j0
             parent_of[sub] = j
-        pairs += [
+        new_pairs += [
             ((addr + (ca,), ka), (addr + (cb,), kb)) for (ca, ka), (cb, kb) in internal[rid]
         ]
-    for (addr_a, a), (addr_b, b) in level.pairs:
+    for (addr_a, a), (addr_b, b) in pairs:
         ra, rb = expander[addr_a].rule_id, expander[addr_b].rule_id
         seam = layout.seams.get(((ra, a), (rb, b)))
         if seam is None:
@@ -518,12 +518,12 @@ def _expand_level(layout: Layout, level: LevelPatch):
                 f"no macro-adjacency for ({ra},{a}) ~ ({rb},{b})"
             )
         for (ca, ka), (cb, kb) in seam:
-            pairs.append(((addr_a + (ca,), ka), (addr_b + (cb,), kb)))
+            new_pairs.append(((addr_a + (ca,), ka), (addr_b + (cb,), kb)))
     inherited: dict[Slot, int] = {}
-    for (addr, a), origin in level.undefined_from.items():
+    for (addr, a), origin in undefined_from.items():
         for cm, km in layout.gamma[expander[addr].rule_id][a]:
             inherited[(addr + (cm,), km)] = origin + 1
-    return new_cells, rule_of, base_of, parent_of, pairs, inherited
+    return new_cells, rule_of, base_of, parent_of, new_pairs, inherited
 
 
 def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
@@ -534,13 +534,15 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
     Blocks are grouped by address prefix; each block's tiles agree on a
     parent index, which recovers the level-above tile. Two blocks are paired
     wherever a bottom pair crosses between them, on the macro-facets its
-    slots belong to. A facet of the recovered tile is UNDEFINED exactly when
-    its whole member seam is; the defined facets are `_steps13` of the
-    recovered tile under `ancestor_parent` (the hierarchy's own top parent by
-    default), which is the only level-above datum the bottom cannot carry.
-    It is the parent of every block, so its prototype must be the parent of
-    some block's rule (InconsistentGluing otherwise); `_steps13` runs once
-    per recovered tile index.
+    slots belong to. A facet of a recovered tile whose whole member seam is
+    UNDEFINED is inherited as UNDEFINED one origin closer (never below 0);
+    a facet native to the level's networks must be one of them
+    (PartialBlock otherwise). The recovered level is then decorated like
+    any level, by `_decorate_level` with a memo of its own, so `_steps13`
+    runs once per recovered tile index. `ancestor_parent` (the hierarchy's
+    own top parent by default) is the only level-above datum the bottom
+    cannot carry. It is the parent of every block, so its prototype must be
+    the parent of some block's rule (InconsistentGluing otherwise).
     """
     bottom = hpatch.bottom
     if ancestor_parent is None:
@@ -586,40 +588,22 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
                 (block_b, facet_idx[(bottom.base_of[addr_b], kb)]),
             ))
 
-    decoration: dict[Slot, FacetDecoration] = {}
-    undefined_from: dict[Slot, int] = {}
-    parent_of: dict[Address, int] = {}
-    plains: dict[int, tuple[DecorationTriple, ...]] = {}
+    inherited: dict[Slot, int] = {}
     for prefix, j_b in base_of.items():
         rule_id, cell = numbering.base_of(j_b)
-        parent_of[prefix] = ancestor_parent
         gamma = layout.gamma[bottom.rule_of[blocks[prefix][0]]]
-        plain = plains.get(j_b)
-        if plain is None:
-            plain = plains[j_b] = _steps13(layout, j_b, ancestor_parent)
         native = layout.native_undefined[rule_id]
         for a in range(1, layout.facet_count[j_b] + 1):
-            slot = (prefix, a)
             members = [(prefix + (cm,), km) for cm, km in gamma[a]]
             if all(bottom.decoration[m] is UNDEFINED for m in members):
-                decoration[slot] = UNDEFINED
                 origin = max(bottom.undefined_from[m] for m in members)
-                undefined_from[slot] = max(0, origin - 1)
-            else:
-                if (cell, a) in native:
-                    raise PartialBlock(
-                        f"block {prefix}: facet {a} should be undefined"
-                    )
-                decoration[slot] = plain[a - 1]
-    return LevelPatch(
-        level=bottom.level + 1,
-        cells=tuple(sorted(blocks)),
-        rule_of=rule_of,
-        base_of=base_of,
-        parent_of=parent_of,
-        pairs=_sorted_pairs(pairs),
-        decoration=decoration,
-        undefined_from=undefined_from,
+                inherited[(prefix, a)] = max(0, origin - 1)
+            elif (cell, a) in native:
+                raise PartialBlock(f"block {prefix}: facet {a} should be undefined")
+    parent_of = {prefix: ancestor_parent for prefix in base_of}
+    return _decorate_level(
+        layout, {}, bottom.level + 1, list(base_of), rule_of, base_of, parent_of,
+        pairs, inherited,
     )
 
 

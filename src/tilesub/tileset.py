@@ -27,10 +27,8 @@ from .model import (
     validate_system,
 )
 from .network import (
-    Network,
     NetworkSet,
     check_port_condition,
-    crossed_facets,
     network_slots,
     validate_network,
 )
@@ -163,19 +161,6 @@ class Layout:
     rule_for_prototype: dict[str, Rule]  # prototype -> the first rule expanding it
 
 
-def _native_undefined(system: SubstitutionSystem, rule: Rule, net: Network) -> frozenset[FacetRef]:
-    """Rule-local slots the hierarchy leaves undefined: ports, both sides of
-    branch-crossed pairings, and everything on the central cell (its pairs
-    are derived data, never fixed by the base decoration)."""
-    out: set[FacetRef] = {b.port for b in net.branches}
-    for pairings in crossed_facets(system, rule, net).values():
-        for pairing in pairings:
-            out.update(pairing)
-    center_proto = system.cell_prototype(rule, net.center)
-    out.update((net.center, k) for k in range(1, center_proto.facet_count + 1))
-    return frozenset(out)
-
-
 def build_layout(numbering: GlobalNumbering, networks: NetworkSet) -> Layout:
     """Compile a numbered system and its networks (one per rule, already
     validated) into the tables every later step reads."""
@@ -226,8 +211,18 @@ def build_layout(numbering: GlobalNumbering, networks: NetworkSet) -> Layout:
             if nsigma[(j, k)].is_internal and k not in slot_ks
         )
     rule_for_prototype: dict[str, Rule] = {}
+    native_undefined: dict[str, frozenset[FacetRef]] = {}
     for rule in system.rules:
         rule_for_prototype.setdefault(rule.parent, rule)
+        # The hierarchy leaves every network slot undefined (ports and both
+        # sides of branch-crossed pairings) and everything on the central
+        # cell, whose pairs are derived data never fixed by the base decoration.
+        center = networks[rule.rule_id].center
+        count = system.cell_prototype(rule, center).facet_count
+        native_undefined[rule.rule_id] = frozenset(
+            [(center, k) for k in range(1, count + 1)]
+            + [slot for _, slots in slots_by_rule[rule.rule_id].values() for slot in slots]
+        )
     gamma = {rule.rule_id: rule.gamma_map() for rule in system.rules}
     seams = {}
     for entry in system.iter_adjacency_directed():
@@ -251,10 +246,7 @@ def build_layout(numbering: GlobalNumbering, networks: NetworkSet) -> Layout:
         parent_facets=parent_facets,
         gamma=gamma,
         seams=seams,
-        native_undefined={
-            rule.rule_id: _native_undefined(system, rule, networks[rule.rule_id])
-            for rule in system.rules
-        },
+        native_undefined=native_undefined,
         rule_for_prototype=rule_for_prototype,
     )
 
@@ -340,17 +332,10 @@ def derive_central(layout: Layout, tiles: Collection[DecoratedTile]) -> set[Deco
     return new
 
 
-def generate_tileset(system: SubstitutionSystem, numbering: GlobalNumbering,
-                     networks: NetworkSet, blind_seams: bool = False) -> Tileset:
-    """Least fixpoint of the three construction steps, canonically ordered.
-    Both closure steps are unions of per-tile contributions, so each round
-    feeds them only the tiles new since the last one (semi-naive).
-
-    `blind_seams=True` is a diagnostic negative control: macro-facet members
-    stop reporting the parent's facet class and repeat their own macro-index
-    (the layout loses its macro-facet table), which is exactly the defect
-    the self-simulation check must catch.
-    """
+def check_spec(system: SubstitutionSystem, networks: NetworkSet) -> None:
+    """Raise InvalidSystem unless the system passes its structural checks,
+    and InvalidNetwork unless every rule has a valid network and the
+    networks meet the port condition."""
     report = validate_system(system)
     if not report.ok:
         raise InvalidSystem(f"system invalid: {sorted(report.codes())}", report)
@@ -366,6 +351,19 @@ def generate_tileset(system: SubstitutionSystem, numbering: GlobalNumbering,
     if not port_report.ok:
         raise InvalidNetwork(f"port condition fails: {sorted(port_report.codes())}")
 
+
+def generate_tileset(system: SubstitutionSystem, numbering: GlobalNumbering,
+                     networks: NetworkSet, blind_seams: bool = False) -> Tileset:
+    """Least fixpoint of the three construction steps, canonically ordered.
+    Both closure steps are unions of per-tile contributions, so each round
+    feeds them only the tiles new since the last one (semi-naive).
+
+    `blind_seams=True` is a diagnostic negative control: macro-facet members
+    stop reporting the parent's facet class and repeat their own macro-index
+    (the layout loses its macro-facet table), which is exactly the defect
+    the self-simulation check must catch.
+    """
+    check_spec(system, networks)
     layout = build_layout(numbering, networks)
     if blind_seams:
         layout = replace(layout, macro_facet_idx={})

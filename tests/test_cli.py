@@ -1,7 +1,9 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 from importlib import resources
+from pathlib import Path
 
+from tilesub import cli
 from tilesub.cli import main
 
 SPEC = str(resources.files("tilesub.data") / "square3x3.sub")
@@ -101,6 +103,28 @@ def test_hierarchy_output(capsys):
     assert "tiles=81" in out
     assert "undefined_slots=132" in out
     assert "matching=PASS" in out
+
+
+def test_hierarchy_and_render_build_no_tileset(capsys, monkeypatch, tmp_path):
+    def no_closure(*args, **kwargs):
+        raise AssertionError("the closure was built")
+
+    monkeypatch.setattr(cli, "generate_tileset", no_closure)
+    code, out, _ = run(capsys, "hierarchy", SPEC, "--depth", "2")
+    assert code == 0
+    assert "tiles=81" in out
+    for subject in (["--hierarchy-depth", "2"], ["--empty", "2x2"]):
+        code, _, _ = run(capsys, "render", SPEC, "--svg", str(tmp_path / "x.svg"), *subject)
+        assert code == 0
+
+
+def test_hierarchy_broken_network_exit_code(capsys, tmp_path):
+    bad = tmp_path / "broken.sub"
+    bad.write_text(Path(SPEC).read_text().replace("port c2.S", "port c2.W"))
+    code, out, err = run(capsys, "hierarchy", str(bad), "--depth", "2")
+    assert code == 1
+    assert "error: rule r1 network invalid: ['PortMembership']" in err
+    assert out == ""
 
 
 def test_render_tile_labels(capsys, tmp_path):

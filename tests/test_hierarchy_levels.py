@@ -5,6 +5,7 @@ pair and rebuilt `_steps13` per cell; they are regression pins, not
 independent answers.
 """
 
+import dataclasses
 import hashlib
 from collections import Counter
 
@@ -13,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilesub import simulation
+from tilesub.errors import PartialBlock
 from tilesub.model import build_numbering
 from tilesub.simulation import _sorted_pairs, hierarchy_decorate, quotient_hierarchy
 from tilesub.specfile import load_bundled
+from tilesub.tileset import UNDEFINED, build_layout
 
 # (spec, seed rule, ancestor parent of the quotient) -> SHA-256 of the
 # depth-3 levels, bottom first, then of the quotient of the bottom. The rb
@@ -85,6 +88,58 @@ def test_steps13_runs_once_per_tile_and_parent(monkeypatch, spec, seed_rule, anc
     calls.clear()
     quotient_hierarchy(hpatch, doc.system, numbering, doc.networks, ancestor_parent=ancestor)
     assert calls and max(calls.values()) == 1
+
+
+def test_seed_rule_need_not_be_the_first_of_its_prototype():
+    """Seeded from r2, a copy of r1 declared after it, the top level is
+    expanded by r2 and every deeper level by r1, the first rule of sq."""
+    doc = load_bundled("square3x3")
+    r1 = doc.system.rules[0]
+    system = dataclasses.replace(doc.system, rules=(r1, dataclasses.replace(r1, rule_id="r2")))
+    networks = {**doc.networks, "r2": doc.networks["r1"]}
+    numbering = build_numbering(system)
+    hpatch = hierarchy_decorate(system, numbering, networks, "r2", 3)
+    top, *below = reversed(hpatch.levels)
+    assert set(top.rule_of.values()) == {"r2"}
+    assert all(set(level.rule_of.values()) == {"r1"} for level in below)
+    assert hpatch.bottom.matching_report().ok
+    lifted = quotient_hierarchy(hpatch, system, numbering, networks)
+    assert lifted.pairs == hpatch.levels[1].pairs
+
+
+@pytest.fixture
+def depth2_square():
+    doc, numbering = _bundled("square3x3")
+    hpatch = hierarchy_decorate(doc.system, numbering, doc.networks, "r1", 2)
+    return doc, numbering, hpatch, build_layout(numbering, doc.networks)
+
+
+def test_quotient_rejects_a_block_with_two_parent_indices(depth2_square):
+    doc, numbering, hpatch, layout = depth2_square
+    bottom = hpatch.bottom
+    slot = next(
+        (addr, k) for addr in bottom.cells for k in layout.parent_facets[bottom.base_of[addr]]
+        if bottom.decoration[(addr, k)] is not UNDEFINED
+    )
+    dec = bottom.decoration[slot]
+    bottom.decoration[slot] = dec._replace(j=dec.j % numbering.n + 1)
+    with pytest.raises(PartialBlock, match=rf"block \({slot[0][0]!r},\): parent indices"):
+        quotient_hierarchy(hpatch, doc.system, numbering, doc.networks)
+
+
+def test_quotient_rejects_a_defined_member_of_a_native_facet(depth2_square):
+    """Every facet of the centre block is native-undefined one level up, so
+    a defined member on its seam is not a hierarchy bottom."""
+    doc, numbering, hpatch, layout = depth2_square
+    bottom = hpatch.bottom
+    center = (doc.networks["r1"].center,)
+    cell, k = layout.gamma["r1"][1][0]
+    assert bottom.decoration[(center + (cell,), k)] is UNDEFINED
+    bottom.decoration[(center + (cell,), k)] = next(
+        dec for dec in bottom.decoration.values() if dec is not UNDEFINED
+    )
+    with pytest.raises(PartialBlock, match=rf"block \({center[0]!r},\): facet 1 should be undefined"):
+        quotient_hierarchy(hpatch, doc.system, numbering, doc.networks)
 
 
 @pytest.fixture(scope="module")
