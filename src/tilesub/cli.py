@@ -205,13 +205,12 @@ def cmd_render(args) -> int:
             )
             svg = render_patch_svg(grid_from_hierarchy(hpatch, layout, doc.networks))
         elif args.empty:
-            w, h = (int(v) for v in args.empty.split("x"))
-            svg = render_patch_svg(GridPatch(w, h))
+            svg = render_patch_svg(GridPatch(*args.empty))
         else:
             print("render: choose --tile, --instance, --hierarchy-depth or --empty",
                   file=sys.stderr)
             return 2
-    except (IndexError, ValueError) as exc:
+    except IndexError as exc:
         print(f"render: bad subject: {exc}", file=sys.stderr)
         return 2
     Path(args.svg).write_text(svg)
@@ -229,6 +228,17 @@ def _at_least(low: int):
         return value
 
     return integer
+
+
+def _grid_size(text: str) -> tuple[int, int]:
+    """argparse type: `WxH` with W, H >= 1."""
+    try:
+        width, height = (int(v) for v in text.split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not of the form WxH") from None
+    if width < 1 or height < 1:
+        raise argparse.ArgumentTypeError(f"{text} has a side below 1")
+    return width, height
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tile", type=_at_least(0), help="tileset index of a single tile")
     p.add_argument("--instance", type=_at_least(0), help="macro-tile instance index")
     p.add_argument("--hierarchy-depth", type=_at_least(1))
-    p.add_argument("--empty", metavar="WxH", help="empty grid of that size")
+    p.add_argument("--empty", type=_grid_size, metavar="WxH", help="empty grid of that size")
     return parser
 
 

@@ -95,10 +95,11 @@ def network_slots(system: SubstitutionSystem, rule: Rule, net: Network) -> dict[
     return out
 
 
-def _residual_components(rule: Rule, net: Network) -> list[set[str]]:
-    """Components after deleting the center vertex and all network edges."""
-    removed = {frozenset((a, b)) for _, a, b in branch_edges(net)}
-    cells = [c for c in rule.template.cell_ids() if c != net.center]
+def _residual_components(rule: Rule, center: str,
+                         removed: frozenset[frozenset[str]]) -> list[set[str]]:
+    """Components after deleting the center vertex and the `removed` edges
+    (each an unordered pair of cells)."""
+    cells = [c for c in rule.template.cell_ids() if c != center]
     neighbors = rule.template.dual_neighbors
     comps: list[set[str]] = []
     left = set(cells)
@@ -109,7 +110,7 @@ def _residual_components(rule: Rule, net: Network) -> list[set[str]]:
         while stack:
             cur = stack.pop()
             for nxt in neighbors[cur]:
-                if nxt == net.center or nxt in comp:
+                if nxt == center or nxt in comp:
                     continue
                 if frozenset((cur, nxt)) in removed:
                     continue
@@ -190,7 +191,8 @@ def validate_network(system: SubstitutionSystem, rule: Rule, net: Network) -> Va
     external = set(system.external_slots(rule))
     if any(slot[0] == net.center for slot in external):
         report.add("CenterNotInterior", f"{rid}: center {net.center} has external facets")
-    comps = _residual_components(rule, net)
+    removed = frozenset(frozenset((a, b)) for _, a, b in branch_edges(net))
+    comps = _residual_components(rule, net.center, removed)
     macro_cells = {
         slot[0]
         for k, members in gamma.items()
@@ -243,9 +245,15 @@ def check_port_condition(system: SubstitutionSystem, networks: NetworkSet) -> Va
 
 def search_networks(system: SubstitutionSystem, rule: Rule) -> tuple[Network, ...]:
     """Exhaustively enumerate all valid networks of a rule, in canonical
-    order (center, then branch paths per macro-facet). Depth-first over
-    vertex-disjoint path systems; instance sizes are small enough that no
-    pruning heuristics are needed."""
+    order (center, then branch paths per macro-facet).
+
+    Depth-first over vertex-disjoint path systems, one branch per
+    macro-facet in ascending order. Every edge a branch adds is deleted from
+    the residual graph, so residual connectivity only worsens as the system
+    grows: each time a branch reaches a port cell, a partial system whose
+    residual graph (with the current path's edges deleted too) is already
+    disconnected is pruned together with every extension of it. Complete
+    candidates still go through `validate_network`."""
     gamma = rule.gamma_map()
     ks = sorted(gamma)
     cells = rule.template.cell_ids()
@@ -254,7 +262,7 @@ def search_networks(system: SubstitutionSystem, rule: Rule) -> tuple[Network, ..
     interior = [c for c in cells if not any(s[0] == c for s in external)]
     results: list[Network] = []
 
-    def extend_branch(center, k_pos, used, branches):
+    def extend_branch(center, k_pos, used, removed, branches):
         if k_pos == len(ks):
             net = Network(rule.rule_id, center, tuple(branches))
             if validate_network(system, rule, net).ok:
@@ -263,26 +271,30 @@ def search_networks(system: SubstitutionSystem, rule: Rule) -> tuple[Network, ..
         k = ks[k_pos]
         member_cells = {s[0] for s in gamma[k]}
 
-        def walk(path):
+        def walk(path, path_removed):
             cell = path[-1]
             if cell in member_cells:
+                if len(_residual_components(rule, center, path_removed)) != 1:
+                    return
                 for slot in gamma[k]:
                     if slot[0] == cell:
                         branches.append(Branch(k, tuple(path), slot))
-                        extend_branch(center, k_pos + 1, used | set(path), branches)
+                        extend_branch(
+                            center, k_pos + 1, used | set(path), path_removed, branches
+                        )
                         branches.pop()
             for nxt in neighbors[cell]:
                 if nxt == center or nxt in used or nxt in path:
                     continue
-                walk(path + [nxt])
+                walk(path + [nxt], path_removed | {frozenset((cell, nxt))})
 
         for first in neighbors[center]:
             if first in used:
                 continue
-            walk([first])
+            walk([first], removed | {frozenset((center, first))})
 
     for center in interior:
-        extend_branch(center, 0, set(), [])
+        extend_branch(center, 0, set(), frozenset(), [])
     pos = rule.template.position
     results.sort(key=lambda net: (pos[net.center], tuple(b.path for b in net.branches)))
     return tuple(results)

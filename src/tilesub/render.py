@@ -2,13 +2,14 @@
 
 Each facet shows its decoration as three labels in (f, j, g) order: along the
 south side west-to-east, along the north side west-to-east, and bottom-to-top
-as (g, j, f) beside the west and east sides. Internal facet classes render as
+beside the west and east sides. Internal facet classes render as
 bare indices, the special classes as p/m/b/u. Output is byte-stable.
 """
 from __future__ import annotations
 
 from .assembler import GridPatch
 from .errors import NonSquareSystem
+from .model import FacetClass
 from .tileset import DecoratedTile, UNDEFINED
 
 CELL = 100
@@ -18,47 +19,74 @@ FONT = 11
 S, N, W, E = 0, 1, 2, 3
 
 
-def _label(dec, part: int) -> str:
-    if dec is UNDEFINED:
-        return "u"
-    value = (dec.f, dec.j, dec.g)[part]
-    if part == 1:
-        return str(value)
-    if value.is_internal:
-        return str(value.index)
-    return value.render()
-
-
-def _facet_labels(dec) -> str:
-    return f"{_label(dec, 0)} {_label(dec, 1)} {_label(dec, 2)}"
-
-
-def _text(x: float, y: float, content: str, anchor: str = "middle") -> str:
+def _text(x: str, y: str, content: str, anchor: str = "middle") -> str:
     return (
-        f'<text x="{x:.1f}" y="{y:.1f}" font-size="{FONT}" '
+        f'<text x="{x}" y="{y}" font-size="{FONT}" '
         f'font-family="monospace" text-anchor="{anchor}">{content}</text>'
     )
 
 
-def _tile_fragments(tile: DecoratedTile, ox: float, oy: float) -> list[str]:
+def _tile_template() -> str:
+    """The <rect> and nine <text> elements of one tile as a `str.format`
+    template: fields 0-3 are the tile's x coordinates (`_xs`), fields 4-9
+    its y coordinates (`_ys`), fields 10-21 the (f, j, g) labels of the S,
+    N, W and E facets in turn and field 22 the base index."""
+    x_left, x_west, x_mid, x_east = "{0}", "{1}", "{2}", "{3}"
+    y_top, y_north, y_side2, y_side1, y_side0, y_south = (f"{{{i}}}" for i in range(4, 10))
+    facet = [[f"{{{10 + 3 * side + part}}}" for part in range(3)] for side in (S, N, W, E)]
+    frags = [
+        f'<rect x="{x_left}" y="{y_top}" width="{CELL}" height="{CELL}" '
+        f'fill="none" stroke="black"/>',
+        _text(x_mid, y_south, " ".join(facet[S])),
+        _text(x_mid, y_north, " ".join(facet[N])),
+    ]
+    for part, y in ((0, y_side0), (1, y_side1), (2, y_side2)):
+        frags.append(_text(x_west, y, facet[W][part], "start"))
+        frags.append(_text(x_east, y, facet[E][part], "end"))
+    frags.append(_text(x_mid, y_side1, "T{22}"))
+    return "\n".join(frags)
+
+
+_TILE = _tile_template()
+
+
+def _xs(ox: float) -> tuple[str, ...]:
+    """The x fields of `_TILE` for a tile whose left side is at ox."""
+    return (f"{ox:.1f}", f"{ox + 6:.1f}", f"{ox + CELL / 2:.1f}", f"{ox + CELL - 6:.1f}")
+
+
+def _ys(oy: float) -> tuple[str, ...]:
+    """The y fields of `_TILE` for a tile whose top side is at oy."""
+    mid = oy + CELL / 2
+    return (f"{oy:.1f}", f"{oy + 13:.1f}", f"{mid - 10:.1f}", f"{mid + 4:.1f}",
+            f"{mid + 18:.1f}", f"{oy + CELL - 5:.1f}")
+
+
+class _ClassLabels(dict):
+    """Facet class -> its label. It holds one entry per facet class ever
+    rendered, so it is bounded by the specs' facet classes."""
+
+    def __missing__(self, value: FacetClass) -> str:
+        label = self[value] = str(value.index) if value.is_internal else value.render()
+        return label
+
+
+_CLASS_LABELS = _ClassLabels()
+
+
+def _labels(dec) -> tuple[str, str, str]:
+    if dec is UNDEFINED:
+        return ("u", "u", "u")
+    return (_CLASS_LABELS[dec.f], str(dec.j), _CLASS_LABELS[dec.g])
+
+
+def _tile_svg(tile: DecoratedTile, xs: tuple[str, ...], ys: tuple[str, ...]) -> str:
     if len(tile.triples) != 4:
         raise NonSquareSystem("SVG rendering needs four-facet tiles")
-    frags = [
-        f'<rect x="{ox:.1f}" y="{oy:.1f}" width="{CELL}" height="{CELL}" '
-        f'fill="none" stroke="black"/>'
-    ]
-    mid = CELL / 2
-    frags.append(_text(ox + mid, oy + CELL - 5, _facet_labels(tile.triples[S])))
-    frags.append(_text(ox + mid, oy + 13, _facet_labels(tile.triples[N])))
-    for part, dy in ((0, -14), (1, 0), (2, 14)):
-        frags.append(
-            _text(ox + 6, oy + mid - dy + 4, _label(tile.triples[W], part), "start")
-        )
-        frags.append(
-            _text(ox + CELL - 6, oy + mid - dy + 4, _label(tile.triples[E], part), "end")
-        )
-    frags.append(_text(ox + mid, oy + mid + 4, f"T{tile.base}"))
-    return frags
+    s, n, w, e = tile.triples
+    return _TILE.format(
+        *xs, *ys, *_labels(s), *_labels(n), *_labels(w), *_labels(e), tile.base
+    )
 
 
 def _document(width: int, height: int, body: list[str]) -> str:
@@ -71,8 +99,11 @@ def _document(width: int, height: int, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
+_SINGLE_XS, _SINGLE_YS = _xs(MARGIN), _ys(MARGIN)
+
+
 def render_tile_svg(tile: DecoratedTile) -> str:
-    return _document(1, 1, _tile_fragments(tile, MARGIN, MARGIN))
+    return _document(1, 1, [_tile_svg(tile, _SINGLE_XS, _SINGLE_YS)])
 
 
 def render_patch_svg(patch: GridPatch) -> str:
@@ -92,8 +123,7 @@ def render_patch_svg(patch: GridPatch) -> str:
             f'y2="{MARGIN + patch.height * CELL}" stroke="lightgray"/>'
         )
     for (x, y) in sorted(patch.cells):
-        tile = patch.cells[(x, y)]
         ox = MARGIN + x * CELL
         oy = MARGIN + (patch.height - 1 - y) * CELL
-        body.extend(_tile_fragments(tile, ox, oy))
+        body.append(_tile_svg(patch.cells[(x, y)], _xs(ox), _ys(oy)))
     return _document(patch.width, patch.height, body)

@@ -12,6 +12,7 @@ from .network import NetworkSet
 from .tileset import (
     PROVENANCE_CENTRAL,
     PROVENANCE_NETWORK,
+    ColumnRenderer,
     Tileset,
     _steps13,
     build_layout,
@@ -24,6 +25,7 @@ def stage_views(tau: Tileset, numbering: GlobalNumbering,
                 networks: NetworkSet) -> dict[str, str]:
     """Render the five stage files from a generated tileset."""
     layout = build_layout(numbering, networks)
+    columns = ColumnRenderer()
     slots_of = {j0: ks for j0, _, ks in layout.network_cells}
     facets = layout.facet_count
 
@@ -74,12 +76,12 @@ def stage_views(tau: Tileset, numbering: GlobalNumbering,
         rows4.append((tile.base, parent, pair_dec, tile))
     rows4.sort(key=lambda r: r[:3])
     step4 = [
-        f"T{base} parent={parent} pair=({pair.j},{pair.g.render()}) | {tile.columns()}"
+        f"T{base} parent={parent} pair=({pair.j},{pair.g.render()}) | {columns(tile)}"
         for base, parent, pair, tile in rows4
     ]
 
     step5 = [
-        f"T{tile.base} | {tile.columns()}"
+        f"T{tile.base} | {columns(tile)}"
         for tile, prov in zip(tau.tiles, tau.provenance)
         if prov == PROVENANCE_CENTRAL
     ]

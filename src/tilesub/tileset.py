@@ -85,11 +85,19 @@ class DecoratedTile:
     def sort_key(self):
         return (self.base, self.triples)
 
-    def columns(self) -> str:
-        return " ".join(f"k={k}:{t.render()}" for k, t in enumerate(self.triples, start=1))
 
-    def render(self, provenance: str) -> str:
-        return f"T{self.base} {provenance} | {self.columns()}"
+class ColumnRenderer(dict):
+    """Renders a tile's facet columns, `k=1:(f,j,g) k=2:...`, formatting each
+    distinct (k, decoration) once. It keeps every column it has formatted,
+    so make one per dump or view, not one per process."""
+
+    def __missing__(self, key: tuple[int, FacetDecoration]) -> str:
+        k, dec = key
+        text = self[key] = f"k={k}:{dec.render()}"
+        return text
+
+    def __call__(self, tile: DecoratedTile) -> str:
+        return " ".join(map(self.__getitem__, enumerate(tile.triples, start=1)))
 
 
 PROVENANCE_BASE = "base"
@@ -122,8 +130,10 @@ class Tileset:
         return {t: i for i, t in enumerate(self.tiles)}
 
     def dump(self) -> str:
+        columns = ColumnRenderer()
         return "\n".join(
-            tile.render(prov) for tile, prov in zip(self.tiles, self.provenance)
+            f"T{tile.base} {prov} | {columns(tile)}"
+            for tile, prov in zip(self.tiles, self.provenance)
         )
 
 

@@ -149,6 +149,16 @@ def test_render_empty_patch(capsys, tmp_path):
     assert "<line" in svg and "<rect" not in svg
 
 
+def test_render_empty_nonpositive_size_is_usage_error(capsys, tmp_path):
+    out_path = tmp_path / "empty.svg"
+    for size in ("0x0", "2x0", "-1x2"):
+        code, out, err = run(capsys, "render", SPEC, "--svg", str(out_path), f"--empty={size}")
+        assert code == 2
+        assert f"--empty: {size} has a side below 1" in err
+        assert out == ""
+        assert not out_path.exists()
+
+
 def test_render_instance_is_nine_cells(capsys, tmp_path):
     out_path = tmp_path / "instance.svg"
     code, _, _ = run(capsys, "render", SPEC, "--svg", str(out_path), "--instance", "0")

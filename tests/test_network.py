@@ -1,13 +1,16 @@
 """Network validation, the port condition, and exhaustive search."""
 
 import dataclasses
+import hashlib
 from importlib import resources
 from itertools import permutations
 
 import pytest
 
 from helpers import E, N, S, W
+from tilesub import network
 from tilesub.errors import MissingNetwork
+from tilesub.grids import make_square_grid_document
 from tilesub.model import MacroAdjacency, MacroTileTemplate, Prototype, Rule, SubstitutionSystem
 from tilesub.network import (
     Branch,
@@ -25,6 +28,18 @@ from tilesub.specfile import parse_spec
 # extended to an adjacent corner (two extensions disconnect the residual
 # ring, so exactly 4 facets x 2 corners survive).
 NETWORKS_3X3 = 9
+
+# Regression pins measured before the search pruned partial path systems:
+# the count and the SHA-256 of `repr(search_networks(...))`, which fixes the
+# set of networks and their order. Not independent answers.
+SEARCH_PINS = {
+    (3, 4): (50, "0ba108272071f3c84d40784bd4a5faf449d6af0de4c944841bdd0ad4d8dd201e"),
+    (4, 3): (50, "9a85321fb2ae4c50e47570bd1e644dbb38b2eaa3724c9bdc6b0c14804772ae42"),
+    (5, 3): (167, "1748f1449b238ab042b797ae4f878d9ab6c867e70355e8be65721aaa044322b9"),
+    (4, 4): (660, "8ae962130bbdb21b57a5ef920893f142136adb9793492eb451ee2db428b8a8cd"),
+    "ra": (9, "27a63708a1a4a0a23d34cf9c1c82a13873639f8e119f6813c8cefc3976b8b6c8"),
+    "rb": (9, "2a9f182fc72c05b19e78453c91d480a3b4f10e7aa2952b946373eceff44822f0"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +149,37 @@ def test_search_contains_bundled_network(system, rule, net):
 
 def test_search_count_regression(system, rule):
     assert len(search_networks(system, rule)) == NETWORKS_3X3
+
+
+@pytest.mark.parametrize("subject", list(SEARCH_PINS), ids=str)
+def test_search_regression_pins(subject):
+    if isinstance(subject, tuple):
+        system = make_square_grid_document(*subject).system
+        rule = system.rules[0]
+    else:
+        text = resources.files("tilesub.data").joinpath("tworule3x3.sub").read_text()
+        system = parse_spec(text).system
+        rule = system.rule(subject)
+    found = search_networks(system, rule)
+    digest = hashlib.sha256(repr(found).encode()).hexdigest()
+    assert (len(found), digest) == SEARCH_PINS[subject]
+
+
+def test_search_validates_each_candidate_once(monkeypatch):
+    """Partial path systems that disconnect the residual graph are pruned, so
+    on the 4x4 grid every complete candidate is a valid network."""
+    calls = []
+    validate = network.validate_network
+
+    def counting(system, rule, net):
+        calls.append(net)
+        return validate(system, rule, net)
+
+    monkeypatch.setattr(network, "validate_network", counting)
+    system = make_square_grid_document(4, 4).system
+    found = search_networks(system, system.rules[0])
+    assert len(found) == 660
+    assert len(calls) == len(found)
 
 
 def test_search_empty_without_interior_cell():
