@@ -22,7 +22,6 @@ from .model import (
     ValidationReport,
     build_numbering,
     internal,
-    n_sigma,
     validate_system,
 )
 from .network import (
@@ -50,11 +49,11 @@ from .tileset import (
     Tileset,
     UNDEFINED,
     build_layout,
+    close,
     decorate_base,
     decorate_network,
     derive_central,
     generate_tileset,
-    strip_decorations,
 )
 
 __all__ = [
@@ -62,12 +61,12 @@ __all__ = [
     "params_from_system",
     "BOUNDARY", "FacetClass", "GlobalNumbering", "MACRO_FACET", "MacroAdjacency",
     "MacroTileTemplate", "PORT", "Prototype", "Rule", "SubstitutionSystem",
-    "ValidationReport", "build_numbering", "internal", "n_sigma", "validate_system",
+    "ValidationReport", "build_numbering", "internal", "validate_system",
     "Branch", "Network", "check_port_condition", "search_networks", "validate_network",
     "HierarchyPatch", "MacroTileInstance", "enumerate_macro_tiles", "hierarchy_decorate",
     "phi", "quotient_hierarchy", "quotient_preimage", "verify_self_simulation",
     "SpecDocument", "load_bundled", "parse_spec", "print_spec",
     "DecoratedTile", "DecorationTriple", "Layout", "Tileset", "UNDEFINED",
-    "build_layout", "decorate_base", "decorate_network", "derive_central",
-    "generate_tileset", "strip_decorations",
+    "build_layout", "close", "decorate_base", "decorate_network", "derive_central",
+    "generate_tileset",
 ]

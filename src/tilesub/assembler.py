@@ -33,6 +33,10 @@ class GridPatch:
     height: int
     cells: dict[tuple[int, int], DecoratedTile] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.width < 1 or self.height < 1:
+            raise ValueError(f"patch size {self.width}x{self.height} has a side below 1")
+
     def matching_report(self) -> ValidationReport:
         report = ValidationReport()
         for (x, y), tile in self.cells.items():
@@ -179,7 +183,7 @@ def assemble_patches(tau: Tileset, numbering: GlobalNumbering, width: int,
     west neighbor and the N facet of the south neighbor; a seeded position
     has its seed as sole candidate. Patches come out in lexicographic order
     of the tiles' canonical positions in `tau`, positions taken in scanline
-    order."""
+    order. A side below 1 raises ValueError."""
     _require_square(numbering.system)
     seeds = seeds or {}
     order = [(x, y) for y in range(height) for x in range(width)]
@@ -279,7 +283,8 @@ def patch_from_instance(instance: MacroTileInstance, layout: GridLayout) -> Grid
 
 def grid_from_hierarchy(hpatch: HierarchyPatch, layout: GridLayout,
                         networks: NetworkSet) -> GridPatch:
-    """Realize the bottom level of a square hierarchy as a grid patch."""
+    """Realize the bottom level of a square hierarchy as a grid patch.
+    `networks` is unused: whether a tile is central is a fact of its base."""
     bottom = hpatch.bottom
     w, h = layout.width, layout.height
     pos_of_cell = {c: p for p, c in layout.cell_at.items()}
@@ -289,9 +294,7 @@ def grid_from_hierarchy(hpatch: HierarchyPatch, layout: GridLayout,
         for cell in addr:
             px, py = pos_of_cell[cell]
             x, y = x * w + px, y * h + py
-        rule_id = bottom.rule_of[addr]
-        central = networks[rule_id].center == addr[-1]
         triples = tuple(bottom.decoration[(addr, k)] for k in (S, N, W, E))
-        cells[(x, y)] = DecoratedTile(bottom.base_of[addr], triples, central)
+        cells[(x, y)] = DecoratedTile(bottom.base_of[addr], triples)
     side = w ** hpatch.depth, h ** hpatch.depth
     return GridPatch(side[0], side[1], cells)

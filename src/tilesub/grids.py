@@ -17,11 +17,11 @@ from .specfile import SecondNetwork, SpecDocument
 S, N, W, E = 1, 2, 3, 4
 
 
-def make_square_grid_document(width: int, height: int,
-                              with_second: bool = True) -> SpecDocument:
+def make_square_grid_document(width: int, height: int) -> SpecDocument:
     """Build the w x h square substitution with a straight-cross network
-    through the central interior cell. Requires width, height >= 3 so the
-    template has an interior cell at all."""
+    through the central interior cell, and a second network made of that
+    cross. Requires width, height >= 3 so the template has an interior cell
+    at all."""
     if width < 3 or height < 3:
         raise ValueError("grid substitutions need width and height >= 3")
 
@@ -64,10 +64,8 @@ def make_square_grid_document(width: int, height: int,
         consistent=True,
         macro_adjacency=adjacency,
     )
-    seconds = {}
-    if with_second:
-        crossing = tuple(c for b in branches for c in b.path)
-        seconds["r1"] = SecondNetwork("r1", (network.center,) + crossing, crossing)
+    crossing = tuple(c for b in branches for c in b.path)
+    second = SecondNetwork("r1", (network.center,) + crossing, crossing)
     return SpecDocument(
-        f"square{width}x{height}", system, {"r1": network}, seconds
+        f"square{width}x{height}", system, {"r1": network}, {"r1": second}
     )

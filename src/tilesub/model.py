@@ -220,30 +220,9 @@ class SubstitutionSystem:
     def external_slots(self, rule: Rule) -> tuple[FacetRef, ...]:
         return tuple(s for s in self.slots(rule) if s not in rule.template.paired_slots)
 
-    def macro_facet_of(self, rule: Rule) -> dict[FacetRef, int]:
-        out: dict[FacetRef, int] = {}
-        for k, members in rule.gamma:
-            for slot in members:
-                out[slot] = k
-        return out
-
-    def pairings_between(self, rule: Rule, ca: str, cb: str) -> tuple[Pairing, ...]:
-        return tuple(
-            p
-            for p in rule.template.internal_pairings
-            if {p[0][0], p[1][0]} == {ca, cb}
-        )
-
     def slot_orientation(self, rule: Rule, slot: FacetRef) -> str:
         cell, k = slot
         return self.cell_prototype(rule, cell).orientation(k)
-
-    def iter_adjacency_directed(self) -> Iterator[MacroAdjacency]:
-        """Yield every adjacency entry in both directions."""
-        for entry in self.macro_adjacency:
-            yield entry
-            inv = tuple((b, a) for a, b in entry.mapping)
-            yield MacroAdjacency(entry.side_b, entry.side_a, inv)
 
 
 @dataclass(frozen=True)
@@ -466,24 +445,3 @@ def build_numbering(system: SubstitutionSystem) -> GlobalNumbering:
         m=len(facets),
     )
 
-
-def n_sigma(numbering: GlobalNumbering, networks, j: int, k: int) -> FacetClass:
-    """Classify the k-th facet of tile T_j: its internal facet index, or
-    port / macro-facet / boundary. Ports exist only relative to a network set
-    (mapping rule id -> Network); pass None to classify without ports."""
-    system = numbering.system
-    rule_id, cell = numbering.base_of(j)
-    rule = system.rule(rule_id)
-    proto = system.cell_prototype(rule, cell)
-    if not 1 <= k <= proto.facet_count:
-        raise IndexOutOfRange(f"facet {k} outside 1..{proto.facet_count} of T_{j}")
-    slot = (cell, k)
-    paired = rule.template.paired_slots
-    if slot in paired:
-        return internal(numbering.facet_index(rule_id, paired[slot]))
-    net = networks.get(rule_id) if networks else None
-    if net is not None and any(branch.port == slot for branch in net.branches):
-        return PORT
-    if slot in system.macro_facet_of(rule):
-        return MACRO_FACET
-    return BOUNDARY

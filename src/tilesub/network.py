@@ -66,20 +66,22 @@ def branch_edges(net: Network) -> list[tuple[int, str, str]]:
     return edges
 
 
-def crossed_facets(system: SubstitutionSystem, rule: Rule, net: Network) -> dict[int, tuple[Pairing, ...]]:
+def crossed_facets(rule: Rule, net: Network) -> dict[int, tuple[Pairing, ...]]:
     """Internal pairings traversed by each branch. Between multi-adjacent
     cells every shared pairing counts as crossed."""
     out: dict[int, list[Pairing]] = {b.k: [] for b in net.branches}
     for k, ca, cb in branch_edges(net):
-        out[k].extend(system.pairings_between(rule, ca, cb))
+        out[k].extend(
+            p for p in rule.template.internal_pairings if {p[0][0], p[1][0]} == {ca, cb}
+        )
     return {k: tuple(v) for k, v in out.items()}
 
 
-def network_slots(system: SubstitutionSystem, rule: Rule, net: Network) -> dict[str, tuple[int, tuple[FacetRef, ...]]]:
+def network_slots(rule: Rule, net: Network) -> dict[str, tuple[int, tuple[FacetRef, ...]]]:
     """Per non-central network cell: the branch it serves and the facet slots
     written in one stroke by the pair-carrying construction step (its port
     and/or its sides of branch-crossed pairings)."""
-    crossed = crossed_facets(system, rule, net)
+    crossed = crossed_facets(rule, net)
     out: dict[str, tuple[int, tuple[FacetRef, ...]]] = {}
     for branch in net.branches:
         for cell in branch.path:

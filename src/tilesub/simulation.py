@@ -181,7 +181,7 @@ def phi(layout: Layout, instance: MacroTileInstance) -> DecoratedTile:
         dec if dec is UNDEFINED else DecorationTriple(layout.nsigma[(parent, k)], dec.j, dec.g)
         for k, dec in enumerate(instance.central_tile.triples[:count], start=1)
     )
-    return DecoratedTile(parent, triples, central=parent in layout.central_cells)
+    return DecoratedTile(parent, triples)
 
 
 _SHOWN_FAILURES = 20
@@ -221,9 +221,9 @@ class SimulationReport:
 
 def verify_self_simulation(tau: Tileset, system: SubstitutionSystem,
                            numbering: GlobalNumbering, networks: NetworkSet,
-                           instances: tuple[MacroTileInstance, ...] | None = None
-                           ) -> SimulationReport:
-    """Check the self-simulation conditions exhaustively at template scale.
+                           instances: tuple[MacroTileInstance, ...]) -> SimulationReport:
+    """Check the self-simulation conditions exhaustively at template scale,
+    over `instances`, the enumeration `enumerate_macro_tiles` gives for `tau`.
 
     Condition (1): every assembly projects to its rule's template and its
     image under phi to the rule's parent. The image must also be a tileset
@@ -234,8 +234,6 @@ def verify_self_simulation(tau: Tileset, system: SubstitutionSystem,
     evidenced at patch scale, never claimed proven.
     """
     layout = build_layout(numbering, networks)
-    if instances is None:
-        instances = enumerate_macro_tiles(tau, system, numbering, networks)
     if not instances:
         raise NoMacroTiles("the tileset admits no macro-tile")
     failures: list[str] = []
@@ -328,9 +326,6 @@ class LevelPatch:
     pairs: tuple[tuple[Slot, Slot], ...]
     decoration: dict[Slot, FacetDecoration]
     undefined_from: dict[Slot, int]
-
-    def undefined_slots(self) -> set[Slot]:
-        return set(self.undefined_from)
 
     def matching_report(self) -> ValidationReport:
         report = ValidationReport()
@@ -623,12 +618,12 @@ class QuotientPatch:
 
 def quotient_preimage(decomposed, system: SubstitutionSystem,
                       numbering: GlobalNumbering, networks: NetworkSet,
-                      tau: Tileset | None = None) -> QuotientPatch:
+                      tau: Tileset) -> QuotientPatch:
     """Collapse a fully decomposed patch: one node per block with prototype
     pi(phi(block)), an (a,b)-labeled edge wherever macro-facets meet, and a
     check of the preimage biconditional: the blocks' macro-facets match
-    exactly when the phi images' facets do. With `tau` given, every node must
-    be a tileset member.
+    exactly when the phi images' facets do. Every node must be a member of
+    the tileset `tau`.
 
     `decomposed` provides `blocks` (id -> MacroTileInstance), `adjacencies`
     ((id, a, id', b) labeled seams) and `margins`; margins raise PartialBlock.
@@ -640,10 +635,9 @@ def quotient_preimage(decomposed, system: SubstitutionSystem,
     nodes = {
         bid: phi(layout, inst) for bid, inst in decomposed.blocks.items()
     }
-    if tau is not None:
-        for bid, node in nodes.items():
-            if node not in tau:
-                report.add("PhiNotInTileset", f"block {bid}")
+    for bid, node in nodes.items():
+        if node not in tau:
+            report.add("PhiNotInTileset", f"block {bid}")
     edges = []
     for bid_a, a, bid_b, b in decomposed.adjacencies:
         inst_a = decomposed.blocks[bid_a]

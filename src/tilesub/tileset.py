@@ -6,24 +6,27 @@ compiles a numbered system and its networks once into a `Layout`, which
 every later step takes as its first argument. The tileset is built as a
 least fixpoint of three steps: `decorate_base` for cells off the networks,
 `decorate_network` for cells on network branches, and `derive_central` for
-the center tiles. The closure is semi-naive and canonically ordered, so two
-runs on the same input produce byte-identical dumps.
+the center tiles. `close` runs it semi-naively and orders it canonically, so
+two runs on the same input produce byte-identical dumps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, NamedTuple
 
 from .counting import exact_count, params_from_system
 from .errors import InvalidNetwork, InvalidSystem, TilesubError
 from .model import (
+    BOUNDARY,
+    MACRO_FACET,
+    PORT,
     FacetClass,
     FacetRef,
     GlobalNumbering,
     Rule,
     SubstitutionSystem,
-    n_sigma,
+    internal,
     validate_system,
 )
 from .network import (
@@ -75,12 +78,11 @@ FacetDecoration = DecorationTriple | _Undefined
 
 @dataclass(frozen=True)
 class DecoratedTile:
-    """A tile T_{base} with one decoration per facet. `central` marks tiles
-    living on a network center."""
+    """A tile T_{base} with one decoration per facet. Whether it lives on a
+    network center is a fact of its base: `base in layout.central_cells`."""
 
     base: int
     triples: tuple[FacetDecoration, ...]
-    central: bool = False
 
     def sort_key(self):
         return (self.base, self.triples)
@@ -137,11 +139,6 @@ class Tileset:
         )
 
 
-def strip_decorations(numbering: GlobalNumbering, tile: DecoratedTile) -> str:
-    """The projection pi: forget decorations, keep the prototype name."""
-    return numbering.prototype_of(tile.base).name
-
-
 Side = tuple[str, int]  # (rule id, parent facet): one macro-facet
 
 
@@ -154,9 +151,9 @@ class Layout:
     numbering: GlobalNumbering
     networks: NetworkSet
     facet_count: dict[int, int]  # j -> facet count of T_j
-    prototype_name: dict[int, str]  # j -> prototype of T_j
+    prototype_name: dict[int, str]  # j -> prototype of T_j, the projection pi
     tiles_of: dict[str, tuple[int, ...]]  # prototype -> its tile indices, ascending
-    nsigma: dict[tuple[int, int], FacetClass]  # (j, k) -> n_sigma(j, k)
+    nsigma: dict[tuple[int, int], FacetClass]  # (j, k) -> class of facet k of T_j
     central_cells: tuple[int, ...]
     off_network: tuple[int, ...]
     network_cells: tuple[tuple[int, int, tuple[int, ...]], ...]  # (j0, branch k, slots)
@@ -173,74 +170,85 @@ class Layout:
 
 def build_layout(numbering: GlobalNumbering, networks: NetworkSet) -> Layout:
     """Compile a numbered system and its networks (one per rule, already
-    validated) into the tables every later step reads."""
+    validated) into the tables every later step reads.
+
+    One pass per rule classifies every slot of its cells: a paired slot is
+    the internal facet of its pairing; an unpaired one is PORT if a branch
+    owns it, else MACRO_FACET if gamma lists it, else BOUNDARY. A network
+    center outside the template, which would drop the center tiles without
+    a trace, raises InvalidNetwork."""
     system = numbering.system
     prototypes = {j: numbering.prototype_of(j) for j in range(1, numbering.n + 1)}
     facet_count = {j: proto.facet_count for j, proto in prototypes.items()}
     tiles_of: dict[str, tuple[int, ...]] = {}
     for j, proto in prototypes.items():
         tiles_of[proto.name] = tiles_of.get(proto.name, ()) + (j,)
-    nsigma = {
-        (j, k): n_sigma(numbering, networks, j, k)
-        for j, count in facet_count.items()
-        for k in range(1, count + 1)
-    }
+    nsigma: dict[tuple[int, int], FacetClass] = {}
     central_cells = []
     off = []
     on_network = []
     macro_idx = {}
     parents_for = {}
     parent_facets = {}
-    slots_by_rule = {
-        rule.rule_id: network_slots(system, rule, networks[rule.rule_id])
-        for rule in system.rules
-    }
-    for j, count in facet_count.items():
-        rule_id, cell = numbering.base_of(j)
-        rule = system.rule(rule_id)
-        net = networks[rule_id]
-        mf = system.macro_facet_of(rule)
-        for k in range(1, count + 1):
-            if (cell, k) in mf:
-                macro_idx[(j, k)] = mf[(cell, k)]
-        if cell == net.center:
-            central_cells.append(j)
-            continue
-        cell_slots = slots_by_rule[rule_id].get(cell)
-        if cell_slots is None:
-            off.append(j)
-            slot_ks: tuple[int, ...] = ()
-        else:
-            branch_k, slots = cell_slots
-            slot_ks = tuple(sorted(k for (_, k) in slots))
-            on_network.append((j, branch_k, slot_ks))
-        parents_for[j] = tiles_of.get(rule.parent, ())
-        parent_facets[j] = tuple(
-            k
-            for k in range(1, count + 1)
-            if nsigma[(j, k)].is_internal and k not in slot_ks
-        )
     rule_for_prototype: dict[str, Rule] = {}
     native_undefined: dict[str, frozenset[FacetRef]] = {}
     for rule in system.rules:
+        rule_id = rule.rule_id
+        net = networks[rule_id]
+        if net.center not in rule.template.position:
+            raise InvalidNetwork(f"rule {rule_id}: center {net.center} not in template")
         rule_for_prototype.setdefault(rule.parent, rule)
+        paired = rule.template.paired_slots
+        ports = {branch.port for branch in net.branches}
+        macro_of = {slot: k for k, members in rule.gamma for slot in members}
+        slots_of = network_slots(rule, net)
         # The hierarchy leaves every network slot undefined (ports and both
         # sides of branch-crossed pairings) and everything on the central
         # cell, whose pairs are derived data never fixed by the base decoration.
-        center = networks[rule.rule_id].center
-        count = system.cell_prototype(rule, center).facet_count
-        native_undefined[rule.rule_id] = frozenset(
-            [(center, k) for k in range(1, count + 1)]
-            + [slot for _, slots in slots_by_rule[rule.rule_id].values() for slot in slots]
-        )
+        undefined = [slot for _, slots in slots_of.values() for slot in slots]
+        for cell in rule.template.cell_ids():
+            j = numbering.tile_index(rule_id, cell)
+            count = facet_count[j]
+            for k in range(1, count + 1):
+                slot = (cell, k)
+                if slot in paired:
+                    nsigma[(j, k)] = internal(numbering.facet_index(rule_id, paired[slot]))
+                elif slot in ports:
+                    nsigma[(j, k)] = PORT
+                elif slot in macro_of:
+                    nsigma[(j, k)] = MACRO_FACET
+                else:
+                    nsigma[(j, k)] = BOUNDARY
+                if slot in macro_of:
+                    macro_idx[(j, k)] = macro_of[slot]
+            if cell == net.center:
+                central_cells.append(j)
+                undefined += [(cell, k) for k in range(1, count + 1)]
+                continue
+            if cell in slots_of:
+                branch_k, slots = slots_of[cell]
+                slot_ks = tuple(sorted(k for (_, k) in slots))
+                on_network.append((j, branch_k, slot_ks))
+            else:
+                off.append(j)
+                slot_ks = ()
+            parents_for[j] = tiles_of.get(rule.parent, ())
+            parent_facets[j] = tuple(
+                k
+                for k in range(1, count + 1)
+                if nsigma[(j, k)].is_internal and k not in slot_ks
+            )
+        native_undefined[rule_id] = frozenset(undefined)
     gamma = {rule.rule_id: rule.gamma_map() for rule in system.rules}
     seams = {}
-    for entry in system.iter_adjacency_directed():
-        (rid_a, a), (rid_b, b) = entry.side_a, entry.side_b
-        ga, gb = gamma[rid_a][a], gamma[rid_b][b]
-        seams[(entry.side_a, entry.side_b)] = tuple(
-            (ga[pa - 1], gb[pb - 1]) for pa, pb in sorted(entry.mapping)
-        )
+    for entry in system.macro_adjacency:
+        inverse = [(b, a) for a, b in entry.mapping]
+        for (rid_a, a), (rid_b, b), mapping in ((entry.side_a, entry.side_b, entry.mapping),
+                                                (entry.side_b, entry.side_a, inverse)):
+            ga, gb = gamma[rid_a][a], gamma[rid_b][b]
+            seams[((rid_a, a), (rid_b, b))] = tuple(
+                (ga[pa - 1], gb[pb - 1]) for pa, pb in sorted(mapping)
+            )
     return Layout(
         numbering=numbering,
         networks=networks,
@@ -327,18 +335,19 @@ def derive_central(layout: Layout, tiles: Collection[DecoratedTile]) -> set[Deco
     count: the k-th facet copies the source tile's k-th parent/neighbor pair
     under the center's own macro-indices."""
     new: set[DecoratedTile] = set()
+    central = set(layout.central_cells)
     for j in layout.central_cells:
         count = layout.facet_count[j]
         heads = tuple(layout.nsigma[(j, k)] for k in range(1, count + 1))
         for tile in tiles:
-            if tile.central or len(tile.triples) != count:
+            if tile.base in central or len(tile.triples) != count:
                 continue
             if any(t is UNDEFINED for t in tile.triples):
                 continue
             triples = tuple(
                 DecorationTriple(heads[i], t.j, t.g) for i, t in enumerate(tile.triples)
             )
-            new.add(DecoratedTile(j, triples, central=True))
+            new.add(DecoratedTile(j, triples))
     return new
 
 
@@ -363,20 +372,23 @@ def check_spec(system: SubstitutionSystem, networks: NetworkSet) -> None:
 
 
 def generate_tileset(system: SubstitutionSystem, numbering: GlobalNumbering,
-                     networks: NetworkSet, blind_seams: bool = False) -> Tileset:
-    """Least fixpoint of the three construction steps, canonically ordered.
-    Both closure steps are unions of per-tile contributions, so each round
-    feeds them only the tiles new since the last one (semi-naive).
-
-    `blind_seams=True` is a diagnostic negative control: macro-facet members
-    stop reporting the parent's facet class and repeat their own macro-index
-    (the layout loses its macro-facet table), which is exactly the defect
-    the self-simulation check must catch.
-    """
+                     networks: NetworkSet) -> Tileset:
+    """The closed tileset of a spec: `check_spec`, `build_layout`, `close`."""
     check_spec(system, networks)
-    layout = build_layout(numbering, networks)
-    if blind_seams:
-        layout = replace(layout, macro_facet_idx={})
+    return close(build_layout(numbering, networks))
+
+
+def close(layout: Layout) -> Tileset:
+    """Least fixpoint of the three construction steps, canonically ordered
+    and checked against step 1 and the first-network bound. Both closure
+    steps are unions of per-tile contributions, so each round feeds them
+    only the tiles new since the last one (semi-naive).
+
+    `close(replace(layout, macro_facet_idx={}))` is the seam-blind negative
+    control: macro-facet members stop reporting the parent's facet class and
+    repeat their own macro-index, which is exactly the defect the
+    self-simulation check must catch.
+    """
     new = set(decorate_base(layout))
     tiles = set(new)
     while new:
@@ -387,7 +399,8 @@ def generate_tileset(system: SubstitutionSystem, numbering: GlobalNumbering,
     provenance = tuple(_provenance_of(layout, t) for t in ordered)
     result = Tileset(tuple(ordered), provenance)
     _check_step1(layout, result)
-    params = params_from_system(system, numbering, networks)
+    numbering = layout.numbering
+    params = params_from_system(numbering.system, numbering, layout.networks)
     if params.p >= params.r:  # else the first-network bound is undefined
         exact_count(result, params)  # raises BoundViolated above the bound
     return result

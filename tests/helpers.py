@@ -1,5 +1,7 @@
 """Shared shorthands for building decorations and small systems in tests."""
 
+from importlib import resources
+
 from tilesub.assembler import phase_of
 from tilesub.errors import AmbiguousSignature
 from tilesub.model import (
@@ -53,6 +55,22 @@ def domino_system(rule=None):
         consistent=True,
         macro_adjacency=(),
     )
+
+
+def partial_gamma_3x3_text():
+    """The bundled 3x3 spec with its S and N macro-facets cut to their first
+    two members, so the external facets c3.S and c9.N belong to no
+    macro-facet. The ports stay at position 2, so the spec stays valid."""
+    text = resources.files("tilesub.data").joinpath("square3x3.sub").read_text()
+    for old, new in (
+        ("gamma S : c1.S c2.S c3.S", "gamma S : c1.S c2.S"),
+        ("gamma N : c7.N c8.N c9.N", "gamma N : c7.N c8.N"),
+        ("macroadj (r1,S) ~ (r1,N) map 1:1 2:2 3:3", "macroadj (r1,S) ~ (r1,N) map 1:1 2:2"),
+    ):
+        if old not in text:
+            raise ValueError(f"bundled 3x3 spec lacks the line {old!r}")
+        text = text.replace(old, new)
+    return text
 
 
 def decompose_by_scan(patch, instances, layout):

@@ -7,6 +7,7 @@ example by the hand-transcribed checks in the unit suite.
 """
 
 import time
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -20,13 +21,14 @@ from tilesub.assembler import (
 from tilesub.counting import CountParams, count_bound_first, count_bound_second
 from tilesub.network import Network, search_networks, validate_network
 from tilesub.simulation import (
+    enumerate_macro_tiles,
     hierarchy_decorate,
     phi,
     quotient_hierarchy,
     verify_self_simulation,
 )
 from tilesub.stages import stage_views
-from tilesub.tileset import generate_tileset
+from tilesub.tileset import close, generate_tileset
 
 GOLDEN = Path(__file__).parent / "golden" / "square3x3"
 SPEC = str(resources.files("tilesub.data") / "square3x3.sub")
@@ -87,9 +89,11 @@ def test_criterion_4_self_simulation(doc3, numbering, compiled, tau, instances):
                                      instances)
     assert verdict.condition1_ok and verdict.phi_in_tileset and verdict.condition3_ok
     assert all(phi(compiled, q) in tau for q in instances)
-    mutant = generate_tileset(doc3.system, numbering, doc3.networks, blind_seams=True)
-    mutant_verdict = verify_self_simulation(mutant, doc3.system, numbering,
-                                            doc3.networks)
+    mutant = close(replace(compiled, macro_facet_idx={}))
+    mutant_verdict = verify_self_simulation(
+        mutant, doc3.system, numbering, doc3.networks,
+        enumerate_macro_tiles(mutant, doc3.system, numbering, doc3.networks),
+    )
     assert not mutant_verdict.condition3_ok
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
@@ -135,7 +139,7 @@ def test_criterion_6_second_inclusion_finite_depth(doc3, numbering, instances,
     assert bottom.matching_report().ok
     from test_simulation import _expected_depth2_undefined
 
-    assert bottom.undefined_slots() == _expected_depth2_undefined(doc3, numbering)
+    assert set(bottom.undefined_from) == _expected_depth2_undefined(doc3, numbering)
     assert len(bottom.undefined_from) == 132
     lifted = quotient_hierarchy(depth2, system, numbering, networks)
     depth1 = hierarchy_decorate(system, numbering, networks, "r1", 1)

@@ -173,6 +173,21 @@ def test_empty_patch_vacuously_coherent(layout):
     assert check_phase_coherence(GridPatch(3, 3, {}), layout).ok
 
 
+def test_patch_sides_below_one_are_rejected(tau, numbering):
+    """A patch side below 1 raises, whether the patch is built directly or
+    assembled; rendering such a patch used to give an SVG of negative width."""
+    from tilesub.render import render_patch_svg
+
+    for width, height in [(0, 2), (-1, 2), (2, 0), (2, -1)]:
+        with pytest.raises(ValueError, match="side below 1"):
+            GridPatch(width, height)
+    with pytest.raises(ValueError, match="side below 1"):
+        render_patch_svg(GridPatch(-1, 2))
+    for width in (0, -1):
+        with pytest.raises(ValueError, match="side below 1"):
+            assemble_patches(tau, numbering, width, 2)
+
+
 def test_assemble_rejects_non_square():
     from tilesub.model import build_numbering
     from tilesub.model import MacroTileTemplate, Prototype, Rule, SubstitutionSystem
@@ -218,14 +233,14 @@ def test_decompose_hierarchy_depth2_wildcard(doc3, system, numbering, networks,
     assert len(decomposed.adjacencies) == 12
 
 
-def test_decompose_flags_non_instance_block(instances, tau, layout):
+def test_decompose_flags_non_instance_block(instances, tau, layout, compiled):
     inst = instances[0]
     patch = patch_from_instance(inst, layout)
     cells = dict(patch.cells)
     # Swap the central tile for a different one: the block keeps its phases
     # but stops being any enumerated assembly.
     other = next(
-        t for t in tau if t.central and t != cells[(1, 1)]
+        t for t in tau if t.base in compiled.central_cells and t != cells[(1, 1)]
     )
     cells[(1, 1)] = other
     forged = GridPatch(3, 3, cells)
@@ -262,7 +277,7 @@ def test_indexed_wildcard_decomposition_matches_linear_scan(system, numbering, n
     tile = cells[(x, y)]
     bad = tile.triples[E - 1]._replace(j=numbering.n + 1)
     triples = tile.triples[:E - 1] + (bad,) + tile.triples[E:]
-    cells[(x, y)] = DecoratedTile(tile.base, triples, tile.central)
+    cells[(x, y)] = DecoratedTile(tile.base, triples)
     forged = GridPatch(patch.width, patch.height, cells)
     oracle = decompose_by_scan(forged, instances, layout)
     assert oracle[(0, 0)] is None and sum(v is None for v in oracle.values()) == 1

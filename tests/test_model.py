@@ -4,8 +4,8 @@ import dataclasses
 
 import pytest
 
-from helpers import E, N, S, W, domino_rule, domino_system
-from tilesub.errors import IndexOutOfRange, InvalidSystem
+from helpers import E, N, S, W, domino_rule, domino_system, partial_gamma_3x3_text
+from tilesub.errors import InvalidSystem
 from tilesub.model import (
     BOUNDARY,
     MACRO_FACET,
@@ -17,10 +17,10 @@ from tilesub.model import (
     SubstitutionSystem,
     build_numbering,
     internal,
-    n_sigma,
     validate_system,
 )
-from tilesub.tileset import DecorationTriple
+from tilesub.specfile import parse_spec
+from tilesub.tileset import DecorationTriple, build_layout
 
 # Facet classes of the 3x3 cells, transcribed from the worked example
 # (columns S, N, W, E; integers are internal facet indices).
@@ -141,33 +141,22 @@ def test_build_numbering_rejects_invalid_system():
         build_numbering(domino_system(bad))
 
 
-def test_n_sigma_worked_example_values(numbering, networks):
-    assert n_sigma(numbering, networks, 5, N) == internal(9)
-    assert n_sigma(numbering, networks, 2, S) == PORT
-    assert n_sigma(numbering, networks, 1, W) == MACRO_FACET
+def test_n_sigma_worked_example_values(compiled):
+    nsigma = compiled.nsigma
+    assert nsigma[(5, N)] == internal(9)
+    assert nsigma[(2, S)] == PORT
+    assert nsigma[(1, W)] == MACRO_FACET
     for j, row in SIGNATURES.items():
-        got = tuple(n_sigma(numbering, networks, j, k) for k in (S, N, W, E))
+        got = tuple(nsigma[(j, k)] for k in (S, N, W, E))
         assert got == tuple(expected_class(v) for v in row), f"T{j}"
+    assert len(nsigma) == 4 * len(SIGNATURES)
 
 
-def test_n_sigma_without_networks_sees_no_ports(numbering):
-    assert n_sigma(numbering, None, 2, S) == MACRO_FACET
-
-
-def test_n_sigma_range_errors(numbering, networks):
-    with pytest.raises(IndexOutOfRange):
-        n_sigma(numbering, networks, 0, 1)
-    with pytest.raises(IndexOutOfRange):
-        n_sigma(numbering, networks, 10, 1)
-    with pytest.raises(IndexOutOfRange):
-        n_sigma(numbering, networks, 1, 5)
-
-
-def test_internal_classes_cover_every_facet_twice(numbering, networks):
+def test_internal_classes_cover_every_facet_twice(numbering, compiled):
     counts = {}
     for j in range(1, numbering.n + 1):
         for k in range(1, numbering.prototype_of(j).facet_count + 1):
-            cls = n_sigma(numbering, networks, j, k)
+            cls = compiled.nsigma[(j, k)]
             if cls.is_internal:
                 counts[cls.index] = counts.get(cls.index, 0) + 1
     assert counts == {i: 2 for i in range(1, numbering.m + 1)}
@@ -195,35 +184,17 @@ def test_facet_class_is_a_plain_tuple():
 
 def test_external_facet_outside_all_macro_facets_is_boundary():
     # Gamma need not cover the whole template boundary; the leftover
-    # externals classify as plain boundary.
-    from tilesub.model import BOUNDARY, make_pairing
-
-    square = Prototype("sq", 4, ("-", "+", "-", "+"))
-    template = MacroTileTemplate(
-        cells=(("a", "sq"), ("b", "sq"), ("c", "sq")),
-        internal_pairings=(
-            make_pairing(("a", E), ("b", W)),
-            make_pairing(("b", E), ("c", W)),
-        ),
-    )
-    gamma = (
-        (S, (("a", S), ("c", S))),
-        (N, (("a", N), ("b", N), ("c", N))),
-        (W, (("a", W),)),
-        (E, (("c", E),)),
-    )
-    rule = Rule("strip", "sq", template, gamma)
-    system = SubstitutionSystem((square,), (rule,))
-    assert validate_system(system).ok
-    numbering = build_numbering(system)
-    j_b = numbering.tile_index("strip", "b")
-    assert n_sigma(numbering, None, j_b, S) == BOUNDARY
+    # externals classify as plain boundary. The bundled 3x3 with its S and N
+    # macro-facets cut to two members each leaves c3.S and c9.N outside.
+    doc = parse_spec(partial_gamma_3x3_text())
+    assert validate_system(doc.system).ok
+    nsigma = build_layout(build_numbering(doc.system), doc.networks).nsigma
+    assert [slot for slot, cls in nsigma.items() if cls == BOUNDARY] == [(3, S), (9, N)]
 
 
-def test_gamma_members_classify_port_or_macro(system, numbering, networks):
+def test_gamma_members_classify_port_or_macro(system, numbering, compiled):
     for rule in system.rules:
         for _, members in rule.gamma:
             for cell, k in members:
                 j = numbering.tile_index(rule.rule_id, cell)
-                cls = n_sigma(numbering, networks, j, k)
-                assert cls in (PORT, MACRO_FACET)
+                assert compiled.nsigma[(j, k)] in (PORT, MACRO_FACET)

@@ -279,14 +279,14 @@ def test_search_matches_bruteforce_oracle(system, rule):
     assert found == oracle
 
 
-def test_network_slots_disjoint_from_fixed_facets(system, numbering, networks, rule, net):
+def test_network_slots_disjoint_from_fixed_facets(numbering, networks, rule, net):
     """Pair-carrying slots are the port plus crossed sides, and never overlap
     the internal facets the base decoration fixes."""
     from tilesub.tileset import build_layout
 
     layout = build_layout(numbering, networks)
-    slots = network_slots(system, rule, net)
-    crossed = crossed_facets(system, rule, net)
+    slots = network_slots(rule, net)
+    crossed = crossed_facets(rule, net)
     for cell, (k, cell_slots) in slots.items():
         j0 = numbering.tile_index(rule.rule_id, cell)
         expected = {

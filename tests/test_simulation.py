@@ -1,11 +1,13 @@
 """Macro-tile enumeration, phi, self-simulation, hierarchy and quotients."""
 
+import hashlib
+from dataclasses import replace
 from importlib import resources
 from types import SimpleNamespace
 
 import pytest
 
-from helpers import E, N, S, W, fc, trip
+from helpers import E, N, S, W, fc, partial_gamma_3x3_text, trip
 from tilesub.assembler import assemble_patches
 from tilesub.errors import (
     InconsistentGluing,
@@ -30,8 +32,12 @@ from tilesub.tileset import (
     DecorationTriple,
     Tileset,
     build_layout,
+    close,
     generate_tileset,
 )
+
+# SHA-256 of the tileset dump of `partial_gamma_3x3_text()`.
+PARTIAL_GAMMA_DUMP_SHA256 = "74c5f772adfce28c3ff93835412e676911b08f38631b0c69b1c624d12459c2c9"
 
 # Frozen regression constant: the enumeration is in bijection with the
 # tileset here (each assembly is determined by its parent and central tile).
@@ -128,26 +134,69 @@ def test_verify_passes(tau, system, numbering, networks, instances):
     assert "patch-scale" in report.condition2_note
 
 
+def _blind_seam_mutant(compiled):
+    """The seam-blind negative control: the closure of a layout without its
+    macro-facet table."""
+    return close(replace(compiled, macro_facet_idx={}))
+
+
 def test_verify_empty_tileset_raises(system, numbering, networks):
+    empty = Tileset((), ())
     with pytest.raises(NoMacroTiles):
-        verify_self_simulation(Tileset((), ()), system, numbering, networks)
+        verify_self_simulation(empty, system, numbering, networks,
+                               enumerate_macro_tiles(empty, system, numbering, networks))
 
 
-def test_blind_seam_mutant_fails_condition3(system, numbering, networks):
-    mutant = generate_tileset(system, numbering, networks, blind_seams=True)
-    report = verify_self_simulation(mutant, system, numbering, networks)
+def test_blind_seam_mutant_fails_condition3(system, numbering, networks, compiled):
+    mutant = _blind_seam_mutant(compiled)
+    report = verify_self_simulation(
+        mutant, system, numbering, networks,
+        enumerate_macro_tiles(mutant, system, numbering, networks),
+    )
     assert report.condition1_ok and report.phi_in_tileset
     assert not report.condition3_ok
     assert any("condition3" in f for f in report.failures)
 
 
+# The seam-blind control per bundled spec: mutant size (= its instance
+# count), SHA-256 of its dump, and the count and SHA-256 of its verdict's
+# failure lines.
+BLIND_SEAM_PINS = {
+    "square3x3": (1264, "1fa9e53c0543e42d1e6ff00b30fc7cf5e889ad3c19a89292637f3b55eab38149",
+                  4, "aed6dcfc51e50cfbdb9449dc4ecd4c85268d216b7f13d8fb687846f0d5f3868e"),
+    "tworule3x3": (6384, "54be460be75a7d5339f2efe639b4e14dc8bdffbf6fc0daa44f405153020c6579",
+                   16, "90fd0895dd975b306bc7522f230c51f5602a3bca774e65e133557789b21033fc"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(BLIND_SEAM_PINS))
+def test_blind_seam_control_pins(spec):
+    """The seam-blind control fails condition (3) alone, seam by seam, on
+    both bundled specs."""
+    size, dump_sha, failures, failures_sha = BLIND_SEAM_PINS[spec]
+    doc = load_bundled(spec)
+    numbering = build_numbering(doc.system)
+    mutant = _blind_seam_mutant(build_layout(numbering, doc.networks))
+    assert len(mutant) == size
+    assert hashlib.sha256(mutant.dump().encode()).hexdigest() == dump_sha
+    instances = enumerate_macro_tiles(mutant, doc.system, numbering, doc.networks)
+    assert len(instances) == size
+    report = verify_self_simulation(mutant, doc.system, numbering, doc.networks, instances)
+    assert report.condition1_ok and report.phi_in_tileset and not report.condition3_ok
+    assert len(report.failures) == failures
+    assert hashlib.sha256("\n".join(report.failures).encode()).hexdigest() == failures_sha
+
+
 def test_report_counts_the_failures_it_leaves_out(tau, system, numbering, networks,
-                                                  instances):
+                                                  instances, compiled):
     """Up to 20 failures are listed; beyond that one line says how many more
     there are. The true assemblies checked against the blind-seam mutant fail
     once per phi image missing from it."""
-    mutant = generate_tileset(system, numbering, networks, blind_seams=True)
-    few = verify_self_simulation(mutant, system, numbering, networks)
+    mutant = _blind_seam_mutant(compiled)
+    few = verify_self_simulation(
+        mutant, system, numbering, networks,
+        enumerate_macro_tiles(mutant, system, numbering, networks),
+    )
     assert 0 < len(few.failures) <= 20
     assert few.render().splitlines()[-1] == f"FAILURE {few.failures[-1]}"
     many = verify_self_simulation(mutant, system, numbering, networks, instances)
@@ -178,7 +227,7 @@ def test_hierarchy_depth1(system, numbering, networks):
         (("c5",), E), (("c6",), W),
         (("c5",), N), (("c8",), S),
     }
-    assert bottom.undefined_slots() == expected_undefined
+    assert set(bottom.undefined_from) == expected_undefined
     assert bottom.matching_report().ok
     # Off-network decorations are the base ones for the chosen top parent.
     assert bottom.decoration[(("c1",), N)] == trip(3, 1, 3)
@@ -194,7 +243,7 @@ def _expected_depth2_undefined(doc, numbering):
     from tilesub.network import crossed_facets
 
     block_native = {net.branches[i].port for i in range(4)}
-    for pairings in crossed_facets(doc.system, rule, net).values():
+    for pairings in crossed_facets(rule, net).values():
         for pairing in pairings:
             block_native.update(pairing)
     expected = set()
@@ -206,7 +255,7 @@ def _expected_depth2_undefined(doc, numbering):
         for cell, k in gamma[branch.k]:
             expected.add(((branch.path[-1], cell), k))
         # Top-level crossed seam: both facing macro-facets.
-        for pairings in [crossed_facets(doc.system, rule, net)[branch.k]]:
+        for pairings in [crossed_facets(rule, net)[branch.k]]:
             for (ca, ka), (cb, kb) in pairings:
                 for cell, k in gamma[ka]:
                     expected.add(((ca, cell), k))
@@ -220,7 +269,7 @@ def test_hierarchy_depth2(doc3, system, numbering, networks):
     bottom = patch.bottom
     assert len(bottom.cells) == 81
     assert len(bottom.undefined_from) == DEPTH2_UNDEFINED == 132
-    assert bottom.undefined_slots() == _expected_depth2_undefined(doc3, numbering)
+    assert set(bottom.undefined_from) == _expected_depth2_undefined(doc3, numbering)
     assert bottom.matching_report().ok
     # The middle level telescopes with the depth-1 construction.
     depth1 = hierarchy_decorate(system, numbering, networks, "r1", 1)
@@ -331,10 +380,10 @@ def test_quotient_rejects_margins(instances, system, numbering, networks, tau):
         quotient_preimage(decomposed, system, numbering, networks, tau)
 
 
-def test_quotient_biconditional_detects_blind_seams(system, numbering, networks):
+def test_quotient_biconditional_detects_blind_seams(system, numbering, networks, compiled):
     """On the seam-blind mutant two blocks can match along a macro-facet
     while their folded images cannot: the quotient check must flag it."""
-    mutant = generate_tileset(system, numbering, networks, blind_seams=True)
+    mutant = _blind_seam_mutant(compiled)
     insts = enumerate_macro_tiles(mutant, system, numbering, networks)
     lower = next(
         i for i in insts
@@ -380,7 +429,8 @@ def test_seams_follow_a_non_identity_mapping():
     )
 
     tau = generate_tileset(system, numbering, networks)
-    assert verify_self_simulation(tau, system, numbering, networks).ok
+    instances = enumerate_macro_tiles(tau, system, numbering, networks)
+    assert verify_self_simulation(tau, system, numbering, networks, instances).ok
 
     bottom = hierarchy_decorate(system, numbering, networks, "r1", 2).bottom
     assert bottom.matching_report().ok
@@ -401,3 +451,19 @@ def test_seams_follow_a_non_identity_mapping():
     assert crossing == oracle
     # Block c4 sits on block c1: its first S member meets c1's last N member.
     assert ((("c1", "c9"), N), (("c4", "c1"), S)) in crossing
+
+
+def test_partial_gamma_spec_closes_and_verifies():
+    """Macro-facets need not cover the template boundary: with c3.S and c9.N
+    outside every macro-facet (plain boundary), the closure and the verdict
+    still run. Values measured on the spec, the dump pinned by SHA-256."""
+    doc = parse_spec(partial_gamma_3x3_text())
+    numbering = build_numbering(doc.system)
+    tau = generate_tileset(doc.system, numbering, doc.networks)
+    assert len(tau) == 1532
+    assert hashlib.sha256(tau.dump().encode()).hexdigest() == PARTIAL_GAMMA_DUMP_SHA256
+    instances = enumerate_macro_tiles(tau, doc.system, numbering, doc.networks)
+    assert len(instances) == 1532
+    report = verify_self_simulation(tau, doc.system, numbering, doc.networks, instances)
+    assert report.condition1_ok and report.phi_in_tileset and report.condition3_ok
+    assert report.failures == []

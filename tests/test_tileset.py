@@ -4,7 +4,6 @@ import pytest
 
 from helpers import E, N, S, W, fc, trip
 from tilesub.errors import TilesubError
-from tilesub.model import n_sigma
 from tilesub.tileset import (
     DecoratedTile,
     DecorationTriple,
@@ -16,11 +15,11 @@ from tilesub.tileset import (
     _check_step1,
     _pairs_table,
     build_layout,
+    close,
     decorate_base,
     decorate_network,
     derive_central,
     generate_tileset,
-    strip_decorations,
 )
 
 # Frozen regression constant: the closure on the 3x3 system. Derived by the
@@ -49,11 +48,12 @@ def base_tile_of(tiles, j0, parent):
     return hits[0]
 
 
-def test_strip_decorations(tau, numbering, instances):
+def test_strip_decorations(tau, compiled, instances):
+    """The projection pi forgets decorations and keeps the prototype name."""
     t5 = next(t for t in tau if t.base == 5)
-    assert strip_decorations(numbering, t5) == "sq"
+    assert compiled.prototype_name[t5.base] == "sq"
     inst = instances[0]
-    assert tuple(strip_decorations(numbering, t) for t in inst.tiles) == ("sq",) * 9
+    assert tuple(compiled.prototype_name[t.base] for t in inst.tiles) == ("sq",) * 9
 
 
 def test_base_tiles_count_and_schema(compiled):
@@ -146,7 +146,7 @@ def test_derive_central_examples(compiled, tau):
             trip(9, j, 3),
             DecorationTriple(fc(6), 0, w),
             trip(7, j, 1),
-        ), central=True)
+        ))
         assert expected in derived
     # Deriving from a pair-carrying T_2 copies the pair onto S and N.
     t2 = next(
@@ -156,11 +156,11 @@ def test_derive_central_examples(compiled, tau):
     assert DecoratedTile(5, (
         trip(4, 3, 8), trip(9, 3, 8),
         trip(6, t2.triples[W - 1].j, 1), trip(7, t2.triples[W - 1].j, 2),
-    ), central=True) in central
+    )) in central
 
 
 def test_derive_central_skips_undefined_and_centrals(compiled, tau):
-    some_central = next(t for t in tau if t.central)
+    some_central = next(t for t in tau if t.base in compiled.central_cells)
     assert derive_central(compiled, [some_central]) == set()
     holed = DecoratedTile(1, (UNDEFINED,) * 4)
     assert derive_central(compiled, [holed]) == set()
@@ -173,9 +173,11 @@ def test_generate_is_fixpoint_and_canonical(system, numbering, networks, compile
     more = decorate_network(compiled, tau)
     more |= derive_central(compiled, tau)
     assert more <= set(tau.tiles)
-    # Determinism: a fresh run is byte-identical.
+    # Determinism: a fresh run is byte-identical, and so is the closure of
+    # an already compiled layout.
     again = generate_tileset(system, numbering, networks)
     assert again.dump() == tau.dump()
+    assert close(compiled) == tau
     assert len(set(tau.tiles)) == len(tau)
 
 
@@ -192,11 +194,11 @@ def test_provenance_partition(tau):
         assert prov == expected.get(tile.base, PROVENANCE_NETWORK)
 
 
-def test_step1_invariant_holds_everywhere(tau, numbering, networks):
+def test_step1_invariant_holds_everywhere(tau, compiled):
     for tile in tau:
         for k, dec in enumerate(tile.triples, start=1):
             assert dec is not UNDEFINED
-            assert dec.f == n_sigma(numbering, networks, tile.base, k)
+            assert dec.f == compiled.nsigma[(tile.base, k)]
 
 
 def test_step1_check_rejects_wrong_macro_index(compiled, tau):
@@ -318,3 +320,15 @@ def test_generate_rejects_broken_networks(system, numbering, networks):
         generate_tileset(system, numbering, bad)
     with pytest.raises(InvalidNetwork):
         generate_tileset(system, numbering, {})
+
+
+def test_layout_rejects_a_center_outside_the_template(numbering, networks):
+    """Without a central cell the layout would silently lose the center
+    tiles, so an unknown center is refused even on this unchecked path."""
+    from dataclasses import replace
+
+    from tilesub.errors import InvalidNetwork
+
+    bad = {"r1": replace(networks["r1"], center="zz")}
+    with pytest.raises(InvalidNetwork, match="center zz"):
+        build_layout(numbering, bad)
