@@ -27,7 +27,7 @@ from .render import render_patch_svg, render_tile_svg
 from .simulation import enumerate_macro_tiles, hierarchy_decorate, verify_self_simulation
 from .specfile import parse_spec
 from .stages import stage_views
-from .tileset import check_spec, generate_tileset
+from .tileset import build_layout, generate_tileset
 
 
 def _load(path: str):
@@ -70,14 +70,6 @@ def _generated(doc):
     numbering = build_numbering(doc.system)
     tau = generate_tileset(doc.system, numbering, doc.networks)
     return numbering, tau
-
-
-def _checked(doc):
-    """The numbering of a spec that passes the checks `generate_tileset`
-    makes, for the paths that read no tileset."""
-    numbering = build_numbering(doc.system)
-    check_spec(doc.system, doc.networks)
-    return numbering
 
 
 def cmd_generate(args) -> int:
@@ -166,7 +158,7 @@ def cmd_assemble(args) -> int:
 
 def cmd_hierarchy(args) -> int:
     doc = _load(args.spec)
-    numbering = _checked(doc)
+    numbering = build_numbering(doc.system)
     seed_rule = args.rule or doc.system.rules[0].rule_id
     hpatch = hierarchy_decorate(
         doc.system, numbering, doc.networks, seed_rule, args.depth
@@ -189,7 +181,8 @@ def cmd_render(args) -> int:
     if args.tile is not None or args.instance is not None:
         numbering, tau = _generated(doc)
     else:
-        numbering = _checked(doc)
+        numbering = build_numbering(doc.system)
+        build_layout(numbering, doc.networks)  # --empty refuses a bad spec too
     try:
         if args.tile is not None:
             svg = render_tile_svg(tau.tiles[args.tile])

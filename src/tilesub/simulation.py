@@ -59,9 +59,6 @@ class MacroTileInstance:
     parent_index: int
     central_tile: DecoratedTile
 
-    def tile_at(self, cell: str) -> DecoratedTile:
-        return self.tiles[self.cells.index(cell)]
-
 
 _EXHAUSTED = object()
 
@@ -197,7 +194,7 @@ class SimulationReport:
     phi_in_tileset: bool
     condition3_ok: bool
     failures: list[str] = field(default_factory=list)
-    condition2_note: str = (
+    condition2_note = (
         "delegated to patch-scale evidence (exhaustive 2x2 coherence in the assembler)"
     )
 
@@ -376,11 +373,11 @@ def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    layout = build_layout(numbering, networks)
     try:
         seed = system.rule(seed_rule)
     except KeyError:
         raise UnresolvedReference(f"rule {seed_rule}") from None
-    layout = build_layout(numbering, networks)
     if top_parent is None:
         eligible = layout.tiles_of.get(seed.parent)
         if not eligible:

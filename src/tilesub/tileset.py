@@ -2,12 +2,14 @@
 
 Every facet of a decorated tile carries a triple (macro-index, parent-index,
 neighbor-index); two facets match when their triples are equal. `build_layout`
-compiles a numbered system and its networks once into a `Layout`, which
-every later step takes as its first argument. The tileset is built as a
-least fixpoint of three steps: `decorate_base` for cells off the networks,
-`decorate_network` for cells on network branches, and `derive_central` for
-the center tiles. `close` runs it semi-naively and orders it canonically, so
-two runs on the same input produce byte-identical dumps.
+is the one gate for a spec's networks: it refuses networks that break the
+connecting conditions, then compiles the numbered system and its networks
+once into a `Layout`, which every later step takes as its first argument.
+The tileset is built as a least fixpoint of three steps: `decorate_base` for
+cells off the networks, `decorate_network` for cells on network branches,
+and `derive_central` for the center tiles. `close` runs it semi-naively and
+orders it canonically, so two runs on the same input produce byte-identical
+dumps.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from functools import cached_property
 from typing import Collection, Iterable, NamedTuple
 
 from .counting import exact_count, params_from_system
-from .errors import InvalidNetwork, InvalidSystem, TilesubError
+from .errors import InvalidNetwork, TilesubError
 from .model import (
     BOUNDARY,
     MACRO_FACET,
@@ -27,7 +29,6 @@ from .model import (
     Rule,
     SubstitutionSystem,
     internal,
-    validate_system,
 )
 from .network import (
     NetworkSet,
@@ -146,7 +147,9 @@ Side = tuple[str, int]  # (rule id, parent facet): one macro-facet
 class Layout:
     """Every per-tile and per-seam table of one system with its networks,
     built once by `build_layout` (the only code that walks the numbering and
-    the macro-adjacency table) and read by every later step."""
+    the macro-adjacency table) and read by every later step. A `Layout`
+    from `build_layout` holds a valid system (its numbering checked it) and
+    networks that meet the connecting conditions."""
 
     numbering: GlobalNumbering
     networks: NetworkSet
@@ -169,15 +172,28 @@ class Layout:
 
 
 def build_layout(numbering: GlobalNumbering, networks: NetworkSet) -> Layout:
-    """Compile a numbered system and its networks (one per rule, already
-    validated) into the tables every later step reads.
+    """Check the networks, then compile a numbered system and its networks
+    into the tables every later step reads.
 
-    One pass per rule classifies every slot of its cells: a paired slot is
-    the internal facet of its pairing; an unpaired one is PORT if a branch
-    owns it, else MACRO_FACET if gamma lists it, else BOUNDARY. A network
-    center outside the template, which would drop the center tiles without
-    a trace, raises InvalidNetwork."""
+    Raises InvalidNetwork when a rule has no network, when a rule's network
+    fails `validate_network`, or when the networks fail
+    `check_port_condition`. The system itself was checked when `numbering`
+    was built. One pass per rule then classifies every slot of its cells: a
+    paired slot is the internal facet of its pairing; an unpaired one is
+    PORT if a branch owns it, else MACRO_FACET if gamma lists it, else
+    BOUNDARY."""
     system = numbering.system
+    for rule in system.rules:
+        if rule.rule_id not in networks:
+            raise InvalidNetwork(f"rule {rule.rule_id} has no network")
+        report = validate_network(system, rule, networks[rule.rule_id])
+        if not report.ok:
+            raise InvalidNetwork(
+                f"rule {rule.rule_id} network invalid: {sorted(report.codes())}"
+            )
+    report = check_port_condition(system, networks)
+    if not report.ok:
+        raise InvalidNetwork(f"port condition fails: {sorted(report.codes())}")
     prototypes = {j: numbering.prototype_of(j) for j in range(1, numbering.n + 1)}
     facet_count = {j: proto.facet_count for j, proto in prototypes.items()}
     tiles_of: dict[str, tuple[int, ...]] = {}
@@ -195,8 +211,6 @@ def build_layout(numbering: GlobalNumbering, networks: NetworkSet) -> Layout:
     for rule in system.rules:
         rule_id = rule.rule_id
         net = networks[rule_id]
-        if net.center not in rule.template.position:
-            raise InvalidNetwork(f"rule {rule_id}: center {net.center} not in template")
         rule_for_prototype.setdefault(rule.parent, rule)
         paired = rule.template.paired_slots
         ports = {branch.port for branch in net.branches}
@@ -351,38 +365,19 @@ def derive_central(layout: Layout, tiles: Collection[DecoratedTile]) -> set[Deco
     return new
 
 
-def check_spec(system: SubstitutionSystem, networks: NetworkSet) -> None:
-    """Raise InvalidSystem unless the system passes its structural checks,
-    and InvalidNetwork unless every rule has a valid network and the
-    networks meet the port condition."""
-    report = validate_system(system)
-    if not report.ok:
-        raise InvalidSystem(f"system invalid: {sorted(report.codes())}", report)
-    for rule in system.rules:
-        if rule.rule_id not in networks:
-            raise InvalidNetwork(f"rule {rule.rule_id} has no network")
-        net_report = validate_network(system, rule, networks[rule.rule_id])
-        if not net_report.ok:
-            raise InvalidNetwork(
-                f"rule {rule.rule_id} network invalid: {sorted(net_report.codes())}"
-            )
-    port_report = check_port_condition(system, networks)
-    if not port_report.ok:
-        raise InvalidNetwork(f"port condition fails: {sorted(port_report.codes())}")
-
-
 def generate_tileset(system: SubstitutionSystem, numbering: GlobalNumbering,
                      networks: NetworkSet) -> Tileset:
-    """The closed tileset of a spec: `check_spec`, `build_layout`, `close`."""
-    check_spec(system, networks)
+    """The closed tileset of a spec: `close(build_layout(numbering, networks))`.
+    `system` is unused: `numbering.system` holds it."""
     return close(build_layout(numbering, networks))
 
 
 def close(layout: Layout) -> Tileset:
-    """Least fixpoint of the three construction steps, canonically ordered
-    and checked against step 1 and the first-network bound. Both closure
-    steps are unions of per-tile contributions, so each round feeds them
-    only the tiles new since the last one (semi-naive).
+    """Least fixpoint of the three construction steps over a `layout` from
+    `build_layout` (so its networks are checked), canonically ordered and
+    checked against step 1 and the first-network bound. Both closure steps
+    are unions of per-tile contributions, so each round feeds them only the
+    tiles new since the last one (semi-naive).
 
     `close(replace(layout, macro_facet_idx={}))` is the seam-blind negative
     control: macro-facet members stop reporting the parent's facet class and

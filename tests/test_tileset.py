@@ -1,9 +1,21 @@
 """Tileset construction: the staged decorations, the closure, and its size."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
 
 from helpers import E, N, S, W, fc, trip
-from tilesub.errors import TilesubError
+from tilesub.assembler import build_grid_layout
+from tilesub.errors import InvalidNetwork, TilesubError
+from tilesub.simulation import (
+    enumerate_macro_tiles,
+    hierarchy_decorate,
+    quotient_hierarchy,
+    quotient_preimage,
+    verify_self_simulation,
+)
+from tilesub.stages import stage_views
 from tilesub.tileset import (
     DecoratedTile,
     DecorationTriple,
@@ -324,11 +336,68 @@ def test_generate_rejects_broken_networks(system, numbering, networks):
 
 def test_layout_rejects_a_center_outside_the_template(numbering, networks):
     """Without a central cell the layout would silently lose the center
-    tiles, so an unknown center is refused even on this unchecked path."""
-    from dataclasses import replace
-
+    tiles, so the network check refuses an unknown center as UnknownCell."""
     from tilesub.errors import InvalidNetwork
 
     bad = {"r1": replace(networks["r1"], center="zz")}
-    with pytest.raises(InvalidNetwork, match="center zz"):
+    with pytest.raises(InvalidNetwork, match=r"\['UnknownCell'\]"):
         build_layout(numbering, bad)
+
+
+# Every public entry point that builds a layout, called with good inputs
+# (the `good` fixture, all built from the bundled networks) and the networks
+# under test.
+ENTRY_POINTS = {
+    "generate_tileset": lambda g, nets: generate_tileset(g.system, g.numbering, nets),
+    "enumerate_macro_tiles":
+        lambda g, nets: enumerate_macro_tiles(g.tau, g.system, g.numbering, nets),
+    "verify_self_simulation": lambda g, nets: verify_self_simulation(
+        g.tau, g.system, g.numbering, nets, g.instances),
+    "hierarchy_decorate": lambda g, nets: hierarchy_decorate(g.system, g.numbering, nets, "r1", 2),
+    "quotient_hierarchy":
+        lambda g, nets: quotient_hierarchy(g.hpatch, g.system, g.numbering, nets),
+    "quotient_preimage": lambda g, nets: quotient_preimage(
+        g.decomposed, g.system, g.numbering, nets, g.tau),
+    "stage_views": lambda g, nets: stage_views(g.tau, g.numbering, nets),
+    "build_grid_layout": lambda g, nets: build_grid_layout(g.system, g.numbering, nets),
+}
+
+
+def _with_branch_s(networks, **changes):
+    net = networks["r1"]
+    branches = tuple(replace(b, **changes) if b.k == S else b for b in net.branches)
+    return {"r1": replace(net, branches=branches)}
+
+
+# Each bad network set, with the message it is refused with.
+BAD_NETWORKS = {
+    "missing": (lambda networks: {}, "rule r1 has no network"),
+    "unknown-cell": (
+        lambda networks: _with_branch_s(networks, path=("zz",), port=("zz", 1)),
+        r"rule r1 network invalid: \['PortMembership', 'UnknownCell'\]",
+    ),
+    "port-off-its-facet": (
+        lambda networks: _with_branch_s(networks, port=("c2", W)),
+        r"rule r1 network invalid: \['PortMembership'\]",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def good(system, numbering, networks, tau, instances):
+    return SimpleNamespace(
+        system=system, numbering=numbering, tau=tau, instances=instances,
+        hpatch=hierarchy_decorate(system, numbering, networks, "r1", 2),
+        decomposed=SimpleNamespace(blocks={(0, 0): instances[0]}, adjacencies=(), margins=()),
+    )
+
+
+@pytest.mark.parametrize("bad", BAD_NETWORKS)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_refuses_bad_networks(good, networks, entry, bad):
+    """`build_layout` is the one spec gate, so every library entry point
+    refuses a missing network, a network off the template and a port off
+    its macro-facet, not only the closure."""
+    make, message = BAD_NETWORKS[bad]
+    with pytest.raises(InvalidNetwork, match=message):
+        ENTRY_POINTS[entry](good, make(networks))
