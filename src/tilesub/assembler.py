@@ -284,17 +284,25 @@ def patch_from_instance(instance: MacroTileInstance, layout: GridLayout) -> Grid
 def grid_from_hierarchy(hpatch: HierarchyPatch, layout: GridLayout,
                         networks: NetworkSet) -> GridPatch:
     """Realize the bottom level of a square hierarchy as a grid patch.
-    `networks` is unused: whether a tile is central is a fact of its base."""
-    bottom = hpatch.bottom
+
+    Read off the levels' flat lists from the top down, a cell's position is
+    its block's position times (w, h) plus the cell's position in the
+    template; the top level's one block sits at the origin. The cells come
+    in the bottom's cell order. `networks` is unused: whether a tile is
+    central is a fact of its base."""
     w, h = layout.width, layout.height
     pos_of_cell = {c: p for p, c in layout.cell_at.items()}
-    cells = {}
-    for addr in bottom.cells:
-        x = y = 0
-        for cell in addr:
-            px, py = pos_of_cell[cell]
-            x, y = x * w + px, y * h + py
-        triples = tuple(bottom.decoration[(addr, k)] for k in (S, N, W, E))
-        cells[(x, y)] = DecoratedTile(bottom.base_of[addr], triples)
+    xs, ys = [0], [0]
+    for level in reversed(hpatch.levels):
+        at = {j: pos_of_cell[level.tiles[j - 1][1]] for j in set(level.base)}
+        xs = [xs[b] * w + at[j][0] for b, j in zip(level.block, level.base)]
+        ys = [ys[b] * h + at[j][1] for b, j in zip(level.block, level.base)]
+    bottom = hpatch.bottom
+    decs = bottom.decorations()
+    # A square's facets S, N, W, E are its slots s .. s + 3.
+    cells = {
+        (x, y): DecoratedTile(j, tuple(decs[s:s + 4]))
+        for x, y, j, s in zip(xs, ys, bottom.base, bottom.offset)
+    }
     side = w ** hpatch.depth, h ** hpatch.depth
     return GridPatch(side[0], side[1], cells)

@@ -27,7 +27,7 @@ from .render import render_patch_svg, render_tile_svg
 from .simulation import enumerate_macro_tiles, hierarchy_decorate, verify_self_simulation
 from .specfile import parse_spec
 from .stages import stage_views
-from .tileset import build_layout, generate_tileset
+from .tileset import build_layout, close, generate_tileset
 
 
 def _load(path: str):
@@ -43,11 +43,19 @@ def cmd_validate(args) -> int:
     doc = _load(args.spec)
     report = validate_system(doc.system)
     if report.ok:
+        # The port condition reads every rule's branches, so it runs only
+        # when each rule has a network that passed its own checks.
+        networks_ok = True
         for rule in doc.system.rules:
             net = doc.networks.get(rule.rule_id)
-            if net is not None:
-                report.merge(validate_network(doc.system, rule, net))
-        if all(r.rule_id in doc.networks for r in doc.system.rules) and doc.networks:
+            if net is None:
+                report.add("MissingNetwork", f"rule {rule.rule_id} has no network")
+                networks_ok = False
+                continue
+            checked = validate_network(doc.system, rule, net)
+            networks_ok = networks_ok and checked.ok
+            report.merge(checked)
+        if networks_ok:
             report.merge(check_port_condition(doc.system, doc.networks))
     return _finish(report)
 
@@ -107,6 +115,7 @@ def cmd_verify(args) -> int:
 def cmd_count(args) -> int:
     doc = _load(args.spec)
     numbering = build_numbering(doc.system)
+    layout = build_layout(numbering, doc.networks)  # the bounds read checked networks
     params = params_from_system(
         doc.system, numbering, doc.networks,
         doc.second_networks if args.second else None,
@@ -116,8 +125,7 @@ def cmd_count(args) -> int:
     if args.second:
         print(count_bound_second(params).render())
     if args.exact:
-        tau = generate_tileset(doc.system, numbering, doc.networks)
-        print(exact_count(tau, params).render())
+        print(exact_count(close(layout), params).render())
     return 0
 
 
@@ -165,12 +173,12 @@ def cmd_hierarchy(args) -> int:
     )
     bottom = hpatch.bottom
     matching = bottom.matching_report()
-    print(f"tiles={len(bottom.cells)}")
-    print(f"undefined_slots={len(bottom.undefined_from)}")
+    print(f"tiles={len(bottom.base)}")
+    print(f"undefined_slots={len(bottom.slot_undefined)}")
     for level in reversed(hpatch.levels):
         print(
-            f"level={level.level} cells={len(level.cells)} "
-            f"undefined={len(level.undefined_from)}"
+            f"level={level.level} cells={len(level.base)} "
+            f"undefined={len(level.slot_undefined)}"
         )
     print(f"matching={'PASS' if matching.ok else 'FAIL'}")
     return 0 if matching.ok else 1

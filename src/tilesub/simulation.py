@@ -13,12 +13,20 @@ from the `tileset.Layout`.
 `hierarchy_decorate` builds the finite-depth telescope of images with the
 distinguished UNDEFINED decoration confined to the networks of every level,
 and `quotient_hierarchy` / `quotient_preimage` collapse a decomposed patch
-one level up.
+one level up. A hierarchy level (`LevelPatch`) is stored as flat lists
+indexed by integers: a cell is its rank in sorted address order and a slot
+its cell's offset plus the facet index less one. Every hierarchy stage reads
+and writes only those lists; the tuple-address fields (`cells`,
+`decoration`, ...) are views built on first access.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from functools import cached_property
+from itertools import accumulate, chain, groupby, repeat
+from operator import sub
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     IndexOutOfRange,
@@ -307,29 +315,122 @@ def _biconditional_holds(side_a, phi_a, side_b, phi_b) -> bool:
 Address = tuple[str, ...]
 Slot = tuple[Address, int]
 
+# The tuple-address views of a level, in the order `repr` shows them.
+_VIEWS = ("cells", "rule_of", "base_of", "parent_of", "pairs", "decoration", "undefined_from")
 
-@dataclass
+
+@dataclass(eq=False, repr=False)
 class LevelPatch:
-    """One level of the hierarchy: cells addressed by their expansion path,
-    the facet pairings gluing them, and per-slot decorations. `level` counts
-    from the bottom (0 = finest); it is positional metadata and not part of
-    patch equality."""
+    """One level of the hierarchy, stored in flat lists indexed by integers.
 
-    level: int = field(compare=False)
-    cells: tuple[Address, ...]
-    rule_of: dict[Address, str]
-    base_of: dict[Address, int]
-    parent_of: dict[Address, int]
-    pairs: tuple[tuple[Slot, Slot], ...]
-    decoration: dict[Slot, FacetDecoration]
-    undefined_from: dict[Slot, int]
+    A cell is its rank in the sorted order of the cells' addresses (their
+    expansion paths), so the children of a block are contiguous, in sorted
+    cell-id order. Facet k of cell i is the slot `offset[i] + k - 1`, and
+    integer order of slots is `(address, k)` order. Per cell the level keeps
+    its tile `base`, its `parent` (the tile of its block), the `rule` whose
+    template holds it and the index of its `block` among the cells of the
+    level above (the top level's one block is 0; a quotient records none).
+    Per slot it keeps a decoration, read through `decorations()`;
+    `slot_undefined` maps each UNDEFINED slot to the number of levels its
+    UNDEFINED came down (0: the cell's own network), and `slot_pairs` holds
+    the glued slot pairs, each ascending, in ascending order.
+
+    `cells`, `rule_of`, `base_of`, `parent_of`, `pairs`, `decoration` and
+    `undefined_from` are views of the same data addressed by expansion
+    path. Each is built on first access and cached; the dicts iterate in
+    the order the cells were generated. Edits made through `decoration` are
+    seen by every later reader of the level. `level` counts from the bottom
+    (0 = finest); it is positional metadata and not part of patch equality,
+    which compares the views.
+    """
+
+    level: int
+    tiles: tuple[tuple[str, str], ...]  # tile index - 1 -> (rule, cell), as numbered
+    base: list[int]
+    parent: list[int]
+    rule: list[str]
+    block: list[int] | None
+    offset: list[int]  # cell -> its first slot; offset[-1] counts the slots
+    slot_decoration: list[FacetDecoration]
+    slot_undefined: dict[int, int]
+    slot_pairs: tuple[tuple[int, int], ...]
+    # The addresses of the cells, computed when `cells` is first read.
+    addresses: Callable[[], tuple[Address, ...]]
+    # The cells in generation order, the views' order; None when ascending.
+    order: list[int] | None = None
+
+    def decorations(self) -> list[FacetDecoration]:
+        """The decoration of each slot, taking in any edit made through the
+        `decoration` view."""
+        view = self.__dict__.get("decoration")
+        if view is not None:
+            self.slot_decoration = [view[self._slot_key(s)] for s in range(self.offset[-1])]
+        return self.slot_decoration
 
     def matching_report(self) -> ValidationReport:
         report = ValidationReport()
-        for sa, sb in self.pairs:
-            if self.decoration[sa] != self.decoration[sb]:
-                report.add("SeamMismatch", f"{sa} vs {sb}")
+        decs = self.decorations()
+        for a, b in self.slot_pairs:
+            if decs[a] != decs[b]:
+                report.add("SeamMismatch", f"{self._slot_key(a)} vs {self._slot_key(b)}")
         return report
+
+    def _slot_key(self, s: int) -> Slot:
+        i = bisect_right(self.offset, s) - 1
+        return self.cells[i], s - self.offset[i] + 1
+
+    def _order(self) -> Sequence[int]:
+        return self.order if self.order is not None else range(len(self.base))
+
+    def _by_cell(self, values: list) -> dict:
+        cells = self.cells
+        return {cells[i]: values[i] for i in self._order()}
+
+    @cached_property
+    def cells(self) -> tuple[Address, ...]:
+        return self.addresses()
+
+    @cached_property
+    def rule_of(self) -> dict[Address, str]:
+        return self._by_cell(self.rule)
+
+    @cached_property
+    def base_of(self) -> dict[Address, int]:
+        return self._by_cell(self.base)
+
+    @cached_property
+    def parent_of(self) -> dict[Address, int]:
+        return self._by_cell(self.parent)
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[Slot, Slot], ...]:
+        key = self._slot_key
+        return tuple([(key(a), key(b)) for a, b in self.slot_pairs])
+
+    @cached_property
+    def decoration(self) -> dict[Slot, FacetDecoration]:
+        cells, offset, decs = self.cells, self.offset, self.slot_decoration
+        return {
+            (cells[i], s - offset[i] + 1): decs[s]
+            for i in self._order() for s in range(offset[i], offset[i + 1])
+        }
+
+    @cached_property
+    def undefined_from(self) -> dict[Slot, int]:
+        cells, offset, undefined = self.cells, self.offset, self.slot_undefined
+        return {
+            (cells[i], s - offset[i] + 1): undefined[s]
+            for i in self._order() for s in range(offset[i], offset[i + 1]) if s in undefined
+        }
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in _VIEWS)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _VIEWS)
+        return f"LevelPatch(level={self.level!r}, {fields})"
 
 
 @dataclass
@@ -344,15 +445,51 @@ class HierarchyPatch:
         return self.levels[0]
 
 
-def _sorted_pairs(pairs: Iterable[tuple[Slot, Slot]]) -> tuple[tuple[Slot, Slot], ...]:
-    """The distinct pairs, each with its smaller slot first, in ascending
-    order.
+def _sorted_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The distinct slot pairs, each with its smaller slot first, in
+    ascending order.
 
-    One comparison orients a pair. `dict.fromkeys` drops duplicates but keeps
-    generation order, and the levels generate their pairs in long ascending
-    runs, which the final sort merges in near-linear time.
+    One comparison orients a pair. The levels generate their pairs in long
+    ascending runs, which the sort merges in near-linear time; equal pairs
+    are then adjacent, and `groupby` keeps one of each.
     """
-    return tuple(sorted(dict.fromkeys((a, b) if a <= b else (b, a) for a, b in pairs)))
+    ordered = sorted([(a, b) if a <= b else (b, a) for a, b in pairs])
+    return tuple([pair for pair, _ in groupby(ordered)])
+
+
+def _slot_cells(offset: list[int]) -> list[int]:
+    """The cell of each slot of a level with these cell offsets."""
+    return list(chain.from_iterable(
+        map(repeat, range(len(offset) - 1), map(sub, offset[1:], offset))
+    ))
+
+
+class _Shape(NamedTuple):
+    """A rule's template as laid out in one block: its cells sorted by id,
+    their slots numbered from the block's first slot."""
+
+    cells: tuple[str, ...]
+    bases: tuple[int, ...]  # the cells' tiles
+    counts: tuple[int, ...]  # the cells' facet counts
+    local: dict[FacetRef, int]  # (cell, k) -> slot
+    internal: tuple[tuple[int, int], ...]  # internal pairings, ascending
+    ranks: tuple[int, ...] | None  # per template cell its sorted rank; None if sorted
+
+
+def _shape(layout: Layout, rule: Rule) -> _Shape:
+    cells = tuple(sorted(rule.template.cell_ids()))
+    bases = tuple(layout.numbering.tile_index(rule.rule_id, cell) for cell in cells)
+    counts = tuple(layout.facet_count[j] for j in bases)
+    slots = [(cell, k) for cell, count in zip(cells, counts) for k in range(1, count + 1)]
+    local = {slot: s for s, slot in enumerate(slots)}
+    internal = sorted(
+        (local[a], local[b]) if local[a] <= local[b] else (local[b], local[a])
+        for a, b in rule.template.internal_pairings
+    )
+    rank = {cell: r for r, cell in enumerate(cells)}
+    ranks = tuple(rank[cell] for cell in rule.template.cell_ids())
+    return _Shape(cells, bases, counts, local, tuple(internal),
+                  None if ranks == tuple(range(len(cells))) else ranks)
 
 
 def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
@@ -361,13 +498,13 @@ def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
     """Expand the seed rule `depth` times and decorate every level.
 
     Every level is built by `_expand_level` and then `_decorate_level`. The
-    top level expands the one block `((), top_parent, seed)`; every deeper
-    level expands the cells of the level above, each by the first rule of
-    its prototype. Each level's tiles carry the base decorations with the
-    parent taken from the level above; UNDEFINED sits on every port and
-    branch-crossed facet of every level's networks, blown down through the
-    gluing so the bottom patch shows the whole stack of coarser and coarser
-    grids. The parent of the topmost expansion is a free choice
+    top level expands the one block `top_parent`, by the seed rule; every
+    deeper level expands the cells of the level above, each by the first
+    rule of its prototype. Each level's tiles carry the base decorations
+    with the parent taken from the level above; UNDEFINED sits on every port
+    and branch-crossed facet of every level's networks, blown down through
+    the gluing so the bottom patch shows the whole stack of coarser and
+    coarser grids. The parent of the topmost expansion is a free choice
     (`top_parent`, smallest eligible index by default) since nothing above
     it exists to fix one; it must have the seed rule's parent prototype.
     """
@@ -391,131 +528,143 @@ def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
             f"{layout.prototype_name[top_parent]}, not {seed.parent}"
         )
 
-    blocks: list[tuple[Address, int, Rule]] = [((), top_parent, seed)]
-    pairs: tuple[tuple[Slot, Slot], ...] = ()
-    undefined_from: dict[Slot, int] = {}
+    tops: list[int] = [top_parent]
+    expanders: list[Rule] = [seed]
+    above: LevelPatch | None = None
     levels: list[LevelPatch] = []
-    rows: dict[tuple[int, int, str, str], tuple[FacetDecoration, ...]] = {}
+    rows: dict[tuple[int, int], tuple[FacetDecoration, ...]] = {}
     for level_no in reversed(range(depth)):
-        level = _decorate_level(
-            layout, rows, level_no, *_expand_level(layout, blocks, pairs, undefined_from)
+        above = _decorate_level(
+            layout, rows, level_no, *_expand_level(layout, tops, expanders, above)
         )
-        levels.append(level)
+        levels.append(above)
         if level_no:
-            blocks = []
-            for addr in level.cells:
-                j = level.base_of[addr]
+            rule_of_tile: dict[int, Rule] = {}
+            for j in dict.fromkeys(above.base):
                 proto = layout.prototype_name[j]
                 rule = layout.rule_for_prototype.get(proto)
                 if rule is None:
                     raise InconsistentGluing(f"no rule expands prototype {proto}")
-                blocks.append((addr, j, rule))
-            pairs, undefined_from = level.pairs, level.undefined_from
+                rule_of_tile[j] = rule
+            tops, expanders = above.base, [rule_of_tile[j] for j in above.base]
     levels.reverse()
     return HierarchyPatch(seed_rule, depth, top_parent, tuple(levels))
 
 
-def _decorate_level(layout: Layout, rows, level_no, cells, rule_of, base_of, parent_of,
-                    pairs, inherited) -> LevelPatch:
+def _decorate_level(layout: Layout, rows, level_no, base, parent, rule, block, offset,
+                    pairs, inherited, addresses, order) -> LevelPatch:
     """Decorate one level's slots: UNDEFINED on the cell's own network
     slots (origin 0) and on the slots `inherited` from the level above,
     `_steps13` of the cell's tile and parent everywhere else. This is the
     only place that decorates a level: every level of a hierarchy and the
     quotient of its bottom go through it.
 
-    `rows` memoises, across the levels of one call, the row of each
-    (tile, parent, rule, cell): per facet the `_steps13` triple, or UNDEFINED
-    where the slot is native-undefined. So `_steps13` runs once per distinct
-    tile and parent, and only the `inherited` test runs per slot.
+    `rows` memoises, across the levels of one call, the row of each tile and
+    parent (the tile fixes the rule and the cell): per facet the `_steps13`
+    triple, or UNDEFINED where the slot is native-undefined. The slot
+    decorations are the cells' rows laid end to end, so `_steps13` runs
+    once per distinct tile and parent, and only the native and `inherited`
+    slots are visited one by one.
     """
-    decoration: dict[Slot, FacetDecoration] = {}
-    undefined_from: dict[Slot, int] = {}
-    for addr in cells:
-        j0, parent, rule_id, cell = base_of[addr], parent_of[addr], rule_of[addr], addr[-1]
-        key = (j0, parent, rule_id, cell)
-        row = rows.get(key)
-        if row is None:
-            local = layout.native_undefined[rule_id]
-            row = rows[key] = tuple(
-                UNDEFINED if (cell, k) in local else dec
-                for k, dec in enumerate(_steps13(layout, j0, parent), start=1)
-            )
-        for k, dec in enumerate(row, start=1):
-            slot = (addr, k)
-            if dec is UNDEFINED:
-                decoration[slot] = UNDEFINED
-                undefined_from[slot] = 0
-            elif slot in inherited:
-                decoration[slot] = UNDEFINED
-                undefined_from[slot] = inherited[slot]
-            else:
-                decoration[slot] = dec
+    tiles = layout.numbering.tiles
+    native: dict[int, tuple[int, ...]] = {}  # tile -> its native-undefined facets, less one
+    for j0 in set(base):
+        rule_id, cell = tiles[j0 - 1]
+        local = layout.native_undefined[rule_id]
+        native[j0] = tuple(
+            k - 1 for k in range(1, layout.facet_count[j0] + 1) if (cell, k) in local
+        )
+    keys = list(zip(base, parent))
+    for j0, p in set(keys).difference(rows):
+        at = native[j0]
+        rows[(j0, p)] = tuple(
+            UNDEFINED if k in at else dec for k, dec in enumerate(_steps13(layout, j0, p))
+        )
+    decs: list[FacetDecoration] = list(chain.from_iterable(map(rows.__getitem__, keys)))
+    undefined = {s0 + k: 0 for s0, j0 in zip(offset, base) for k in native[j0]}
+    for s, origin in inherited.items():
+        if decs[s] is not UNDEFINED:
+            decs[s] = UNDEFINED
+            undefined[s] = origin
     return LevelPatch(
-        level=level_no,
-        cells=tuple(sorted(cells)),
-        rule_of=rule_of,
-        base_of=base_of,
-        parent_of=parent_of,
-        pairs=_sorted_pairs(pairs),
-        decoration=decoration,
-        undefined_from=undefined_from,
+        level_no, tiles, base, parent, rule, block, offset,
+        decs, undefined, _sorted_pairs(pairs), addresses, order,
     )
 
 
-def _expand_level(layout: Layout, blocks: Sequence[tuple[Address, int, Rule]],
-                  pairs: Sequence[tuple[Slot, Slot]], undefined_from: dict[Slot, int]):
-    """Blow each block `(address, tile, rule)` up by one application of
-    its rule, gluing the blocks along macro-facets via the layout's seams.
+def _expand_level(layout: Layout, tops: list[int], expanders: list[Rule],
+                  above: LevelPatch | None):
+    """Blow block b, tile `tops[b]`, up by one application of the rule
+    `expanders[b]`, gluing the blocks along macro-facets via the layout's
+    seams.
 
-    `pairs` and `undefined_from` are those of the level the blocks form:
-    each pair becomes the member pairs of its seam, and each UNDEFINED slot
-    passes down to its members one origin further. Each rule's child cells
-    with their tile indices, and its internal pairings oriented and sorted,
-    are read off once per call. Blocks come in ascending address order, so
-    the internal pairs of all blocks form one ascending run, and the seam
-    pairs follow the level's sorted pairs.
+    `above` is the level the blocks form, or None for the one top block:
+    each of its pairs becomes the member pairs of its seam, and each of its
+    UNDEFINED slots passes down to its members one origin further. The
+    children of block b take the next cell ids, in sorted cell-id order,
+    and the next slots, so ids and slots stay in address order. Each rule's
+    layout in a block (`_Shape`) is read off once per call. Blocks come in
+    ascending order, so the internal pairs of all blocks form one ascending
+    run, and the seam pairs follow the level's sorted pairs.
     """
-    new_cells: list[Address] = []
-    rule_of: dict[Address, str] = {}
-    base_of: dict[Address, int] = {}
-    parent_of: dict[Address, int] = {}
-    new_pairs: list[tuple[Slot, Slot]] = []
-    expander: dict[Address, Rule] = {}
-    children: dict[str, tuple[tuple[str, int], ...]] = {}
-    internal: dict[str, tuple[tuple[FacetRef, FacetRef], ...]] = {}
-    for addr, j, rule in blocks:
-        expander[addr] = rule
-        rid = rule.rule_id
-        if rid not in children:
-            children[rid] = tuple(
-                (cell, layout.numbering.tile_index(rid, cell)) for cell, _ in rule.template.cells
-            )
-            internal[rid] = tuple(sorted(
-                (a, b) if a <= b else (b, a) for a, b in rule.template.internal_pairings
-            ))
-        for cell, j0 in children[rid]:
-            sub = addr + (cell,)
-            new_cells.append(sub)
-            rule_of[sub] = rid
-            base_of[sub] = j0
-            parent_of[sub] = j
-        new_pairs += [
-            ((addr + (ca,), ka), (addr + (cb,), kb)) for (ca, ka), (cb, kb) in internal[rid]
+    shapes: dict[str, _Shape] = {}
+    for rule in expanders:
+        if rule.rule_id not in shapes:
+            shapes[rule.rule_id] = _shape(layout, rule)
+    block_shapes = [shapes[rule.rule_id] for rule in expanders]
+    sizes = [len(shape.bases) for shape in block_shapes]
+    base = list(chain.from_iterable(shape.bases for shape in block_shapes))
+    parent = list(chain.from_iterable(map(repeat, tops, sizes)))
+    rule_ids = list(chain.from_iterable(
+        map(repeat, [rule.rule_id for rule in expanders], sizes)
+    ))
+    block = list(chain.from_iterable(map(repeat, range(len(sizes)), sizes)))
+    offset = [0, *accumulate(chain.from_iterable(shape.counts for shape in block_shapes))]
+    first = [0, *accumulate(sizes)]  # block -> its first cell; then the cell count
+    first_slot = [offset[i] for i in first]
+    pairs = [
+        (s0 + la, s0 + lb)
+        for s0, shape in zip(first_slot, block_shapes) for la, lb in shape.internal
+    ]
+    order = None
+    if any(shape.ranks for shape in shapes.values()):
+        order = [
+            i + r for i, shape in zip(first, block_shapes)
+            for r in shape.ranks or range(len(shape.bases))
         ]
-    for (addr_a, a), (addr_b, b) in pairs:
-        ra, rb = expander[addr_a].rule_id, expander[addr_b].rule_id
-        seam = layout.seams.get(((ra, a), (rb, b)))
-        if seam is None:
-            raise InconsistentGluing(
-                f"no macro-adjacency for ({ra},{a}) ~ ({rb},{b})"
-            )
-        for (ca, ka), (cb, kb) in seam:
-            new_pairs.append(((addr_a + (ca,), ka), (addr_b + (cb,), kb)))
-    inherited: dict[Slot, int] = {}
-    for (addr, a), origin in undefined_from.items():
-        for cm, km in layout.gamma[expander[addr].rule_id][a]:
-            inherited[(addr + (cm,), km)] = origin + 1
-    return new_cells, rule_of, base_of, parent_of, new_pairs, inherited
+    inherited: dict[int, int] = {}
+    if above is not None:
+        above_offset = above.offset
+        above_cell = _slot_cells(above_offset)
+        seams: dict[tuple[str, int, str, int], tuple[tuple[int, int], ...]] = {}
+        glued = []  # per pair of the level above: both blocks' first slots, the seam
+        for sa, sb in above.slot_pairs:
+            ba, bb = above_cell[sa], above_cell[sb]
+            key = (expanders[ba].rule_id, sa - above_offset[ba] + 1,
+                   expanders[bb].rule_id, sb - above_offset[bb] + 1)
+            local = seams.get(key)
+            if local is None:
+                ra, a, rb, b = key
+                seam = layout.seams.get(((ra, a), (rb, b)))
+                if seam is None:
+                    raise InconsistentGluing(f"no macro-adjacency for ({ra},{a}) ~ ({rb},{b})")
+                at_a, at_b = shapes[ra].local, shapes[rb].local
+                local = seams[key] = tuple((at_a[ma], at_b[mb]) for ma, mb in seam)
+            glued.append((first_slot[ba], first_slot[bb], local))
+        pairs += [(pa + la, pb + lb) for pa, pb, local in glued for la, lb in local]
+        for s, origin in above.slot_undefined.items():
+            b = above_cell[s]
+            rule_id = expanders[b].rule_id
+            at, s0 = shapes[rule_id].local, first_slot[b]
+            for member in layout.gamma[rule_id][s - above_offset[b] + 1]:
+                inherited[s0 + at[member]] = origin + 1
+    tiles = layout.numbering.tiles
+
+    def addresses() -> tuple[Address, ...]:
+        heads = above.cells if above is not None else ((),)
+        return tuple([heads[b] + (tiles[j - 1][1],) for b, j in zip(block, base)])
+
+    return base, parent, rule_ids, block, offset, pairs, inherited, addresses, order
 
 
 def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
@@ -523,7 +672,7 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
                        ancestor_parent: int | None = None) -> LevelPatch:
     """Collapse the bottom level one step up, using only bottom-level data.
 
-    Blocks are grouped by address prefix; each block's tiles agree on a
+    The bottom's blocks become the cells; each block's tiles agree on a
     parent index, which recovers the level-above tile. Two blocks are paired
     wherever a bottom pair crosses between them, on the macro-facets its
     slots belong to. A facet of a recovered tile whose whole member seam is
@@ -531,10 +680,12 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
     a facet native to the level's networks must be one of them
     (PartialBlock otherwise). The recovered level is then decorated like
     any level, by `_decorate_level` with a memo of its own, so `_steps13`
-    runs once per recovered tile index. `ancestor_parent` (the hierarchy's
-    own top parent by default) is the only level-above datum the bottom
-    cannot carry. It is the parent of every block, so its prototype must be
-    the parent of some block's rule (InconsistentGluing otherwise).
+    runs once per recovered tile index. Its addresses are those of the
+    bottom's cells less their last step; it records no blocks of its own.
+    `ancestor_parent` (the hierarchy's own top parent by default) is the
+    only level-above datum the bottom cannot carry. It is the parent of
+    every block, so its prototype must be the parent of some block's rule
+    (InconsistentGluing otherwise).
     """
     bottom = hpatch.bottom
     if ancestor_parent is None:
@@ -542,60 +693,90 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
     layout = build_layout(numbering, networks)
     if ancestor_parent not in layout.facet_count:
         raise IndexOutOfRange(f"ancestor parent {ancestor_parent} outside 1..{numbering.n}")
-    blocks: dict[Address, list[Address]] = {}
-    for addr in bottom.cells:
-        if len(addr) < 2:
-            raise PartialBlock("bottom level is already the top expansion")
-        blocks.setdefault(addr[:-1], []).append(addr)
+    if len(hpatch.levels) < 2:
+        raise PartialBlock("bottom level is already the top expansion")
+    cell_block, cell_offset = bottom.block, bottom.offset
+    decs = bottom.decorations()
+    # The first cell of each block, then the cell count.
+    first = [i for i, b in enumerate(cell_block) if i == 0 or b != cell_block[i - 1]]
+    first.append(len(cell_block))
+    shapes = {
+        rule_id: _shape(layout, system.rule(rule_id))
+        for rule_id in dict.fromkeys(bottom.rule[i] for i in first[:-1])
+    }
+    # Per rule of the bottom cells, the block slots its cells read their
+    # parent index from.
+    reads = {
+        rule_id: [
+            shape.local[(cell, k)]
+            for cell, j in zip(shape.cells, shape.bases)
+            for k in layout.parent_facets.get(j, ())
+        ]
+        for rule_id, shape in shapes.items()
+    }
 
-    base_of: dict[Address, int] = {}
-    for prefix, members in blocks.items():
-        parents = set()
-        for addr in members:
-            ks = layout.parent_facets.get(bottom.base_of[addr], ())
-            for k in ks:
-                dec = bottom.decoration[(addr, k)]
-                if dec is not UNDEFINED:
-                    parents.add(dec.j)
+    def prefix(b: int) -> Address:
+        return bottom.cells[first[b]][:-1]
+
+    base: list[int] = []
+    for b, i in enumerate(first[:-1]):
+        s0 = cell_offset[i]
+        parents = {
+            dec.j for dec in [decs[s0 + s] for s in reads[bottom.rule[i]]]
+            if dec is not UNDEFINED
+        }
         if len(parents) != 1:
-            raise PartialBlock(f"block {prefix}: parent indices {sorted(parents)}")
-        base_of[prefix] = parents.pop()
+            raise PartialBlock(f"block {prefix(b)}: parent indices {sorted(parents)}")
+        base.append(parents.pop())
 
-    rule_of = {prefix: numbering.base_of(j_b)[0] for prefix, j_b in base_of.items()}
-    wanted = sorted({system.rule(rule_id).parent for rule_id in rule_of.values()})
+    rule_ids = [numbering.base_of(j_b)[0] for j_b in base]
+    wanted = sorted({system.rule(rule_id).parent for rule_id in rule_ids})
     proto = layout.prototype_name[ancestor_parent]
     if proto not in wanted:
         raise InconsistentGluing(
             f"ancestor parent T{ancestor_parent} has prototype {proto}, "
             f"not {' or '.join(wanted)}"
         )
+    offset = [0]
+    for j_b in base:
+        offset.append(offset[-1] + layout.facet_count[j_b])
 
-    facet_idx = layout.macro_facet_idx
-    pairs: list[tuple[Slot, Slot]] = []
-    for (addr_a, ka), (addr_b, kb) in bottom.pairs:
-        block_a, block_b = addr_a[:-1], addr_b[:-1]
-        if block_a != block_b:
-            pairs.append((
-                (block_a, facet_idx[(bottom.base_of[addr_a], ka)]),
-                (block_b, facet_idx[(bottom.base_of[addr_b], kb)]),
-            ))
+    # Only pairs between two blocks glue the recovered cells.
+    slot_cell = _slot_cells(cell_offset)
+    crossing = [
+        (sa, sb) for sa, sb in bottom.slot_pairs
+        if cell_block[slot_cell[sa]] != cell_block[slot_cell[sb]]
+    ]
+    facet_idx, cell_base = layout.macro_facet_idx, bottom.base
+    pairs: list[tuple[int, int]] = []
+    for sa, sb in crossing:
+        ia, ib = slot_cell[sa], slot_cell[sb]
+        pairs.append((
+            offset[cell_block[ia]] + facet_idx[(cell_base[ia], sa - cell_offset[ia] + 1)] - 1,
+            offset[cell_block[ib]] + facet_idx[(cell_base[ib], sb - cell_offset[ib] + 1)] - 1,
+        ))
 
-    inherited: dict[Slot, int] = {}
-    for prefix, j_b in base_of.items():
+    inherited: dict[int, int] = {}
+    for b, j_b in enumerate(base):
         rule_id, cell = numbering.base_of(j_b)
-        gamma = layout.gamma[bottom.rule_of[blocks[prefix][0]]]
+        child_rule = bottom.rule[first[b]]
+        gamma, local = layout.gamma[child_rule], shapes[child_rule].local
         native = layout.native_undefined[rule_id]
+        s0 = cell_offset[first[b]]
         for a in range(1, layout.facet_count[j_b] + 1):
-            members = [(prefix + (cm,), km) for cm, km in gamma[a]]
-            if all(bottom.decoration[m] is UNDEFINED for m in members):
-                origin = max(bottom.undefined_from[m] for m in members)
-                inherited[(prefix, a)] = max(0, origin - 1)
+            members = [s0 + local[m] for m in gamma[a]]
+            if all(decs[m] is UNDEFINED for m in members):
+                origin = max(bottom.slot_undefined[m] for m in members)
+                inherited[offset[b] + a - 1] = max(0, origin - 1)
             elif (cell, a) in native:
-                raise PartialBlock(f"block {prefix}: facet {a} should be undefined")
-    parent_of = {prefix: ancestor_parent for prefix in base_of}
+                raise PartialBlock(f"block {prefix(b)}: facet {a} should be undefined")
+
+    def addresses() -> tuple[Address, ...]:
+        return tuple([prefix(b) for b in range(len(base))])
+
     return _decorate_level(
-        layout, {}, bottom.level + 1, list(base_of), rule_of, base_of, parent_of,
-        pairs, inherited,
+        layout, {}, bottom.level + 1, base, [ancestor_parent] * len(base), rule_ids, None,
+        offset, pairs, inherited, addresses, None,
     )
 
 

@@ -1,9 +1,10 @@
 """Shared shorthands for building decorations and small systems in tests."""
 
+from dataclasses import dataclass
 from importlib import resources
 
 from tilesub.assembler import phase_of
-from tilesub.errors import AmbiguousSignature
+from tilesub.errors import AmbiguousSignature, InconsistentGluing, IndexOutOfRange, PartialBlock
 from tilesub.model import (
     BOUNDARY,
     MACRO_FACET,
@@ -15,7 +16,7 @@ from tilesub.model import (
     internal,
     make_pairing,
 )
-from tilesub.tileset import UNDEFINED, DecorationTriple
+from tilesub.tileset import UNDEFINED, DecorationTriple, _steps13
 
 S, N, W, E = 1, 2, 3, 4
 
@@ -102,3 +103,197 @@ def decompose_by_scan(patch, instances, layout):
             None,
         )
     return blocks
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the flat hierarchy levels: the tuple-address builders that the
+# flat lists replaced, kept as they were. A level is an `AddressedLevel`
+# with the public fields of `simulation.LevelPatch`.
+
+
+@dataclass
+class AddressedLevel:
+    level: int
+    cells: tuple
+    rule_of: dict
+    base_of: dict
+    parent_of: dict
+    pairs: tuple
+    decoration: dict
+    undefined_from: dict
+
+
+def _sorted_slot_pairs(pairs):
+    return tuple(sorted(dict.fromkeys((a, b) if a <= b else (b, a) for a, b in pairs)))
+
+
+def addressed_hierarchy(layout, seed, top_parent, depth):
+    """The levels of `hierarchy_decorate`, bottom first, for a top parent
+    it has already checked."""
+    blocks = [((), top_parent, seed)]
+    pairs = ()
+    undefined_from = {}
+    levels = []
+    rows = {}
+    for level_no in reversed(range(depth)):
+        level = _addressed_decorate(
+            layout, rows, level_no, *_addressed_expand(layout, blocks, pairs, undefined_from)
+        )
+        levels.append(level)
+        if level_no:
+            blocks = []
+            for addr in level.cells:
+                j = level.base_of[addr]
+                proto = layout.prototype_name[j]
+                rule = layout.rule_for_prototype.get(proto)
+                if rule is None:
+                    raise InconsistentGluing(f"no rule expands prototype {proto}")
+                blocks.append((addr, j, rule))
+            pairs, undefined_from = level.pairs, level.undefined_from
+    levels.reverse()
+    return levels
+
+
+def _addressed_decorate(layout, rows, level_no, cells, rule_of, base_of, parent_of,
+                        pairs, inherited):
+    decoration = {}
+    undefined_from = {}
+    for addr in cells:
+        j0, parent, rule_id, cell = base_of[addr], parent_of[addr], rule_of[addr], addr[-1]
+        key = (j0, parent, rule_id, cell)
+        row = rows.get(key)
+        if row is None:
+            local = layout.native_undefined[rule_id]
+            row = rows[key] = tuple(
+                UNDEFINED if (cell, k) in local else dec
+                for k, dec in enumerate(_steps13(layout, j0, parent), start=1)
+            )
+        for k, dec in enumerate(row, start=1):
+            slot = (addr, k)
+            if dec is UNDEFINED:
+                decoration[slot] = UNDEFINED
+                undefined_from[slot] = 0
+            elif slot in inherited:
+                decoration[slot] = UNDEFINED
+                undefined_from[slot] = inherited[slot]
+            else:
+                decoration[slot] = dec
+    return AddressedLevel(
+        level=level_no,
+        cells=tuple(sorted(cells)),
+        rule_of=rule_of,
+        base_of=base_of,
+        parent_of=parent_of,
+        pairs=_sorted_slot_pairs(pairs),
+        decoration=decoration,
+        undefined_from=undefined_from,
+    )
+
+
+def _addressed_expand(layout, blocks, pairs, undefined_from):
+    new_cells = []
+    rule_of = {}
+    base_of = {}
+    parent_of = {}
+    new_pairs = []
+    expander = {}
+    children = {}
+    internal = {}
+    for addr, j, rule in blocks:
+        expander[addr] = rule
+        rid = rule.rule_id
+        if rid not in children:
+            children[rid] = tuple(
+                (cell, layout.numbering.tile_index(rid, cell)) for cell, _ in rule.template.cells
+            )
+            internal[rid] = tuple(sorted(
+                (a, b) if a <= b else (b, a) for a, b in rule.template.internal_pairings
+            ))
+        for cell, j0 in children[rid]:
+            sub = addr + (cell,)
+            new_cells.append(sub)
+            rule_of[sub] = rid
+            base_of[sub] = j0
+            parent_of[sub] = j
+        new_pairs += [
+            ((addr + (ca,), ka), (addr + (cb,), kb)) for (ca, ka), (cb, kb) in internal[rid]
+        ]
+    for (addr_a, a), (addr_b, b) in pairs:
+        ra, rb = expander[addr_a].rule_id, expander[addr_b].rule_id
+        seam = layout.seams.get(((ra, a), (rb, b)))
+        if seam is None:
+            raise InconsistentGluing(
+                f"no macro-adjacency for ({ra},{a}) ~ ({rb},{b})"
+            )
+        for (ca, ka), (cb, kb) in seam:
+            new_pairs.append(((addr_a + (ca,), ka), (addr_b + (cb,), kb)))
+    inherited = {}
+    for (addr, a), origin in undefined_from.items():
+        for cm, km in layout.gamma[expander[addr].rule_id][a]:
+            inherited[(addr + (cm,), km)] = origin + 1
+    return new_cells, rule_of, base_of, parent_of, new_pairs, inherited
+
+
+def addressed_quotient(bottom, top_parent, layout, ancestor_parent=None):
+    """`quotient_hierarchy` of a hierarchy with the addressed `bottom`."""
+    numbering = layout.numbering
+    system = numbering.system
+    if ancestor_parent is None:
+        ancestor_parent = top_parent
+    if ancestor_parent not in layout.facet_count:
+        raise IndexOutOfRange(f"ancestor parent {ancestor_parent} outside 1..{numbering.n}")
+    blocks = {}
+    for addr in bottom.cells:
+        if len(addr) < 2:
+            raise PartialBlock("bottom level is already the top expansion")
+        blocks.setdefault(addr[:-1], []).append(addr)
+
+    base_of = {}
+    for prefix, members in blocks.items():
+        parents = set()
+        for addr in members:
+            ks = layout.parent_facets.get(bottom.base_of[addr], ())
+            for k in ks:
+                dec = bottom.decoration[(addr, k)]
+                if dec is not UNDEFINED:
+                    parents.add(dec.j)
+        if len(parents) != 1:
+            raise PartialBlock(f"block {prefix}: parent indices {sorted(parents)}")
+        base_of[prefix] = parents.pop()
+
+    rule_of = {prefix: numbering.base_of(j_b)[0] for prefix, j_b in base_of.items()}
+    wanted = sorted({system.rule(rule_id).parent for rule_id in rule_of.values()})
+    proto = layout.prototype_name[ancestor_parent]
+    if proto not in wanted:
+        raise InconsistentGluing(
+            f"ancestor parent T{ancestor_parent} has prototype {proto}, "
+            f"not {' or '.join(wanted)}"
+        )
+
+    facet_idx = layout.macro_facet_idx
+    pairs = []
+    for (addr_a, ka), (addr_b, kb) in bottom.pairs:
+        block_a, block_b = addr_a[:-1], addr_b[:-1]
+        if block_a != block_b:
+            pairs.append((
+                (block_a, facet_idx[(bottom.base_of[addr_a], ka)]),
+                (block_b, facet_idx[(bottom.base_of[addr_b], kb)]),
+            ))
+
+    inherited = {}
+    for prefix, j_b in base_of.items():
+        rule_id, cell = numbering.base_of(j_b)
+        gamma = layout.gamma[bottom.rule_of[blocks[prefix][0]]]
+        native = layout.native_undefined[rule_id]
+        for a in range(1, layout.facet_count[j_b] + 1):
+            members = [(prefix + (cm,), km) for cm, km in gamma[a]]
+            if all(bottom.decoration[m] is UNDEFINED for m in members):
+                origin = max(bottom.undefined_from[m] for m in members)
+                inherited[(prefix, a)] = max(0, origin - 1)
+            elif (cell, a) in native:
+                raise PartialBlock(f"block {prefix}: facet {a} should be undefined")
+    parent_of = {prefix: ancestor_parent for prefix in base_of}
+    return _addressed_decorate(
+        layout, {}, bottom.level + 1, list(base_of), rule_of, base_of, parent_of,
+        pairs, inherited,
+    )

@@ -248,3 +248,41 @@ def test_render_negative_tile_is_usage_error(capsys, tmp_path):
     assert code == 2
     assert "--tile: -1 is below the minimum 0" in err
     assert not out_path.exists()
+
+
+def _edited_spec(tmp_path, edit):
+    spec = tmp_path / "edited.sub"
+    spec.write_text(edit(Path(SPEC).read_text()))
+    return str(spec)
+
+
+def _without_lines(marker):
+    return lambda text: "".join(
+        line for line in text.splitlines(keepends=True) if marker not in line
+    )
+
+
+def test_validate_reports_a_missing_branch_without_the_port_condition(capsys, tmp_path):
+    """The port condition reads every branch, so a network that fails its
+    own checks is reported and the port condition is not run on it."""
+    spec = _edited_spec(tmp_path, _without_lines("branch S :"))
+    code, out, _ = run(capsys, "validate", spec)
+    assert code == 1
+    assert out.startswith("VIOLATION BranchCount: r1: ")
+    assert out.splitlines()[-1] == "result=FAIL"
+
+
+def test_validate_reports_a_rule_without_a_network(capsys, tmp_path):
+    spec = _edited_spec(tmp_path, _without_lines("  network "))
+    code, out, _ = run(capsys, "validate", spec)
+    assert code == 1
+    assert out.splitlines() == ["VIOLATION MissingNetwork: rule r1 has no network", "result=FAIL"]
+
+
+def test_count_refuses_unchecked_networks(capsys, tmp_path):
+    moved = _edited_spec(tmp_path, lambda text: text.replace("port c2.S", "port c2.W"))
+    assert run(capsys, "count", moved) == (
+        1, "", "error: rule r1 network invalid: ['PortMembership']\n"
+    )
+    missing = _edited_spec(tmp_path, _without_lines("  network "))
+    assert run(capsys, "count", missing) == (1, "", "error: rule r1 has no network\n")

@@ -8,17 +8,20 @@ independent answers.
 import dataclasses
 import hashlib
 from collections import Counter
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilesub import simulation
-from tilesub.errors import PartialBlock
+from tilesub.errors import PartialBlock, TilesubError
 from tilesub.model import build_numbering
 from tilesub.simulation import _sorted_pairs, hierarchy_decorate, quotient_hierarchy
-from tilesub.specfile import load_bundled
+from tilesub.specfile import load_bundled, parse_spec
 from tilesub.tileset import UNDEFINED, build_layout
+
+from helpers import addressed_hierarchy, addressed_quotient
 
 # (spec, seed rule, ancestor parent of the quotient) -> SHA-256 of the
 # depth-3 levels, bottom first, then of the quotient of the bottom. The rb
@@ -142,17 +145,72 @@ def test_quotient_rejects_a_defined_member_of_a_native_facet(depth2_square):
         quotient_hierarchy(hpatch, doc.system, numbering, doc.networks)
 
 
+def _assert_same_level(level, want):
+    """Field by field, dict insertion order included."""
+    assert level.level == want.level
+    assert level.cells == want.cells
+    assert level.pairs == want.pairs
+    for name in ("rule_of", "base_of", "parent_of", "decoration", "undefined_from"):
+        assert list(getattr(level, name).items()) == list(getattr(want, name).items()), name
+    assert repr(level) == "LevelPatch(" + repr(want)[len("AddressedLevel("):]
+
+
+def _reversed_cells_3x3():
+    """The bundled 3x3 with its cells declared c9 first: the template order
+    is not the sorted cell-id order, so the generation order of a level's
+    cells is not their sorted order."""
+    text = resources.files("tilesub.data").joinpath("square3x3.sub").read_text()
+    cells = "".join(f"  cell c{i} sq\n" for i in range(1, 10))
+    assert cells in text
+    return parse_spec(text.replace(cells, "".join(f"  cell c{i} sq\n" for i in range(9, 0, -1))))
+
+
+ORACLE_CASES = (
+    [("square3x3", "r1", depth) for depth in (1, 2, 3, 4)]
+    + [("tworule3x3", rule, depth) for rule in ("ra", "rb") for depth in (1, 2, 3)]
+    + [("reversed3x3", "r1", depth) for depth in (1, 2, 3)]
+)
+
+
+@pytest.mark.parametrize("spec, seed_rule, depth", ORACLE_CASES)
+def test_levels_and_quotients_equal_the_addressed_oracle(spec, seed_rule, depth):
+    """Every flat level, and its quotient for three ancestors, equals what
+    the tuple-address builders give; where they raise, the flat ones raise
+    the same error."""
+    doc = _reversed_cells_3x3() if spec == "reversed3x3" else load_bundled(spec)
+    numbering = build_numbering(doc.system)
+    layout = build_layout(numbering, doc.networks)
+    hpatch = hierarchy_decorate(doc.system, numbering, doc.networks, seed_rule, depth)
+    want = addressed_hierarchy(layout, doc.system.rule(seed_rule), hpatch.top_parent, depth)
+    assert len(hpatch.levels) == len(want)
+    for level, expected in zip(hpatch.levels, want):
+        _assert_same_level(level, expected)
+    for ancestor in (None, 1, 5):
+        try:
+            expected = addressed_quotient(want[0], hpatch.top_parent, layout, ancestor)
+        except TilesubError as exc:
+            with pytest.raises(type(exc)) as raised:
+                quotient_hierarchy(hpatch, doc.system, numbering, doc.networks, ancestor)
+            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        else:
+            _assert_same_level(
+                quotient_hierarchy(hpatch, doc.system, numbering, doc.networks, ancestor),
+                expected,
+            )
+
+
 @pytest.fixture(scope="module")
 def depth2_pairs():
     doc, numbering = _bundled("tworule3x3")
-    return hierarchy_decorate(doc.system, numbering, doc.networks, "ra", 2).bottom.pairs
+    return hierarchy_decorate(doc.system, numbering, doc.networks, "ra", 2).bottom.slot_pairs
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_sorted_pairs_matches_sorting_each_pair(depth2_pairs, data):
-    """Shuffled copies of a level's pairs, some reversed, some repeated,
-    give what sorting each pair and then the distinct pairs gives."""
+    """Shuffled copies of a level's slot pairs, some reversed, some
+    repeated, give what sorting each pair and then the distinct pairs
+    gives: the distinct pairs, each ascending, in ascending order."""
     pairs = list(depth2_pairs)
     order = data.draw(st.permutations(range(len(pairs))))
     flipped = data.draw(st.sets(st.sampled_from(range(len(pairs)))))
