@@ -52,7 +52,11 @@ class GridPatch:
 @dataclass(frozen=True)
 class GridLayout:
     """The grid embedding of one rule's template, recovered from its facet
-    pairings, plus the table that reads a phase off a tile's macro-indices."""
+    pairings, plus the table that reads a phase off a tile's macro-indices.
+
+    `phases` memoises, per decoration tuple seen by `_known_phases`, the
+    phase `phase_of` gives or None where it gives none. It only caches what
+    the other fields determine, so it takes no part in equality or repr."""
 
     rule_id: str
     width: int
@@ -62,6 +66,9 @@ class GridLayout:
     # (S, N, W, E) macro-index signature with any facets masked to None ->
     # the tile indices whose full signature it fits
     fits: dict[tuple, list[int]]
+    phases: dict[tuple, tuple[int, int] | None] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
 
 def _require_square(system: SubstitutionSystem) -> None:
@@ -145,14 +152,29 @@ def phase_of(tile: DecoratedTile, layout: GridLayout) -> tuple[int, int]:
     return layout.position_of[hits[0]]
 
 
+_UNSEEN = object()
+
+
 def _known_phases(patch: GridPatch, layout: GridLayout, report: ValidationReport
                   ) -> dict[tuple[int, int], tuple[int, int]]:
+    """The phase of every patch cell that has one, in sorted position order;
+    each cell without one gets a note. A phase depends only on the tile's
+    decorations, so `phase_of` runs once per distinct decoration tuple and
+    layout, its answer kept in `layout.phases`."""
+    memo = layout.phases
     phases = {}
     for pos, tile in sorted(patch.cells.items()):
-        try:
-            phases[pos] = phase_of(tile, layout)
-        except (KeyError, AmbiguousSignature):
+        phase = memo.get(tile.triples, _UNSEEN)
+        if phase is _UNSEEN:
+            try:
+                phase = phase_of(tile, layout)
+            except (KeyError, AmbiguousSignature):
+                phase = None
+            memo[tile.triples] = phase
+        if phase is None:
             report.note(f"cell {pos}: phase undetermined")
+        else:
+            phases[pos] = phase
     return phases
 
 
@@ -160,7 +182,9 @@ def check_phase_coherence(patch: GridPatch, layout: GridLayout) -> ValidationRep
     """East neighbors advance the column phase by one (mod width) at equal
     row phase, and symmetrically northward. Cells whose signature does not
     determine a phase (wildcard-heavy hierarchy cells) are skipped with a
-    note."""
+    note, in sorted position order. Phases are read through `layout.phases`,
+    so checking many patches with one layout looks each distinct tile's
+    decorations up once."""
     report = ValidationReport()
     w, h = layout.width, layout.height
     phases = _known_phases(patch, layout, report)

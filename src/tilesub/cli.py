@@ -30,8 +30,20 @@ from .stages import stage_views
 from .tileset import build_layout, close, generate_tileset
 
 
+def _read(path: str) -> str:
+    """The text of an input file. One that cannot be read (missing, a
+    directory, no permission) or is not UTF-8 raises ParseError (exit 2)."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 ({exc.reason} at byte {exc.start})"
+                         ) from None
+
+
 def _load(path: str):
-    return parse_spec(Path(path).read_text())
+    return parse_spec(_read(path))
 
 
 def _finish(report: ValidationReport) -> int:
@@ -131,7 +143,7 @@ def cmd_count(args) -> int:
 
 def _parse_seeds(path: str, tau, width: int, height: int) -> dict[tuple[int, int], object]:
     seeds = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -143,6 +155,8 @@ def _parse_seeds(path: str, tau, width: int, height: int) -> dict[tuple[int, int
             raise ParseError(f"seed cell ({x},{y}) outside the {width}x{height} patch", lineno)
         if not 0 <= idx < len(tau):
             raise ParseError(f"seed tile index {idx} outside 0..{len(tau) - 1}", lineno)
+        if (x, y) in seeds:
+            raise ParseError(f"seed cell ({x},{y}) given twice", lineno)
         seeds[(x, y)] = tau.tiles[idx]
     return seeds
 

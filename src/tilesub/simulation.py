@@ -68,19 +68,23 @@ class MacroTileInstance:
     central_tile: DecoratedTile
 
 
-_EXHAUSTED = object()
-
-
 def _search(cells: Sequence[tuple[Iterable[Any], Callable, Callable]]
             ) -> Iterator[tuple[Any, ...]]:
     """Every way to pick one candidate per cell such that each candidate's
     key equals the key wanted by the candidates placed before it.
 
     `cells` lists, per cell, a candidate pool in canonical order, the key
-    read off a candidate and the key wanted by the placed prefix (a list).
-    Each pool is grouped by key once, so a placement is one dict lookup;
-    solutions come out in lexicographic pool order. The backtracking keeps
-    its own stack, so recursion depth does not bound the number of cells.
+    read off a candidate and the key wanted by the placed prefix. The wanted
+    key of cell c gets a list whose first c entries are the candidates placed
+    so far and must read no other entry. Each pool is grouped by key once,
+    so a placement is one dict lookup; solutions come out in lexicographic
+    pool order. The backtracking keeps its own stack, so recursion depth does
+    not bound the number of cells.
+
+    Each candidate is tried against the next cell's group before anything is
+    pushed: a prefix whose next cell has no candidate costs no stack entry,
+    and a prefix that reaches the last cell yields that cell's group
+    directly.
     """
     if not cells:
         yield ()
@@ -92,30 +96,51 @@ def _search(cells: Sequence[tuple[Iterable[Any], Callable, Callable]]
             by_key.setdefault(key(candidate), []).append(candidate)
         groups.append(by_key)
     wants = [want for _, _, want in cells]
-    placed: list[Any] = []
-    stack = [iter(groups[0].get(wants[0](placed), ()))]
+    last = len(cells) - 1
+    placed: list[Any] = [None] * len(cells)
+    top = groups[0].get(wants[0](placed), ())
+    if last == 0:
+        for candidate in top:
+            yield (candidate,)
+        return
+    # stack[c] runs over the candidates of cell c, which fill placed[c].
+    stack = [iter(top)]
     while stack:
-        candidate = next(stack[-1], _EXHAUSTED)
-        if candidate is _EXHAUSTED:
-            stack.pop()
-            if placed:
-                placed.pop()
+        cell = len(stack)  # the cell after the one the top iterator fills
+        group_of, want = groups[cell], wants[cell]
+        if cell == last:
+            for placed[cell - 1] in stack.pop():
+                for placed[cell] in group_of.get(want(placed), ()):
+                    yield tuple(placed)
             continue
-        placed.append(candidate)
-        depth = len(placed)
-        if depth == len(cells):
-            yield tuple(placed)
-            placed.pop()
+        for placed[cell - 1] in stack[-1]:
+            group = group_of.get(want(placed))
+            if group is not None:
+                stack.append(iter(group))
+                break
         else:
-            stack.append(iter(groups[depth].get(wants[depth](placed), ())))
+            stack.pop()
 
 
 def _seam_keys(seams: Sequence[tuple[int, int, int]]) -> tuple[Callable, Callable]:
     """The key and wanted key of a cell whose facet k must carry the
     decoration of facet k2 of placed cell i, for each (k, i, k2) in
-    `seams`."""
-    return (lambda tile: tuple([tile.triples[k - 1] for k, _, _ in seams]),
-            lambda placed: tuple([placed[i].triples[k2 - 1] for _, i, k2 in seams]))
+    `seams`. Both keys are tuples in `seams` order.
+
+    The search calls the wanted key once per placement, so one and two
+    seams, which cover every cell of a square template or grid, get closures
+    of fixed arity; other counts loop over the seams."""
+    at = [(k - 1, i, k2 - 1) for k, i, k2 in seams]
+    if len(at) == 1:
+        ((k, i, k2),) = at
+        return (lambda tile: (tile.triples[k],),
+                lambda placed: (placed[i].triples[k2],))
+    if len(at) == 2:
+        (ka, ia, ka2), (kb, ib, kb2) = at
+        return (lambda tile: (tile.triples[ka], tile.triples[kb]),
+                lambda placed: (placed[ia].triples[ka2], placed[ib].triples[kb2]))
+    return (lambda tile: tuple([tile.triples[k] for k, _, _ in at]),
+            lambda placed: tuple([placed[i].triples[k2] for _, i, k2 in at]))
 
 
 def enumerate_macro_tiles(tau: Tileset, system: SubstitutionSystem,
@@ -160,19 +185,32 @@ def _enumerate_rule(tau: Tileset, layout: Layout, rule: Rule) -> Iterator[MacroT
     if not reads:
         raise TilesubError(f"rule {rule.rule_id}: no cell of an instance reads its parent")
     first, k_first = min(reads.items())
+    k_first -= 1
 
     def keys(i: int, cell: str) -> tuple[Callable, Callable]:
-        key, want = _seam_keys(back[cell])
         if i not in reads or i == first:
-            return key, want
-        k = reads[i]
-        # Every later reader repeats the parent the first reader fixed.
-        return (lambda tile: (*key(tile), tile.triples[k - 1].j),
-                lambda placed: (*want(placed), placed[first].triples[k_first - 1].j))
+            return _seam_keys(back[cell])
+        # Every later reader repeats the parent the first reader fixed: its
+        # keys end with the parent index it reads. One and two seams get
+        # closures of fixed arity, as in `_seam_keys`.
+        k = reads[i] - 1
+        at = [(ka - 1, ia, ka2 - 1) for ka, ia, ka2 in back[cell]]
+        if len(at) == 1:
+            ((ka, ia, ka2),) = at
+            return (lambda tile: (tile.triples[ka], tile.triples[k].j),
+                    lambda placed: (placed[ia].triples[ka2], placed[first].triples[k_first].j))
+        if len(at) == 2:
+            (ka, ia, ka2), (kb, ib, kb2) = at
+            return (lambda tile: (tile.triples[ka], tile.triples[kb], tile.triples[k].j),
+                    lambda placed: (placed[ia].triples[ka2], placed[ib].triples[kb2],
+                                    placed[first].triples[k_first].j))
+        key, want = _seam_keys(back[cell])
+        return (lambda tile: (*key(tile), tile.triples[k].j),
+                lambda placed: (*want(placed), placed[first].triples[k_first].j))
 
     center = pos[layout.networks[rule.rule_id].center]
     for tiles in _search([(pools[c], *keys(i, c)) for i, c in enumerate(cells)]):
-        parent = tiles[first].triples[k_first - 1].j
+        parent = tiles[first].triples[k_first].j
         yield MacroTileInstance(rule.rule_id, cells, tiles, parent, tiles[center])
 
 

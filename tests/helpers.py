@@ -13,6 +13,7 @@ from tilesub.model import (
     Prototype,
     Rule,
     SubstitutionSystem,
+    ValidationReport,
     internal,
     make_pairing,
 )
@@ -72,6 +73,27 @@ def partial_gamma_3x3_text():
             raise ValueError(f"bundled 3x3 spec lacks the line {old!r}")
         text = text.replace(old, new)
     return text
+
+
+def phase_coherence_by_cell(patch, layout):
+    """Oracle for `check_phase_coherence`: the same checks, with one
+    `phase_of` call per cell and no memo."""
+    report = ValidationReport()
+    w, h = layout.width, layout.height
+    phases = {}
+    for pos, tile in sorted(patch.cells.items()):
+        try:
+            phases[pos] = phase_of(tile, layout)
+        except (KeyError, AmbiguousSignature):
+            report.note(f"cell {pos}: phase undetermined")
+    for (x, y), (cx, cy) in phases.items():
+        ep = phases.get((x + 1, y))
+        if ep is not None and ep != ((cx + 1) % w, cy):
+            report.add("PhaseIncoherent", f"({x},{y})->E: {(cx, cy)} then {ep}")
+        np_ = phases.get((x, y + 1))
+        if np_ is not None and np_ != (cx, (cy + 1) % h):
+            report.add("PhaseIncoherent", f"({x},{y})->N: {(cx, cy)} then {np_}")
+    return report
 
 
 def decompose_by_scan(patch, instances, layout):

@@ -4,10 +4,11 @@ from itertools import product
 
 import pytest
 
-from helpers import E, N, S, W, decompose_by_scan, trip
+from helpers import E, N, S, W, decompose_by_scan, phase_coherence_by_cell, trip
 from tilesub.assembler import (
     GridPatch,
     assemble_patches,
+    build_grid_layout,
     check_phase_coherence,
     decompose_macro,
     grid_from_hierarchy,
@@ -15,8 +16,11 @@ from tilesub.assembler import (
     phase_of,
 )
 from tilesub.errors import AmbiguousSignature, NonSquareSystem
+from tilesub.grids import make_square_grid_document
+from tilesub.model import build_numbering
 from tilesub.simulation import hierarchy_decorate
-from tilesub.tileset import DecoratedTile, Tileset, UNDEFINED
+from tilesub.specfile import load_bundled
+from tilesub.tileset import DecoratedTile, Tileset, UNDEFINED, generate_tileset
 
 
 def brute_force_patches(tiles, width, height):
@@ -285,3 +289,99 @@ def test_indexed_wildcard_decomposition_matches_linear_scan(system, numbering, n
     assert decomposed.report.codes() == {"NonInstanceBlock"}
     assert decomposed.blocks.keys() == oracle.keys() - {(0, 0)}
     assert all(decomposed.blocks[a] is oracle[a] for a in decomposed.blocks)
+
+
+# ---------------------------------------------------------------------------
+# The phase memo: `check_phase_coherence` and `decompose_macro` read each
+# distinct decoration tuple's phase once per `GridLayout`.
+
+
+def fresh_grid_layout(doc):
+    return build_grid_layout(doc.system, build_numbering(doc.system), doc.networks)
+
+
+def assert_phases_match_reference(patches, layout):
+    """Every patch gets the reference's entries and notes, in order, from a
+    fresh memo and again from the memo the first pass filled. Returns the
+    number of incoherent patches."""
+    assert not layout.phases
+    expected = [phase_coherence_by_cell(p, layout) for p in patches]
+    for _ in range(2):
+        got = [check_phase_coherence(p, layout) for p in patches]
+        assert [(r.entries, r.notes) for r in got] == [(r.entries, r.notes) for r in expected]
+    assert layout.phases
+    return sum(not r.ok for r in expected)
+
+
+@pytest.mark.parametrize("spec", ["square3x3", "tworule3x3"])
+def test_phase_memo_matches_reference_on_every_bundled_2x2_patch(spec):
+    doc = load_bundled(spec)
+    numbering = build_numbering(doc.system)
+    tau = generate_tileset(doc.system, numbering, doc.networks)
+    patches = assemble_patches(tau, numbering, 2, 2)
+    assert len(patches) == {"square3x3": 8137, "tworule3x3": 37768}[spec]
+    assert assert_phases_match_reference(patches, fresh_grid_layout(doc)) == 0
+
+
+def test_phase_memo_matches_reference_on_the_4x4_grid():
+    doc = make_square_grid_document(4, 4)
+    numbering = build_numbering(doc.system)
+    tau = generate_tileset(doc.system, numbering, doc.networks)
+    patches = assemble_patches(tau, numbering, 2, 2)
+    assert len(patches) == 53160
+    assert assert_phases_match_reference(patches, fresh_grid_layout(doc)) == 24
+
+
+def test_phase_memo_matches_reference_on_forged_and_hierarchy_patches(
+        doc3, system, numbering, networks, instances, tau, compiled):
+    """The depth-3 hierarchy patch has wildcards and undetermined phases;
+    the forged patches are those of the tests above."""
+    layout = fresh_grid_layout(doc3)
+    hpatch = hierarchy_decorate(system, numbering, networks, "r1", 3)
+    deep = grid_from_hierarchy(hpatch, layout, networks)
+    corner = next(t for t in tau if t.base == 1)
+    block = dict(patch_from_instance(instances[0], layout).cells)
+    block[(1, 1)] = next(
+        t for t in tau if t.base in compiled.central_cells and t != block[(1, 1)]
+    )
+    cells = dict(deep.cells)
+    tile = cells[(0, 0)]
+    bad = tile.triples[E - 1]._replace(j=numbering.n + 1)
+    cells[(0, 0)] = DecoratedTile(tile.base, tile.triples[:E - 1] + (bad,) + tile.triples[E:])
+    patches = [
+        deep,
+        GridPatch(2, 1, {(0, 0): corner, (1, 0): corner}),
+        GridPatch(3, 3, block),
+        GridPatch(deep.width, deep.height, cells),
+        GridPatch(3, 3, {}),
+    ]
+    assert "phase undetermined" in phase_coherence_by_cell(deep, layout).notes[0]
+    assert assert_phases_match_reference(patches, layout) == 1
+
+
+def test_phase_memo_leaves_layout_equality_repr_and_decomposition_unchanged(
+        doc3, system, numbering, networks, instances):
+    fresh, filled = fresh_grid_layout(doc3), fresh_grid_layout(doc3)
+    hpatch = hierarchy_decorate(system, numbering, networks, "r1", 3)
+    patch = grid_from_hierarchy(hpatch, fresh, networks)
+    check_phase_coherence(patch, filled)
+    assert filled.phases and not fresh.phases
+    assert filled == fresh and repr(filled) == repr(fresh)
+    cold = decompose_macro(patch, instances, fresh, wildcard=True)
+    warm = decompose_macro(patch, instances, filled, wildcard=True)
+    assert cold == warm and cold.report.ok and len(cold.blocks) == 81
+    oracle = decompose_by_scan(patch, instances, fresh)
+    assert all(cold.blocks[a] is oracle[a] for a in oracle) and cold.blocks.keys() == oracle.keys()
+
+
+def test_phase_memo_is_read_only_by_its_own_layout(doc3, tau, numbering):
+    """A poisoned memo in one layout changes nothing for an equal layout."""
+    patches = assemble_patches(tau, numbering, 2, 2)[:500]
+    poisoned, clean = fresh_grid_layout(doc3), fresh_grid_layout(doc3)
+    for patch in patches:
+        for tile in patch.cells.values():
+            poisoned.phases[tile.triples] = (7, 7)
+    assert poisoned == clean
+    assert all(check_phase_coherence(p, clean).ok for p in patches)
+    assert not any(check_phase_coherence(p, poisoned).ok for p in patches)
+    assert set(poisoned.phases.values()) == {(7, 7)}

@@ -3,6 +3,8 @@
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 from tilesub import cli
 from tilesub.cli import main
 
@@ -240,6 +242,33 @@ def test_assemble_seed_outside_the_patch_is_parse_error(capsys, tmp_path):
     assert code == 2
     assert "line 2: seed cell (9,9) outside the 2x2 patch" in err
     assert "patches=" not in out
+
+
+def test_assemble_duplicate_seed_cell_is_parse_error(capsys, tmp_path):
+    seed = tmp_path / "seed.txt"
+    seed.write_text("0 0 5\n0 0 7\n")
+    assert run(
+        capsys, "assemble", SPEC, "--width", "2", "--height", "2", "--seed", str(seed),
+    ) == (2, "", "error: line 2: seed cell (0,0) given twice\n")
+
+
+@pytest.mark.parametrize("case", ["spec directory", "seed directory", "spec not UTF-8"])
+def test_unreadable_input_is_one_error_line(capsys, tmp_path, case):
+    """An input that cannot be read or decoded exits 2 with one error line
+    naming it, and no traceback."""
+    not_utf8 = tmp_path / "bad.sub"
+    not_utf8.write_bytes(b"\xff\xfe")
+    seeded = ("assemble", SPEC, "--width", "1", "--height", "1", "--seed")
+    argv, path = {
+        "spec directory": (("verify", str(tmp_path)), tmp_path),
+        "seed directory": ((*seeded, str(tmp_path)), tmp_path),
+        "spec not UTF-8": (("verify", str(not_utf8)), not_utf8),
+    }[case]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+    if case == "spec not UTF-8":
+        assert err.endswith(": not UTF-8 (invalid start byte at byte 0)\n")
 
 
 def test_render_negative_tile_is_usage_error(capsys, tmp_path):

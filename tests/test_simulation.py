@@ -1,8 +1,10 @@
 """Macro-tile enumeration, phi, self-simulation, hierarchy and quotients."""
 
 import hashlib
+import random
 from dataclasses import replace
 from importlib import resources
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +21,8 @@ from tilesub.errors import (
 from tilesub.model import build_numbering
 from tilesub.network import check_port_condition
 from tilesub.simulation import (
+    _search,
+    _seam_keys,
     enumerate_macro_tiles,
     hierarchy_decorate,
     phi,
@@ -96,6 +100,83 @@ def test_instances_and_patches_in_canonical_order(spec):
         for p in assemble_patches(tau, numbering, 2, 2)
     ]
     assert keys and all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def search_by_product(pools, seams):
+    """Oracle for `_search` on `_seam_keys` keys: every assignment of the
+    pools in `product` order, kept when each cell repeats its seams."""
+    return [
+        combo for combo in product(*pools)
+        if all(
+            combo[c].triples[k - 1] == combo[i].triples[k2 - 1]
+            for c, cell_seams in enumerate(seams) for k, i, k2 in cell_seams
+        )
+    ]
+
+
+# Per layout, each cell's seams (k, i, k2).
+SEARCH_LAYOUTS = {
+    "chain of one-seam cells": [[], [(1, 0, 2)], [(1, 1, 2)], [(1, 2, 2)]],
+    "2x2 grid": [[], [(W, 0, E)], [(S, 0, N)], [(W, 2, E), (S, 1, N)]],
+    "three seams at a middle and the last cell": [
+        [], [(1, 0, 2)], [(1, 0, 1), (2, 1, 2), (3, 1, 3)], [(1, 2, 2)],
+        [(2, 0, 2), (3, 1, 1), (4, 3, 4)],
+    ],
+    "a middle cell without seams": [[], [(1, 0, 2), (2, 0, 1)], [], [(3, 2, 4)]],
+}
+# Decoration values skewed to 0, so that most pools have solutions and
+# dead ends both.
+SKEWED = (0, 0, 0, 0, 1, 2)
+
+
+@pytest.mark.parametrize("name", SEARCH_LAYOUTS)
+@pytest.mark.parametrize("seed", range(6))
+def test_search_matches_product_filter(name, seed):
+    """`_search` yields exactly the assignments a filter over `product`
+    keeps, in the same order, on random pools small enough that many
+    prefixes meet an empty group, at middle cells and at the last one."""
+    seams = SEARCH_LAYOUTS[name]
+    rng = random.Random(seed)
+    pools = [
+        [SimpleNamespace(triples=tuple(rng.choice(SKEWED) for _ in range(4)))
+         for _ in range(rng.randrange(3, 7))]
+        for _ in seams
+    ]
+    cells = [(pool, *_seam_keys(cell_seams)) for pool, cell_seams in zip(pools, seams)]
+    assert list(_search(cells)) == search_by_product(pools, seams)
+    # An emptied pool, in the middle or last, leaves no solution.
+    for c in (len(cells) // 2, len(cells) - 1):
+        emptied = cells[:c] + [([], *cells[c][1:])] + cells[c + 1:]
+        assert list(_search(emptied)) == []
+
+
+def test_search_of_zero_and_one_cell():
+    nothing = lambda _: ()  # noqa: E731
+    assert list(_search([])) == [()]
+    assert list(_search([("abc", nothing, nothing)])) == [("a",), ("b",), ("c",)]
+    assert list(_search([("abc", nothing, lambda _: ("x",))])) == []
+    assert list(_search([("", nothing, nothing)])) == []
+    # A one-cell search filters the pool by the wanted key.
+    assert list(_search([("abcb", lambda c: c, lambda _: "b")])) == [("b",), ("b",)]
+
+
+def test_search_dead_ends_at_the_last_and_a_middle_cell():
+    """Hand-made pools: the second of three cells has no candidate for the
+    first cell's value 2, and the last none for the middle's value 5."""
+    # A candidate (a, b) follows one whose b is a.
+    cells = [
+        ([(0, 1), (0, 2), (0, 3)], lambda c: 0, lambda _: 0),
+        ([(1, 4), (1, 5), (3, 6), (3, 5)], lambda c: c[0], lambda placed: placed[0][1]),
+        ([(4, 7), (6, 8), (6, 9)], lambda c: c[0], lambda placed: placed[1][1]),
+    ]
+    pools = [pool for pool, _, _ in cells]
+    expected = [
+        combo for combo in product(*pools)
+        if combo[1][0] == combo[0][1] and combo[2][0] == combo[1][1]
+    ]
+    assert expected == [((0, 1), (1, 4), (4, 7)), ((0, 3), (3, 6), (6, 8)),
+                        ((0, 3), (3, 6), (6, 9))]
+    assert list(_search(cells)) == expected
 
 
 def test_instances_match_internally(instances, doc3):
