@@ -42,6 +42,20 @@ def _read(path: str) -> str:
                          ) from None
 
 
+def _write(path: Path, text: str, *, parents: bool = False) -> None:
+    """Write an output file, first making its missing parent directories if
+    `parents`. One that cannot be written (a directory, a parent that is a
+    file, no permission) raises ParseError (exit 2)."""
+    try:
+        if parents:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        # mkdir names the parent it could not make, write_text the file.
+        raise ParseError(f"cannot write {exc.filename or path}: {exc.strerror or exc}"
+                         ) from None
+
+
 def _load(path: str):
     return parse_spec(_read(path))
 
@@ -97,9 +111,8 @@ def cmd_generate(args) -> int:
     numbering, tau = _generated(doc)
     if args.stages:
         outdir = Path(args.stages)
-        outdir.mkdir(parents=True, exist_ok=True)
         for name, text in stage_views(tau, numbering, doc.networks).items():
-            (outdir / f"after_{name}.txt").write_text(text)
+            _write(outdir / f"after_{name}.txt", text, parents=True)
     print(tau.dump())
     return 0
 
@@ -228,7 +241,7 @@ def cmd_render(args) -> int:
     except IndexError as exc:
         print(f"render: bad subject: {exc}", file=sys.stderr)
         return 2
-    Path(args.svg).write_text(svg)
+    _write(Path(args.svg), svg)
     print(f"wrote {args.svg}")
     return 0
 
@@ -302,7 +315,7 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.fn(args)
-    except (ParseError, FileNotFoundError) as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TilesubError as exc:

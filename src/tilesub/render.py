@@ -80,13 +80,13 @@ def _labels(dec) -> tuple[str, str, str]:
     return (_CLASS_LABELS[dec.f], str(dec.j), _CLASS_LABELS[dec.g])
 
 
-def _tile_svg(tile: DecoratedTile, xs: tuple[str, ...], ys: tuple[str, ...]) -> str:
+def _fields(tile: DecoratedTile) -> tuple:
+    """Fields 10-22 of `_TILE`: the (f, j, g) labels of the S, N, W and E
+    facets in turn, then the base index."""
     if len(tile.triples) != 4:
         raise NonSquareSystem("SVG rendering needs four-facet tiles")
     s, n, w, e = tile.triples
-    return _TILE.format(
-        *xs, *ys, *_labels(s), *_labels(n), *_labels(w), *_labels(e), tile.base
-    )
+    return (*_labels(s), *_labels(n), *_labels(w), *_labels(e), tile.base)
 
 
 def _document(width: int, height: int, body: list[str]) -> str:
@@ -99,11 +99,14 @@ def _document(width: int, height: int, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-_SINGLE_XS, _SINGLE_YS = _xs(MARGIN), _ys(MARGIN)
+# The whole one-tile document with the tile's coordinates filled in: fields
+# 0-12 are `_fields`.
+_SINGLE = _document(1, 1, [_TILE.format(*_xs(MARGIN), *_ys(MARGIN),
+                                        *(f"{{{i}}}" for i in range(13)))])
 
 
 def render_tile_svg(tile: DecoratedTile) -> str:
-    return _document(1, 1, [_tile_svg(tile, _SINGLE_XS, _SINGLE_YS)])
+    return _SINGLE.format(*_fields(tile))
 
 
 def render_patch_svg(patch: GridPatch) -> str:
@@ -125,5 +128,5 @@ def render_patch_svg(patch: GridPatch) -> str:
     for (x, y) in sorted(patch.cells):
         ox = MARGIN + x * CELL
         oy = MARGIN + (patch.height - 1 - y) * CELL
-        body.append(_tile_svg(patch.cells[(x, y)], _xs(ox), _ys(oy)))
+        body.append(_TILE.format(*_xs(ox), *_ys(oy), *_fields(patch.cells[(x, y)])))
     return _document(patch.width, patch.height, body)

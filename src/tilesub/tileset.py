@@ -7,14 +7,18 @@ connecting conditions, then compiles the numbered system and its networks
 once into a `Layout`, which every later step takes as its first argument.
 The tileset is built as a least fixpoint of three steps: `decorate_base` for
 cells off the networks, `decorate_network` for cells on network branches,
-and `derive_central` for the center tiles. `close` runs it semi-naively and
-orders it canonically, so two runs on the same input produce byte-identical
-dumps.
+and `derive_central` for the center tiles. `close` runs it semi-naively: the
+network step is fed only the (parent-index, neighbor-index) pairs new since
+the last round, the central step only the new tiles. Within one `close`
+call every distinct decoration is built once and shared, so equal
+decorations are one object. The result is ordered canonically, so two runs
+on the same input produce byte-identical dumps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import getitem
 from typing import Collection, Iterable, NamedTuple
 
 from .counting import exact_count, params_from_system
@@ -75,6 +79,8 @@ class DecorationTriple(NamedTuple):
 
 
 FacetDecoration = DecorationTriple | _Undefined
+# (j, k) -> the (parent-index, neighbor-index) pairs on facet k of decorated T_j
+PairTable = dict[tuple[int, int], set[tuple[int, FacetClass]]]
 
 
 @dataclass(frozen=True)
@@ -302,67 +308,141 @@ def _steps13(layout: Layout, j0: int, parent: int) -> tuple[DecorationTriple, ..
     return tuple(out)
 
 
+class _Closure:
+    """The construction steps with the tables of one `close` call (a single
+    public step gets a table of its own). `shared` maps every distinct
+    decoration built so far to its one shared object, so equal decorations
+    are the same object and compare by identity. Each `_steps13` row, each
+    network-slot decoration, each center conversion and each center tile is
+    built once; no table outlives the call."""
+
+    def __init__(self, layout: Layout):
+        self.layout = layout
+        self.shared: dict[DecorationTriple, DecorationTriple] = {}
+        self._rows: dict[tuple[int, int], tuple[DecorationTriple, ...]] = {}
+        self._slots: dict[int, dict] = {}  # j0 -> pair -> its slot decorations
+        self._converts: dict[int, tuple[_Converted, ...]] = {}  # center -> per facet
+        self._centers: dict[int, set[tuple]] = {}  # center -> its rows built so far
+
+    def share(self, dec: DecorationTriple) -> DecorationTriple:
+        return self.shared.setdefault(dec, dec)
+
+    def row(self, j0: int, parent: int) -> tuple[DecorationTriple, ...]:
+        key = (j0, parent)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = tuple(map(self.share, _steps13(self.layout, j0, parent)))
+        return row
+
+    def base(self) -> list[DecoratedTile]:
+        layout = self.layout
+        return [
+            DecoratedTile(j0, self.row(j0, parent))
+            for j0 in layout.off_network
+            for parent in layout.parents_for[j0]
+        ]
+
+    def network(self, pairs: PairTable) -> set[DecoratedTile]:
+        layout = self.layout
+        new: set[DecoratedTile] = set()
+        for j0, branch_k, slot_ks in layout.network_cells:
+            heads = [layout.nsigma[(j0, k)] for k in slot_ks]
+            slot_decs = self._slots.setdefault(j0, {})
+            for parent in layout.parents_for[j0]:
+                flowing = pairs.get((parent, branch_k))
+                if not flowing:
+                    continue
+                triples = list(self.row(j0, parent))
+                for pair in flowing:
+                    decs = slot_decs.get(pair)
+                    if decs is None:
+                        pj, pg = pair
+                        decs = slot_decs[pair] = [
+                            self.share(DecorationTriple(f, pj, pg)) for f in heads
+                        ]
+                    for k, dec in zip(slot_ks, decs):
+                        triples[k - 1] = dec
+                    new.add(DecoratedTile(j0, tuple(triples)))
+        return new
+
+    def central(self, tiles: Collection[DecoratedTile]) -> set[DecoratedTile]:
+        layout = self.layout
+        central = layout.central_cells
+        new: set[DecoratedTile] = set()
+        for j in central:
+            count = layout.facet_count[j]
+            converts = self._converts.get(j)
+            if converts is None:
+                converts = self._converts[j] = tuple(
+                    _Converted(layout.nsigma[(j, k)], self.shared) for k in range(1, count + 1)
+                )
+            built = self._centers.setdefault(j, set())
+            for tile in tiles:
+                if tile.base in central or len(tile.triples) != count:
+                    continue
+                if UNDEFINED in tile.triples:
+                    continue
+                row = tuple(map(getitem, converts, tile.triples))
+                if row not in built:
+                    built.add(row)
+                    new.add(DecoratedTile(j, row))
+        return new
+
+
+class _Converted(dict):
+    """Source decoration -> the decoration a center facet of class `head`
+    copies from it, `(head, j, g)`, built once and shared."""
+
+    def __init__(self, head: FacetClass, shared: dict[DecorationTriple, DecorationTriple]):
+        super().__init__()
+        self.head = head
+        self.shared = shared
+
+    def __missing__(self, dec: DecorationTriple) -> DecorationTriple:
+        out = DecorationTriple(self.head, dec.j, dec.g)
+        out = self[dec] = self.shared.setdefault(out, out)
+        return out
+
+
 def decorate_base(layout: Layout) -> list[DecoratedTile]:
     """Tiles for every non-central cell off the networks, one per eligible
     parent index (any tile whose prototype equals the rule's parent,
     across all rules)."""
-    return [
-        DecoratedTile(j0, _steps13(layout, j0, parent))
-        for j0 in layout.off_network
-        for parent in layout.parents_for[j0]
-    ]
+    return _Closure(layout).base()
 
 
-def _pairs_table(tiles: Iterable[DecoratedTile]) -> dict[tuple[int, int], set[tuple[int, FacetClass]]]:
+def _pairs_table(tiles: Iterable[DecoratedTile]) -> PairTable:
     """Every (parent-index, neighbor-index) pair realized on facet k of some
     decorated T_j among `tiles`, keyed by (j, k); UNDEFINED facets carry
     none."""
-    table: dict[tuple[int, int], set] = {}
+    rows: dict[int, list[tuple[FacetDecoration, ...]]] = {}
     for tile in tiles:
-        for k, dec in enumerate(tile.triples, start=1):
-            if dec is not UNDEFINED:
-                table.setdefault((tile.base, k), set()).add((dec.j, dec.g))
+        rows.setdefault(tile.base, []).append(tile.triples)
+    table: PairTable = {}
+    for base, triples in rows.items():
+        # A column of one base's tiles repeats few decorations: read each once.
+        for k, column in enumerate(zip(*triples), start=1):
+            pairs = {(dec.j, dec.g) for dec in set(column) if dec is not UNDEFINED}
+            if pairs:
+                table[(base, k)] = pairs
     return table
 
 
-def decorate_network(layout: Layout, tiles: Iterable[DecoratedTile]) -> set[DecoratedTile]:
-    """One round of pair-carrying tiles for non-central network cells.
+def decorate_network(layout: Layout, pairs: PairTable) -> set[DecoratedTile]:
+    """Pair-carrying tiles for non-central network cells, from a pair table
+    (`_pairs_table` output).
 
-    A cell serving branch k with parent j gets one tile per pair realized on
-    facet k of a decorated T_j among `tiles`; the pair is written on all its
-    network slots at once. The result is a union of per-tile contributions.
-    """
-    pairs = _pairs_table(tiles)
-    new: set[DecoratedTile] = set()
-    for j0, branch_k, slot_ks in layout.network_cells:
-        for parent in layout.parents_for[j0]:
-            triples = list(_steps13(layout, j0, parent))
-            for pj, pg in pairs.get((parent, branch_k), ()):
-                for k in slot_ks:
-                    triples[k - 1] = DecorationTriple(layout.nsigma[(j0, k)], pj, pg)
-                new.add(DecoratedTile(j0, tuple(triples)))
-    return new
+    A cell serving branch k with parent j gets one tile per pair in
+    `pairs[(j, k)]`; the pair is written on all its network slots at once.
+    The result is a union of per-pair contributions."""
+    return _Closure(layout).network(pairs)
 
 
 def derive_central(layout: Layout, tiles: Collection[DecoratedTile]) -> set[DecoratedTile]:
     """Center tiles derived from every non-central tile with a matching facet
     count: the k-th facet copies the source tile's k-th parent/neighbor pair
     under the center's own macro-indices."""
-    new: set[DecoratedTile] = set()
-    central = set(layout.central_cells)
-    for j in layout.central_cells:
-        count = layout.facet_count[j]
-        heads = tuple(layout.nsigma[(j, k)] for k in range(1, count + 1))
-        for tile in tiles:
-            if tile.base in central or len(tile.triples) != count:
-                continue
-            if any(t is UNDEFINED for t in tile.triples):
-                continue
-            triples = tuple(
-                DecorationTriple(heads[i], t.j, t.g) for i, t in enumerate(tile.triples)
-            )
-            new.add(DecoratedTile(j, triples))
-    return new
+    return _Closure(layout).central(tiles)
 
 
 def generate_tileset(system: SubstitutionSystem, numbering: GlobalNumbering,
@@ -375,22 +455,43 @@ def generate_tileset(system: SubstitutionSystem, numbering: GlobalNumbering,
 def close(layout: Layout) -> Tileset:
     """Least fixpoint of the three construction steps over a `layout` from
     `build_layout` (so its networks are checked), canonically ordered and
-    checked against step 1 and the first-network bound. Both closure steps
-    are unions of per-tile contributions, so each round feeds them only the
-    tiles new since the last one (semi-naive).
+    checked against step 1 and the first-network bound.
+
+    Both closure steps are unions of per-pair or per-tile contributions, so
+    the rounds are semi-naive: the network step gets only the pairs of each
+    (parent, branch facet) first realized in the last round, and the central
+    step only the tiles new since the last one. No network or center tile is
+    built twice, and within the call every distinct decoration is one shared
+    object (see `_Closure`). The canonical order ranks the distinct
+    decorations once and sorts the tiles by base, then facet by facet.
 
     `close(replace(layout, macro_facet_idx={}))` is the seam-blind negative
     control: macro-facet members stop reporting the parent's facet class and
     repeat their own macro-index, which is exactly the defect the
     self-simulation check must catch.
     """
-    new = set(decorate_base(layout))
+    steps = _Closure(layout)
+    new = set(steps.base())
     tiles = set(new)
+    seen = {
+        (parent, branch_k): set()
+        for j0, branch_k, _ in layout.network_cells
+        for parent in layout.parents_for[j0]
+    }
     while new:
-        new = (decorate_network(layout, new) | derive_central(layout, new)) - tiles
+        fresh = {}
+        for key, pairs in _pairs_table(new).items():
+            known = seen.get(key)
+            if known is not None:
+                pairs -= known
+                if pairs:
+                    known |= pairs
+                    fresh[key] = pairs
+        new = (steps.network(fresh) | steps.central(new)) - tiles
         tiles |= new
 
-    ordered = sorted(tiles, key=DecoratedTile.sort_key)
+    rank = {dec: i for i, dec in enumerate(sorted(steps.shared))}
+    ordered = sorted(tiles, key=lambda t: (t.base, *map(rank.__getitem__, t.triples)))
     provenance = tuple(_provenance_of(layout, t) for t in ordered)
     result = Tileset(tuple(ordered), provenance)
     _check_step1(layout, result)

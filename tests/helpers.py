@@ -17,7 +17,17 @@ from tilesub.model import (
     internal,
     make_pairing,
 )
-from tilesub.tileset import UNDEFINED, DecorationTriple, _steps13
+from tilesub.tileset import (
+    PROVENANCE_BASE,
+    PROVENANCE_CENTRAL,
+    PROVENANCE_NETWORK,
+    UNDEFINED,
+    DecoratedTile,
+    DecorationTriple,
+    Tileset,
+    _pairs_table,
+    _steps13,
+)
 
 S, N, W, E = 1, 2, 3, 4
 
@@ -319,3 +329,63 @@ def addressed_quotient(bottom, top_parent, layout, ancestor_parent=None):
         layout, {}, bottom.level + 1, list(base_of), rule_of, base_of, parent_of,
         pairs, inherited,
     )
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the closure: the tile-level semi-naive closure that the
+# pair-level one with shared decorations replaced, kept as it was (without
+# the step-1 and bound checks, which `close` runs on its own result). Each
+# round feeds both steps every tile new since the last round, and every
+# step builds fresh decorations.
+
+
+def tile_level_network(layout, tiles):
+    pairs = _pairs_table(tiles)
+    new = set()
+    for j0, branch_k, slot_ks in layout.network_cells:
+        for parent in layout.parents_for[j0]:
+            triples = list(_steps13(layout, j0, parent))
+            for pj, pg in pairs.get((parent, branch_k), ()):
+                for k in slot_ks:
+                    triples[k - 1] = DecorationTriple(layout.nsigma[(j0, k)], pj, pg)
+                new.add(DecoratedTile(j0, tuple(triples)))
+    return new
+
+
+def tile_level_central(layout, tiles):
+    new = set()
+    central = set(layout.central_cells)
+    for j in layout.central_cells:
+        count = layout.facet_count[j]
+        heads = tuple(layout.nsigma[(j, k)] for k in range(1, count + 1))
+        for tile in tiles:
+            if tile.base in central or len(tile.triples) != count:
+                continue
+            if any(t is UNDEFINED for t in tile.triples):
+                continue
+            triples = tuple(
+                DecorationTriple(heads[i], t.j, t.g) for i, t in enumerate(tile.triples)
+            )
+            new.add(DecoratedTile(j, triples))
+    return new
+
+
+def tile_level_close(layout):
+    """Oracle for `close`: the same tiles, order and provenance."""
+    new = {
+        DecoratedTile(j0, _steps13(layout, j0, parent))
+        for j0 in layout.off_network
+        for parent in layout.parents_for[j0]
+    }
+    tiles = set(new)
+    while new:
+        new = (tile_level_network(layout, new) | tile_level_central(layout, new)) - tiles
+        tiles |= new
+    ordered = sorted(tiles, key=DecoratedTile.sort_key)
+    provenance = tuple(
+        PROVENANCE_CENTRAL if t.base in layout.central_cells
+        else PROVENANCE_BASE if t.base in layout.off_network
+        else PROVENANCE_NETWORK
+        for t in ordered
+    )
+    return Tileset(tuple(ordered), provenance)

@@ -71,10 +71,10 @@ def test_criterion_3_closure_soundness(doc3, numbering):
     elapsed = time.perf_counter() - start
     assert 36 <= len(tau1) <= 4680
     assert tau1.dump() == tau2.dump()
-    from tilesub.tileset import build_layout, decorate_network, derive_central
+    from tilesub.tileset import _pairs_table, build_layout, decorate_network, derive_central
 
     compiled = build_layout(numbering, doc3.networks)
-    more = decorate_network(compiled, tau1)
+    more = decorate_network(compiled, _pairs_table(tau1))
     more |= derive_central(compiled, tau1)
     assert more <= set(tau1.tiles)
     assert elapsed < 10.0

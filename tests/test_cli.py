@@ -315,3 +315,20 @@ def test_count_refuses_unchecked_networks(capsys, tmp_path):
     )
     missing = _edited_spec(tmp_path, _without_lines("  network "))
     assert run(capsys, "count", missing) == (1, "", "error: rule r1 has no network\n")
+
+
+@pytest.mark.parametrize("case", ["svg directory", "stages file"])
+def test_unwritable_output_is_one_error_line(capsys, tmp_path, case):
+    """An output that cannot be written exits 2 with one error line naming
+    it, and no traceback: an SVG path that is a directory, and a stage
+    directory that is an existing file."""
+    stage_file = tmp_path / "stages"
+    stage_file.write_text("kept\n")
+    argv, path = {
+        "svg directory": (("render", SPEC, "--svg", str(tmp_path), "--empty", "2x2"), tmp_path),
+        "stages file": (("generate", SPEC, "--stages", str(stage_file)), stage_file),
+    }[case]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    assert stage_file.read_text() == "kept\n"

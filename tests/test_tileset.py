@@ -5,9 +5,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import E, N, S, W, fc, trip
+from helpers import E, N, S, W, fc, tile_level_close, trip
 from tilesub.assembler import build_grid_layout
 from tilesub.errors import InvalidNetwork, TilesubError
+from tilesub.grids import make_square_grid_document
+from tilesub.model import build_numbering
 from tilesub.simulation import (
     enumerate_macro_tiles,
     hierarchy_decorate,
@@ -15,6 +17,7 @@ from tilesub.simulation import (
     quotient_preimage,
     verify_self_simulation,
 )
+from tilesub.specfile import load_bundled
 from tilesub.stages import stage_views
 from tilesub.tileset import (
     DecoratedTile,
@@ -122,7 +125,7 @@ def test_allowed_pairs_on_network_closure_set(tau):
 
 
 def test_network_step_examples(compiled, tau):
-    new = decorate_network(compiled, tau)
+    new = decorate_network(compiled, _pairs_table(tau))
     t4_parent1 = DecoratedTile(
         4, (trip(3, 1, 3), trip(8, 1, 8), trip("p", 0, "m"), trip(6, 0, "m"))
     )
@@ -140,7 +143,7 @@ def test_network_step_examples(compiled, tau):
 
 def test_network_step_empty_pairs_yield_nothing(compiled):
     base = decorate_base(compiled)
-    first = decorate_network(compiled, base)
+    first = decorate_network(compiled, _pairs_table(base))
     # With only base tiles present, no pairs exist yet for parents that sit
     # on the network, so no tiles with those parents can be produced.
     assert not any(
@@ -182,7 +185,7 @@ def test_generate_is_fixpoint_and_canonical(system, numbering, networks, compile
     assert len(tau) == TAU_3X3
     assert 36 <= len(tau) <= 4680
     # Stability: one more round adds nothing.
-    more = decorate_network(compiled, tau)
+    more = decorate_network(compiled, _pairs_table(tau))
     more |= derive_central(compiled, tau)
     assert more <= set(tau.tiles)
     # Determinism: a fresh run is byte-identical, and so is the closure of
@@ -191,6 +194,45 @@ def test_generate_is_fixpoint_and_canonical(system, numbering, networks, compile
     assert again.dump() == tau.dump()
     assert close(compiled) == tau
     assert len(set(tau.tiles)) == len(tau)
+
+
+def _layout_of(doc):
+    return build_layout(build_numbering(doc.system), doc.networks)
+
+
+# Specs whose closure is compared against the tile-level oracle.
+CLOSURE_SPECS = {
+    "square3x3": lambda: _layout_of(load_bundled()),
+    "tworule3x3": lambda: _layout_of(load_bundled("tworule3x3")),
+    "grid3x4": lambda: _layout_of(make_square_grid_document(3, 4)),
+    "grid4x4": lambda: _layout_of(make_square_grid_document(4, 4)),
+    "seam-blind": lambda: replace(_layout_of(load_bundled()), macro_facet_idx={}),
+}
+
+
+@pytest.mark.parametrize("spec", CLOSURE_SPECS)
+def test_close_matches_the_tile_level_oracle(spec):
+    """The pair-level closure with shared decorations builds the same tiles,
+    in the same order and with the same provenance, as the tile-level
+    closure it replaced."""
+    layout = CLOSURE_SPECS[spec]()
+    got, expected = close(layout), tile_level_close(layout)
+    assert got.tiles == expected.tiles
+    assert got.provenance == expected.provenance
+    assert got.dump() == expected.dump()
+
+
+@pytest.mark.parametrize("spec", ["square3x3", "tworule3x3"])
+def test_close_shares_each_decoration(spec):
+    """Within one closure every distinct decoration is one object, and one
+    more network round and central round over the closed set add nothing."""
+    layout = CLOSURE_SPECS[spec]()
+    tau = close(layout)
+    decorations = [d for t in tau for d in t.triples]
+    assert len({id(d) for d in decorations}) == len(set(decorations))
+    closed = set(tau.tiles)
+    assert decorate_network(layout, _pairs_table(tau)) <= closed
+    assert derive_central(layout, tau) <= closed
 
 
 def test_provenance_partition(tau):
