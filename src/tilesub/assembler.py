@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import AmbiguousSignature, NonSquareSystem
-from .model import GlobalNumbering, SubstitutionSystem, ValidationReport
+from .model import GlobalNumbering, Rule, SubstitutionSystem, ValidationReport
 from .network import NetworkSet
 from .simulation import HierarchyPatch, MacroTileInstance, _seam_keys, _search
 from .tileset import DecoratedTile, Tileset, UNDEFINED, build_layout
@@ -51,21 +51,20 @@ class GridPatch:
 
 @dataclass(frozen=True)
 class GridLayout:
-    """The grid embedding of one rule's template, recovered from its facet
-    pairings, plus the table that reads a phase off a tile's macro-indices.
+    """Where each tile sits in its rule's template, on the w x h grid every
+    template shares, plus the table that reads a phase off a tile's
+    macro-indices.
 
     `phases` memoises, per decoration tuple seen by `_known_phases`, the
     phase `phase_of` gives or None where it gives none. It only caches what
     the other fields determine, so it takes no part in equality or repr."""
 
-    rule_id: str
     width: int
     height: int
-    cell_at: dict[tuple[int, int], str]
-    position_of: dict[int, tuple[int, int]]  # tile index -> (x, y)
+    position_of: dict[int, tuple[int, int]]  # tile index, of any rule -> (x, y)
     # (S, N, W, E) macro-index signature with any facets masked to None ->
-    # the tile indices whose full signature it fits
-    fits: dict[tuple, list[int]]
+    # the distinct positions of the tiles whose full signature it fits
+    fits: dict[tuple, list[tuple[int, int]]]
     phases: dict[tuple, tuple[int, int] | None] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -79,13 +78,9 @@ def _require_square(system: SubstitutionSystem) -> None:
             )
 
 
-def build_grid_layout(system: SubstitutionSystem, numbering: GlobalNumbering,
-                      networks: NetworkSet) -> GridLayout:
-    """Recover the w x h embedding of the first rule's template and validate
-    that the macro-index signatures identify positions uniquely."""
-    _require_square(system)
-    nsigma = build_layout(numbering, networks).nsigma
-    rule = system.rules[0]
+def _embed(rule: Rule) -> tuple[dict[str, tuple[int, int]], int, int]:
+    """The grid position of each cell of the rule's template, recovered from
+    its facet pairings, in scanline order, and the grid's width and height."""
     paired = rule.template.paired_slots
     east: dict[str, str] = {}
     north: dict[str, str] = {}
@@ -106,13 +101,13 @@ def build_grid_layout(system: SubstitutionSystem, numbering: GlobalNumbering,
     ]
     if len(corners) != 1:
         raise NonSquareSystem(f"rule {rule.rule_id}: no unique bottom-left cell")
-    cell_at: dict[tuple[int, int], str] = {}
+    at: dict[str, tuple[int, int]] = {}
     row_start, y = corners[0], 0
     width = None
     while row_start is not None:
         cur, x = row_start, 0
         while cur is not None:
-            cell_at[(x, y)] = cur
+            at[cur] = (x, y)
             cur = east.get(cur)
             x += 1
         if width is None:
@@ -121,20 +116,43 @@ def build_grid_layout(system: SubstitutionSystem, numbering: GlobalNumbering,
             raise NonSquareSystem(f"rule {rule.rule_id}: ragged rows")
         row_start = north.get(row_start)
         y += 1
-    if len(cell_at) != len(cells):
+    if len(at) != len(cells):
         raise NonSquareSystem(f"rule {rule.rule_id}: cells do not form a grid")
-    position_of = {}
-    fits: dict[tuple, list[int]] = {}
-    for (x, yy), cell in cell_at.items():
-        j = numbering.tile_index(rule.rule_id, cell)
-        position_of[j] = (x, yy)
+    return at, width, y
+
+
+def build_grid_layout(system: SubstitutionSystem, numbering: GlobalNumbering,
+                      networks: NetworkSet) -> GridLayout:
+    """Recover the grid embedding of every rule's template, which must all
+    be w x h (NonSquareSystem otherwise), and validate that a tile's full
+    macro-index signature identifies its position: two tiles may share one
+    only at the same position (AmbiguousSignature otherwise)."""
+    _require_square(system)
+    nsigma = build_layout(numbering, networks).nsigma
+    size = None
+    position_of: dict[int, tuple[int, int]] = {}
+    for rule in system.rules:
+        at, width, height = _embed(rule)
+        if size is None:
+            size = width, height
+        elif (width, height) != size:
+            raise NonSquareSystem(
+                f"rule {rule.rule_id}: template is {width}x{height}, not {size[0]}x{size[1]}"
+            )
+        for cell, pos in at.items():
+            position_of[numbering.tile_index(rule.rule_id, cell)] = pos
+    owner: dict[tuple, int] = {}  # full signature -> the first tile that has it
+    fits: dict[tuple, list[tuple[int, int]]] = {}
+    for j, pos in position_of.items():
         sig = tuple(nsigma[(j, k)] for k in (S, N, W, E))
-        if sig in fits:
-            raise AmbiguousSignature(f"T{fits[sig][0]} and T{j} share signature {sig}")
+        first = owner.setdefault(sig, j)
+        if position_of[first] != pos:
+            raise AmbiguousSignature(f"T{first} and T{j} share signature {sig}")
         for mask in product((False, True), repeat=4):
-            masked = tuple(None if hide else f for f, hide in zip(sig, mask))
-            fits.setdefault(masked, []).append(j)
-    return GridLayout(rule.rule_id, width, y, cell_at, position_of, fits)
+            hits = fits.setdefault(tuple(None if hide else f for f, hide in zip(sig, mask)), [])
+            if pos not in hits:
+                hits.append(pos)
+    return GridLayout(*size, position_of, fits)
 
 
 def phase_of(tile: DecoratedTile, layout: GridLayout) -> tuple[int, int]:
@@ -149,7 +167,7 @@ def phase_of(tile: DecoratedTile, layout: GridLayout) -> tuple[int, int]:
         raise KeyError(f"signature {sig} fits no template position")
     if len(hits) > 1:
         raise AmbiguousSignature(f"signature {sig} fits positions {hits}")
-    return layout.position_of[hits[0]]
+    return hits[0]
 
 
 _UNSEEN = object()
@@ -243,34 +261,37 @@ def decompose_macro(patch: GridPatch, instances: tuple[MacroTileInstance, ...],
 
     A block is one lookup in a table of the instances keyed by their tiles'
     bases and decorations outside the block's UNDEFINED slots (none without
-    `wildcard`); one table is built per pattern of such slots, the first
-    matching instance winning.
+    `wildcard`), block and instance both read in scanline order of their
+    template positions; one table is built per pattern of such slots, the
+    first matching instance winning.
     """
     w, h = layout.width, layout.height
     report = ValidationReport()
+    # Each instance's tiles in scanline order of their template positions.
+    at = layout.position_of
+    scanned = [
+        (tuple(sorted(inst.tiles, key=lambda tile: at[tile.base][::-1])), inst)
+        for inst in instances
+    ]
     # Per mask of hidden slots, the instances keyed by what the mask leaves.
     tables: dict[tuple, dict[tuple, MacroTileInstance]] = {}
     phases = _known_phases(patch, layout, ValidationReport())
     anchors = [pos for pos, phase in phases.items() if phase == (0, 0)]
-    # Template cell order is increasing tile index.
-    template_positions = [layout.position_of[j] for j in sorted(layout.position_of)]
     blocks: dict[tuple[int, int], MacroTileInstance] = {}
     covered: set[tuple[int, int]] = set()
     for ax, ay in anchors:
         positions = [(ax + dx, ay + dy) for dy in range(h) for dx in range(w)]
         if not all(p in patch.cells for p in positions):
             continue
-        tiles = tuple(
-            patch.cells[(ax + dx, ay + dy)] for dx, dy in template_positions
-        )
+        tiles = tuple([patch.cells[p] for p in positions])
         mask = tuple(
             tuple([wildcard and dec is UNDEFINED for dec in tile.triples]) for tile in tiles
         )
         table = tables.get(mask)
         if table is None:
             table = tables[mask] = {}
-            for inst in instances:  # setdefault: the first instance wins
-                table.setdefault(_masked_key(inst.tiles, mask), inst)
+            for inst_tiles, inst in scanned:  # setdefault: the first instance wins
+                table.setdefault(_masked_key(inst_tiles, mask), inst)
         instance = table.get(_masked_key(tiles, mask))
         if instance is None:
             report.add("NonInstanceBlock", f"anchor ({ax},{ay})")
@@ -298,11 +319,8 @@ def _masked_key(tiles, mask) -> tuple:
 
 
 def patch_from_instance(instance: MacroTileInstance, layout: GridLayout) -> GridPatch:
-    cells = {}
-    for cell_id, tile in zip(instance.cells, instance.tiles):
-        pos = next(p for p, c in layout.cell_at.items() if c == cell_id)
-        cells[pos] = tile
-    return GridPatch(layout.width, layout.height, cells)
+    at = layout.position_of
+    return GridPatch(layout.width, layout.height, {at[tile.base]: tile for tile in instance.tiles})
 
 
 def grid_from_hierarchy(hpatch: HierarchyPatch, layout: GridLayout,
@@ -314,15 +332,13 @@ def grid_from_hierarchy(hpatch: HierarchyPatch, layout: GridLayout,
     template; the top level's one block sits at the origin. The cells come
     in the bottom's cell order. `networks` is unused: whether a tile is
     central is a fact of its base."""
-    w, h = layout.width, layout.height
-    pos_of_cell = {c: p for p, c in layout.cell_at.items()}
+    w, h, at = layout.width, layout.height, layout.position_of
     xs, ys = [0], [0]
     for level in reversed(hpatch.levels):
-        at = {j: pos_of_cell[level.tiles[j - 1][1]] for j in set(level.base)}
         xs = [xs[b] * w + at[j][0] for b, j in zip(level.block, level.base)]
         ys = [ys[b] * h + at[j][1] for b, j in zip(level.block, level.base)]
     bottom = hpatch.bottom
-    decs = bottom.decorations()
+    decs = bottom.slot_decoration
     # A square's facets S, N, W, E are its slots s .. s + 3.
     cells = {
         (x, y): DecoratedTile(j, tuple(decs[s:s + 4]))

@@ -17,7 +17,7 @@ one level up. A hierarchy level (`LevelPatch`) is stored as flat lists
 indexed by integers: a cell is its rank in sorted address order and a slot
 its cell's offset plus the facet index less one. Every hierarchy stage reads
 and writes only those lists; the tuple-address fields (`cells`,
-`decoration`, ...) are views built on first access.
+`decoration`, ...) are read-only views built on first access.
 """
 from __future__ import annotations
 
@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, groupby, repeat
 from operator import sub
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     IndexOutOfRange,
@@ -368,22 +369,21 @@ class LevelPatch:
     its tile `base`, its `parent` (the tile of its block), the `rule` whose
     template holds it and the index of its `block` among the cells of the
     level above (the top level's one block is 0; a quotient records none).
-    Per slot it keeps a decoration, read through `decorations()`;
-    `slot_undefined` maps each UNDEFINED slot to the number of levels its
-    UNDEFINED came down (0: the cell's own network), and `slot_pairs` holds
-    the glued slot pairs, each ascending, in ascending order.
+    Per slot it keeps its decoration in `slot_decoration`; `slot_undefined`
+    maps each UNDEFINED slot to the number of levels its UNDEFINED came down
+    (0: the cell's own network), and `slot_pairs` holds the glued slot
+    pairs, each ascending, in ascending order. These lists are the level's
+    only data.
 
     `cells`, `rule_of`, `base_of`, `parent_of`, `pairs`, `decoration` and
     `undefined_from` are views of the same data addressed by expansion
-    path. Each is built on first access and cached; the dicts iterate in
-    the order the cells were generated. Edits made through `decoration` are
-    seen by every later reader of the level. `level` counts from the bottom
+    path, each built on first access and cached; the dict views are
+    read-only and iterate in address order. `level` counts from the bottom
     (0 = finest); it is positional metadata and not part of patch equality,
     which compares the views.
     """
 
     level: int
-    tiles: tuple[tuple[str, str], ...]  # tile index - 1 -> (rule, cell), as numbered
     base: list[int]
     parent: list[int]
     rule: list[str]
@@ -394,20 +394,10 @@ class LevelPatch:
     slot_pairs: tuple[tuple[int, int], ...]
     # The addresses of the cells, computed when `cells` is first read.
     addresses: Callable[[], tuple[Address, ...]]
-    # The cells in generation order, the views' order; None when ascending.
-    order: list[int] | None = None
-
-    def decorations(self) -> list[FacetDecoration]:
-        """The decoration of each slot, taking in any edit made through the
-        `decoration` view."""
-        view = self.__dict__.get("decoration")
-        if view is not None:
-            self.slot_decoration = [view[self._slot_key(s)] for s in range(self.offset[-1])]
-        return self.slot_decoration
 
     def matching_report(self) -> ValidationReport:
         report = ValidationReport()
-        decs = self.decorations()
+        decs = self.slot_decoration
         for a, b in self.slot_pairs:
             if decs[a] != decs[b]:
                 report.add("SeamMismatch", f"{self._slot_key(a)} vs {self._slot_key(b)}")
@@ -417,27 +407,23 @@ class LevelPatch:
         i = bisect_right(self.offset, s) - 1
         return self.cells[i], s - self.offset[i] + 1
 
-    def _order(self) -> Sequence[int]:
-        return self.order if self.order is not None else range(len(self.base))
-
-    def _by_cell(self, values: list) -> dict:
-        cells = self.cells
-        return {cells[i]: values[i] for i in self._order()}
+    def _by_cell(self, values: list) -> Mapping:
+        return MappingProxyType(dict(zip(self.cells, values)))
 
     @cached_property
     def cells(self) -> tuple[Address, ...]:
         return self.addresses()
 
     @cached_property
-    def rule_of(self) -> dict[Address, str]:
+    def rule_of(self) -> Mapping[Address, str]:
         return self._by_cell(self.rule)
 
     @cached_property
-    def base_of(self) -> dict[Address, int]:
+    def base_of(self) -> Mapping[Address, int]:
         return self._by_cell(self.base)
 
     @cached_property
-    def parent_of(self) -> dict[Address, int]:
+    def parent_of(self) -> Mapping[Address, int]:
         return self._by_cell(self.parent)
 
     @cached_property
@@ -446,20 +432,20 @@ class LevelPatch:
         return tuple([(key(a), key(b)) for a, b in self.slot_pairs])
 
     @cached_property
-    def decoration(self) -> dict[Slot, FacetDecoration]:
+    def decoration(self) -> Mapping[Slot, FacetDecoration]:
         cells, offset, decs = self.cells, self.offset, self.slot_decoration
-        return {
+        return MappingProxyType({
             (cells[i], s - offset[i] + 1): decs[s]
-            for i in self._order() for s in range(offset[i], offset[i + 1])
-        }
+            for i in range(len(cells)) for s in range(offset[i], offset[i + 1])
+        })
 
     @cached_property
-    def undefined_from(self) -> dict[Slot, int]:
+    def undefined_from(self) -> Mapping[Slot, int]:
         cells, offset, undefined = self.cells, self.offset, self.slot_undefined
-        return {
+        return MappingProxyType({
             (cells[i], s - offset[i] + 1): undefined[s]
-            for i in self._order() for s in range(offset[i], offset[i + 1]) if s in undefined
-        }
+            for i in range(len(cells)) for s in range(offset[i], offset[i + 1]) if s in undefined
+        })
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -511,7 +497,6 @@ class _Shape(NamedTuple):
     counts: tuple[int, ...]  # the cells' facet counts
     local: dict[FacetRef, int]  # (cell, k) -> slot
     internal: tuple[tuple[int, int], ...]  # internal pairings, ascending
-    ranks: tuple[int, ...] | None  # per template cell its sorted rank; None if sorted
 
 
 def _shape(layout: Layout, rule: Rule) -> _Shape:
@@ -524,10 +509,7 @@ def _shape(layout: Layout, rule: Rule) -> _Shape:
         (local[a], local[b]) if local[a] <= local[b] else (local[b], local[a])
         for a, b in rule.template.internal_pairings
     )
-    rank = {cell: r for r, cell in enumerate(cells)}
-    ranks = tuple(rank[cell] for cell in rule.template.cell_ids())
-    return _Shape(cells, bases, counts, local, tuple(internal),
-                  None if ranks == tuple(range(len(cells))) else ranks)
+    return _Shape(cells, bases, counts, local, tuple(internal))
 
 
 def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
@@ -590,7 +572,7 @@ def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
 
 
 def _decorate_level(layout: Layout, rows, level_no, base, parent, rule, block, offset,
-                    pairs, inherited, addresses, order) -> LevelPatch:
+                    pairs, inherited, addresses) -> LevelPatch:
     """Decorate one level's slots: UNDEFINED on the cell's own network
     slots (origin 0) and on the slots `inherited` from the level above,
     `_steps13` of the cell's tile and parent everywhere else. This is the
@@ -625,8 +607,8 @@ def _decorate_level(layout: Layout, rows, level_no, base, parent, rule, block, o
             decs[s] = UNDEFINED
             undefined[s] = origin
     return LevelPatch(
-        level_no, tiles, base, parent, rule, block, offset,
-        decs, undefined, _sorted_pairs(pairs), addresses, order,
+        level_no, base, parent, rule, block, offset,
+        decs, undefined, _sorted_pairs(pairs), addresses,
     )
 
 
@@ -664,12 +646,6 @@ def _expand_level(layout: Layout, tops: list[int], expanders: list[Rule],
         (s0 + la, s0 + lb)
         for s0, shape in zip(first_slot, block_shapes) for la, lb in shape.internal
     ]
-    order = None
-    if any(shape.ranks for shape in shapes.values()):
-        order = [
-            i + r for i, shape in zip(first, block_shapes)
-            for r in shape.ranks or range(len(shape.bases))
-        ]
     inherited: dict[int, int] = {}
     if above is not None:
         above_offset = above.offset
@@ -702,7 +678,7 @@ def _expand_level(layout: Layout, tops: list[int], expanders: list[Rule],
         heads = above.cells if above is not None else ((),)
         return tuple([heads[b] + (tiles[j - 1][1],) for b, j in zip(block, base)])
 
-    return base, parent, rule_ids, block, offset, pairs, inherited, addresses, order
+    return base, parent, rule_ids, block, offset, pairs, inherited, addresses
 
 
 def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
@@ -733,8 +709,7 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
         raise IndexOutOfRange(f"ancestor parent {ancestor_parent} outside 1..{numbering.n}")
     if len(hpatch.levels) < 2:
         raise PartialBlock("bottom level is already the top expansion")
-    cell_block, cell_offset = bottom.block, bottom.offset
-    decs = bottom.decorations()
+    cell_block, cell_offset, decs = bottom.block, bottom.offset, bottom.slot_decoration
     # The first cell of each block, then the cell count.
     first = [i for i, b in enumerate(cell_block) if i == 0 or b != cell_block[i - 1]]
     first.append(len(cell_block))
@@ -814,7 +789,7 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
 
     return _decorate_level(
         layout, {}, bottom.level + 1, base, [ancestor_parent] * len(base), rule_ids, None,
-        offset, pairs, inherited, addresses, None,
+        offset, pairs, inherited, addresses,
     )
 
 

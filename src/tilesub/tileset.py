@@ -83,16 +83,12 @@ FacetDecoration = DecorationTriple | _Undefined
 PairTable = dict[tuple[int, int], set[tuple[int, FacetClass]]]
 
 
-@dataclass(frozen=True)
-class DecoratedTile:
+class DecoratedTile(NamedTuple):
     """A tile T_{base} with one decoration per facet. Whether it lives on a
     network center is a fact of its base: `base in layout.central_cells`."""
 
     base: int
     triples: tuple[FacetDecoration, ...]
-
-    def sort_key(self):
-        return (self.base, self.triples)
 
 
 class ColumnRenderer(dict):
@@ -462,8 +458,9 @@ def close(layout: Layout) -> Tileset:
     (parent, branch facet) first realized in the last round, and the central
     step only the tiles new since the last one. No network or center tile is
     built twice, and within the call every distinct decoration is one shared
-    object (see `_Closure`). The canonical order ranks the distinct
-    decorations once and sorts the tiles by base, then facet by facet.
+    object (see `_Closure`). The canonical order sorts the distinct
+    decorations once, then the tiles by base and their decorations' places
+    in that order, facet by facet.
 
     `close(replace(layout, macro_facet_idx={}))` is the seam-blind negative
     control: macro-facet members stop reporting the parent's facet class and

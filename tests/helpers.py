@@ -1,5 +1,6 @@
 """Shared shorthands for building decorations and small systems in tests."""
 
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -85,6 +86,16 @@ def partial_gamma_3x3_text():
     return text
 
 
+def renamed_tworule_text():
+    """The bundled `tworule3x3` spec with rule rb's cells c1..c9 renamed
+    d1..d9, so that no cell id names a cell of both rules."""
+    text = resources.files("tilesub.data").joinpath("tworule3x3.sub").read_text()
+    head, rule_rb, tail = text.partition("rule rb parent b\n")
+    if not rule_rb:
+        raise ValueError("bundled tworule3x3 spec lacks rule rb")
+    return head + rule_rb + re.sub(r"\bc([1-9])\b", r"d\1", tail)
+
+
 def phase_coherence_by_cell(patch, layout):
     """Oracle for `check_phase_coherence`: the same checks, with one
     `phase_of` call per cell and no memo."""
@@ -108,10 +119,11 @@ def phase_coherence_by_cell(patch, layout):
 
 def decompose_by_scan(patch, instances, layout):
     """Oracle for `decompose_macro(wildcard=True)`: each complete block at a
-    phase-(0,0) anchor, mapped to the first instance that has the block's
-    bases and every defined decoration of the block (None if no instance
-    does), found by scanning every instance."""
-    order = [layout.position_of[j] for j in sorted(layout.position_of)]
+    phase-(0,0) anchor, mapped to the first instance whose every tile has
+    the base and every defined decoration of the block's cell at that
+    tile's template position (None if no instance does), found by scanning
+    every instance."""
+    w, h, at = layout.width, layout.height, layout.position_of
     blocks = {}
     for (ax, ay), tile in patch.cells.items():
         try:
@@ -119,9 +131,8 @@ def decompose_by_scan(patch, instances, layout):
                 continue
         except (KeyError, AmbiguousSignature):
             continue
-        if any((ax + dx, ay + dy) not in patch.cells for dx, dy in order):
+        if any((ax + dx, ay + dy) not in patch.cells for dy in range(h) for dx in range(w)):
             continue
-        tiles = [patch.cells[(ax + dx, ay + dy)] for dx, dy in order]
         blocks[(ax, ay)] = next(
             (
                 inst for inst in instances
@@ -129,7 +140,8 @@ def decompose_by_scan(patch, instances, layout):
                     mine.base == theirs.base
                     and all(d is UNDEFINED or d == e
                             for d, e in zip(mine.triples, theirs.triples))
-                    for mine, theirs in zip(tiles, inst.tiles)
+                    for theirs in inst.tiles
+                    for mine in [patch.cells[(ax + at[theirs.base][0], ay + at[theirs.base][1])]]
                 )
             ),
             None,
@@ -381,7 +393,7 @@ def tile_level_close(layout):
     while new:
         new = (tile_level_network(layout, new) | tile_level_central(layout, new)) - tiles
         tiles |= new
-    ordered = sorted(tiles, key=DecoratedTile.sort_key)
+    ordered = sorted(tiles)
     provenance = tuple(
         PROVENANCE_CENTRAL if t.base in layout.central_cells
         else PROVENANCE_BASE if t.base in layout.off_network

@@ -52,10 +52,10 @@ def as_key_set(patches):
     return keys
 
 
-def test_layout_reconstruction(layout):
+def test_layout_reconstruction(layout, numbering):
     assert (layout.width, layout.height) == (3, 3)
-    assert layout.cell_at[(0, 0)] == "c1"
-    assert layout.cell_at[(2, 2)] == "c9"
+    assert layout.position_of[numbering.tile_index("r1", "c1")] == (0, 0)
+    assert layout.position_of[numbering.tile_index("r1", "c9")] == (2, 2)
     assert layout.position_of[5] == (1, 1)
 
 

@@ -117,6 +117,11 @@ def depth2_square():
     return doc, numbering, hpatch, build_layout(numbering, doc.networks)
 
 
+def _flat_slot(level, addr, k):
+    """The index in `level.slot_decoration` of facet k of the cell at `addr`."""
+    return level.offset[level.cells.index(addr)] + k - 1
+
+
 def test_quotient_rejects_a_block_with_two_parent_indices(depth2_square):
     doc, numbering, hpatch, layout = depth2_square
     bottom = hpatch.bottom
@@ -125,7 +130,10 @@ def test_quotient_rejects_a_block_with_two_parent_indices(depth2_square):
         if bottom.decoration[(addr, k)] is not UNDEFINED
     )
     dec = bottom.decoration[slot]
-    bottom.decoration[slot] = dec._replace(j=dec.j % numbering.n + 1)
+    forged = dec._replace(j=dec.j % numbering.n + 1)
+    with pytest.raises(TypeError):  # the views are read-only
+        bottom.decoration[slot] = forged
+    bottom.slot_decoration[_flat_slot(bottom, *slot)] = forged
     with pytest.raises(PartialBlock, match=rf"block \({slot[0][0]!r},\): parent indices"):
         quotient_hierarchy(hpatch, doc.system, numbering, doc.networks)
 
@@ -138,7 +146,7 @@ def test_quotient_rejects_a_defined_member_of_a_native_facet(depth2_square):
     center = (doc.networks["r1"].center,)
     cell, k = layout.gamma["r1"][1][0]
     assert bottom.decoration[(center + (cell,), k)] is UNDEFINED
-    bottom.decoration[(center + (cell,), k)] = next(
+    bottom.slot_decoration[_flat_slot(bottom, center + (cell,), k)] = next(
         dec for dec in bottom.decoration.values() if dec is not UNDEFINED
     )
     with pytest.raises(PartialBlock, match=rf"block \({center[0]!r},\): facet 1 should be undefined"):
@@ -146,19 +154,20 @@ def test_quotient_rejects_a_defined_member_of_a_native_facet(depth2_square):
 
 
 def _assert_same_level(level, want):
-    """Field by field, dict insertion order included."""
+    """Field by field; the dict views as sorted items, which is the order
+    they iterate in."""
     assert level.level == want.level
     assert level.cells == want.cells
     assert level.pairs == want.pairs
     for name in ("rule_of", "base_of", "parent_of", "decoration", "undefined_from"):
-        assert list(getattr(level, name).items()) == list(getattr(want, name).items()), name
-    assert repr(level) == "LevelPatch(" + repr(want)[len("AddressedLevel("):]
+        got = list(getattr(level, name).items())
+        assert got == sorted(getattr(want, name).items()), name
 
 
 def _reversed_cells_3x3():
     """The bundled 3x3 with its cells declared c9 first: the template order
-    is not the sorted cell-id order, so the generation order of a level's
-    cells is not their sorted order."""
+    is not the sorted cell-id order, so the order in which a level's cells
+    are generated is not their address order."""
     text = resources.files("tilesub.data").joinpath("square3x3.sub").read_text()
     cells = "".join(f"  cell c{i} sq\n" for i in range(1, 10))
     assert cells in text

@@ -8,9 +8,20 @@ independent answers.
 """
 
 import hashlib
+from collections import Counter
+from importlib import resources
 
 import pytest
 
+from helpers import decompose_by_scan, renamed_tworule_text
+from tilesub.assembler import (
+    assemble_patches,
+    build_grid_layout,
+    check_phase_coherence,
+    decompose_macro,
+    grid_from_hierarchy,
+)
+from tilesub.cli import main
 from tilesub.errors import InconsistentGluing
 from tilesub.model import build_numbering, validate_system
 from tilesub.network import check_port_condition, validate_network
@@ -23,6 +34,7 @@ from tilesub.simulation import (
 from tilesub.specfile import load_bundled, parse_spec, print_spec
 from tilesub.tileset import build_layout, generate_tileset
 
+BUNDLED = resources.files("tilesub.data") / "tworule3x3.sub"
 TAU = 7608
 DUMP_SHA256 = "dd60683ecdea1134e8d720ebbf7946a688dfe4e99e9a5be2631eaf0c3c6779a1"
 
@@ -40,6 +52,16 @@ def numbering(doc):
 @pytest.fixture(scope="module")
 def tau(doc, numbering):
     return generate_tileset(doc.system, numbering, doc.networks)
+
+
+@pytest.fixture(scope="module")
+def instances(doc, numbering, tau):
+    return enumerate_macro_tiles(tau, doc.system, numbering, doc.networks)
+
+
+@pytest.fixture(scope="module")
+def grid(doc, numbering):
+    return build_grid_layout(doc.system, numbering, doc.networks)
 
 
 def test_spec_is_valid_and_canonical(doc):
@@ -73,8 +95,7 @@ def test_closure_size_and_dump(tau):
     assert hashlib.sha256(tau.dump().encode()).hexdigest() == DUMP_SHA256
 
 
-def test_self_simulation_passes(doc, numbering, tau):
-    instances = enumerate_macro_tiles(tau, doc.system, numbering, doc.networks)
+def test_self_simulation_passes(doc, numbering, tau, instances):
     assert len(instances) == TAU
     report = verify_self_simulation(tau, doc.system, numbering, doc.networks, instances)
     assert report.condition1_ok and report.phi_in_tileset and report.condition3_ok
@@ -114,3 +135,50 @@ def test_ancestor_parent_of_another_prototype_is_inconsistent(doc, numbering):
         quotient_hierarchy(deep, doc.system, numbering, doc.networks)
     assert len(quotient_hierarchy(deep, doc.system, numbering, doc.networks,
                                   ancestor_parent=1).cells) == 81
+
+
+# The grid layout places every tile of every rule. With rule rb's cells
+# renamed d1..d9 no cell id names a cell of both rules, so a layout read off
+# the first rule alone would find no rb cell.
+
+@pytest.fixture
+def renamed(tmp_path):
+    spec = tmp_path / "renamed.sub"
+    spec.write_text(renamed_tworule_text())
+    assert main(["validate", str(spec)]) == 0
+    return spec
+
+
+@pytest.mark.parametrize("subject", [["--instance", "5072"], ["--hierarchy-depth", "2"]],
+                         ids=["instance", "hierarchy"])
+def test_renamed_spec_renders_like_the_bundled_one(renamed, tmp_path, instances, subject):
+    """Renaming cells moves no tile, so each SVG is the bundled spec's.
+    Instance 5072 is an rb instance."""
+    assert instances[5072].rule_id == "rb"
+    for spec, out in ((renamed, "renamed.svg"), (BUNDLED, "bundled.svg")):
+        assert main(["render", str(spec), "--svg", str(tmp_path / out), *subject]) == 0
+    assert (tmp_path / "renamed.svg").read_text() == (tmp_path / "bundled.svg").read_text()
+
+
+def test_every_cell_of_every_2x2_patch_has_a_phase(numbering, tau, grid):
+    patches = assemble_patches(tau, numbering, 2, 2)
+    assert len(patches) == 37768
+    reports = [check_phase_coherence(patch, grid) for patch in patches]
+    assert all(report.ok for report in reports)
+    assert [note for report in reports for note in report.notes] == []
+
+
+def test_ra_depth3_hierarchy_decomposes_into_full_blocks(doc, numbering, instances, grid):
+    hpatch = hierarchy_decorate(doc.system, numbering, doc.networks, "ra", 3)
+    patch = grid_from_hierarchy(hpatch, grid, doc.networks)
+    decomposed = decompose_macro(patch, instances, grid, wildcard=True)
+    assert decomposed.report.ok
+    assert len(decomposed.blocks) == 81
+    assert decomposed.margins == ()
+    oracle = decompose_by_scan(patch, instances, grid)
+    assert decomposed.blocks.keys() == oracle.keys()
+    assert all(decomposed.blocks[a] is oracle[a] for a in oracle)
+    # Each block is an instance of the rule that expanded it: the level
+    # above the bottom has 73 a-cells, expanded by ra, and 8 b-cells.
+    by_rule = Counter(inst.rule_id for inst in decomposed.blocks.values())
+    assert by_rule == Counter(hpatch.bottom.rule[::9]) == {"ra": 73, "rb": 8}
