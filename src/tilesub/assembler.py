@@ -327,7 +327,7 @@ def grid_from_hierarchy(hpatch: HierarchyPatch, layout: GridLayout,
                         networks: NetworkSet) -> GridPatch:
     """Realize the bottom level of a square hierarchy as a grid patch.
 
-    Read off the levels' flat lists from the top down, a cell's position is
+    Read off the levels' flat tuples from the top down, a cell's position is
     its block's position times (w, h) plus the cell's position in the
     template; the top level's one block sits at the origin. The cells come
     in the bottom's cell order. `networks` is unused: whether a tile is
@@ -341,7 +341,7 @@ def grid_from_hierarchy(hpatch: HierarchyPatch, layout: GridLayout,
     decs = bottom.slot_decoration
     # A square's facets S, N, W, E are its slots s .. s + 3.
     cells = {
-        (x, y): DecoratedTile(j, tuple(decs[s:s + 4]))
+        (x, y): DecoratedTile(j, decs[s:s + 4])
         for x, y, j, s in zip(xs, ys, bottom.base, bottom.offset)
     }
     side = w ** hpatch.depth, h ** hpatch.depth

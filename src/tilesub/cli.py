@@ -194,6 +194,7 @@ def cmd_assemble(args) -> int:
 def cmd_hierarchy(args) -> int:
     doc = _load(args.spec)
     numbering = build_numbering(doc.system)
+    build_layout(numbering, doc.networks)  # refuses a spec without rules before rules[0]
     seed_rule = args.rule or doc.system.rules[0].rule_id
     hpatch = hierarchy_decorate(
         doc.system, numbering, doc.networks, seed_rule, args.depth

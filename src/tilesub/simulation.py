@@ -13,16 +13,17 @@ from the `tileset.Layout`.
 `hierarchy_decorate` builds the finite-depth telescope of images with the
 distinguished UNDEFINED decoration confined to the networks of every level,
 and `quotient_hierarchy` / `quotient_preimage` collapse a decomposed patch
-one level up. A hierarchy level (`LevelPatch`) is stored as flat lists
-indexed by integers: a cell is its rank in sorted address order and a slot
-its cell's offset plus the facet index less one. Every hierarchy stage reads
-and writes only those lists; the tuple-address fields (`cells`,
-`decoration`, ...) are read-only views built on first access.
+one level up. A hierarchy level (`LevelPatch`) is frozen flat data: tuples
+indexed by integers, where a cell is its rank in sorted address order and a
+slot its cell's offset plus the facet index less one. Every hierarchy stage
+reads and writes only those tuples. The quotient recovers a level from the
+bottom's data and the parents of the level above; the few tuple-address
+views that remain (`cells`, `pairs`, ...) are built on first access.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate, chain, groupby, repeat
 from operator import sub
@@ -354,13 +355,11 @@ def _biconditional_holds(side_a, phi_a, side_b, phi_b) -> bool:
 Address = tuple[str, ...]
 Slot = tuple[Address, int]
 
-# The tuple-address views of a level, in the order `repr` shows them.
-_VIEWS = ("cells", "rule_of", "base_of", "parent_of", "pairs", "decoration", "undefined_from")
 
-
-@dataclass(eq=False, repr=False)
+@dataclass(frozen=True, eq=False)
 class LevelPatch:
-    """One level of the hierarchy, stored in flat lists indexed by integers.
+    """One level of the hierarchy, stored as frozen tuples indexed by
+    integers.
 
     A cell is its rank in the sorted order of the cells' addresses (their
     expansion paths), so the children of a block are contiguous, in sorted
@@ -372,28 +371,27 @@ class LevelPatch:
     Per slot it keeps its decoration in `slot_decoration`; `slot_undefined`
     maps each UNDEFINED slot to the number of levels its UNDEFINED came down
     (0: the cell's own network), and `slot_pairs` holds the glued slot
-    pairs, each ascending, in ascending order. These lists are the level's
-    only data.
+    pairs, each ascending, in ascending order. These fields are the level's
+    only data, and none of them can change.
 
-    `cells`, `rule_of`, `base_of`, `parent_of`, `pairs`, `decoration` and
-    `undefined_from` are views of the same data addressed by expansion
-    path, each built on first access and cached; the dict views are
-    read-only and iterate in address order. `level` counts from the bottom
-    (0 = finest); it is positional metadata and not part of patch equality,
-    which compares the views.
+    `cells`, `rule_of`, `base_of`, `pairs` and `undefined_from` are views of
+    the same data addressed by expansion path, built on first access; the
+    dict views are read-only and iterate in address order. Equality compares
+    the flat fields and `cells`, not `level` (0 = finest, positional
+    metadata) nor `block`, which a quotient does not record.
     """
 
-    level: int
-    base: list[int]
-    parent: list[int]
-    rule: list[str]
-    block: list[int] | None
-    offset: list[int]  # cell -> its first slot; offset[-1] counts the slots
-    slot_decoration: list[FacetDecoration]
-    slot_undefined: dict[int, int]
+    level: int = field(compare=False)
+    base: tuple[int, ...]
+    parent: tuple[int, ...]
+    rule: tuple[str, ...]
+    block: tuple[int, ...] | None = field(compare=False)
+    offset: tuple[int, ...]  # cell -> its first slot; offset[-1] counts the slots
+    slot_decoration: tuple[FacetDecoration, ...]
+    slot_undefined: Mapping[int, int]
     slot_pairs: tuple[tuple[int, int], ...]
     # The addresses of the cells, computed when `cells` is first read.
-    addresses: Callable[[], tuple[Address, ...]]
+    addresses: Callable[[], tuple[Address, ...]] = field(compare=False, repr=False)
 
     def matching_report(self) -> ValidationReport:
         report = ValidationReport()
@@ -407,7 +405,7 @@ class LevelPatch:
         i = bisect_right(self.offset, s) - 1
         return self.cells[i], s - self.offset[i] + 1
 
-    def _by_cell(self, values: list) -> Mapping:
+    def _by_cell(self, values: Sequence) -> Mapping:
         return MappingProxyType(dict(zip(self.cells, values)))
 
     @cached_property
@@ -423,21 +421,9 @@ class LevelPatch:
         return self._by_cell(self.base)
 
     @cached_property
-    def parent_of(self) -> Mapping[Address, int]:
-        return self._by_cell(self.parent)
-
-    @cached_property
     def pairs(self) -> tuple[tuple[Slot, Slot], ...]:
         key = self._slot_key
         return tuple([(key(a), key(b)) for a, b in self.slot_pairs])
-
-    @cached_property
-    def decoration(self) -> Mapping[Slot, FacetDecoration]:
-        cells, offset, decs = self.cells, self.offset, self.slot_decoration
-        return MappingProxyType({
-            (cells[i], s - offset[i] + 1): decs[s]
-            for i in range(len(cells)) for s in range(offset[i], offset[i + 1])
-        })
 
     @cached_property
     def undefined_from(self) -> Mapping[Slot, int]:
@@ -450,14 +436,12 @@ class LevelPatch:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in _VIEWS)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _VIEWS)
-        return f"LevelPatch(level={self.level!r}, {fields})"
+        return all(
+            getattr(self, f.name) == getattr(other, f.name) for f in fields(self) if f.compare
+        ) and self.cells == other.cells
 
 
-@dataclass
+@dataclass(frozen=True)
 class HierarchyPatch:
     seed_rule: str
     depth: int
@@ -481,7 +465,7 @@ def _sorted_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ..
     return tuple([pair for pair, _ in groupby(ordered)])
 
 
-def _slot_cells(offset: list[int]) -> list[int]:
+def _slot_cells(offset: Sequence[int]) -> list[int]:
     """The cell of each slot of a level with these cell offsets."""
     return list(chain.from_iterable(
         map(repeat, range(len(offset) - 1), map(sub, offset[1:], offset))
@@ -548,7 +532,7 @@ def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
             f"{layout.prototype_name[top_parent]}, not {seed.parent}"
         )
 
-    tops: list[int] = [top_parent]
+    tops: tuple[int, ...] = (top_parent,)
     expanders: list[Rule] = [seed]
     above: LevelPatch | None = None
     levels: list[LevelPatch] = []
@@ -594,13 +578,14 @@ def _decorate_level(layout: Layout, rows, level_no, base, parent, rule, block, o
         native[j0] = tuple(
             k - 1 for k in range(1, layout.facet_count[j0] + 1) if (cell, k) in local
         )
-    keys = list(zip(base, parent))
-    for j0, p in set(keys).difference(rows):
+    for j0, p in set(zip(base, parent)).difference(rows):
         at = native[j0]
         rows[(j0, p)] = tuple(
             UNDEFINED if k in at else dec for k, dec in enumerate(_steps13(layout, j0, p))
         )
-    decs: list[FacetDecoration] = list(chain.from_iterable(map(rows.__getitem__, keys)))
+    decs: list[FacetDecoration] = list(
+        chain.from_iterable(map(rows.__getitem__, zip(base, parent)))
+    )
     undefined = {s0 + k: 0 for s0, j0 in zip(offset, base) for k in native[j0]}
     for s, origin in inherited.items():
         if decs[s] is not UNDEFINED:
@@ -608,11 +593,11 @@ def _decorate_level(layout: Layout, rows, level_no, base, parent, rule, block, o
             undefined[s] = origin
     return LevelPatch(
         level_no, base, parent, rule, block, offset,
-        decs, undefined, _sorted_pairs(pairs), addresses,
+        tuple(decs), MappingProxyType(undefined), _sorted_pairs(pairs), addresses,
     )
 
 
-def _expand_level(layout: Layout, tops: list[int], expanders: list[Rule],
+def _expand_level(layout: Layout, tops: Sequence[int], expanders: list[Rule],
                   above: LevelPatch | None):
     """Blow block b, tile `tops[b]`, up by one application of the rule
     `expanders[b]`, gluing the blocks along macro-facets via the layout's
@@ -633,13 +618,13 @@ def _expand_level(layout: Layout, tops: list[int], expanders: list[Rule],
             shapes[rule.rule_id] = _shape(layout, rule)
     block_shapes = [shapes[rule.rule_id] for rule in expanders]
     sizes = [len(shape.bases) for shape in block_shapes]
-    base = list(chain.from_iterable(shape.bases for shape in block_shapes))
-    parent = list(chain.from_iterable(map(repeat, tops, sizes)))
-    rule_ids = list(chain.from_iterable(
+    base = tuple(chain.from_iterable(shape.bases for shape in block_shapes))
+    parent = tuple(chain.from_iterable(map(repeat, tops, sizes)))
+    rule_ids = tuple(chain.from_iterable(
         map(repeat, [rule.rule_id for rule in expanders], sizes)
     ))
-    block = list(chain.from_iterable(map(repeat, range(len(sizes)), sizes)))
-    offset = [0, *accumulate(chain.from_iterable(shape.counts for shape in block_shapes))]
+    block = tuple(chain.from_iterable(map(repeat, range(len(sizes)), sizes)))
+    offset = (0, *accumulate(chain.from_iterable(shape.counts for shape in block_shapes)))
     first = [0, *accumulate(sizes)]  # block -> its first cell; then the cell count
     first_slot = [offset[i] for i in first]
     pairs = [
@@ -682,9 +667,9 @@ def _expand_level(layout: Layout, tops: list[int], expanders: list[Rule],
 
 
 def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
-                       numbering: GlobalNumbering, networks: NetworkSet,
-                       ancestor_parent: int | None = None) -> LevelPatch:
-    """Collapse the bottom level one step up, using only bottom-level data.
+                       numbering: GlobalNumbering, networks: NetworkSet) -> LevelPatch:
+    """Collapse the bottom level one step up, from the bottom's data and the
+    parents of the level above.
 
     The bottom's blocks become the cells; each block's tiles agree on a
     parent index, which recovers the level-above tile. Two blocks are paired
@@ -696,17 +681,16 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
     any level, by `_decorate_level` with a memo of its own, so `_steps13`
     runs once per recovered tile index. Its addresses are those of the
     bottom's cells less their last step; it records no blocks of its own.
-    `ancestor_parent` (the hierarchy's own top parent by default) is the
-    only level-above datum the bottom cannot carry. It is the parent of
-    every block, so its prototype must be the parent of some block's rule
-    (InconsistentGluing otherwise).
+    The parent of recovered block b is read from the level above,
+    `hpatch.levels[1].parent[b]`: the bottom does not carry it (on the
+    bundled specs every slot of a block's centre cell is UNDEFINED). It
+    must be a tile (IndexOutOfRange otherwise) of the parent prototype of
+    the block's rule (InconsistentGluing otherwise), one per block
+    (PartialBlock otherwise). On a hierarchy built by `hierarchy_decorate`
+    the quotient equals `hpatch.levels[1]`.
     """
     bottom = hpatch.bottom
-    if ancestor_parent is None:
-        ancestor_parent = hpatch.top_parent
     layout = build_layout(numbering, networks)
-    if ancestor_parent not in layout.facet_count:
-        raise IndexOutOfRange(f"ancestor parent {ancestor_parent} outside 1..{numbering.n}")
     if len(hpatch.levels) < 2:
         raise PartialBlock("bottom level is already the top expansion")
     cell_block, cell_offset, decs = bottom.block, bottom.offset, bottom.slot_decoration
@@ -742,17 +726,20 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
             raise PartialBlock(f"block {prefix(b)}: parent indices {sorted(parents)}")
         base.append(parents.pop())
 
-    rule_ids = [numbering.base_of(j_b)[0] for j_b in base]
-    wanted = sorted({system.rule(rule_id).parent for rule_id in rule_ids})
-    proto = layout.prototype_name[ancestor_parent]
-    if proto not in wanted:
-        raise InconsistentGluing(
-            f"ancestor parent T{ancestor_parent} has prototype {proto}, "
-            f"not {' or '.join(wanted)}"
-        )
-    offset = [0]
-    for j_b in base:
-        offset.append(offset[-1] + layout.facet_count[j_b])
+    rule_ids = tuple([numbering.base_of(j_b)[0] for j_b in base])
+    parent = hpatch.levels[1].parent
+    if len(parent) != len(base):
+        raise PartialBlock(f"{len(base)} blocks under {len(parent)} cells")
+    wanted = {rule_id: system.rule(rule_id).parent for rule_id in set(rule_ids)}
+    for b, (p, rule_id) in enumerate(zip(parent, rule_ids)):
+        if p not in layout.facet_count:
+            raise IndexOutOfRange(f"block {prefix(b)}: parent {p} outside 1..{numbering.n}")
+        if layout.prototype_name[p] != wanted[rule_id]:
+            raise InconsistentGluing(
+                f"block {prefix(b)}: parent T{p} has prototype "
+                f"{layout.prototype_name[p]}, not {wanted[rule_id]}"
+            )
+    offset = (0, *accumulate(layout.facet_count[j_b] for j_b in base))
 
     # Only pairs between two blocks glue the recovered cells.
     slot_cell = _slot_cells(cell_offset)
@@ -788,7 +775,7 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
         return tuple([prefix(b) for b in range(len(base))])
 
     return _decorate_level(
-        layout, {}, bottom.level + 1, base, [ancestor_parent] * len(base), rule_ids, None,
+        layout, {}, bottom.level + 1, tuple(base), parent, rule_ids, None,
         offset, pairs, inherited, addresses,
     )
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from tilesub.assembler import phase_of
-from tilesub.errors import AmbiguousSignature, InconsistentGluing, IndexOutOfRange, PartialBlock
+from tilesub.errors import AmbiguousSignature, InconsistentGluing, PartialBlock
 from tilesub.model import (
     BOUNDARY,
     MACRO_FACET,
@@ -151,8 +151,9 @@ def decompose_by_scan(patch, instances, layout):
 
 # ---------------------------------------------------------------------------
 # Oracle for the flat hierarchy levels: the tuple-address builders that the
-# flat lists replaced, kept as they were. A level is an `AddressedLevel`
-# with the public fields of `simulation.LevelPatch`.
+# flat tuples replaced, kept as they were. A level is an `AddressedLevel`:
+# every per-cell and per-slot fact keyed by expansion path. `address_views`
+# projects a flat `simulation.LevelPatch` onto the same fields.
 
 
 @dataclass
@@ -165,6 +166,26 @@ class AddressedLevel:
     pairs: tuple
     decoration: dict
     undefined_from: dict
+
+
+def address_views(level):
+    """The `AddressedLevel` of a flat level: its cells in address order,
+    its per-cell and per-slot tuples keyed by address and by (address, k),
+    in that order."""
+    cells, offset = level.cells, level.offset
+    return AddressedLevel(
+        level=level.level,
+        cells=cells,
+        rule_of=dict(level.rule_of),
+        base_of=dict(level.base_of),
+        parent_of=dict(zip(cells, level.parent)),
+        pairs=level.pairs,
+        decoration={
+            (cells[i], s - offset[i] + 1): level.slot_decoration[s]
+            for i in range(len(cells)) for s in range(offset[i], offset[i + 1])
+        },
+        undefined_from=dict(level.undefined_from),
+    )
 
 
 def _sorted_slot_pairs(pairs):
@@ -278,14 +299,10 @@ def _addressed_expand(layout, blocks, pairs, undefined_from):
     return new_cells, rule_of, base_of, parent_of, new_pairs, inherited
 
 
-def addressed_quotient(bottom, top_parent, layout, ancestor_parent=None):
-    """`quotient_hierarchy` of a hierarchy with the addressed `bottom`."""
+def addressed_quotient(bottom, above, layout):
+    """`quotient_hierarchy` of a hierarchy with the addressed `bottom` and
+    the addressed level `above` it, whose parents it takes."""
     numbering = layout.numbering
-    system = numbering.system
-    if ancestor_parent is None:
-        ancestor_parent = top_parent
-    if ancestor_parent not in layout.facet_count:
-        raise IndexOutOfRange(f"ancestor parent {ancestor_parent} outside 1..{numbering.n}")
     blocks = {}
     for addr in bottom.cells:
         if len(addr) < 2:
@@ -306,13 +323,6 @@ def addressed_quotient(bottom, top_parent, layout, ancestor_parent=None):
         base_of[prefix] = parents.pop()
 
     rule_of = {prefix: numbering.base_of(j_b)[0] for prefix, j_b in base_of.items()}
-    wanted = sorted({system.rule(rule_id).parent for rule_id in rule_of.values()})
-    proto = layout.prototype_name[ancestor_parent]
-    if proto not in wanted:
-        raise InconsistentGluing(
-            f"ancestor parent T{ancestor_parent} has prototype {proto}, "
-            f"not {' or '.join(wanted)}"
-        )
 
     facet_idx = layout.macro_facet_idx
     pairs = []
@@ -336,7 +346,7 @@ def addressed_quotient(bottom, top_parent, layout, ancestor_parent=None):
                 inherited[(prefix, a)] = max(0, origin - 1)
             elif (cell, a) in native:
                 raise PartialBlock(f"block {prefix}: facet {a} should be undefined")
-    parent_of = {prefix: ancestor_parent for prefix in base_of}
+    parent_of = {prefix: above.parent_of[prefix] for prefix in base_of}
     return _addressed_decorate(
         layout, {}, bottom.level + 1, list(base_of), rule_of, base_of, parent_of,
         pairs, inherited,

@@ -129,6 +129,17 @@ def test_hierarchy_broken_network_exit_code(capsys, tmp_path):
     assert out == ""
 
 
+def test_hierarchy_refuses_a_spec_without_rules_like_verify(capsys, tmp_path):
+    """A spec that names only its substitution has no rule to seed the
+    hierarchy from; `hierarchy` refuses it with the one error line that
+    `verify` and `count` print."""
+    empty = tmp_path / "empty.sub"
+    empty.write_text("substitution x\n")
+    for command in (["verify"], ["count"], ["hierarchy", "--depth", "1"]):
+        code, out, err = run(capsys, command[0], str(empty), *command[1:])
+        assert (code, out, err) == (1, "", "error: port condition fails: ['NoAdjacency']\n")
+
+
 def test_render_tile_labels(capsys, tmp_path):
     out_path = tmp_path / "tile.svg"
     # T1 with parent 1 sits at index 7 of the canonical dump.

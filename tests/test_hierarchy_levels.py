@@ -21,39 +21,36 @@ from tilesub.simulation import _sorted_pairs, hierarchy_decorate, quotient_hiera
 from tilesub.specfile import load_bundled, parse_spec
 from tilesub.tileset import UNDEFINED, build_layout
 
-from helpers import addressed_hierarchy, addressed_quotient
+from helpers import address_views, addressed_hierarchy, addressed_quotient
 
-# (spec, seed rule, ancestor parent of the quotient) -> SHA-256 of the
-# depth-3 levels, bottom first, then of the quotient of the bottom. The rb
-# quotient takes an a-tile as ancestor: every cell it recovers lies in ra.
+# (spec, seed rule) -> SHA-256 of the depth-3 levels, bottom first. The
+# quotient of the bottom must hash to the pin of the level above it.
 PINS = {
-    ("square3x3", "r1", None): (
+    ("square3x3", "r1"): (
         "6a6f54f53ad4457ddbefe447ef4ad23deb2b43b78900b14cb7d225f148855152",
         "9e12ba35bce4f7c51300a56cb4a04cfdfd7215c7654ce2d35d89cee2df2e964a",
         "ddd8e909c3eb26371b92968e100f730b3779f65155a50d196ff180a6c7147f1b",
-        "617b93920048e67e32791a0302e57d9de6ec0a0b7f44d663fee50336e4c4daf6",
     ),
-    ("tworule3x3", "ra", None): (
+    ("tworule3x3", "ra"): (
         "e1007ca7f54c790bdb89cc2c03fd458845a25a54bde20aee64a739a0a8ce359b",
         "dcfc8c985d2dfb42183ab4f4b442602ab885285bf7ca459fbc72ee22ace629b9",
         "a5de3498e4eb2969e7e937a97745e90e4c19fe8e4bb0f7ab28748a913a00a995",
-        "d58f7c36fec8ecd766b94c0a61aee1d6e5c1bf6eed8c8d95bbaddb356c9927cb",
     ),
-    ("tworule3x3", "rb", 1): (
+    ("tworule3x3", "rb"): (
         "65e19cc858211007ed0d41afedaebedf16fa05672aa81805160005a7737cd232",
         "883e2d25d9c9ca80dc654e0f17699b80603946c32a7eac3c31878f09e2264d15",
         "174017b6d1122fc5207363c7b7fa1d1c9626af8e611dc778b77a618dad47ebef",
-        "1669193ebf1ec067e473886f97d31a205cb279d314ff894b0df2db083823ed89",
     ),
 }
 
 
 def _level_sha256(level) -> str:
+    views = address_views(level)
     digest = hashlib.sha256()
-    for part in (level.level, level.cells, level.pairs):
+    for part in (views.level, views.cells, views.pairs):
         digest.update(repr(part).encode())
-    for table in (level.rule_of, level.base_of, level.parent_of,
-                  level.decoration, level.undefined_from):
+    for table in (views.rule_of, views.base_of, views.parent_of,
+                  views.decoration, views.undefined_from):
         digest.update(repr(sorted(table.items())).encode())
     return digest.hexdigest()
 
@@ -63,20 +60,56 @@ def _bundled(spec):
     return doc, build_numbering(doc.system)
 
 
-@pytest.mark.parametrize("spec, seed_rule, ancestor", sorted(PINS, key=str))
-def test_depth3_levels_and_quotient_are_pinned(spec, seed_rule, ancestor):
+@pytest.mark.parametrize("spec, seed_rule", sorted(PINS))
+def test_depth3_levels_and_quotient_are_pinned(spec, seed_rule):
     doc, numbering = _bundled(spec)
     hpatch = hierarchy_decorate(doc.system, numbering, doc.networks, seed_rule, 3)
-    lifted = quotient_hierarchy(hpatch, doc.system, numbering, doc.networks,
-                                ancestor_parent=ancestor)
-    got = tuple(_level_sha256(level) for level in (*hpatch.levels, lifted))
-    assert got == PINS[(spec, seed_rule, ancestor)]
-    # The quotient recovers the structure of the level above exactly.
-    assert lifted.pairs == hpatch.levels[1].pairs
+    lifted = quotient_hierarchy(hpatch, doc.system, numbering, doc.networks)
+    assert tuple(_level_sha256(level) for level in hpatch.levels) == PINS[(spec, seed_rule)]
+    # The quotient recovers the level above exactly.
+    assert _level_sha256(lifted) == PINS[(spec, seed_rule)][1]
 
 
-@pytest.mark.parametrize("spec, seed_rule, ancestor", sorted(PINS, key=str))
-def test_steps13_runs_once_per_tile_and_parent(monkeypatch, spec, seed_rule, ancestor):
+QUOTIENT_CASES = [
+    (spec, seed_rule, depth)
+    for spec, seed_rule in (("square3x3", "r1"), ("tworule3x3", "ra"), ("tworule3x3", "rb"))
+    for depth in (2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("spec, seed_rule, depth", QUOTIENT_CASES)
+def test_quotient_equals_the_level_above(spec, seed_rule, depth):
+    """The bottom's data and the parents of the level above give back that
+    level in every field but `level` and `block` (a quotient records no
+    blocks), and in its addresses."""
+    doc, numbering = _bundled(spec)
+    hpatch = hierarchy_decorate(doc.system, numbering, doc.networks, seed_rule, depth)
+    above = hpatch.levels[1]
+    lifted = quotient_hierarchy(hpatch, doc.system, numbering, doc.networks)
+    assert lifted == above
+    for f in dataclasses.fields(lifted):
+        if f.name not in ("level", "block", "addresses"):
+            assert getattr(lifted, f.name) == getattr(above, f.name), f.name
+    assert lifted.cells == above.cells
+
+
+def test_levels_are_frozen(depth2_square):
+    """A level cannot change once built, so no view read off it goes stale."""
+    _, _, hpatch, _ = depth2_square
+    bottom = hpatch.bottom
+    s = next(iter(bottom.slot_undefined))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bottom.slot_decoration = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        hpatch.levels = ()
+    with pytest.raises(TypeError):
+        bottom.slot_decoration[s] = bottom.slot_decoration[s + 1]
+    with pytest.raises(TypeError):
+        bottom.slot_undefined[s] = 1
+
+
+@pytest.mark.parametrize("spec, seed_rule", sorted(PINS))
+def test_steps13_runs_once_per_tile_and_parent(monkeypatch, spec, seed_rule):
     doc, numbering = _bundled(spec)
     calls = Counter()
     steps13 = simulation._steps13
@@ -89,7 +122,7 @@ def test_steps13_runs_once_per_tile_and_parent(monkeypatch, spec, seed_rule, anc
     hpatch = hierarchy_decorate(doc.system, numbering, doc.networks, seed_rule, 3)
     assert calls and max(calls.values()) == 1
     calls.clear()
-    quotient_hierarchy(hpatch, doc.system, numbering, doc.networks, ancestor_parent=ancestor)
+    quotient_hierarchy(hpatch, doc.system, numbering, doc.networks)
     assert calls and max(calls.values()) == 1
 
 
@@ -107,7 +140,7 @@ def test_seed_rule_need_not_be_the_first_of_its_prototype():
     assert all(set(level.rule_of.values()) == {"r1"} for level in below)
     assert hpatch.bottom.matching_report().ok
     lifted = quotient_hierarchy(hpatch, system, numbering, networks)
-    assert lifted.pairs == hpatch.levels[1].pairs
+    assert lifted == hpatch.levels[1]
 
 
 @pytest.fixture
@@ -117,51 +150,53 @@ def depth2_square():
     return doc, numbering, hpatch, build_layout(numbering, doc.networks)
 
 
-def _flat_slot(level, addr, k):
-    """The index in `level.slot_decoration` of facet k of the cell at `addr`."""
-    return level.offset[level.cells.index(addr)] + k - 1
+def _forged_bottom(hpatch, addr, k, dec):
+    """`hpatch` with the decoration of facet k of the bottom cell at `addr`
+    replaced by `dec`."""
+    bottom = hpatch.bottom
+    s = bottom.offset[bottom.cells.index(addr)] + k - 1
+    decs = bottom.slot_decoration[:s] + (dec,) + bottom.slot_decoration[s + 1:]
+    forged = dataclasses.replace(bottom, slot_decoration=decs)
+    return dataclasses.replace(hpatch, levels=(forged, *hpatch.levels[1:]))
 
 
 def test_quotient_rejects_a_block_with_two_parent_indices(depth2_square):
     doc, numbering, hpatch, layout = depth2_square
     bottom = hpatch.bottom
+    decoration = address_views(bottom).decoration
     slot = next(
         (addr, k) for addr in bottom.cells for k in layout.parent_facets[bottom.base_of[addr]]
-        if bottom.decoration[(addr, k)] is not UNDEFINED
+        if decoration[(addr, k)] is not UNDEFINED
     )
-    dec = bottom.decoration[slot]
-    forged = dec._replace(j=dec.j % numbering.n + 1)
-    with pytest.raises(TypeError):  # the views are read-only
-        bottom.decoration[slot] = forged
-    bottom.slot_decoration[_flat_slot(bottom, *slot)] = forged
+    dec = decoration[slot]
+    forged = _forged_bottom(hpatch, *slot, dec._replace(j=dec.j % numbering.n + 1))
     with pytest.raises(PartialBlock, match=rf"block \({slot[0][0]!r},\): parent indices"):
-        quotient_hierarchy(hpatch, doc.system, numbering, doc.networks)
+        quotient_hierarchy(forged, doc.system, numbering, doc.networks)
 
 
 def test_quotient_rejects_a_defined_member_of_a_native_facet(depth2_square):
     """Every facet of the centre block is native-undefined one level up, so
     a defined member on its seam is not a hierarchy bottom."""
     doc, numbering, hpatch, layout = depth2_square
-    bottom = hpatch.bottom
+    decoration = address_views(hpatch.bottom).decoration
     center = (doc.networks["r1"].center,)
     cell, k = layout.gamma["r1"][1][0]
-    assert bottom.decoration[(center + (cell,), k)] is UNDEFINED
-    bottom.slot_decoration[_flat_slot(bottom, center + (cell,), k)] = next(
-        dec for dec in bottom.decoration.values() if dec is not UNDEFINED
-    )
+    assert decoration[(center + (cell,), k)] is UNDEFINED
+    defined = next(dec for dec in decoration.values() if dec is not UNDEFINED)
+    forged = _forged_bottom(hpatch, center + (cell,), k, defined)
     with pytest.raises(PartialBlock, match=rf"block \({center[0]!r},\): facet 1 should be undefined"):
-        quotient_hierarchy(hpatch, doc.system, numbering, doc.networks)
+        quotient_hierarchy(forged, doc.system, numbering, doc.networks)
 
 
 def _assert_same_level(level, want):
-    """Field by field; the dict views as sorted items, which is the order
-    they iterate in."""
-    assert level.level == want.level
-    assert level.cells == want.cells
-    assert level.pairs == want.pairs
+    """Field by field through the address views; the dicts as sorted items,
+    which is the order the views iterate in."""
+    got = address_views(level)
+    assert got.level == want.level
+    assert got.cells == want.cells
+    assert got.pairs == want.pairs
     for name in ("rule_of", "base_of", "parent_of", "decoration", "undefined_from"):
-        got = list(getattr(level, name).items())
-        assert got == sorted(getattr(want, name).items()), name
+        assert list(getattr(got, name).items()) == sorted(getattr(want, name).items()), name
 
 
 def _reversed_cells_3x3():
@@ -183,9 +218,8 @@ ORACLE_CASES = (
 
 @pytest.mark.parametrize("spec, seed_rule, depth", ORACLE_CASES)
 def test_levels_and_quotients_equal_the_addressed_oracle(spec, seed_rule, depth):
-    """Every flat level, and its quotient for three ancestors, equals what
-    the tuple-address builders give; where they raise, the flat ones raise
-    the same error."""
+    """Every flat level, and its quotient, equals what the tuple-address
+    builders give; where they raise, the flat ones raise the same error."""
     doc = _reversed_cells_3x3() if spec == "reversed3x3" else load_bundled(spec)
     numbering = build_numbering(doc.system)
     layout = build_layout(numbering, doc.networks)
@@ -194,18 +228,16 @@ def test_levels_and_quotients_equal_the_addressed_oracle(spec, seed_rule, depth)
     assert len(hpatch.levels) == len(want)
     for level, expected in zip(hpatch.levels, want):
         _assert_same_level(level, expected)
-    for ancestor in (None, 1, 5):
-        try:
-            expected = addressed_quotient(want[0], hpatch.top_parent, layout, ancestor)
-        except TilesubError as exc:
-            with pytest.raises(type(exc)) as raised:
-                quotient_hierarchy(hpatch, doc.system, numbering, doc.networks, ancestor)
-            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
-        else:
-            _assert_same_level(
-                quotient_hierarchy(hpatch, doc.system, numbering, doc.networks, ancestor),
-                expected,
-            )
+    try:
+        expected = addressed_quotient(want[0], want[1] if depth > 1 else None, layout)
+    except TilesubError as exc:
+        with pytest.raises(type(exc)) as raised:
+            quotient_hierarchy(hpatch, doc.system, numbering, doc.networks)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+    else:
+        _assert_same_level(
+            quotient_hierarchy(hpatch, doc.system, numbering, doc.networks), expected
+        )
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import E, N, S, W, fc, partial_gamma_3x3_text, trip
+from helpers import E, N, S, W, address_views, fc, partial_gamma_3x3_text, trip
 from tilesub.assembler import assemble_patches
 from tilesub.errors import (
     InconsistentGluing,
@@ -312,8 +312,9 @@ def test_hierarchy_depth1(system, numbering, networks):
     assert set(bottom.undefined_from) == expected_undefined
     assert bottom.matching_report().ok
     # Off-network decorations are the base ones for the chosen top parent.
-    assert bottom.decoration[(("c1",), N)] == trip(3, 1, 3)
-    assert bottom.decoration[(("c1",), S)].g == fc("m")
+    decoration = address_views(bottom).decoration
+    assert decoration[(("c1",), N)] == trip(3, 1, 3)
+    assert decoration[(("c1",), S)].g == fc("m")
 
 
 def _expected_depth2_undefined(doc, numbering):
@@ -373,8 +374,16 @@ def test_hierarchy_quotient_roundtrip(system, numbering, networks):
 
 def test_hierarchy_quotient_roundtrip_other_parent(system, numbering, networks):
     patch = hierarchy_decorate(system, numbering, networks, "r1", 2, top_parent=7)
-    lifted = quotient_hierarchy(patch, system, numbering, networks, ancestor_parent=7)
+    lifted = quotient_hierarchy(patch, system, numbering, networks)
     assert lifted == patch.levels[1]
+    # The parents come from the level above, not from the top parent: with
+    # the level above forged to parent T1, the quotient is the level above
+    # of the hierarchy under T1 (the bottom is the same under both).
+    above = replace(patch.levels[1], parent=(1,) * len(patch.levels[1].parent))
+    forged = replace(patch, levels=(patch.bottom, above))
+    under_t1 = hierarchy_decorate(system, numbering, networks, "r1", 2, top_parent=1)
+    assert under_t1.bottom == patch.bottom
+    assert quotient_hierarchy(forged, system, numbering, networks) == under_t1.levels[1]
 
 
 def test_hierarchy_quotient_needs_depth(system, numbering, networks):
@@ -396,9 +405,16 @@ def test_hierarchy_top_parent_outside_the_tiles(system, numbering, networks):
 
 
 def test_quotient_ancestor_parent_outside_the_tiles(system, numbering, networks):
+    """A hand-built level above whose parent of a block is no tile."""
     patch = hierarchy_decorate(system, numbering, networks, "r1", 2)
-    with pytest.raises(IndexOutOfRange, match="ancestor parent 99 outside 1..9"):
-        quotient_hierarchy(patch, system, numbering, networks, ancestor_parent=99)
+    above = patch.levels[1]
+    above = replace(above, parent=above.parent[:4] + (99,) + above.parent[5:])
+    forged = replace(patch, levels=(patch.bottom, above))
+    with pytest.raises(IndexOutOfRange, match=r"block \('c5',\): parent 99 outside 1..9"):
+        quotient_hierarchy(forged, system, numbering, networks)
+    short = replace(patch, levels=(patch.bottom, replace(above, parent=above.parent[:8])))
+    with pytest.raises(PartialBlock, match="9 blocks under 8 cells"):
+        quotient_hierarchy(short, system, numbering, networks)
 
 
 def test_hierarchy_needs_adjacency_to_glue(system, numbering, networks):

@@ -7,6 +7,7 @@ The values are regression pins measured on the seed implementation, not
 independent answers.
 """
 
+import dataclasses
 import hashlib
 from collections import Counter
 from importlib import resources
@@ -124,17 +125,18 @@ def test_top_parent_of_another_prototype_is_inconsistent(doc, numbering):
 
 def test_ancestor_parent_of_another_prototype_is_inconsistent(doc, numbering):
     # The depth-2 ra quotient recovers the nine cells of ra, whose parent is
-    # an a-square; T5 is the b-square.
+    # an a-square; T5 is the b-square. A level above forged to give them T5
+    # is refused.
     hpatch = hierarchy_decorate(doc.system, numbering, doc.networks, "ra", 2)
-    with pytest.raises(InconsistentGluing, match="ancestor parent T5 has prototype b, not a"):
-        quotient_hierarchy(hpatch, doc.system, numbering, doc.networks, ancestor_parent=5)
-    # At depth 3 from rb every recovered cell lies in ra, so the default
-    # ancestor, rb's top parent T5, is refused as well.
+    above = dataclasses.replace(hpatch.levels[1], parent=(5,) * 9)
+    forged = dataclasses.replace(hpatch, levels=(hpatch.bottom, above))
+    with pytest.raises(InconsistentGluing, match=r"block \('c1',\): parent T5 has prototype b, not a"):
+        quotient_hierarchy(forged, doc.system, numbering, doc.networks)
+    # At depth 3 from rb every recovered cell lies in ra, under the a-tiles
+    # of the level above, not under rb's top parent T5, a b-tile.
     deep = hierarchy_decorate(doc.system, numbering, doc.networks, "rb", 3)
-    with pytest.raises(InconsistentGluing, match="ancestor parent T5 has prototype b, not a"):
-        quotient_hierarchy(deep, doc.system, numbering, doc.networks)
-    assert len(quotient_hierarchy(deep, doc.system, numbering, doc.networks,
-                                  ancestor_parent=1).cells) == 81
+    lifted = quotient_hierarchy(deep, doc.system, numbering, doc.networks)
+    assert len(lifted.cells) == 81 and lifted == deep.levels[1]
 
 
 # The grid layout places every tile of every rule. With rule rb's cells
