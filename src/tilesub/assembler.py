@@ -2,7 +2,11 @@
 
 Patches are filled by the key-indexed search that also enumerates macro-tiles
 (`simulation._search`); phases are read off a table of wildcard-masked
-macro-index signatures built with the grid layout.
+macro-index signatures built with the grid layout. The phase check reads a
+patch's cells in their own order and sorts only what it reports, so its
+notes and entries come in sorted position order. `decompose_macro` looks
+each block up in one table per mask of UNDEFINED slots, keyed by
+`itemgetter` over instances flattened into rows of bases and decorations.
 
 This is the specialization to systems whose prototypes are unit squares with
 the facet convention (S, N, W, E) = (1, 2, 3, 4) and orientations
@@ -12,7 +16,9 @@ which the model deliberately excludes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, compress, count, product, repeat
+from operator import is_, itemgetter
+from typing import Any, Callable, Iterable
 
 from .errors import AmbiguousSignature, NonSquareSystem
 from .model import GlobalNumbering, Rule, SubstitutionSystem, ValidationReport
@@ -175,13 +181,15 @@ _UNSEEN = object()
 
 def _known_phases(patch: GridPatch, layout: GridLayout, report: ValidationReport
                   ) -> dict[tuple[int, int], tuple[int, int]]:
-    """The phase of every patch cell that has one, in sorted position order;
-    each cell without one gets a note. A phase depends only on the tile's
-    decorations, so `phase_of` runs once per distinct decoration tuple and
-    layout, its answer kept in `layout.phases`."""
+    """The phase of every patch cell that has one, in the patch's own cell
+    order; each cell without one gets a note, in sorted position order. A
+    phase depends only on the tile's decorations, so `phase_of` runs once
+    per distinct decoration tuple and layout, its answer kept in
+    `layout.phases`."""
     memo = layout.phases
     phases = {}
-    for pos, tile in sorted(patch.cells.items()):
+    undetermined = []
+    for pos, tile in patch.cells.items():
         phase = memo.get(tile.triples, _UNSEEN)
         if phase is _UNSEEN:
             try:
@@ -190,9 +198,11 @@ def _known_phases(patch: GridPatch, layout: GridLayout, report: ValidationReport
                 phase = None
             memo[tile.triples] = phase
         if phase is None:
-            report.note(f"cell {pos}: phase undetermined")
+            undetermined.append(pos)
         else:
             phases[pos] = phase
+    for pos in sorted(undetermined):
+        report.note(f"cell {pos}: phase undetermined")
     return phases
 
 
@@ -200,19 +210,24 @@ def check_phase_coherence(patch: GridPatch, layout: GridLayout) -> ValidationRep
     """East neighbors advance the column phase by one (mod width) at equal
     row phase, and symmetrically northward. Cells whose signature does not
     determine a phase (wildcard-heavy hierarchy cells) are skipped with a
-    note, in sorted position order. Phases are read through `layout.phases`,
-    so checking many patches with one layout looks each distinct tile's
-    decorations up once."""
+    note. Notes and entries come in sorted position order, a cell's east
+    entry before its north one, whatever the order of `patch.cells`: the
+    cells are read in their own order and only what is reported is sorted.
+    Phases are read through `layout.phases`, so checking many patches with
+    one layout looks each distinct tile's decorations up once."""
     report = ValidationReport()
     w, h = layout.width, layout.height
     phases = _known_phases(patch, layout, report)
+    failures = []  # (position, E before N, detail)
     for (x, y), (cx, cy) in phases.items():
         ep = phases.get((x + 1, y))
         if ep is not None and ep != ((cx + 1) % w, cy):
-            report.add("PhaseIncoherent", f"({x},{y})->E: {(cx, cy)} then {ep}")
+            failures.append(((x, y), 0, f"({x},{y})->E: {(cx, cy)} then {ep}"))
         np_ = phases.get((x, y + 1))
         if np_ is not None and np_ != (cx, (cy + 1) % h):
-            report.add("PhaseIncoherent", f"({x},{y})->N: {(cx, cy)} then {np_}")
+            failures.append(((x, y), 1, f"({x},{y})->N: {(cx, cy)} then {np_}"))
+    for _, _, detail in sorted(failures):
+        report.add("PhaseIncoherent", detail)
     return report
 
 
@@ -257,52 +272,56 @@ def decompose_macro(patch: GridPatch, instances: tuple[MacroTileInstance, ...],
     `wildcard=True` lets UNDEFINED patch slots match anything, which is how
     hierarchy patches are analyzed; a complete block matching no instance is
     reported as NonInstanceBlock (a verifier bug on valid patches). Cells
-    outside complete blocks are margins.
+    outside complete blocks are margins. Blocks, reports and adjacencies
+    come in sorted anchor order, margins in sorted position order.
 
-    A block is one lookup in a table of the instances keyed by their tiles'
-    bases and decorations outside the block's UNDEFINED slots (none without
-    `wildcard`), block and instance both read in scanline order of their
-    template positions; one table is built per pattern of such slots, the
-    first matching instance winning.
+    Each instance is flattened once per call into a row: its tiles in
+    scanline order of their template positions, each as its base followed by
+    its decorations. A complete block is flattened the same way, and the
+    positions of its row's UNDEFINED decorations (none without `wildcard`)
+    are its mask. Per mask one table maps `itemgetter(*visible)` of each
+    instance row to the instance, `visible` being the positions the mask
+    leaves, filled in instance order so that the first matching instance
+    wins; a block is then one lookup in its mask's table.
     """
     w, h = layout.width, layout.height
     report = ValidationReport()
-    # Each instance's tiles in scanline order of their template positions.
     at = layout.position_of
-    scanned = [
-        (tuple(sorted(inst.tiles, key=lambda tile: at[tile.base][::-1])), inst)
-        for inst in instances
-    ]
-    # Per mask of hidden slots, the instances keyed by what the mask leaves.
-    tables: dict[tuple, dict[tuple, MacroTileInstance]] = {}
+    rows = [_row(sorted(inst.tiles, key=lambda tile: at[tile.base][::-1])) for inst in instances]
+    # Per mask, the key that reads the visible positions and the table.
+    tables: dict[tuple[int, ...], tuple[Callable, dict[Any, MacroTileInstance]]] = {}
     phases = _known_phases(patch, layout, ValidationReport())
-    anchors = [pos for pos, phase in phases.items() if phase == (0, 0)]
+    anchors = sorted(pos for pos, phase in phases.items() if phase == (0, 0))
+    cells = patch.cells
     blocks: dict[tuple[int, int], MacroTileInstance] = {}
     covered: set[tuple[int, int]] = set()
     for ax, ay in anchors:
         positions = [(ax + dx, ay + dy) for dy in range(h) for dx in range(w)]
-        if not all(p in patch.cells for p in positions):
+        tiles = [cells.get(p) for p in positions]
+        if None in tiles:
             continue
-        tiles = tuple([patch.cells[p] for p in positions])
-        mask = tuple(
-            tuple([wildcard and dec is UNDEFINED for dec in tile.triples]) for tile in tiles
-        )
-        table = tables.get(mask)
-        if table is None:
-            table = tables[mask] = {}
-            for inst_tiles, inst in scanned:  # setdefault: the first instance wins
-                table.setdefault(_masked_key(inst_tiles, mask), inst)
-        instance = table.get(_masked_key(tiles, mask))
+        row = _row(tiles)
+        mask = tuple(compress(count(), map(is_, row, repeat(UNDEFINED)))) if wildcard else ()
+        found = tables.get(mask)
+        if found is None:
+            hidden = set(mask)
+            key = itemgetter(*[i for i in range(len(row)) if i not in hidden])
+            table: dict[Any, MacroTileInstance] = {}
+            for inst_row, inst in zip(rows, instances):
+                table.setdefault(key(inst_row), inst)
+            found = tables[mask] = key, table
+        key, table = found
+        instance = table.get(key(row))
         if instance is None:
             report.add("NonInstanceBlock", f"anchor ({ax},{ay})")
             continue
         blocks[(ax, ay)] = instance
         covered.update(positions)
-    margins = tuple(sorted(p for p in patch.cells if p not in covered))
+    margins = tuple(sorted(p for p in cells if p not in covered))
     for pos in margins:
         report.note(f"margin cell {pos}")
     adjacencies = []
-    for ax, ay in sorted(blocks):
+    for ax, ay in blocks:
         if (ax + w, ay) in blocks:
             adjacencies.append(((ax, ay), E, (ax + w, ay), W))
         if (ax, ay + h) in blocks:
@@ -310,12 +329,9 @@ def decompose_macro(patch: GridPatch, instances: tuple[MacroTileInstance, ...],
     return DecomposedPatch(blocks, tuple(adjacencies), margins, report)
 
 
-def _masked_key(tiles, mask) -> tuple:
-    """The tiles' bases and their decorations outside the masked slots."""
-    return tuple(
-        (tile.base, tuple([dec for dec, hide in zip(tile.triples, hidden) if not hide]))
-        for tile, hidden in zip(tiles, mask)
-    )
+def _row(tiles: Iterable[DecoratedTile]) -> tuple:
+    """The tiles flattened, each as its base followed by its decorations."""
+    return tuple(chain.from_iterable([(tile.base, *tile.triples) for tile in tiles]))
 
 
 def patch_from_instance(instance: MacroTileInstance, layout: GridLayout) -> GridPatch:
@@ -339,10 +355,10 @@ def grid_from_hierarchy(hpatch: HierarchyPatch, layout: GridLayout,
         ys = [ys[b] * h + at[j][1] for b, j in zip(level.block, level.base)]
     bottom = hpatch.bottom
     decs = bottom.slot_decoration
-    # A square's facets S, N, W, E are its slots s .. s + 3.
-    cells = {
-        (x, y): DecoratedTile(j, decs[s:s + 4])
-        for x, y, j, s in zip(xs, ys, bottom.base, bottom.offset)
-    }
+    # A square's facets S, N, W, E are its slots 4i .. 4i + 3, so the
+    # decorations are read four at a time.
+    if bottom.offset != tuple(range(0, len(decs) + 1, 4)):
+        raise NonSquareSystem("hierarchy cells of a grid patch need four facets each")
+    cells = dict(zip(zip(xs, ys), map(DecoratedTile, bottom.base, zip(*[iter(decs)] * 4))))
     side = w ** hpatch.depth, h ** hpatch.depth
     return GridPatch(side[0], side[1], cells)

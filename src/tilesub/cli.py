@@ -212,6 +212,13 @@ def cmd_hierarchy(args) -> int:
     return 0 if matching.ok else 1
 
 
+def _chosen(items, index: int, what: str):
+    """`items[index]`, or ParseError (exit 2) naming the valid range."""
+    if not 0 <= index < len(items):
+        raise ParseError(f"{what} index {index} outside 0..{len(items) - 1}")
+    return items[index]
+
+
 def cmd_render(args) -> int:
     doc = _load(args.spec)
     if args.tile is not None or args.instance is not None:
@@ -219,28 +226,25 @@ def cmd_render(args) -> int:
     else:
         numbering = build_numbering(doc.system)
         build_layout(numbering, doc.networks)  # --empty refuses a bad spec too
-    try:
-        if args.tile is not None:
-            svg = render_tile_svg(tau.tiles[args.tile])
-        elif args.instance is not None:
-            layout = build_grid_layout(doc.system, numbering, doc.networks)
-            instances = enumerate_macro_tiles(tau, doc.system, numbering, doc.networks)
-            svg = render_patch_svg(patch_from_instance(instances[args.instance], layout))
-        elif args.hierarchy_depth is not None:
-            layout = build_grid_layout(doc.system, numbering, doc.networks)
-            hpatch = hierarchy_decorate(
-                doc.system, numbering, doc.networks,
-                doc.system.rules[0].rule_id, args.hierarchy_depth,
-            )
-            svg = render_patch_svg(grid_from_hierarchy(hpatch, layout, doc.networks))
-        elif args.empty:
-            svg = render_patch_svg(GridPatch(*args.empty))
-        else:
-            print("render: choose --tile, --instance, --hierarchy-depth or --empty",
-                  file=sys.stderr)
-            return 2
-    except IndexError as exc:
-        print(f"render: bad subject: {exc}", file=sys.stderr)
+    if args.tile is not None:
+        svg = render_tile_svg(_chosen(tau.tiles, args.tile, "tile"))
+    elif args.instance is not None:
+        layout = build_grid_layout(doc.system, numbering, doc.networks)
+        instances = enumerate_macro_tiles(tau, doc.system, numbering, doc.networks)
+        instance = _chosen(instances, args.instance, "instance")
+        svg = render_patch_svg(patch_from_instance(instance, layout))
+    elif args.hierarchy_depth is not None:
+        layout = build_grid_layout(doc.system, numbering, doc.networks)
+        hpatch = hierarchy_decorate(
+            doc.system, numbering, doc.networks,
+            doc.system.rules[0].rule_id, args.hierarchy_depth,
+        )
+        svg = render_patch_svg(grid_from_hierarchy(hpatch, layout, doc.networks))
+    elif args.empty:
+        svg = render_patch_svg(GridPatch(*args.empty))
+    else:
+        print("render: choose --tile, --instance, --hierarchy-depth or --empty",
+              file=sys.stderr)
         return 2
     _write(Path(args.svg), svg)
     print(f"wrote {args.svg}")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from .assembler import GridPatch
 from .errors import NonSquareSystem
-from .model import FacetClass
 from .tileset import DecoratedTile, UNDEFINED
 
 CELL = 100
@@ -62,16 +61,21 @@ def _ys(oy: float) -> tuple[str, ...]:
             f"{mid + 18:.1f}", f"{oy + CELL - 5:.1f}")
 
 
-class _ClassLabels(dict):
-    """Facet class -> its label. It holds one entry per facet class ever
-    rendered, so it is bounded by the specs' facet classes."""
+class _Memo(dict):
+    """`fn` of each key asked for, computed on first request and kept."""
 
-    def __missing__(self, value: FacetClass) -> str:
-        label = self[value] = str(value.index) if value.is_internal else value.render()
-        return label
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
-_CLASS_LABELS = _ClassLabels()
+# Facet class -> its label. It holds one entry per facet class ever
+# rendered, so it is bounded by the specs' facet classes.
+_CLASS_LABELS = _Memo(lambda value: str(value.index) if value.is_internal else value.render())
 
 
 def _labels(dec) -> tuple[str, str, str]:
@@ -80,13 +84,14 @@ def _labels(dec) -> tuple[str, str, str]:
     return (_CLASS_LABELS[dec.f], str(dec.j), _CLASS_LABELS[dec.g])
 
 
-def _fields(tile: DecoratedTile) -> tuple:
+def _fields(tile: DecoratedTile, labels=_labels) -> tuple:
     """Fields 10-22 of `_TILE`: the (f, j, g) labels of the S, N, W and E
-    facets in turn, then the base index."""
+    facets in turn, then the base index. `labels` gives a decoration's
+    three labels."""
     if len(tile.triples) != 4:
         raise NonSquareSystem("SVG rendering needs four-facet tiles")
     s, n, w, e = tile.triples
-    return (*_labels(s), *_labels(n), *_labels(w), *_labels(e), tile.base)
+    return (*labels(s), *labels(n), *labels(w), *labels(e), tile.base)
 
 
 def _document(width: int, height: int, body: list[str]) -> str:
@@ -125,8 +130,12 @@ def render_patch_svg(patch: GridPatch) -> str:
             f'<line x1="{x}" y1="{MARGIN}" x2="{x}" '
             f'y2="{MARGIN + patch.height * CELL}" stroke="lightgray"/>'
         )
-    for (x, y) in sorted(patch.cells):
-        ox = MARGIN + x * CELL
-        oy = MARGIN + (patch.height - 1 - y) * CELL
-        body.append(_TILE.format(*_xs(ox), *_ys(oy), *_fields(patch.cells[(x, y)])))
+    # Each column's and row's coordinates and each decoration's labels are
+    # formatted once per call.
+    xs = _Memo(lambda x: _xs(MARGIN + x * CELL))
+    ys = _Memo(lambda y: _ys(MARGIN + (patch.height - 1 - y) * CELL))
+    labels = _Memo(_labels).__getitem__
+    cells = patch.cells
+    for (x, y) in sorted(cells):
+        body.append(_TILE.format(*xs[x], *ys[y], *_fields(cells[(x, y)], labels)))
     return _document(patch.width, patch.height, body)

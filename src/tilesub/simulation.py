@@ -18,15 +18,17 @@ indexed by integers, where a cell is its rank in sorted address order and a
 slot its cell's offset plus the facet index less one. Every hierarchy stage
 reads and writes only those tuples. The quotient recovers a level from the
 bottom's data and the parents of the level above; the few tuple-address
-views that remain (`cells`, `pairs`, ...) are built on first access.
+views that remain (`cells`, `pairs`, ...) are built on first access, as is
+the one slot -> cell table per level that the expansion below a level and
+the views share.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from array import array
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import accumulate, chain, groupby, repeat
-from operator import sub
+from itertools import accumulate, chain, compress, repeat
+from operator import is_, ne, sub
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -398,15 +400,27 @@ class LevelPatch:
         decs = self.slot_decoration
         for a, b in self.slot_pairs:
             if decs[a] != decs[b]:
-                report.add("SeamMismatch", f"{self._slot_key(a)} vs {self._slot_key(b)}")
+                key_a, key_b = self._slot_keys((a, b))
+                report.add("SeamMismatch", f"{key_a} vs {key_b}")
         return report
 
-    def _slot_key(self, s: int) -> Slot:
-        i = bisect_right(self.offset, s) - 1
-        return self.cells[i], s - self.offset[i] + 1
+    def _slot_keys(self, slots: Sequence[int]) -> list[Slot]:
+        """The (address, facet) key of each slot."""
+        cells, offset, cell_of = self.cells, self.offset, self.slot_cell
+        return [(cells[i], s - offset[i] + 1) for s in slots for i in [cell_of[s]]]
 
     def _by_cell(self, values: Sequence) -> Mapping:
         return MappingProxyType(dict(zip(self.cells, values)))
+
+    @cached_property
+    def slot_cell(self) -> Sequence[int]:
+        """The cell of each slot, built on first access and shared by the
+        expansion of the level below and the views. An `array` of C ints,
+        so it costs 4 bytes a slot."""
+        offset = self.offset
+        return array("i", chain.from_iterable(
+            map(repeat, range(len(offset) - 1), map(sub, offset[1:], offset))
+        ))
 
     @cached_property
     def cells(self) -> tuple[Address, ...]:
@@ -422,16 +436,14 @@ class LevelPatch:
 
     @cached_property
     def pairs(self) -> tuple[tuple[Slot, Slot], ...]:
-        key = self._slot_key
-        return tuple([(key(a), key(b)) for a, b in self.slot_pairs])
+        keys = self._slot_keys(list(chain.from_iterable(self.slot_pairs)))
+        return tuple(zip(keys[::2], keys[1::2]))
 
     @cached_property
     def undefined_from(self) -> Mapping[Slot, int]:
-        cells, offset, undefined = self.cells, self.offset, self.slot_undefined
-        return MappingProxyType({
-            (cells[i], s - offset[i] + 1): undefined[s]
-            for i in range(len(cells)) for s in range(offset[i], offset[i + 1]) if s in undefined
-        })
+        undefined = self.slot_undefined
+        slots = sorted(undefined)
+        return MappingProxyType(dict(zip(self._slot_keys(slots), map(undefined.__getitem__, slots))))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -457,19 +469,15 @@ def _sorted_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ..
     """The distinct slot pairs, each with its smaller slot first, in
     ascending order.
 
-    One comparison orients a pair. The levels generate their pairs in long
-    ascending runs, which the sort merges in near-linear time; equal pairs
-    are then adjacent, and `groupby` keeps one of each.
+    One comparison orients a pair, and a pair already oriented, as the
+    levels generate nearly all of them, is kept as it is. The levels
+    generate their pairs in long ascending runs, which the sort merges in
+    near-linear time; equal pairs are then adjacent, and each pair that
+    differs from the one before it is kept.
     """
-    ordered = sorted([(a, b) if a <= b else (b, a) for a, b in pairs])
-    return tuple([pair for pair, _ in groupby(ordered)])
-
-
-def _slot_cells(offset: Sequence[int]) -> list[int]:
-    """The cell of each slot of a level with these cell offsets."""
-    return list(chain.from_iterable(
-        map(repeat, range(len(offset) - 1), map(sub, offset[1:], offset))
-    ))
+    ordered = [pair if pair[0] <= pair[1] else (pair[1], pair[0]) for pair in pairs]
+    ordered.sort()
+    return tuple(compress(ordered, map(ne, ordered, chain((None,), ordered))))
 
 
 class _Shape(NamedTuple):
@@ -633,8 +641,7 @@ def _expand_level(layout: Layout, tops: Sequence[int], expanders: list[Rule],
     ]
     inherited: dict[int, int] = {}
     if above is not None:
-        above_offset = above.offset
-        above_cell = _slot_cells(above_offset)
+        above_offset, above_cell = above.offset, above.slot_cell
         seams: dict[tuple[str, int, str, int], tuple[tuple[int, int], ...]] = {}
         glued = []  # per pair of the level above: both blocks' first slots, the seam
         for sa, sb in above.slot_pairs:
@@ -694,13 +701,13 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
     if len(hpatch.levels) < 2:
         raise PartialBlock("bottom level is already the top expansion")
     cell_block, cell_offset, decs = bottom.block, bottom.offset, bottom.slot_decoration
-    # The first cell of each block, then the cell count.
-    first = [i for i, b in enumerate(cell_block) if i == 0 or b != cell_block[i - 1]]
+    # The first cell of each block, then the cell count; each block's rule,
+    # and its first slot, then the slot count.
+    first = list(compress(range(len(cell_block)), map(ne, cell_block, (None, *cell_block))))
+    block_rule = [bottom.rule[i] for i in first]
     first.append(len(cell_block))
-    shapes = {
-        rule_id: _shape(layout, system.rule(rule_id))
-        for rule_id in dict.fromkeys(bottom.rule[i] for i in first[:-1])
-    }
+    block_slot = [cell_offset[i] for i in first]
+    shapes = {rule_id: _shape(layout, system.rule(rule_id)) for rule_id in dict.fromkeys(block_rule)}
     # Per rule of the bottom cells, the block slots its cells read their
     # parent index from.
     reads = {
@@ -716,11 +723,9 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
         return bottom.cells[first[b]][:-1]
 
     base: list[int] = []
-    for b, i in enumerate(first[:-1]):
-        s0 = cell_offset[i]
+    for b, (rule_id, s0) in enumerate(zip(block_rule, block_slot)):
         parents = {
-            dec.j for dec in [decs[s0 + s] for s in reads[bottom.rule[i]]]
-            if dec is not UNDEFINED
+            dec.j for dec in [decs[s0 + s] for s in reads[rule_id]] if dec is not UNDEFINED
         }
         if len(parents) != 1:
             raise PartialBlock(f"block {prefix(b)}: parent indices {sorted(parents)}")
@@ -741,33 +746,50 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
             )
     offset = (0, *accumulate(layout.facet_count[j_b] for j_b in base))
 
-    # Only pairs between two blocks glue the recovered cells.
-    slot_cell = _slot_cells(cell_offset)
-    crossing = [
-        (sa, sb) for sa, sb in bottom.slot_pairs
-        if cell_block[slot_cell[sa]] != cell_block[slot_cell[sb]]
-    ]
-    facet_idx, cell_base = layout.macro_facet_idx, bottom.base
+    # Only pairs between two blocks glue the recovered cells. Slot s of
+    # block b is its block-local slot `s - block_slot[b]`, which lies on
+    # the macro-facet `on_facet[rule][local]` of the recovered cell.
+    slot_block = list(chain.from_iterable(
+        map(repeat, range(len(base)), map(sub, block_slot[1:], block_slot))
+    ))
+    facet_idx = layout.macro_facet_idx
+    on_facet = {
+        rule_id: {
+            shape.local[(cell, k)]: facet_idx[(j, k)]
+            for cell, j in zip(shape.cells, shape.bases)
+            for k in range(1, layout.facet_count[j] + 1) if (j, k) in facet_idx
+        }
+        for rule_id, shape in shapes.items()
+    }
     pairs: list[tuple[int, int]] = []
-    for sa, sb in crossing:
-        ia, ib = slot_cell[sa], slot_cell[sb]
-        pairs.append((
-            offset[cell_block[ia]] + facet_idx[(cell_base[ia], sa - cell_offset[ia] + 1)] - 1,
-            offset[cell_block[ib]] + facet_idx[(cell_base[ib], sb - cell_offset[ib] + 1)] - 1,
-        ))
+    for sa, sb in bottom.slot_pairs:
+        ba, bb = slot_block[sa], slot_block[sb]
+        if ba != bb:
+            pairs.append((
+                offset[ba] + on_facet[block_rule[ba]][sa - block_slot[ba]] - 1,
+                offset[bb] + on_facet[block_rule[bb]][sb - block_slot[bb]] - 1,
+            ))
 
+    # Per rule of the bottom cells, each macro-facet's member slots,
+    # block-local; per recovered tile, its cell, native slots and facets.
+    members_of = {
+        rule_id: {a: [shape.local[m] for m in members] for a, members in layout.gamma[rule_id].items()}
+        for rule_id, shape in shapes.items()
+    }
+    recovered = {
+        j_b: (numbering.tiles[j_b - 1][1], layout.native_undefined[rule_id],
+              range(1, layout.facet_count[j_b] + 1))
+        for j_b, rule_id in dict(zip(base, rule_ids)).items()
+    }
+    undefined = bottom.slot_undefined
     inherited: dict[int, int] = {}
-    for b, j_b in enumerate(base):
-        rule_id, cell = numbering.base_of(j_b)
-        child_rule = bottom.rule[first[b]]
-        gamma, local = layout.gamma[child_rule], shapes[child_rule].local
-        native = layout.native_undefined[rule_id]
-        s0 = cell_offset[first[b]]
-        for a in range(1, layout.facet_count[j_b] + 1):
-            members = [s0 + local[m] for m in gamma[a]]
-            if all(decs[m] is UNDEFINED for m in members):
-                origin = max(bottom.slot_undefined[m] for m in members)
-                inherited[offset[b] + a - 1] = max(0, origin - 1)
+    for b, (j_b, rule_id, s0) in enumerate(zip(base, block_rule, block_slot)):
+        cell, native, facets = recovered[j_b]
+        members_at = members_of[rule_id]
+        for a in facets:
+            members = [s0 + m for m in members_at[a]]
+            if all(map(is_, map(decs.__getitem__, members), repeat(UNDEFINED))):
+                inherited[offset[b] + a - 1] = max(0, max(map(undefined.__getitem__, members)) - 1)
             elif (cell, a) in native:
                 raise PartialBlock(f"block {prefix(b)}: facet {a} should be undefined")
 

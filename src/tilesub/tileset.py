@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import getitem
+from itertools import groupby
+from operator import getitem, itemgetter
 from typing import Collection, Iterable, NamedTuple
 
 from .counting import exact_count, params_from_system
@@ -509,15 +510,31 @@ def _provenance_of(layout: Layout, tile: DecoratedTile) -> str:
 
 def _check_step1(layout: Layout, tileset: Tileset) -> None:
     """Every facet of every closure tile is defined and carries the facet's
-    fixed macro-index."""
+    fixed macro-index.
+
+    The closure lists each base's tiles together, all with the same facet
+    count, so each facet of a base is checked once per distinct decoration
+    on it. Only if that finds a fault, or tiles of one base whose facet
+    counts differ, are the tiles walked one by one in canonical order,
+    which names the first offending tile and its first offending facet.
+    """
+    nsigma = layout.nsigma
+    for base, group in groupby(tileset, key=itemgetter(0)):
+        rows = [tile.triples for tile in group]
+        if len(set(map(len, rows))) != 1 or not all(
+            dec is not UNDEFINED and dec.f == nsigma.get((base, k))
+            for k, column in enumerate(zip(*rows), start=1) for dec in set(column)
+        ):
+            break
+    else:
+        return
     for tile in tileset:
         for k, dec in enumerate(tile.triples, start=1):
             if dec is UNDEFINED:
                 raise TilesubError(f"T{tile.base} facet {k}: closure tile is undefined")
-            fixed = layout.nsigma[(tile.base, k)]
+            fixed = nsigma[(tile.base, k)]
             if dec.f != fixed:
                 raise TilesubError(
                     f"T{tile.base} facet {k}: macro-index {dec.f.render()} "
                     f"is not the fixed {fixed.render()}"
                 )
-

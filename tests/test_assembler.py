@@ -1,5 +1,6 @@
 """Patch assembly against brute-force oracles, phases, decomposition."""
 
+import dataclasses
 from itertools import product
 
 import pytest
@@ -385,3 +386,37 @@ def test_phase_memo_is_read_only_by_its_own_layout(doc3, tau, numbering):
     assert all(check_phase_coherence(p, clean).ok for p in patches)
     assert not any(check_phase_coherence(p, poisoned).ok for p in patches)
     assert set(poisoned.phases.values()) == {(7, 7)}
+
+
+def test_phase_report_order_does_not_follow_the_cell_order(system, numbering, networks,
+                                                           tau, layout):
+    """A depth-3 hierarchy patch, whose centre cells have no phase, with two
+    cells replaced by a corner tile and its cells inserted in reverse
+    sorted order: the notes and entries still come in the reference's
+    sorted order, east before north at one position."""
+    hpatch = hierarchy_decorate(system, numbering, networks, "r1", 3)
+    cells = dict(grid_from_hierarchy(hpatch, layout, networks).cells)
+    corner = next(t for t in tau if t.base == 1)
+    for pos in ((4, 3), (11, 16)):
+        assert phase_of(cells[pos], layout) != (0, 0)
+        cells[pos] = corner
+    forged = GridPatch(27, 27, dict(sorted(cells.items(), reverse=True)))
+    got = check_phase_coherence(forged, layout)
+    want = phase_coherence_by_cell(forged, layout)
+    assert (got.entries, got.notes) == (want.entries, want.notes)
+    details = [v.detail for v in want.entries]
+    assert details == [
+        "(3,3)->E: (0, 0) then (0, 0)", "(4,2)->N: (1, 2) then (0, 0)",
+        "(4,3)->E: (0, 0) then (2, 0)", "(11,15)->N: (2, 0) then (0, 0)",
+        "(11,16)->E: (0, 0) then (0, 1)", "(11,16)->N: (0, 0) then (2, 2)",
+    ]
+    assert len(want.notes) == 81
+
+
+def test_grid_from_hierarchy_needs_four_slots_per_cell(system, numbering, networks, layout):
+    hpatch = hierarchy_decorate(system, numbering, networks, "r1", 1)
+    bottom = hpatch.bottom
+    three = dataclasses.replace(bottom, offset=(0, 3, *bottom.offset[2:]))
+    forged = dataclasses.replace(hpatch, levels=(three,))
+    with pytest.raises(NonSquareSystem, match="four facets"):
+        grid_from_hierarchy(forged, layout, networks)

@@ -290,6 +290,18 @@ def test_render_negative_tile_is_usage_error(capsys, tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("flag, index, message", [
+    ("--tile", "1544", "error: tile index 1544 outside 0..1543"),
+    ("--instance", "99999", "error: instance index 99999 outside 0..1543"),
+])
+def test_render_subject_past_the_end_is_usage_error(capsys, tmp_path, flag, index, message):
+    out_path = tmp_path / "x.svg"
+    code, out, err = run(capsys, "render", SPEC, "--svg", str(out_path), flag, index)
+    assert code == 2
+    assert err == message + "\n"
+    assert out == "" and not out_path.exists()
+
+
 def _edited_spec(tmp_path, edit):
     spec = tmp_path / "edited.sub"
     spec.write_text(edit(Path(SPEC).read_text()))

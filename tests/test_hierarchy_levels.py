@@ -160,6 +160,18 @@ def _forged_bottom(hpatch, addr, k, dec):
     return dataclasses.replace(hpatch, levels=(forged, *hpatch.levels[1:]))
 
 
+def test_matching_report_names_the_mismatched_slots(depth2_square):
+    doc, numbering, hpatch, layout = depth2_square
+    (a, k), (b, kb) = hpatch.bottom.pairs[0]
+    decoration = address_views(hpatch.bottom).decoration
+    other = next(dec for dec in decoration.values() if dec != decoration[(a, k)])
+    forged = _forged_bottom(hpatch, a, k, other).bottom
+    assert [(v.code, v.detail) for v in forged.matching_report().entries] == [
+        ("SeamMismatch", f"{(a, k)} vs {(b, kb)}")
+    ]
+    assert (a, k, b, kb) == (("c1", "c1"), 2, ("c1", "c4"), 1)
+
+
 def test_quotient_rejects_a_block_with_two_parent_indices(depth2_square):
     doc, numbering, hpatch, layout = depth2_square
     bottom = hpatch.bottom

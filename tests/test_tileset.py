@@ -267,6 +267,25 @@ def test_step1_check_rejects_wrong_macro_index(compiled, tau):
         _check_step1(compiled, Tileset((holed,), (PROVENANCE_BASE,)))
 
 
+@pytest.mark.parametrize("second, message", [
+    ({3: trip(7, 1, 1), 4: UNDEFINED}, "T1 facet 3: macro-index f7 is not the fixed m"),
+    ({2: UNDEFINED, 3: trip(7, 1, 1)}, "T1 facet 2: closure tile is undefined"),
+])
+def test_step1_check_names_the_first_offending_tile_and_facet(compiled, tau, second, message):
+    """The whole closure with faults forged into its second tile (a T1) and
+    into the first facet of its last tile: the error names the second
+    tile's first faulty facet, as a walk in canonical order would."""
+    tiles = list(tau.tiles)
+    assert tiles[1].base == 1 and tiles[-1].base != 1
+    tiles[1] = tiles[1]._replace(triples=tuple(
+        second.get(k, dec) for k, dec in enumerate(tiles[1].triples, start=1)
+    ))
+    tiles[-1] = tiles[-1]._replace(triples=(trip(7, 1, 1),) + tiles[-1].triples[1:])
+    with pytest.raises(TilesubError) as caught:
+        _check_step1(compiled, Tileset(tuple(tiles), tau.provenance))
+    assert str(caught.value) == message
+
+
 def _algebra_count(numbering, networks):
     """Independent size computation in the pair-set domain: solve for the
     pair families column by column, then count descriptors instead of

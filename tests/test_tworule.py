@@ -184,3 +184,38 @@ def test_ra_depth3_hierarchy_decomposes_into_full_blocks(doc, numbering, instanc
     # above the bottom has 73 a-cells, expanded by ra, and 8 b-cells.
     by_rule = Counter(inst.rule_id for inst in decomposed.blocks.values())
     assert by_rule == Counter(hpatch.bottom.rule[::9]) == {"ra": 73, "rb": 8}
+
+
+@pytest.mark.parametrize("seed_rule, depth", [(r, d) for r in ("ra", "rb") for d in (2, 3)])
+def test_decomposition_of_both_rules_matches_the_scan(doc, numbering, instances, grid,
+                                                      seed_rule, depth):
+    """The per-mask tables hold the instances of both rules; each block
+    still gets the instance a scan finds first, in sorted anchor order, also
+    with the instances reversed."""
+    hpatch = hierarchy_decorate(doc.system, numbering, doc.networks, seed_rule, depth)
+    patch = grid_from_hierarchy(hpatch, grid, doc.networks)
+    winners = {}
+    for order in (instances, instances[::-1]):
+        decomposed = decompose_macro(patch, order, grid, wildcard=True)
+        oracle = decompose_by_scan(patch, order, grid)
+        assert decomposed.report.ok and decomposed.margins == ()
+        assert list(decomposed.blocks) == sorted(oracle) and len(oracle) == 9 ** (depth - 1)
+        assert all(decomposed.blocks[a] is oracle[a] for a in oracle)
+        assert Counter(i.rule_id for i in oracle.values()) == Counter(hpatch.bottom.rule[::9])
+        winners[order is instances] = decomposed.blocks
+    # The order matters: some block matches more than one instance.
+    assert any(winners[True][a] is not winners[False][a] for a in winners[True])
+
+
+def test_decomposition_without_instances_reports_every_block(doc, numbering, grid):
+    hpatch = hierarchy_decorate(doc.system, numbering, doc.networks, "rb", 2)
+    patch = grid_from_hierarchy(hpatch, grid, doc.networks)
+    decomposed = decompose_macro(patch, (), grid, wildcard=True)
+    oracle = decompose_by_scan(patch, (), grid)
+    assert len(oracle) == 9 and set(oracle.values()) == {None}
+    assert decomposed.blocks == {} and decomposed.adjacencies == ()
+    assert decomposed.report.codes() == {"NonInstanceBlock"}
+    assert [v.detail for v in decomposed.report.entries] == [
+        f"anchor ({x},{y})" for x, y in sorted(oracle)
+    ]
+    assert decomposed.margins == tuple(sorted(patch.cells))
