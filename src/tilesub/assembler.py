@@ -1,12 +1,15 @@
 """Square-grid patch assembly, phase analysis and macro-decomposition.
 
-Patches are filled by the key-indexed search that also enumerates macro-tiles
-(`simulation._search`); phases are read off a table of wildcard-masked
-macro-index signatures built with the grid layout. The phase check reads a
-patch's cells in their own order and sorts only what it reports, so its
-notes and entries come in sorted position order. `decompose_macro` looks
-each block up in one table per mask of UNDEFINED slots, keyed by
-`itemgetter` over instances flattened into rows of bases and decorations.
+A patch is its dense scanline tuple of tiles. Patches are filled by the
+key-indexed search that also enumerates macro-tiles (`simulation._search`),
+and each wraps the search's tuple as it comes. Phases are read off a table
+of wildcard-masked macro-index signatures built with the grid layout, and
+memoised per decoration tuple. The phase check walks a patch column by
+column, each from the south, and finds a cell's east and north neighbors
+at the next index and one row up, so its notes and entries come in sorted
+position order without a sort. `decompose_macro` looks each block up in one
+table per mask of UNDEFINED slots, keyed by `itemgetter` over instances
+flattened into rows of bases and decorations.
 
 This is the specialization to systems whose prototypes are unit squares with
 the facet convention (S, N, W, E) = (1, 2, 3, 4) and orientations
@@ -16,32 +19,58 @@ which the model deliberately excludes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import chain, compress, count, product, repeat
 from operator import is_, itemgetter
-from typing import Any, Callable, Iterable
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import AmbiguousSignature, NonSquareSystem
 from .model import GlobalNumbering, Rule, SubstitutionSystem, ValidationReport
 from .network import NetworkSet
 from .simulation import HierarchyPatch, MacroTileInstance, _seam_keys, _search
-from .tileset import DecoratedTile, Tileset, UNDEFINED, build_layout
+from .tileset import DecoratedTile, Tileset, UNDEFINED, _Memo, _nogc, build_layout
 
 S, N, W, E = 1, 2, 3, 4
 
 
-@dataclass(frozen=True)
-class GridPatch:
-    """A (partial) rectangular assembly. Cell (0, 0) is the bottom-left;
-    adjacent filled cells must carry equal decorations on their shared
-    facet."""
-
+class _GridFields(NamedTuple):
     width: int
     height: int
-    cells: dict[tuple[int, int], DecoratedTile] = field(default_factory=dict)
+    tiles: tuple[DecoratedTile | None, ...]
 
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"patch size {self.width}x{self.height} has a side below 1")
+
+class GridPatch(_GridFields):
+    """A (partial) rectangular assembly. Cell (0, 0) is the bottom-left;
+    adjacent filled cells must carry equal decorations on their shared
+    facet.
+
+    A patch is its dense scanline tuple: `tiles[x + y * width]` is the tile
+    at (x, y), None where the cell is empty. `GridPatch(width, height,
+    cells)` takes the filled cells as a position -> tile mapping; a side
+    below 1, or a cell outside `width x height`, raises ValueError. `cells`
+    is the read-only position -> tile view of the filled cells, in scanline
+    order, built on first access. A plain tuple underneath, so patches hash
+    and compare in C. (A `NamedTuple` body cannot override `__new__`, hence
+    the subclass.)"""
+
+    def __new__(cls, width: int, height: int,
+                cells: Mapping[tuple[int, int], DecoratedTile] | None = None):
+        _check_sides(width, height)
+        tiles: list[DecoratedTile | None] = [None] * (width * height)
+        for (x, y), tile in (cells or {}).items():
+            tiles[_index(x, y, width, height)] = tile
+        return super().__new__(cls, width, height, tuple(tiles))
+
+    def __reduce__(self):
+        return GridPatch, (self.width, self.height, dict(self.cells))
+
+    @cached_property
+    def cells(self) -> Mapping[tuple[int, int], DecoratedTile]:
+        w = self.width
+        return MappingProxyType({
+            (i % w, i // w): tile for i, tile in enumerate(self.tiles) if tile is not None
+        })
 
     def matching_report(self) -> ValidationReport:
         report = ValidationReport()
@@ -55,15 +84,32 @@ class GridPatch:
         return report
 
 
+def _check_sides(width: int, height: int) -> None:
+    if width < 1 or height < 1:
+        raise ValueError(f"patch size {width}x{height} has a side below 1")
+
+
+def _index(x: int, y: int, width: int, height: int) -> int:
+    """The scanline index of cell (x, y) of a width x height patch."""
+    if not (0 <= x < width and 0 <= y < height):
+        raise ValueError(f"cell ({x},{y}) outside the {width}x{height} patch")
+    return x + y * width
+
+
+# Wraps a dense tuple whose sides and cells are known to be valid.
+_wrap = partial(tuple.__new__, GridPatch)
+
+
 @dataclass(frozen=True)
 class GridLayout:
     """Where each tile sits in its rule's template, on the w x h grid every
     template shares, plus the table that reads a phase off a tile's
     macro-indices.
 
-    `phases` memoises, per decoration tuple seen by `_known_phases`, the
-    phase `phase_of` gives or None where it gives none. It only caches what
-    the other fields determine, so it takes no part in equality or repr."""
+    `phases` maps each decoration tuple looked up in it to the phase
+    `phase_of` gives a tile with those decorations, or None where it gives
+    none, computed on the first lookup. It only caches what the other
+    fields determine, so it takes no part in equality or repr."""
 
     width: int
     height: int
@@ -71,9 +117,10 @@ class GridLayout:
     # (S, N, W, E) macro-index signature with any facets masked to None ->
     # the distinct positions of the tiles whose full signature it fits
     fits: dict[tuple, list[tuple[int, int]]]
-    phases: dict[tuple, tuple[int, int] | None] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    phases: dict[tuple, tuple[int, int] | None] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "phases", _Memo(partial(_known_phase, self.fits)))
 
 
 def _require_square(system: SubstitutionSystem) -> None:
@@ -165,10 +212,12 @@ def phase_of(tile: DecoratedTile, layout: GridLayout) -> tuple[int, int]:
     """Position of the tile's base cell inside the template, read off the
     macro-index signature with one lookup in `layout.fits`. UNDEFINED facets
     are wildcards; the defined part must still identify a unique position."""
-    sig = tuple(
-        None if dec is UNDEFINED else dec.f for dec in tile.triples
-    )
-    hits = layout.fits.get(sig)
+    return _phase(layout.fits, tile.triples)
+
+
+def _phase(fits: dict[tuple, list[tuple[int, int]]], triples: tuple) -> tuple[int, int]:
+    sig = tuple(None if dec is UNDEFINED else dec.f for dec in triples)
+    hits = fits.get(sig)
     if not hits:
         raise KeyError(f"signature {sig} fits no template position")
     if len(hits) > 1:
@@ -176,61 +225,51 @@ def phase_of(tile: DecoratedTile, layout: GridLayout) -> tuple[int, int]:
     return hits[0]
 
 
-_UNSEEN = object()
-
-
-def _known_phases(patch: GridPatch, layout: GridLayout, report: ValidationReport
-                  ) -> dict[tuple[int, int], tuple[int, int]]:
-    """The phase of every patch cell that has one, in the patch's own cell
-    order; each cell without one gets a note, in sorted position order. A
-    phase depends only on the tile's decorations, so `phase_of` runs once
-    per distinct decoration tuple and layout, its answer kept in
-    `layout.phases`."""
-    memo = layout.phases
-    phases = {}
-    undetermined = []
-    for pos, tile in patch.cells.items():
-        phase = memo.get(tile.triples, _UNSEEN)
-        if phase is _UNSEEN:
-            try:
-                phase = phase_of(tile, layout)
-            except (KeyError, AmbiguousSignature):
-                phase = None
-            memo[tile.triples] = phase
-        if phase is None:
-            undetermined.append(pos)
-        else:
-            phases[pos] = phase
-    for pos in sorted(undetermined):
-        report.note(f"cell {pos}: phase undetermined")
-    return phases
+def _known_phase(fits: dict[tuple, list[tuple[int, int]]], triples: tuple
+                 ) -> tuple[int, int] | None:
+    try:
+        return _phase(fits, triples)
+    except (KeyError, AmbiguousSignature):
+        return None
 
 
 def check_phase_coherence(patch: GridPatch, layout: GridLayout) -> ValidationReport:
     """East neighbors advance the column phase by one (mod width) at equal
     row phase, and symmetrically northward. Cells whose signature does not
     determine a phase (wildcard-heavy hierarchy cells) are skipped with a
-    note. Notes and entries come in sorted position order, a cell's east
-    entry before its north one, whatever the order of `patch.cells`: the
-    cells are read in their own order and only what is reported is sorted.
-    Phases are read through `layout.phases`, so checking many patches with
-    one layout looks each distinct tile's decorations up once."""
+    note. The cells are walked column by column, each from the south, so
+    notes and entries come in sorted position order, a cell's east entry
+    before its north one, without a sort; a cell's east and north
+    neighbors are the next index and the next row. Phases are read through
+    `layout.phases`, so checking many patches with one layout looks each
+    distinct tile's decorations up once."""
     report = ValidationReport()
     w, h = layout.width, layout.height
-    phases = _known_phases(patch, layout, report)
-    failures = []  # (position, E before N, detail)
-    for (x, y), (cx, cy) in phases.items():
-        ep = phases.get((x + 1, y))
-        if ep is not None and ep != ((cx + 1) % w, cy):
-            failures.append(((x, y), 0, f"({x},{y})->E: {(cx, cy)} then {ep}"))
-        np_ = phases.get((x, y + 1))
-        if np_ is not None and np_ != (cx, (cy + 1) % h):
-            failures.append(((x, y), 1, f"({x},{y})->N: {(cx, cy)} then {np_}"))
-    for _, _, detail in sorted(failures):
-        report.add("PhaseIncoherent", detail)
+    width, _, tiles = patch
+    memo = layout.phases
+    phases = [None if tile is None else memo[tile.triples] for tile in tiles]
+    last = len(tiles) - width  # the first index of the top row
+    for x in range(width):
+        east = x + 1 < width
+        for i in range(x, len(tiles), width):
+            here = phases[i]
+            if here is None:
+                if tiles[i] is not None:
+                    report.note(f"cell {(x, i // width)}: phase undetermined")
+                continue
+            cx, cy = here
+            if east:
+                ep = phases[i + 1]
+                if ep is not None and ep != ((cx + 1) % w, cy):
+                    report.add("PhaseIncoherent", f"({x},{i // width})->E: {here} then {ep}")
+            if i < last:
+                np_ = phases[i + width]
+                if np_ is not None and np_ != (cx, (cy + 1) % h):
+                    report.add("PhaseIncoherent", f"({x},{i // width})->N: {here} then {np_}")
     return report
 
 
+@_nogc
 def assemble_patches(tau: Tileset, numbering: GlobalNumbering, width: int,
                      height: int, seeds: dict[tuple[int, int], DecoratedTile] | None = None
                      ) -> list[GridPatch]:
@@ -240,18 +279,18 @@ def assemble_patches(tau: Tileset, numbering: GlobalNumbering, width: int,
     west neighbor and the N facet of the south neighbor; a seeded position
     has its seed as sole candidate. Patches come out in lexicographic order
     of the tiles' canonical positions in `tau`, positions taken in scanline
-    order. A side below 1 raises ValueError."""
+    order; each wraps the search's tuple as it is. A side below 1, or a
+    seed outside the patch, raises ValueError."""
     _require_square(numbering.system)
-    seeds = seeds or {}
-    order = [(x, y) for y in range(height) for x in range(width)]
+    _check_sides(width, height)
+    pools: list = [tau] * (width * height)
+    for (x, y), seed in (seeds or {}).items():
+        pools[_index(x, y, width, height)] = (seed,)
     cells = [
-        ((seeds[(x, y)],) if (x, y) in seeds else tau,
-         *_seam_keys([(W, i - 1, E)] * (x > 0) + [(S, i - width, N)] * (y > 0)))
-        for i, (x, y) in enumerate(order)
+        (pool, *_seam_keys([(W, i - 1, E)] * (i % width > 0) + [(S, i - width, N)] * (i >= width)))
+        for i, pool in enumerate(pools)
     ]
-    return [
-        GridPatch(width, height, dict(zip(order, placed))) for placed in _search(cells)
-    ]
+    return [_wrap((width, height, placed)) for placed in _search(cells)]
 
 
 @dataclass
@@ -290,14 +329,18 @@ def decompose_macro(patch: GridPatch, instances: tuple[MacroTileInstance, ...],
     rows = [_row(sorted(inst.tiles, key=lambda tile: at[tile.base][::-1])) for inst in instances]
     # Per mask, the key that reads the visible positions and the table.
     tables: dict[tuple[int, ...], tuple[Callable, dict[Any, MacroTileInstance]]] = {}
-    phases = _known_phases(patch, layout, ValidationReport())
-    anchors = sorted(pos for pos, phase in phases.items() if phase == (0, 0))
-    cells = patch.cells
+    width, height, grid = patch
+    memo = layout.phases
+    phases = [None if tile is None else memo[tile.triples] for tile in grid]
+    anchors = sorted((i % width, i // width) for i, phase in enumerate(phases) if phase == (0, 0))
+    block_at = [dx + dy * width for dy in range(h) for dx in range(w)]
     blocks: dict[tuple[int, int], MacroTileInstance] = {}
-    covered: set[tuple[int, int]] = set()
+    covered: set[int] = set()
     for ax, ay in anchors:
-        positions = [(ax + dx, ay + dy) for dy in range(h) for dx in range(w)]
-        tiles = [cells.get(p) for p in positions]
+        if ax + w > width or ay + h > height:
+            continue
+        positions = [ax + ay * width + d for d in block_at]
+        tiles = [grid[i] for i in positions]
         if None in tiles:
             continue
         row = _row(tiles)
@@ -317,7 +360,10 @@ def decompose_macro(patch: GridPatch, instances: tuple[MacroTileInstance, ...],
             continue
         blocks[(ax, ay)] = instance
         covered.update(positions)
-    margins = tuple(sorted(p for p in cells if p not in covered))
+    margins = tuple(sorted(
+        (i % width, i // width) for i, tile in enumerate(grid)
+        if tile is not None and i not in covered
+    ))
     for pos in margins:
         report.note(f"margin cell {pos}")
     adjacencies = []
@@ -339,15 +385,16 @@ def patch_from_instance(instance: MacroTileInstance, layout: GridLayout) -> Grid
     return GridPatch(layout.width, layout.height, {at[tile.base]: tile for tile in instance.tiles})
 
 
+@_nogc
 def grid_from_hierarchy(hpatch: HierarchyPatch, layout: GridLayout,
                         networks: NetworkSet) -> GridPatch:
     """Realize the bottom level of a square hierarchy as a grid patch.
 
     Read off the levels' flat tuples from the top down, a cell's position is
     its block's position times (w, h) plus the cell's position in the
-    template; the top level's one block sits at the origin. The cells come
-    in the bottom's cell order. `networks` is unused: whether a tile is
-    central is a fact of its base."""
+    template; the top level's one block sits at the origin. Each bottom
+    cell's tile is written at its scanline index. `networks` is unused:
+    whether a tile is central is a fact of its base."""
     w, h, at = layout.width, layout.height, layout.position_of
     xs, ys = [0], [0]
     for level in reversed(hpatch.levels):
@@ -359,6 +406,8 @@ def grid_from_hierarchy(hpatch: HierarchyPatch, layout: GridLayout,
     # decorations are read four at a time.
     if bottom.offset != tuple(range(0, len(decs) + 1, 4)):
         raise NonSquareSystem("hierarchy cells of a grid patch need four facets each")
-    cells = dict(zip(zip(xs, ys), map(DecoratedTile, bottom.base, zip(*[iter(decs)] * 4))))
-    side = w ** hpatch.depth, h ** hpatch.depth
-    return GridPatch(side[0], side[1], cells)
+    width, height = w ** hpatch.depth, h ** hpatch.depth
+    tiles: list[DecoratedTile | None] = [None] * (width * height)
+    for x, y, tile in zip(xs, ys, map(DecoratedTile, bottom.base, zip(*[iter(decs)] * 4))):
+        tiles[x + y * width] = tile
+    return _wrap((width, height, tuple(tiles)))

@@ -182,12 +182,7 @@ def cmd_assemble(args) -> int:
     print(f"patches={len(patches)}")
     if args.print_patches:
         for patch in patches:
-            refs = " ".join(
-                str(tau.index(patch.cells[(x, y)]))
-                for y in range(args.height)
-                for x in range(args.width)
-            )
-            print(refs)
+            print(" ".join(str(tau.index(tile)) for tile in patch.tiles))
     return 0
 
 

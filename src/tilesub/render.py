@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .assembler import GridPatch
 from .errors import NonSquareSystem
-from .tileset import DecoratedTile, UNDEFINED
+from .tileset import DecoratedTile, UNDEFINED, _Memo
 
 CELL = 100
 MARGIN = 10
@@ -59,18 +59,6 @@ def _ys(oy: float) -> tuple[str, ...]:
     mid = oy + CELL / 2
     return (f"{oy:.1f}", f"{oy + 13:.1f}", f"{mid - 10:.1f}", f"{mid + 4:.1f}",
             f"{mid + 18:.1f}", f"{oy + CELL - 5:.1f}")
-
-
-class _Memo(dict):
-    """`fn` of each key asked for, computed on first request and kept."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
 
 
 # Facet class -> its label. It holds one entry per facet class ever
@@ -135,7 +123,10 @@ def render_patch_svg(patch: GridPatch) -> str:
     xs = _Memo(lambda x: _xs(MARGIN + x * CELL))
     ys = _Memo(lambda y: _ys(MARGIN + (patch.height - 1 - y) * CELL))
     labels = _Memo(_labels).__getitem__
-    cells = patch.cells
-    for (x, y) in sorted(cells):
-        body.append(_TILE.format(*xs[x], *ys[y], *_fields(cells[(x, y)], labels)))
+    # Column by column, each from the south: sorted position order.
+    width, _, tiles = patch
+    for x in range(width):
+        for i in range(x, len(tiles), width):
+            if tiles[i] is not None:
+                body.append(_TILE.format(*xs[x], *ys[i // width], *_fields(tiles[i], labels)))
     return _document(patch.width, patch.height, body)

@@ -6,9 +6,12 @@ cells agree on a parent index. It runs on `_search`, the one key-indexed,
 iterative backtracking search of the package, which the grid assembler also
 uses to fill patches. `phi` folds such an assembly back onto a
 single decorated parent tile; `verify_self_simulation` checks exhaustively
-that the tileset and its assemblies behave identically through `phi`. The
-steps below the public entry points read every per-tile and per-seam fact
-from the `tileset.Layout`.
+that the tileset and its assemblies behave identically through `phi`. Its
+condition 3 reads each side of a macro-facet seam once, into two
+single-valued maps (side key -> image, image -> side key), and checks each
+seam with one pass over the keys and images both sides share. The steps
+below the public entry points read every per-tile and per-seam fact from
+the `tileset.Layout`.
 
 `hierarchy_decorate` builds the finite-depth telescope of images with the
 distinguished UNDEFINED decoration confined to the networks of every level,
@@ -55,6 +58,8 @@ from .tileset import (
     Layout,
     Tileset,
     UNDEFINED,
+    _Memo,
+    _nogc,
     _steps13,
     build_layout,
 )
@@ -147,6 +152,7 @@ def _seam_keys(seams: Sequence[tuple[int, int, int]]) -> tuple[Callable, Callabl
             lambda placed: tuple([placed[i].triples[k2] for _, i, k2 in at]))
 
 
+@_nogc
 def enumerate_macro_tiles(tau: Tileset, system: SubstitutionSystem,
                           numbering: GlobalNumbering, networks: NetworkSet
                           ) -> tuple[MacroTileInstance, ...]:
@@ -224,10 +230,10 @@ def phi(layout: Layout, instance: MacroTileInstance) -> DecoratedTile:
     parent's own macro-indices."""
     parent = instance.parent_index
     count = layout.facet_count[parent]
-    triples = tuple(
+    triples = tuple([
         dec if dec is UNDEFINED else DecorationTriple(layout.nsigma[(parent, k)], dec.j, dec.g)
         for k, dec in enumerate(instance.central_tile.triples[:count], start=1)
-    )
+    ])
     return DecoratedTile(parent, triples)
 
 
@@ -266,6 +272,7 @@ class SimulationReport:
         return "\n".join(lines)
 
 
+@_nogc
 def verify_self_simulation(tau: Tileset, system: SubstitutionSystem,
                            numbering: GlobalNumbering, networks: NetworkSet,
                            instances: tuple[MacroTileInstance, ...]) -> SimulationReport:
@@ -289,65 +296,80 @@ def verify_self_simulation(tau: Tileset, system: SubstitutionSystem,
     phi_ok = True
     images: dict[int, DecoratedTile] = {}
     by_rule: dict[str, list[int]] = {}
+    # Per rule, the prototypes of its template's cells and its parent's.
+    shapes = _Memo(lambda rule_id: (
+        tuple([p for _, p in system.rule(rule_id).template.cells]), system.rule(rule_id).parent
+    ))
     for idx, inst in enumerate(instances):
         by_rule.setdefault(inst.rule_id, []).append(idx)
-        rule = system.rule(inst.rule_id)
-        expected = tuple(p for _, p in rule.template.cells)
+        expected, parent = shapes[inst.rule_id]
         got = tuple([layout.prototype_name[t.base] for t in inst.tiles])
         image = phi(layout, inst)
         images[idx] = image
-        if got != expected or layout.prototype_name[image.base] != rule.parent:
+        if got != expected or layout.prototype_name[image.base] != parent:
             cond1 = False
             failures.append(f"instance {idx}: projection mismatch")
         if image not in tau:
             phi_ok = False
             failures.append(f"instance {idx}: phi image not in tileset")
 
-    def seam_keys(rule_id: str, members) -> dict[int, tuple]:
-        """Each instance of the rule, read along the given facet slots."""
+    def side(key: tuple[str, int, tuple[FacetRef, ...]]) -> tuple[dict, dict]:
+        """The rule's instances read along the given member slots of its
+        macro-facet k and through facet k of their images, by `_side`."""
+        rule_id, k, members = key
         pos = system.rule(rule_id).template.position
-        at = [(pos[c], k - 1) for c, k in members]
-        return {
-            idx: tuple([instances[idx].tiles[i].triples[k] for i, k in at])
-            for idx in by_rule.get(rule_id, ())
-        }
+        at = [(pos[c], m - 1) for c, m in members]
+        idxs = by_rule.get(rule_id, ())
+        return _side(
+            [tuple([instances[idx].tiles[i].triples[m] for i, m in at]) for idx in idxs],
+            [images[idx].triples[k - 1] for idx in idxs],
+        )
 
+    # Each side is built once, though every seam of a macro-facet reads it.
+    sides = _Memo(side)
     cond3 = True
     for ((rid_a, a), (rid_b, b)), seam in layout.seams.items():
-        side_key_a = seam_keys(rid_a, [sa for sa, _ in seam])
-        side_key_b = seam_keys(rid_b, [sb for _, sb in seam])
-        phi_key_a = {idx: images[idx].triples[a - 1] for idx in side_key_a}
-        phi_key_b = {idx: images[idx].triples[b - 1] for idx in side_key_b}
-        label = f"({rid_a},{a})~({rid_b},{b})"
-        if not _biconditional_holds(side_key_a, phi_key_a, side_key_b, phi_key_b):
+        side_a = sides[(rid_a, a, tuple([sa for sa, _ in seam]))]
+        side_b = sides[(rid_b, b, tuple([sb for _, sb in seam]))]
+        if not _biconditional_holds(side_a, side_b):
             cond3 = False
-            failures.append(f"condition3 fails across {label}")
+            failures.append(f"condition3 fails across ({rid_a},{a})~({rid_b},{b})")
 
     return SimulationReport(len(instances), cond1, phi_ok, cond3, failures)
 
 
-def _biconditional_holds(side_a, phi_a, side_b, phi_b) -> bool:
-    """[side_a(Q) == side_b(Q')] <=> [phi_a(Q) == phi_b(Q')] over all pairs.
+_CONFLICT = object()
 
-    Equivalent finite check: on shared side keys the phi keys must agree and
-    be unique, and on shared phi keys the side keys must agree and be unique.
+
+def _side(keys: Sequence, images: Sequence) -> tuple[dict, dict]:
+    """One seam side of condition 3 as two single-valued maps: each side
+    key to the one image its instances have, and each image to the one side
+    key, or to `_CONFLICT` where two instances disagree. `keys[i]` and
+    `images[i]` belong to one instance."""
+    to_image: dict = {}
+    to_key: dict = {}
+    for key, image in zip(keys, images):
+        if to_image.setdefault(key, image) != image:
+            to_image[key] = _CONFLICT
+        if to_key.setdefault(image, key) != key:
+            to_key[image] = _CONFLICT
+    return to_image, to_key
+
+
+def _biconditional_holds(side_a: tuple[dict, dict], side_b: tuple[dict, dict]) -> bool:
+    """[side_a(Q) == side_b(Q')] <=> [phi_a(Q) == phi_b(Q')] over all pairs,
+    for two sides from `_side`.
+
+    Equivalent finite check: every side key both sides have maps to one
+    image, the same on both sides, and every image both have to one side
+    key, the same on both sides. A key or image that only one side has may
+    map to `_CONFLICT`.
     """
-    sides_to_phi_a: dict[Any, set] = {}
-    sides_to_phi_b: dict[Any, set] = {}
-    phi_to_sides_a: dict[Any, set] = {}
-    phi_to_sides_b: dict[Any, set] = {}
-    for idx, s in side_a.items():
-        sides_to_phi_a.setdefault(s, set()).add(phi_a[idx])
-        phi_to_sides_a.setdefault(phi_a[idx], set()).add(s)
-    for idx, s in side_b.items():
-        sides_to_phi_b.setdefault(s, set()).add(phi_b[idx])
-        phi_to_sides_b.setdefault(phi_b[idx], set()).add(s)
-    for s in sides_to_phi_a.keys() & sides_to_phi_b.keys():
-        if len(sides_to_phi_a[s] | sides_to_phi_b[s]) != 1:
-            return False
-    for p in phi_to_sides_a.keys() & phi_to_sides_b.keys():
-        if len(phi_to_sides_a[p] | phi_to_sides_b[p]) != 1:
-            return False
+    for a, b in zip(side_a, side_b):
+        for shared in a.keys() & b.keys():
+            one = a[shared]
+            if one is _CONFLICT or one != b[shared]:
+                return False
     return True
 
 
@@ -504,6 +526,7 @@ def _shape(layout: Layout, rule: Rule) -> _Shape:
     return _Shape(cells, bases, counts, local, tuple(internal))
 
 
+@_nogc
 def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
                        networks: NetworkSet, seed_rule: str, depth: int,
                        top_parent: int | None = None) -> HierarchyPatch:
@@ -673,6 +696,7 @@ def _expand_level(layout: Layout, tops: Sequence[int], expanders: list[Rule],
     return base, parent, rule_ids, block, offset, pairs, inherited, addresses
 
 
+@_nogc
 def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
                        numbering: GlobalNumbering, networks: NetworkSet) -> LevelPatch:
     """Collapse the bottom level one step up, from the bottom's data and the

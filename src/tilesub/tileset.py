@@ -13,11 +13,17 @@ the last round, the central step only the new tiles. Within one `close`
 call every distinct decoration is built once and shared, so equal
 decorations are one object. The result is ordered canonically, so two runs
 on the same input produce byte-identical dumps.
+
+The bulk builders of the package (`close` here, and the enumeration,
+verification, hierarchy and assembly builders) run under `_nogc`: they
+allocate and keep many acyclic objects, which would otherwise set off
+collections of the cyclic garbage collector that find nothing to free.
 """
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import groupby
 from operator import getitem, itemgetter
 from typing import Collection, Iterable, NamedTuple
@@ -41,6 +47,36 @@ from .network import (
     network_slots,
     validate_network,
 )
+
+
+class _Memo(dict):
+    """`fn` of each key asked for, computed on first request and kept."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _nogc(func):
+    """Run `func` with the cyclic garbage collector paused, restoring the
+    caller's collector state however it returns. Only for functions that
+    return a built result: a generator would return before its work ran."""
+
+    @wraps(func)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 class _Undefined:
@@ -449,6 +485,7 @@ def generate_tileset(system: SubstitutionSystem, numbering: GlobalNumbering,
     return close(build_layout(numbering, networks))
 
 
+@_nogc
 def close(layout: Layout) -> Tileset:
     """Least fixpoint of the three construction steps over a `layout` from
     `build_layout` (so its networks are checked), canonically ordered and

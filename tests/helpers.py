@@ -96,6 +96,34 @@ def renamed_tworule_text():
     return head + rule_rb + re.sub(r"\bc([1-9])\b", r"d\1", tail)
 
 
+def biconditional_by_sets(side_a, phi_a, side_b, phi_b):
+    """Oracle for condition 3's one-pass check (`simulation._side` and
+    `_biconditional_holds`): [side_a(Q) == side_b(Q')] <=> [phi_a(Q) ==
+    phi_b(Q')] over all pairs, each argument mapping an instance to its side
+    key or image.
+
+    Equivalent finite check: on shared side keys the phi keys must agree and
+    be unique, and on shared phi keys the side keys must agree and be unique.
+    """
+    sides_to_phi_a = {}
+    sides_to_phi_b = {}
+    phi_to_sides_a = {}
+    phi_to_sides_b = {}
+    for idx, s in side_a.items():
+        sides_to_phi_a.setdefault(s, set()).add(phi_a[idx])
+        phi_to_sides_a.setdefault(phi_a[idx], set()).add(s)
+    for idx, s in side_b.items():
+        sides_to_phi_b.setdefault(s, set()).add(phi_b[idx])
+        phi_to_sides_b.setdefault(phi_b[idx], set()).add(s)
+    for s in sides_to_phi_a.keys() & sides_to_phi_b.keys():
+        if len(sides_to_phi_a[s] | sides_to_phi_b[s]) != 1:
+            return False
+    for p in phi_to_sides_a.keys() & phi_to_sides_b.keys():
+        if len(phi_to_sides_a[p] | phi_to_sides_b[p]) != 1:
+            return False
+    return True
+
+
 def phase_coherence_by_cell(patch, layout):
     """Oracle for `check_phase_coherence`: the same checks, with one
     `phase_of` call per cell and no memo."""

@@ -1,6 +1,9 @@
 """Patch assembly against brute-force oracles, phases, decomposition."""
 
+import copy
 import dataclasses
+import pickle
+import re
 from itertools import product
 
 import pytest
@@ -19,7 +22,7 @@ from tilesub.assembler import (
 from tilesub.errors import AmbiguousSignature, NonSquareSystem
 from tilesub.grids import make_square_grid_document
 from tilesub.model import build_numbering
-from tilesub.simulation import hierarchy_decorate
+from tilesub.simulation import _seam_keys, _search, hierarchy_decorate
 from tilesub.specfile import load_bundled
 from tilesub.tileset import DecoratedTile, Tileset, UNDEFINED, generate_tileset
 
@@ -193,6 +196,36 @@ def test_patch_sides_below_one_are_rejected(tau, numbering):
             assemble_patches(tau, numbering, width, 2)
 
 
+@pytest.mark.parametrize("pos", [(2, 0), (0, 3), (-1, 0), (0, -1), (5, 5)])
+def test_cells_outside_the_patch_are_rejected(tau, numbering, pos):
+    """A dense patch cannot hold a cell outside it, and a seed there used to
+    be dropped silently (all 8137 2x2 patches came out)."""
+    tile = tau.tiles[0]
+    outside = re.escape(f"cell ({pos[0]},{pos[1]}) outside the 2x3 patch")
+    with pytest.raises(ValueError, match=outside):
+        GridPatch(2, 3, {(0, 0): tile, pos: tile})
+    with pytest.raises(ValueError, match=outside):
+        assemble_patches(tau, numbering, 2, 3, seeds={pos: tile})
+    with pytest.raises(ValueError, match=re.escape("cell (5,5) outside the 2x2 patch")):
+        assemble_patches(tau, numbering, 2, 2, seeds={(5, 5): tile})
+
+
+def test_patch_cells_are_a_read_only_scanline_view(patches_2x2):
+    """`cells` lists the filled cells in scanline order and cannot be
+    written; a patch built from its cells equals it and hashes alike."""
+    patch = patches_2x2[0]
+    assert list(patch.cells) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert list(patch.cells.values()) == list(patch.tiles)
+    with pytest.raises(TypeError):
+        patch.cells[(0, 0)] = None
+    rebuilt = GridPatch(2, 2, dict(reversed(patch.cells.items())))
+    assert rebuilt == patch and hash(rebuilt) == hash(patch)
+    assert pickle.loads(pickle.dumps(patch)) == patch == copy.copy(patch)
+    sparse = GridPatch(3, 2, {(2, 1): patch.tiles[0]})
+    assert sparse.tiles == (None,) * 5 + (patch.tiles[0],)
+    assert dict(sparse.cells) == {(2, 1): patch.tiles[0]}
+
+
 def test_assemble_rejects_non_square():
     from tilesub.model import build_numbering
     from tilesub.model import MacroTileTemplate, Prototype, Rule, SubstitutionSystem
@@ -324,13 +357,36 @@ def test_phase_memo_matches_reference_on_every_bundled_2x2_patch(spec):
     assert assert_phases_match_reference(patches, fresh_grid_layout(doc)) == 0
 
 
-def test_phase_memo_matches_reference_on_the_4x4_grid():
+@pytest.fixture(scope="module")
+def grid4x4():
+    """The 4x4 grid spec, its numbering and tileset, and its 2x2 patches."""
     doc = make_square_grid_document(4, 4)
     numbering = build_numbering(doc.system)
     tau = generate_tileset(doc.system, numbering, doc.networks)
-    patches = assemble_patches(tau, numbering, 2, 2)
+    return doc, numbering, tau, assemble_patches(tau, numbering, 2, 2)
+
+
+def test_phase_memo_matches_reference_on_the_4x4_grid(grid4x4):
+    """Every report, the 24 incoherent ones included, has the reference's
+    entries and notes in text and order."""
+    doc, _, _, patches = grid4x4
     assert len(patches) == 53160
     assert assert_phases_match_reference(patches, fresh_grid_layout(doc)) == 24
+
+
+def test_dense_4x4_patches_read_as_the_search_cell_dicts(grid4x4):
+    """Each patch wraps the search's tuple: its `cells` equal the position
+    dict built from that tuple, in scanline order."""
+    _, _, tau, patches = grid4x4
+    order = [(x, y) for y in range(2) for x in range(2)]
+    cells = [
+        (tau, *_seam_keys([(W, i - 1, E)] * (x > 0) + [(S, i - 2, N)] * (y > 0)))
+        for i, (x, y) in enumerate(order)
+    ]
+    oracle = [dict(zip(order, placed)) for placed in _search(cells)]
+    assert len(oracle) == len(patches)
+    for patch, want in zip(patches, oracle):
+        assert dict(patch.cells) == want and list(patch.cells) == order
 
 
 def test_phase_memo_matches_reference_on_forged_and_hierarchy_patches(

@@ -9,7 +9,17 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import E, N, S, W, address_views, fc, partial_gamma_3x3_text, trip
+from helpers import (
+    E,
+    N,
+    S,
+    W,
+    address_views,
+    biconditional_by_sets,
+    fc,
+    partial_gamma_3x3_text,
+    trip,
+)
 from tilesub.assembler import assemble_patches
 from tilesub.errors import (
     InconsistentGluing,
@@ -18,11 +28,14 @@ from tilesub.errors import (
     PartialBlock,
     UnresolvedReference,
 )
+from tilesub.grids import make_square_grid_document
 from tilesub.model import build_numbering
 from tilesub.network import check_port_condition
 from tilesub.simulation import (
+    _biconditional_holds,
     _search,
     _seam_keys,
+    _side,
     enumerate_macro_tiles,
     hierarchy_decorate,
     phi,
@@ -267,6 +280,82 @@ def test_blind_seam_control_pins(spec):
     assert report.condition1_ok and report.phi_in_tileset and not report.condition3_ok
     assert len(report.failures) == failures
     assert hashlib.sha256("\n".join(report.failures).encode()).hexdigest() == failures_sha
+
+
+def _seam_sides(system, layout, instances):
+    """Per directed seam entry of `layout.seams`, its failure line and its
+    two sides as the set oracle takes them: instance -> side key and
+    instance -> image facet, for each side."""
+    images = [phi(layout, inst) for inst in instances]
+    by_rule = {}
+    for idx, inst in enumerate(instances):
+        by_rule.setdefault(inst.rule_id, []).append(idx)
+
+    def side(rule_id, k, members):
+        pos = system.rule(rule_id).template.position
+        idxs = by_rule.get(rule_id, ())
+        keys = {idx: tuple(instances[idx].tiles[pos[c]].triples[m - 1] for c, m in members)
+                for idx in idxs}
+        return keys, {idx: images[idx].triples[k - 1] for idx in idxs}
+
+    for ((rid_a, a), (rid_b, b)), seam in layout.seams.items():
+        yield (f"condition3 fails across ({rid_a},{a})~({rid_b},{b})",
+               *side(rid_a, a, [sa for sa, _ in seam]), *side(rid_b, b, [sb for _, sb in seam]))
+
+
+@pytest.mark.parametrize("case", [
+    "square3x3", "tworule3x3", "grid4x4", "square3x3 blind", "tworule3x3 blind",
+])
+def test_condition3_one_pass_check_matches_the_set_oracle(case):
+    """Seam by seam, the single-valued side maps give the set oracle's
+    verdict, and the report lists exactly the seams the oracle fails: none
+    on the true closures, some on the seam-blind mutants."""
+    spec, _, blind = case.partition(" ")
+    doc = make_square_grid_document(4, 4) if spec == "grid4x4" else load_bundled(spec)
+    numbering = build_numbering(doc.system)
+    layout = build_layout(numbering, doc.networks)
+    tau = _blind_seam_mutant(layout) if blind else close(layout)
+    instances = enumerate_macro_tiles(tau, doc.system, numbering, doc.networks)
+    failing = []
+    for line, keys_a, images_a, keys_b, images_b in _seam_sides(doc.system, layout, instances):
+        want = biconditional_by_sets(keys_a, images_a, keys_b, images_b)
+        got = _biconditional_holds(
+            _side(list(keys_a.values()), list(images_a.values())),
+            _side(list(keys_b.values()), list(images_b.values())),
+        )
+        assert got == want, line
+        if not want:
+            failing.append(line)
+    assert bool(failing) == bool(blind)
+    report = verify_self_simulation(tau, doc.system, numbering, doc.networks, instances)
+    assert [f for f in report.failures if f.startswith("condition3")] == failing
+
+
+@pytest.mark.parametrize("keys_a,images_a,keys_b,images_b,holds", [
+    # A key repeated inside one side with two images, not shared: holds.
+    (["k", "k"], ["i1", "i2"], ["l"], ["i3"], True),
+    # An image repeated inside one side with two keys, not shared: holds.
+    (["k", "l"], ["i", "i"], ["m"], ["j"], True),
+    # A shared key whose images differ between the sides: fails.
+    (["k"], ["i1"], ["k"], ["i2"], False),
+    # A shared image whose keys differ between the sides: fails.
+    (["k1"], ["i"], ["k2"], ["i"], False),
+    # A shared key with two images inside one side: fails.
+    (["k", "k"], ["i1", "i2"], ["k"], ["i1"], False),
+    # The same single instance on both sides: holds.
+    (["k"], ["i"], ["k"], ["i"], True),
+    # Empty sides: holds.
+    ([], [], [], [], True),
+    ([], [], ["k"], ["i"], True),
+])
+def test_condition3_one_pass_check_on_forged_sides(keys_a, images_a, keys_b, images_b, holds):
+    oracle = biconditional_by_sets(
+        dict(enumerate(keys_a)), dict(enumerate(images_a)),
+        dict(enumerate(keys_b)), dict(enumerate(images_b)),
+    )
+    assert oracle == holds
+    assert _biconditional_holds(_side(keys_a, images_a), _side(keys_b, images_b)) == holds
+    assert _biconditional_holds(_side(keys_b, images_b), _side(keys_a, images_a)) == holds
 
 
 def test_report_counts_the_failures_it_leaves_out(tau, system, numbering, networks,
