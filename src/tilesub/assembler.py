@@ -393,7 +393,9 @@ def grid_from_hierarchy(hpatch: HierarchyPatch, layout: GridLayout,
     Read off the levels' flat tuples from the top down, a cell's position is
     its block's position times (w, h) plus the cell's position in the
     template; the top level's one block sits at the origin. Each bottom
-    cell's tile is written at its scanline index. `networks` is unused:
+    cell's tile is written at its scanline index, and equal tiles are one
+    shared object: a hierarchy repeats few distinct tiles (93 among the
+    59049 cells at depth 5 on the bundled 3x3). `networks` is unused:
     whether a tile is central is a fact of its base."""
     w, h, at = layout.width, layout.height, layout.position_of
     xs, ys = [0], [0]
@@ -403,11 +405,16 @@ def grid_from_hierarchy(hpatch: HierarchyPatch, layout: GridLayout,
     bottom = hpatch.bottom
     decs = bottom.slot_decoration
     # A square's facets S, N, W, E are its slots 4i .. 4i + 3, so the
-    # decorations are read four at a time.
-    if bottom.offset != tuple(range(0, len(decs) + 1, 4)):
+    # decorations are read four at a time. Compared as lists, since the
+    # level's `offset` is a buffer, which equals no tuple.
+    if list(bottom.offset) != list(range(0, len(decs) + 1, 4)):
         raise NonSquareSystem("hierarchy cells of a grid patch need four facets each")
     width, height = w ** hpatch.depth, h ** hpatch.depth
     tiles: list[DecoratedTile | None] = [None] * (width * height)
-    for x, y, tile in zip(xs, ys, map(DecoratedTile, bottom.base, zip(*[iter(decs)] * 4))):
+    shared: dict[tuple, DecoratedTile] = {}  # (base, four decorations) -> its tile
+    for x, y, key in zip(xs, ys, zip(bottom.base, *[iter(decs)] * 4)):
+        tile = shared.get(key)
+        if tile is None:
+            tile = shared[key] = DecoratedTile(key[0], key[1:])
         tiles[x + y * width] = tile
     return _wrap((width, height, tuple(tiles)))

@@ -197,11 +197,11 @@ def cmd_hierarchy(args) -> int:
     bottom = hpatch.bottom
     matching = bottom.matching_report()
     print(f"tiles={len(bottom.base)}")
-    print(f"undefined_slots={len(bottom.slot_undefined)}")
+    print(f"undefined_slots={bottom.undefined_count}")
     for level in reversed(hpatch.levels):
         print(
             f"level={level.level} cells={len(level.base)} "
-            f"undefined={len(level.slot_undefined)}"
+            f"undefined={level.undefined_count}"
         )
     print(f"matching={'PASS' if matching.ok else 'FAIL'}")
     return 0 if matching.ok else 1

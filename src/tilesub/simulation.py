@@ -16,17 +16,19 @@ the `tileset.Layout`.
 `hierarchy_decorate` builds the finite-depth telescope of images with the
 distinguished UNDEFINED decoration confined to the networks of every level,
 and `quotient_hierarchy` / `quotient_preimage` collapse a decomposed patch
-one level up. A hierarchy level (`LevelPatch`) is frozen flat data: tuples
-indexed by integers, where a cell is its rank in sorted address order and a
-slot its cell's offset plus the facet index less one. Every hierarchy stage
-reads and writes only those tuples. The quotient recovers a level from the
-bottom's data and the parents of the level above; the few tuple-address
-views that remain (`cells`, `pairs`, ...) are built on first access, as is
-the one slot -> cell table per level that the expansion below a level and
-the views share.
+one level up. A hierarchy level (`LevelPatch`) is frozen flat data indexed
+by integers, where a cell is its rank in sorted address order and a slot its
+cell's offset plus the facet index less one; what grows with the slot count
+(pairs, offsets, blocks, UNDEFINED origins) sits in read-only C-int buffers.
+Every hierarchy stage reads and writes only that data. The quotient recovers
+a level from the bottom's data and the parents of the level above; the few
+tuple-address views that remain (`cells`, `pairs`, ...) are built on first
+access, as is the one slot -> cell table per level that the expansion below
+a level and the views share.
 """
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -380,9 +382,19 @@ Address = tuple[str, ...]
 Slot = tuple[Address, int]
 
 
+def _frozen(values: array) -> memoryview:
+    """A read-only view of `values`, an array that nothing else holds."""
+    return memoryview(values).toreadonly()
+
+
+def _undefined_slots(origin: Sequence[int]) -> Iterator[int]:
+    """The slots of a `slot_origin` buffer that are UNDEFINED, ascending."""
+    return compress(range(len(origin)), map(ne, origin, repeat(-1)))
+
+
 @dataclass(frozen=True, eq=False)
 class LevelPatch:
-    """One level of the hierarchy, stored as frozen tuples indexed by
+    """One level of the hierarchy, stored as frozen flat data indexed by
     integers.
 
     A cell is its rank in the sorted order of the cells' addresses (their
@@ -392,39 +404,52 @@ class LevelPatch:
     its tile `base`, its `parent` (the tile of its block), the `rule` whose
     template holds it and the index of its `block` among the cells of the
     level above (the top level's one block is 0; a quotient records none).
-    Per slot it keeps its decoration in `slot_decoration`; `slot_undefined`
-    maps each UNDEFINED slot to the number of levels its UNDEFINED came down
-    (0: the cell's own network), and `slot_pairs` holds the glued slot
-    pairs, each ascending, in ascending order. These fields are the level's
-    only data, and none of them can change.
+    Per slot it keeps its decoration in `slot_decoration`, and in
+    `slot_origin` the number of levels its UNDEFINED came down (0: the
+    cell's own network), or -1 where the slot is defined. `pair_slots`
+    holds the glued slot pairs flat: pair i is `pair_slots[2 * i]` <
+    `pair_slots[2 * i + 1]`, and the pairs ascend. These fields are the
+    level's only data, and none of them can change: `offset`, `block`,
+    `slot_origin` and `pair_slots` are read-only `memoryview`s of C arrays
+    (`slot_origin` one signed byte a slot, which holds the origins of any
+    hierarchy of at most 128 levels), the others tuples.
 
     `cells`, `rule_of`, `base_of`, `pairs` and `undefined_from` are views of
     the same data addressed by expansion path, built on first access; the
     dict views are read-only and iterate in address order. Equality compares
     the flat fields and `cells`, not `level` (0 = finest, positional
-    metadata) nor `block`, which a quotient does not record.
+    metadata) nor `block`, which a quotient does not record. The repr shows
+    each buffer as the list of its numbers.
     """
 
     level: int = field(compare=False)
     base: tuple[int, ...]
     parent: tuple[int, ...]
     rule: tuple[str, ...]
-    block: tuple[int, ...] | None = field(compare=False)
-    offset: tuple[int, ...]  # cell -> its first slot; offset[-1] counts the slots
+    block: Sequence[int] | None = field(compare=False)
+    offset: Sequence[int]  # cell -> its first slot; offset[-1] counts the slots
     slot_decoration: tuple[FacetDecoration, ...]
-    slot_undefined: Mapping[int, int]
-    slot_pairs: tuple[tuple[int, int], ...]
+    slot_origin: Sequence[int]
+    pair_slots: Sequence[int]
     # The addresses of the cells, computed when `cells` is first read.
     addresses: Callable[[], tuple[Address, ...]] = field(compare=False, repr=False)
 
     def matching_report(self) -> ValidationReport:
         report = ValidationReport()
         decs = self.slot_decoration
-        for a, b in self.slot_pairs:
+        it = iter(self.pair_slots)
+        for a, b in zip(it, it):
             if decs[a] != decs[b]:
                 key_a, key_b = self._slot_keys((a, b))
                 report.add("SeamMismatch", f"{key_a} vs {key_b}")
         return report
+
+    @property
+    def undefined_count(self) -> int:
+        """The number of UNDEFINED slots: the bytes of `slot_origin` that
+        are not -1."""
+        origin = self.slot_origin
+        return len(origin) - bytes(origin).count(b"\xff")
 
     def _slot_keys(self, slots: Sequence[int]) -> list[Slot]:
         """The (address, facet) key of each slot."""
@@ -458,14 +483,14 @@ class LevelPatch:
 
     @cached_property
     def pairs(self) -> tuple[tuple[Slot, Slot], ...]:
-        keys = self._slot_keys(list(chain.from_iterable(self.slot_pairs)))
+        keys = self._slot_keys(self.pair_slots)
         return tuple(zip(keys[::2], keys[1::2]))
 
     @cached_property
     def undefined_from(self) -> Mapping[Slot, int]:
-        undefined = self.slot_undefined
-        slots = sorted(undefined)
-        return MappingProxyType(dict(zip(self._slot_keys(slots), map(undefined.__getitem__, slots))))
+        origin = self.slot_origin
+        slots = list(_undefined_slots(origin))
+        return MappingProxyType(dict(zip(self._slot_keys(slots), map(origin.__getitem__, slots))))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -473,6 +498,13 @@ class LevelPatch:
         return all(
             getattr(self, f.name) == getattr(other, f.name) for f in fields(self) if f.compare
         ) and self.cells == other.cells
+
+    def __repr__(self) -> str:
+        shown = (
+            f"{f.name}={value.tolist() if isinstance(value, memoryview) else value!r}"
+            for f in fields(self) if f.repr for value in [getattr(self, f.name)]
+        )
+        return f"LevelPatch({', '.join(shown)})"
 
 
 @dataclass(frozen=True)
@@ -487,19 +519,27 @@ class HierarchyPatch:
         return self.levels[0]
 
 
-def _sorted_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """The distinct slot pairs, each with its smaller slot first, in
-    ascending order.
+def _sorted_pairs(flat: Iterable[int]) -> memoryview:
+    """The distinct slot pairs of `flat` (pair i at 2i and 2i + 1), each
+    with its smaller slot first, in ascending order, as a `pair_slots`
+    buffer.
 
-    One comparison orients a pair, and a pair already oriented, as the
-    levels generate nearly all of them, is kept as it is. The levels
-    generate their pairs in long ascending runs, which the sort merges in
-    near-linear time; equal pairs are then adjacent, and each pair that
-    differs from the one before it is kept.
+    Pair (a, b) with a <= b is sorted as the one int `a << 32 | b`, whose
+    order is the pairs' order. The levels generate their pairs in long
+    ascending runs, which the sort merges in near-linear time; equal keys
+    are then adjacent, and each key that differs from the one before it is
+    kept. A key's two 32-bit halves are its slots, so the kept keys, laid
+    out as C long longs, read back as the flat buffer of C ints once the
+    halves of a little-endian key are swapped.
     """
-    ordered = [pair if pair[0] <= pair[1] else (pair[1], pair[0]) for pair in pairs]
-    ordered.sort()
-    return tuple(compress(ordered, map(ne, ordered, chain((None,), ordered))))
+    it = iter(flat)
+    keys = [a << 32 | b if a <= b else b << 32 | a for a, b in zip(it, it)]
+    keys.sort()
+    distinct = list(compress(keys, map(ne, keys, chain((None,), keys))))
+    halves = array("i", array("q", distinct).tobytes())
+    if sys.byteorder == "little":
+        halves[::2], halves[1::2] = halves[1::2], halves[::2]
+    return _frozen(halves)
 
 
 class _Shape(NamedTuple):
@@ -510,7 +550,7 @@ class _Shape(NamedTuple):
     bases: tuple[int, ...]  # the cells' tiles
     counts: tuple[int, ...]  # the cells' facet counts
     local: dict[FacetRef, int]  # (cell, k) -> slot
-    internal: tuple[tuple[int, int], ...]  # internal pairings, ascending
+    internal: tuple[int, ...]  # internal pairings, ascending, flat as in `pair_slots`
 
 
 def _shape(layout: Layout, rule: Rule) -> _Shape:
@@ -523,7 +563,7 @@ def _shape(layout: Layout, rule: Rule) -> _Shape:
         (local[a], local[b]) if local[a] <= local[b] else (local[b], local[a])
         for a, b in rule.template.internal_pairings
     )
-    return _Shape(cells, bases, counts, local, tuple(internal))
+    return _Shape(cells, bases, counts, local, tuple(chain.from_iterable(internal)))
 
 
 @_nogc
@@ -589,42 +629,45 @@ def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
 def _decorate_level(layout: Layout, rows, level_no, base, parent, rule, block, offset,
                     pairs, inherited, addresses) -> LevelPatch:
     """Decorate one level's slots: UNDEFINED on the cell's own network
-    slots (origin 0) and on the slots `inherited` from the level above,
-    `_steps13` of the cell's tile and parent everywhere else. This is the
-    only place that decorates a level: every level of a hierarchy and the
-    quotient of its bottom go through it.
+    slots (origin 0) and on the slots `inherited` from the level above
+    (slot -> origin), `_steps13` of the cell's tile and parent everywhere
+    else. `pairs` are the level's glued slot pairs, flat, in any order and
+    orientation. This is the only place that decorates a level: every level
+    of a hierarchy and the quotient of its bottom go through it.
 
     `rows` memoises, across the levels of one call, the row of each tile and
     parent (the tile fixes the rule and the cell): per facet the `_steps13`
     triple, or UNDEFINED where the slot is native-undefined. The slot
-    decorations are the cells' rows laid end to end, so `_steps13` runs
-    once per distinct tile and parent, and only the native and `inherited`
-    slots are visited one by one.
+    decorations are the cells' rows laid end to end, and so are the origins,
+    from one row of bytes per tile (0 where native-undefined, else -1), so
+    `_steps13` runs once per distinct tile and parent, and only the
+    `inherited` slots are visited one by one.
     """
     tiles = layout.numbering.tiles
-    native: dict[int, tuple[int, ...]] = {}  # tile -> its native-undefined facets, less one
+    native: dict[int, bytes] = {}  # tile -> its `slot_origin` row
     for j0 in set(base):
         rule_id, cell = tiles[j0 - 1]
         local = layout.native_undefined[rule_id]
-        native[j0] = tuple(
-            k - 1 for k in range(1, layout.facet_count[j0] + 1) if (cell, k) in local
+        native[j0] = bytes(
+            0 if (cell, k) in local else 0xFF for k in range(1, layout.facet_count[j0] + 1)
         )
     for j0, p in set(zip(base, parent)).difference(rows):
         at = native[j0]
         rows[(j0, p)] = tuple(
-            UNDEFINED if k in at else dec for k, dec in enumerate(_steps13(layout, j0, p))
+            dec if at[k] else UNDEFINED for k, dec in enumerate(_steps13(layout, j0, p))
         )
+    pair_slots = _sorted_pairs(pairs)
     decs: list[FacetDecoration] = list(
         chain.from_iterable(map(rows.__getitem__, zip(base, parent)))
     )
-    undefined = {s0 + k: 0 for s0, j0 in zip(offset, base) for k in native[j0]}
-    for s, origin in inherited.items():
+    origin = array("b", b"".join(map(native.__getitem__, base)))
+    for s, o in inherited.items():
         if decs[s] is not UNDEFINED:
             decs[s] = UNDEFINED
-            undefined[s] = origin
+            origin[s] = o
     return LevelPatch(
         level_no, base, parent, rule, block, offset,
-        tuple(decs), MappingProxyType(undefined), _sorted_pairs(pairs), addresses,
+        tuple(decs), _frozen(origin), pair_slots, addresses,
     )
 
 
@@ -639,9 +682,11 @@ def _expand_level(layout: Layout, tops: Sequence[int], expanders: list[Rule],
     UNDEFINED slots passes down to its members one origin further. The
     children of block b take the next cell ids, in sorted cell-id order,
     and the next slots, so ids and slots stay in address order. Each rule's
-    layout in a block (`_Shape`) is read off once per call. Blocks come in
-    ascending order, so the internal pairs of all blocks form one ascending
-    run, and the seam pairs follow the level's sorted pairs.
+    layout in a block (`_Shape`) is read off once per call. The pairs come
+    flat, as in `pair_slots`, and lazily, so that no list of them is built
+    before `_sorted_pairs` reads them: blocks come in ascending order, so
+    the internal pairs of all blocks form one ascending run, and the seam
+    pairs follow the level's sorted pairs.
     """
     shapes: dict[str, _Shape] = {}
     for rule in expanders:
@@ -654,20 +699,22 @@ def _expand_level(layout: Layout, tops: Sequence[int], expanders: list[Rule],
     rule_ids = tuple(chain.from_iterable(
         map(repeat, [rule.rule_id for rule in expanders], sizes)
     ))
-    block = tuple(chain.from_iterable(map(repeat, range(len(sizes)), sizes)))
-    offset = (0, *accumulate(chain.from_iterable(shape.counts for shape in block_shapes)))
+    # `array` reads a list faster than an iterator.
+    block = _frozen(array("i", list(chain.from_iterable(map(repeat, range(len(sizes)), sizes)))))
+    offsets = [0, *accumulate(chain.from_iterable(shape.counts for shape in block_shapes))]
+    offset = _frozen(array("i", offsets))
     first = [0, *accumulate(sizes)]  # block -> its first cell; then the cell count
-    first_slot = [offset[i] for i in first]
-    pairs = [
-        (s0 + la, s0 + lb)
-        for s0, shape in zip(first_slot, block_shapes) for la, lb in shape.internal
-    ]
+    first_slot = [offsets[i] for i in first]
+    pairs: Iterable[int] = (
+        s0 + s for s0, shape in zip(first_slot, block_shapes) for s in shape.internal
+    )
     inherited: dict[int, int] = {}
     if above is not None:
         above_offset, above_cell = above.offset, above.slot_cell
         seams: dict[tuple[str, int, str, int], tuple[tuple[int, int], ...]] = {}
         glued = []  # per pair of the level above: both blocks' first slots, the seam
-        for sa, sb in above.slot_pairs:
+        it = iter(above.pair_slots)
+        for sa, sb in zip(it, it):
             ba, bb = above_cell[sa], above_cell[sb]
             key = (expanders[ba].rule_id, sa - above_offset[ba] + 1,
                    expanders[bb].rule_id, sb - above_offset[bb] + 1)
@@ -680,13 +727,16 @@ def _expand_level(layout: Layout, tops: Sequence[int], expanders: list[Rule],
                 at_a, at_b = shapes[ra].local, shapes[rb].local
                 local = seams[key] = tuple((at_a[ma], at_b[mb]) for ma, mb in seam)
             glued.append((first_slot[ba], first_slot[bb], local))
-        pairs += [(pa + la, pb + lb) for pa, pb, local in glued for la, lb in local]
-        for s, origin in above.slot_undefined.items():
+        pairs = chain(pairs, (
+            s for pa, pb, local in glued for la, lb in local for s in (pa + la, pb + lb)
+        ))
+        above_origin = above.slot_origin
+        for s in _undefined_slots(above_origin):
             b = above_cell[s]
             rule_id = expanders[b].rule_id
-            at, s0 = shapes[rule_id].local, first_slot[b]
+            at, s0, origin = shapes[rule_id].local, first_slot[b], above_origin[s] + 1
             for member in layout.gamma[rule_id][s - above_offset[b] + 1]:
-                inherited[s0 + at[member]] = origin + 1
+                inherited[s0 + at[member]] = origin
     tiles = layout.numbering.tiles
 
     def addresses() -> tuple[Address, ...]:
@@ -768,7 +818,7 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
                 f"block {prefix(b)}: parent T{p} has prototype "
                 f"{layout.prototype_name[p]}, not {wanted[rule_id]}"
             )
-    offset = (0, *accumulate(layout.facet_count[j_b] for j_b in base))
+    offsets = [0, *accumulate(layout.facet_count[j_b] for j_b in base)]
 
     # Only pairs between two blocks glue the recovered cells. Slot s of
     # block b is its block-local slot `s - block_slot[b]`, which lies on
@@ -785,14 +835,15 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
         }
         for rule_id, shape in shapes.items()
     }
-    pairs: list[tuple[int, int]] = []
-    for sa, sb in bottom.slot_pairs:
+    pairs: list[int] = []
+    it = iter(bottom.pair_slots)
+    for sa, sb in zip(it, it):
         ba, bb = slot_block[sa], slot_block[sb]
         if ba != bb:
-            pairs.append((
-                offset[ba] + on_facet[block_rule[ba]][sa - block_slot[ba]] - 1,
-                offset[bb] + on_facet[block_rule[bb]][sb - block_slot[bb]] - 1,
-            ))
+            pairs += (
+                offsets[ba] + on_facet[block_rule[ba]][sa - block_slot[ba]] - 1,
+                offsets[bb] + on_facet[block_rule[bb]][sb - block_slot[bb]] - 1,
+            )
 
     # Per rule of the bottom cells, each macro-facet's member slots,
     # block-local; per recovered tile, its cell, native slots and facets.
@@ -805,7 +856,7 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
               range(1, layout.facet_count[j_b] + 1))
         for j_b, rule_id in dict(zip(base, rule_ids)).items()
     }
-    undefined = bottom.slot_undefined
+    origin = bottom.slot_origin.tolist()
     inherited: dict[int, int] = {}
     for b, (j_b, rule_id, s0) in enumerate(zip(base, block_rule, block_slot)):
         cell, native, facets = recovered[j_b]
@@ -813,7 +864,7 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
         for a in facets:
             members = [s0 + m for m in members_at[a]]
             if all(map(is_, map(decs.__getitem__, members), repeat(UNDEFINED))):
-                inherited[offset[b] + a - 1] = max(0, max(map(undefined.__getitem__, members)) - 1)
+                inherited[offsets[b] + a - 1] = max(0, max(map(origin.__getitem__, members)) - 1)
             elif (cell, a) in native:
                 raise PartialBlock(f"block {prefix(b)}: facet {a} should be undefined")
 
@@ -822,7 +873,7 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
 
     return _decorate_level(
         layout, {}, bottom.level + 1, tuple(base), parent, rule_ids, None,
-        offset, pairs, inherited, addresses,
+        _frozen(array("i", offsets)), pairs, inherited, addresses,
     )
 
 

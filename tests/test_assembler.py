@@ -476,3 +476,24 @@ def test_grid_from_hierarchy_needs_four_slots_per_cell(system, numbering, networ
     forged = dataclasses.replace(hpatch, levels=(three,))
     with pytest.raises(NonSquareSystem, match="four facets"):
         grid_from_hierarchy(forged, layout, networks)
+
+
+def test_grid_from_hierarchy_shares_one_object_per_distinct_tile(system, numbering,
+                                                                 networks, layout):
+    """The depth-4 patch equals the one built with a fresh tile per cell,
+    placed by address, and holds one object per distinct tile."""
+    hpatch = hierarchy_decorate(system, numbering, networks, "r1", 4)
+    patch = grid_from_hierarchy(hpatch, layout, networks)
+    bottom = hpatch.bottom
+    decs = bottom.slot_decoration
+    cells = {}
+    for i, addr in enumerate(bottom.cells):
+        x = y = 0
+        for cell in addr:
+            cx, cy = layout.position_of[numbering.tile_index("r1", cell)]
+            x, y = x * layout.width + cx, y * layout.height + cy
+        cells[(x, y)] = DecoratedTile(bottom.base[i], decs[4 * i:4 * i + 4])
+    assert patch == GridPatch(81, 81, cells)
+    filled = [tile for tile in patch.tiles if tile is not None]
+    assert len(filled) == 6561
+    assert len({id(tile) for tile in filled}) == len(set(filled)) < 100

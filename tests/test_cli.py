@@ -107,6 +107,37 @@ def test_hierarchy_output(capsys):
     assert "matching=PASS" in out
 
 
+HIERARCHY_STDOUT = {
+    ("square3x3.sub", "--depth", "4"): [
+        "tiles=6561",
+        "undefined_slots=11220",
+        "level=3 cells=9 undefined=12",
+        "level=2 cells=81 undefined=132",
+        "level=1 cells=729 undefined=1236",
+        "level=0 cells=6561 undefined=11220",
+        "matching=PASS",
+    ],
+    ("tworule3x3.sub", "--depth", "3", "--rule", "rb"): [
+        "tiles=729",
+        "undefined_slots=1236",
+        "level=2 cells=9 undefined=12",
+        "level=1 cells=81 undefined=132",
+        "level=0 cells=729 undefined=1236",
+        "matching=PASS",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HIERARCHY_STDOUT), ids=" ".join)
+def test_hierarchy_stdout_is_pinned(capsys, argv):
+    """The whole stdout, level lines top first, as measured before the
+    levels were stored in C buffers."""
+    spec, *args = argv
+    code, out, err = run(capsys, "hierarchy", str(resources.files("tilesub.data") / spec), *args)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == HIERARCHY_STDOUT[argv]
+
+
 def test_hierarchy_and_render_build_no_tileset(capsys, monkeypatch, tmp_path):
     def no_closure(*args, **kwargs):
         raise AssertionError("the closure was built")

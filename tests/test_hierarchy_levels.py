@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 from collections import Counter
 from importlib import resources
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -94,10 +95,12 @@ def test_quotient_equals_the_level_above(spec, seed_rule, depth):
 
 
 def test_levels_are_frozen(depth2_square):
-    """A level cannot change once built, so no view read off it goes stale."""
+    """A level cannot change once built, so no view read off it goes stale:
+    neither its fields nor anything written into its tuples or buffers."""
     _, _, hpatch, _ = depth2_square
     bottom = hpatch.bottom
-    s = next(iter(bottom.slot_undefined))
+    s = next(s for s, origin in enumerate(bottom.slot_origin) if origin != -1)
+    assert bottom.slot_decoration[s] is UNDEFINED
     with pytest.raises(dataclasses.FrozenInstanceError):
         bottom.slot_decoration = ()
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -105,7 +108,25 @@ def test_levels_are_frozen(depth2_square):
     with pytest.raises(TypeError):
         bottom.slot_decoration[s] = bottom.slot_decoration[s + 1]
     with pytest.raises(TypeError):
-        bottom.slot_undefined[s] = 1
+        bottom.slot_origin[s] = 1
+    for name in ("pair_slots", "offset", "block"):
+        with pytest.raises(TypeError):
+            getattr(bottom, name)[0] = 1
+    assert bottom.slot_origin[s] == 0
+
+
+def test_level_repr_lists_the_buffer_numbers():
+    """The repr shows each buffer as its numbers, so two builds of one
+    level print the same."""
+    doc, numbering = _bundled("square3x3")
+    one, two = (
+        hierarchy_decorate(doc.system, numbering, doc.networks, "r1", 2).bottom for _ in "12"
+    )
+    assert one is not two and repr(one) == repr(two)
+    assert "<memory" not in repr(one)
+    for name in ("block", "offset", "slot_origin", "pair_slots"):
+        assert f"{name}={getattr(one, name).tolist()}" in repr(one)
+    assert "offset=[0, 4, 8, 12," in repr(one)
 
 
 @pytest.mark.parametrize("spec, seed_rule", sorted(PINS))
@@ -255,16 +276,17 @@ def test_levels_and_quotients_equal_the_addressed_oracle(spec, seed_rule, depth)
 @pytest.fixture(scope="module")
 def depth2_pairs():
     doc, numbering = _bundled("tworule3x3")
-    return hierarchy_decorate(doc.system, numbering, doc.networks, "ra", 2).bottom.slot_pairs
+    return hierarchy_decorate(doc.system, numbering, doc.networks, "ra", 2).bottom.pair_slots
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_sorted_pairs_matches_sorting_each_pair(depth2_pairs, data):
     """Shuffled copies of a level's slot pairs, some reversed, some
-    repeated, give what sorting each pair and then the distinct pairs
-    gives: the distinct pairs, each ascending, in ascending order."""
-    pairs = list(depth2_pairs)
+    repeated, fed flat, give what sorting each pair and then the distinct
+    pairs gives: the distinct pairs, each ascending, in ascending order,
+    flat."""
+    pairs = list(zip(depth2_pairs[::2], depth2_pairs[1::2]))
     order = data.draw(st.permutations(range(len(pairs))))
     flipped = data.draw(st.sets(st.sampled_from(range(len(pairs)))))
     repeats = data.draw(st.lists(st.sampled_from(range(len(pairs))), max_size=40))
@@ -272,5 +294,6 @@ def test_sorted_pairs_matches_sorting_each_pair(depth2_pairs, data):
     for i in repeats:
         at = data.draw(st.integers(0, len(fed)))
         fed.insert(at, pairs[i][::-1] if data.draw(st.booleans()) else pairs[i])
-    assert _sorted_pairs(fed) == tuple(sorted({tuple(sorted(p)) for p in fed}))
-    assert _sorted_pairs(fed) == depth2_pairs
+    got = _sorted_pairs(chain.from_iterable(fed))
+    assert got.tolist() == list(chain.from_iterable(sorted({tuple(sorted(p)) for p in fed})))
+    assert got == depth2_pairs
