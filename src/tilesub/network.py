@@ -1,9 +1,10 @@
 """Networks: per-rule stars in the dual graph carrying parent information.
 
 A network is a star subgraph with one branch per macro-facet; the leaf of the
-k-th branch owns the k-th port. Validation covers the four connecting
-conditions at template scale; `search_networks` enumerates every valid
-network of a rule exhaustively.
+k-th branch owns the k-th port. `validate_network` checks the four connecting
+conditions at template scale, for a network a spec declares.
+`search_networks` enumerates every valid network of a rule exhaustively and
+builds only valid ones, so it checks no candidate after the fact.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from .model import (
     Rule,
     SubstitutionSystem,
     ValidationReport,
+    build_numbering,
 )
 
 
@@ -249,14 +251,22 @@ def search_networks(system: SubstitutionSystem, rule: Rule) -> tuple[Network, ..
     """Exhaustively enumerate all valid networks of a rule, in canonical
     order (center, then branch paths per macro-facet).
 
-    Depth-first over vertex-disjoint path systems, one branch per
-    macro-facet in ascending order. Every edge a branch adds is deleted from
-    the residual graph, so residual connectivity only worsens as the system
+    Raises InvalidSystem when `system` fails `validate_system`: the search
+    relies on disjoint macro-facets, so a macro-facet holds no port but its
+    own and keeps a non-port member exactly when it has two or more members.
+    Depth-first over vertex-disjoint path systems from an interior center,
+    one branch per macro-facet in ascending order, each ending on a cell
+    that owns its port. Every edge a branch adds is deleted from the
+    residual graph, so residual connectivity only worsens as the system
     grows: each time a branch reaches a port cell, a partial system whose
     residual graph (with the current path's edges deleted too) is already
-    disconnected is pruned together with every extension of it. Complete
-    candidates still go through `validate_network`."""
+    disconnected is pruned with every extension of it. The check at the
+    last port covers every network edge, so every network built passes
+    `validate_network` and none is checked again."""
+    build_numbering(system)  # raises InvalidSystem if `validate_system` fails
     gamma = rule.gamma_map()
+    if any(len(members) < 2 for members in gamma.values()):
+        return ()
     ks = sorted(gamma)
     cells = rule.template.cell_ids()
     external = set(system.external_slots(rule))
@@ -266,9 +276,7 @@ def search_networks(system: SubstitutionSystem, rule: Rule) -> tuple[Network, ..
 
     def extend_branch(center, k_pos, used, removed, branches):
         if k_pos == len(ks):
-            net = Network(rule.rule_id, center, tuple(branches))
-            if validate_network(system, rule, net).ok:
-                results.append(net)
+            results.append(Network(rule.rule_id, center, tuple(branches)))
             return
         k = ks[k_pos]
         member_cells = {s[0] for s in gamma[k]}

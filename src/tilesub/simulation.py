@@ -1,17 +1,22 @@
 """Macro-tile enumeration, the self-simulation map, and the hierarchy.
 
 `enumerate_macro_tiles` lists every way a rule's template can be filled with
-tiles from the tileset so that all internal facets match and the non-central
-cells agree on a parent index. It runs on `_search`, the one key-indexed,
-iterative backtracking search of the package, which the grid assembler also
-uses to fill patches. `phi` folds such an assembly back onto a
-single decorated parent tile; `verify_self_simulation` checks exhaustively
-that the tileset and its assemblies behave identically through `phi`. Its
-condition 3 reads each side of a macro-facet seam once, into two
-single-valued maps (side key -> image, image -> side key), and checks each
-seam with one pass over the keys and images both sides share. The steps
-below the public entry points read every per-tile and per-seam fact from
-the `tileset.Layout`.
+tiles from the tileset so that all internal facets match. The non-central
+cells then agree on a parent index with no key of its own: every edge of the
+residual graph (the dual graph less the center and the network edges) is a
+pairing that no branch crosses, so both its slots are parent facets, which
+read (f, parent, f) in every tile of the tileset; matching them makes the
+two parents equal, and the strong residual connecting condition, which
+`build_layout` enforces, carries that to every non-central cell. The
+enumeration runs on `_search`, the one key-indexed, iterative backtracking
+search of the package, which the grid assembler also uses to fill patches.
+`phi` folds such an assembly back onto a single decorated parent tile;
+`verify_self_simulation` checks exhaustively that the tileset and its
+assemblies behave identically through `phi`. Its condition 3 reads each
+side of a macro-facet seam once, into two single-valued maps (side key ->
+image, image -> side key), and checks each seam with one pass over the keys
+and images both sides share. The steps below the public entry points read
+every per-tile and per-seam fact from the `tileset.Layout`.
 
 `hierarchy_decorate` builds the finite-depth telescope of images with the
 distinguished UNDEFINED decoration confined to the networks of every level,
@@ -69,8 +74,9 @@ from .tileset import (
 
 @dataclass(frozen=True)
 class MacroTileInstance:
-    """One decorated filling of a rule's template: all internal facets match
-    and every non-central cell carries the same parent index."""
+    """One decorated filling of a rule's template: all internal facets match,
+    and so, by the strong residual connecting condition, every non-central
+    cell carries the same parent index."""
 
     rule_id: str
     cells: tuple[str, ...]
@@ -159,13 +165,16 @@ def enumerate_macro_tiles(tau: Tileset, system: SubstitutionSystem,
                           numbering: GlobalNumbering, networks: NetworkSet
                           ) -> tuple[MacroTileInstance, ...]:
     """Every filling of each rule's template by tiles of `tau` whose internal
-    facets match and whose non-central cells read one parent index.
+    facets match.
 
-    A cell's candidates are keyed by their decorations on all facets paired
-    with earlier template cells and, once an earlier cell has fixed it, by
-    the parent they read. Instances come out rule by rule, in lexicographic
-    order of the tiles' canonical positions in `tau`, cells taken in
-    template order.
+    A cell's candidates are keyed by their decorations on the facets paired
+    with earlier template cells, and by nothing else. The parent index needs
+    no key: each residual edge pairs two parent facets, (f, parent, f) in
+    every tile of `tau`, and the residual graph spans the non-central cells,
+    so matching seams alone make them read one parent. The instance takes
+    it from the first cell that reads one. Instances come out rule by rule,
+    in lexicographic order of the tiles' canonical positions in `tau`, cells
+    taken in template order.
     """
     layout = build_layout(numbering, networks)
     return tuple(
@@ -189,39 +198,17 @@ def _enumerate_rule(tau: Tileset, layout: Layout, rule: Rule) -> Iterator[MacroT
             back[cb].append((kb, pos[ca], ka))
         else:
             back[ca].append((ka, pos[cb], kb))
-    # The facet each non-central cell reads its parent index from.
-    reads = {
-        i: ks[0] for i, c in enumerate(cells)
+    # The first cell, in template order, with a facet that reads the parent
+    # index, and that facet (0-based).
+    reads = [
+        (i, ks[0] - 1) for i, c in enumerate(cells)
         if (ks := layout.parent_facets.get(numbering.tile_index(rule.rule_id, c)))
-    }
+    ]
     if not reads:
         raise TilesubError(f"rule {rule.rule_id}: no cell of an instance reads its parent")
-    first, k_first = min(reads.items())
-    k_first -= 1
-
-    def keys(i: int, cell: str) -> tuple[Callable, Callable]:
-        if i not in reads or i == first:
-            return _seam_keys(back[cell])
-        # Every later reader repeats the parent the first reader fixed: its
-        # keys end with the parent index it reads. One and two seams get
-        # closures of fixed arity, as in `_seam_keys`.
-        k = reads[i] - 1
-        at = [(ka - 1, ia, ka2 - 1) for ka, ia, ka2 in back[cell]]
-        if len(at) == 1:
-            ((ka, ia, ka2),) = at
-            return (lambda tile: (tile.triples[ka], tile.triples[k].j),
-                    lambda placed: (placed[ia].triples[ka2], placed[first].triples[k_first].j))
-        if len(at) == 2:
-            (ka, ia, ka2), (kb, ib, kb2) = at
-            return (lambda tile: (tile.triples[ka], tile.triples[kb], tile.triples[k].j),
-                    lambda placed: (placed[ia].triples[ka2], placed[ib].triples[kb2],
-                                    placed[first].triples[k_first].j))
-        key, want = _seam_keys(back[cell])
-        return (lambda tile: (*key(tile), tile.triples[k].j),
-                lambda placed: (*want(placed), placed[first].triples[k_first].j))
-
+    first, k_first = reads[0]
     center = pos[layout.networks[rule.rule_id].center]
-    for tiles in _search([(pools[c], *keys(i, c)) for i, c in enumerate(cells)]):
+    for tiles in _search([(pools[c], *_seam_keys(back[c])) for c in cells]):
         parent = tiles[first].triples[k_first].j
         yield MacroTileInstance(rule.rule_id, cells, tiles, parent, tiles[center])
 

@@ -79,6 +79,17 @@ def test_networks_output(capsys):
     assert "center=c5" in out
 
 
+def test_networks_refuses_an_invalid_system(capsys, tmp_path):
+    """A slot in two macro-facets breaks `validate_system`; the search would
+    still find networks, so `networks` refuses the spec with one error line."""
+    bad = tmp_path / "overlap.sub"
+    bad.write_text(Path(SPEC).read_text().replace(
+        "gamma W : c1.W c4.W c7.W\n", "gamma W : c1.W c4.W c7.W c2.S\n"))
+    code, out, err = run(capsys, "networks", str(bad))
+    assert (code, out, err) == (
+        1, "", "error: system invalid: ['AdjacencyRange', 'GammaOverlap']\n")
+
+
 def test_assemble_output(capsys):
     code, out, _ = run(capsys, "assemble", SPEC, "--width", "1", "--height", "1")
     assert code == 0

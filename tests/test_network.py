@@ -9,9 +9,16 @@ import pytest
 
 from helpers import E, N, S, W
 from tilesub import network
-from tilesub.errors import MissingNetwork
+from tilesub.errors import InvalidSystem, MissingNetwork
 from tilesub.grids import make_square_grid_document
-from tilesub.model import MacroAdjacency, MacroTileTemplate, Prototype, Rule, SubstitutionSystem
+from tilesub.model import (
+    MacroAdjacency,
+    MacroTileTemplate,
+    Prototype,
+    Rule,
+    SubstitutionSystem,
+    validate_system,
+)
 from tilesub.network import (
     Branch,
     Network,
@@ -40,6 +47,35 @@ SEARCH_PINS = {
     "ra": (9, "27a63708a1a4a0a23d34cf9c1c82a13873639f8e119f6813c8cefc3976b8b6c8"),
     "rb": (9, "2a9f182fc72c05b19e78453c91d480a3b4f10e7aa2952b946373eceff44822f0"),
 }
+
+
+def _bundled_text(name="square3x3"):
+    return resources.files("tilesub.data").joinpath(f"{name}.sub").read_text()
+
+
+def _singleton_we_text():
+    """The bundled 3x3 with its W and E macro-facets cut to their middle
+    member, the port: a valid system whose rule has no valid network, since
+    a macro-facet that is only its port has no non-port member."""
+    text = _bundled_text()
+    for old, new in (
+        ("gamma W : c1.W c4.W c7.W", "gamma W : c4.W"),
+        ("gamma E : c3.E c6.E c9.E", "gamma E : c6.E"),
+        ("macroadj (r1,W) ~ (r1,E) map 1:1 2:2 3:3", "macroadj (r1,W) ~ (r1,E) map 1:1"),
+    ):
+        if old not in text:
+            raise ValueError(f"bundled 3x3 spec lacks the line {old!r}")
+        text = text.replace(old, new)
+    return text
+
+
+def _pinned_subject(subject):
+    """The system and rule behind a `SEARCH_PINS` key."""
+    if isinstance(subject, tuple):
+        system = make_square_grid_document(*subject).system
+        return system, system.rules[0]
+    system = parse_spec(_bundled_text("tworule3x3")).system
+    return system, system.rule(subject)
 
 
 @pytest.fixture(scope="module")
@@ -153,33 +189,36 @@ def test_search_count_regression(system, rule):
 
 @pytest.mark.parametrize("subject", list(SEARCH_PINS), ids=str)
 def test_search_regression_pins(subject):
-    if isinstance(subject, tuple):
-        system = make_square_grid_document(*subject).system
-        rule = system.rules[0]
-    else:
-        text = resources.files("tilesub.data").joinpath("tworule3x3.sub").read_text()
-        system = parse_spec(text).system
-        rule = system.rule(subject)
+    system, rule = _pinned_subject(subject)
     found = search_networks(system, rule)
     digest = hashlib.sha256(repr(found).encode()).hexdigest()
     assert (len(found), digest) == SEARCH_PINS[subject]
 
 
-def test_search_validates_each_candidate_once(monkeypatch):
-    """Partial path systems that disconnect the residual graph are pruned, so
-    on the 4x4 grid every complete candidate is a valid network."""
+def test_search_builds_only_valid_networks(monkeypatch):
+    """The search checks no candidate after the fact, and every network it
+    builds passes `validate_network` all the same."""
     calls = []
     validate = network.validate_network
+    monkeypatch.setattr(network, "validate_network", lambda *args: calls.append(args))
+    found = {subject: search_networks(*_pinned_subject(subject)) for subject in SEARCH_PINS}
+    assert calls == []
+    for subject, nets in found.items():
+        assert len(nets) == SEARCH_PINS[subject][0]
+        system, rule = _pinned_subject(subject)
+        for net in nets:
+            report = validate(system, rule, net)
+            assert report.ok, report.render()
 
-    def counting(system, rule, net):
-        calls.append(net)
-        return validate(system, rule, net)
 
-    monkeypatch.setattr(network, "validate_network", counting)
-    system = make_square_grid_document(4, 4).system
-    found = search_networks(system, system.rules[0])
-    assert len(found) == 660
-    assert len(calls) == len(found)
+def test_search_refuses_an_invalid_system():
+    """A slot in two macro-facets breaks `validate_system`, whose disjoint
+    macro-facets the search relies on."""
+    text = _bundled_text().replace("gamma W : c1.W c4.W c7.W\n", "gamma W : c1.W c4.W c7.W c2.S\n")
+    system = parse_spec(text).system
+    with pytest.raises(InvalidSystem) as err:
+        search_networks(system, system.rules[0])
+    assert str(err.value) == "system invalid: ['AdjacencyRange', 'GammaOverlap']"
 
 
 def test_search_empty_without_interior_cell():
@@ -270,13 +309,26 @@ def _oracle_networks(system, rule):
     return results
 
 
-def test_search_matches_bruteforce_oracle(system, rule):
-    oracle = _oracle_networks(system, rule)
-    found = {
-        (n.center, tuple((b.k, b.path, b.port) for b in n.branches))
-        for n in search_networks(system, rule)
-    }
-    assert found == oracle
+def test_search_matches_bruteforce_oracle():
+    """On both bundled specs, every rule, and on a valid variant whose rule
+    has no valid network."""
+    subjects = [
+        (_bundled_text(), "r1", NETWORKS_3X3),
+        (_bundled_text("tworule3x3"), "ra", SEARCH_PINS["ra"][0]),
+        (_bundled_text("tworule3x3"), "rb", SEARCH_PINS["rb"][0]),
+        (_singleton_we_text(), "r1", 0),
+    ]
+    for text, rule_id, count in subjects:
+        system = parse_spec(text).system
+        assert validate_system(system).ok
+        rule = system.rule(rule_id)
+        oracle = _oracle_networks(system, rule)
+        found = {
+            (n.center, tuple((b.k, b.path, b.port) for b in n.branches))
+            for n in search_networks(system, rule)
+        }
+        assert found == oracle
+        assert len(found) == count
 
 
 def test_network_slots_disjoint_from_fixed_facets(numbering, networks, rule, net):

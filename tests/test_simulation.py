@@ -81,12 +81,30 @@ def test_parent1_instances_collapse_to_single_index(instances, numbering, networ
         assert north.j == east.j
 
 
-def test_instances_have_uniform_parent(instances, compiled):
-    for inst in instances[::97]:
-        for cell, tile in zip(inst.cells, inst.tiles):
-            ks = compiled.parent_facets.get(tile.base, ())
-            for k in ks:
-                assert tile.triples[k - 1].j == inst.parent_index
+def test_instances_have_uniform_parent():
+    """The enumeration keys cells on their seams alone; the strong residual
+    connecting condition must then make every parent facet of every
+    non-central cell of every instance read the instance's parent index.
+    Checked on both bundled specs, the 3x4 grid and the partial-gamma 3x3."""
+    docs = [
+        load_bundled("square3x3"),
+        load_bundled("tworule3x3"),
+        make_square_grid_document(3, 4),
+        parse_spec(partial_gamma_3x3_text()),
+    ]
+    for doc in docs:
+        numbering = build_numbering(doc.system)
+        layout = build_layout(numbering, doc.networks)
+        tau = generate_tileset(doc.system, numbering, doc.networks)
+        instances = enumerate_macro_tiles(tau, doc.system, numbering, doc.networks)
+        assert instances
+        for inst in instances:
+            read = {
+                tile.triples[k - 1].j
+                for tile in inst.tiles
+                for k in layout.parent_facets.get(tile.base, ())
+            }
+            assert read == {inst.parent_index}
 
 
 @pytest.mark.parametrize("spec", ["square3x3", "tworule3x3"])
