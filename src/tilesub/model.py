@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, InvalidSystem
 
@@ -138,14 +138,17 @@ class MacroTileTemplate:
         return {slot: pairing for pairing in self.internal_pairings for slot in pairing}
 
     @cached_property
-    def dual_neighbors(self) -> dict[str, list[str]]:
-        """Simple dual graph of the template: cell -> adjacent cells."""
-        adj: dict[str, set[str]] = {c: set() for c in self.cell_ids()}
+    def dual_masks(self) -> tuple[int, ...]:
+        """Simple dual graph of the template on cell positions: position ->
+        bitmask of the adjacent positions. A repeated cell id sits at its
+        last position, so its earlier positions have no neighbours."""
+        pos = self.position
+        masks = [0] * len(self.cells)
         for (ca, _), (cb, _) in self.internal_pairings:
             if ca != cb:
-                adj[ca].add(cb)
-                adj[cb].add(ca)
-        return {c: sorted(ns) for c, ns in adj.items()}
+                masks[pos[ca]] |= 1 << pos[cb]
+                masks[pos[cb]] |= 1 << pos[ca]
+        return tuple(masks)
 
 
 @dataclass(frozen=True)
@@ -265,18 +268,24 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _connected(vertices: list[str], neighbors: Mapping[str, list[str]]) -> bool:
-    if not vertices:
-        return True
-    seen = {vertices[0]}
-    stack = [vertices[0]]
-    while stack:
-        for nxt in neighbors.get(stack.pop(), []):
-            if nxt in seen or nxt not in vertices:
-                continue
-            seen.add(nxt)
-            stack.append(nxt)
-    return len(seen) == len(vertices)
+def _components(adj: Sequence[int], cells: int) -> list[int]:
+    """Connected components, as bitmasks, of the graph `adj` (position ->
+    neighbour bitmask) restricted to the positions set in `cells`, in order
+    of their lowest position."""
+    comps = []
+    while cells:
+        comp = frontier = cells & -cells
+        while frontier:
+            reach = 0
+            while frontier:
+                bit = frontier & -frontier
+                reach |= adj[bit.bit_length() - 1]
+                frontier ^= bit
+            frontier = reach & cells & ~comp
+            comp |= frontier
+        cells &= ~comp
+        comps.append(comp)
+    return comps
 
 
 def validate_system(system: SubstitutionSystem) -> ValidationReport:
@@ -305,10 +314,12 @@ def validate_system(system: SubstitutionSystem) -> ValidationReport:
             continue
         slot_set = set(system.slots(rule))
         seen: set[FacetRef] = set()
+        stray = False  # a pairing names a cell the template lacks
         for pairing in rule.template.internal_pairings:
             for slot in pairing:
                 if slot not in slot_set:
                     report.add("SlotInvalid", f"{rid}: pairing uses unknown slot {slot}")
+                    stray = stray or slot[0] not in rule.template.position
                 elif slot in seen:
                     report.add("SlotConflict", f"{rid}: slot {slot} paired twice")
                 seen.add(slot)
@@ -321,7 +332,8 @@ def validate_system(system: SubstitutionSystem) -> ValidationReport:
                         "OrientationClash",
                         f"{rid}: pairing {a}--{b} glues equal orientations",
                     )
-        if not _connected(list(cells), rule.template.dual_neighbors):
+        whole = (1 << len(cells)) - 1
+        if not stray and len(_components(rule.template.dual_masks, whole)) > 1:
             report.add("DisconnectedTemplate", f"{rid}: dual graph is not connected")
         externals = set(system.external_slots(rule))
         parent_proto = system.prototype(rule.parent)

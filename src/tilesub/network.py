@@ -4,12 +4,14 @@ A network is a star subgraph with one branch per macro-facet; the leaf of the
 k-th branch owns the k-th port. `validate_network` checks the four connecting
 conditions at template scale, for a network a spec declares.
 `search_networks` enumerates every valid network of a rule exhaustively and
-builds only valid ones, so it checks no candidate after the fact.
+builds only valid ones, so it checks no candidate after the fact. Both test
+residual connectivity with `model._components` on cell-position bitmasks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 from .errors import MissingNetwork
 from .model import (
@@ -18,6 +20,7 @@ from .model import (
     Rule,
     SubstitutionSystem,
     ValidationReport,
+    _components,
     build_numbering,
 )
 
@@ -99,32 +102,6 @@ def network_slots(rule: Rule, net: Network) -> dict[str, tuple[int, tuple[FacetR
     return out
 
 
-def _residual_components(rule: Rule, center: str,
-                         removed: frozenset[frozenset[str]]) -> list[set[str]]:
-    """Components after deleting the center vertex and the `removed` edges
-    (each an unordered pair of cells)."""
-    cells = [c for c in rule.template.cell_ids() if c != center]
-    neighbors = rule.template.dual_neighbors
-    comps: list[set[str]] = []
-    left = set(cells)
-    while left:
-        start = left.pop()
-        comp = {start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for nxt in neighbors[cur]:
-                if nxt == center or nxt in comp:
-                    continue
-                if frozenset((cur, nxt)) in removed:
-                    continue
-                comp.add(nxt)
-                stack.append(nxt)
-        left -= comp
-        comps.append(comp)
-    return comps
-
-
 def validate_network(system: SubstitutionSystem, rule: Rule, net: Network) -> ValidationReport:
     """Check the connecting conditions for one rule's network.
 
@@ -147,7 +124,8 @@ def validate_network(system: SubstitutionSystem, rule: Rule, net: Network) -> Va
             f"macro-facets are {sorted(gamma)}",
         )
     used: dict[str, int] = {}
-    neighbors = rule.template.dual_neighbors
+    pos = rule.template.position
+    adj = list(rule.template.dual_masks)
     for branch in net.branches:
         if not branch.path:
             report.add("EmptyBranch", f"{rid}: branch {branch.k} has no cells")
@@ -165,7 +143,7 @@ def validate_network(system: SubstitutionSystem, rule: Rule, net: Network) -> Va
                     f"{rid}: cell {cell} on branches {used[cell]} and {branch.k}",
                 )
             used[cell] = branch.k
-            if cell not in neighbors.get(prev, []):
+            if not adj[pos[prev]] >> pos[cell] & 1:
                 report.add(
                     "PathBroken", f"{rid}: branch {branch.k} jumps {prev} -> {cell}"
                 )
@@ -195,15 +173,20 @@ def validate_network(system: SubstitutionSystem, rule: Rule, net: Network) -> Va
     external = set(system.external_slots(rule))
     if any(slot[0] == net.center for slot in external):
         report.add("CenterNotInterior", f"{rid}: center {net.center} has external facets")
-    removed = frozenset(frozenset((a, b)) for _, a, b in branch_edges(net))
-    comps = _residual_components(rule, net.center, removed)
+    for _, a, b in branch_edges(net):
+        if a in pos and b in pos:  # an unknown cell is reported above
+            adj[pos[a]] &= ~(1 << pos[b])
+            adj[pos[b]] &= ~(1 << pos[a])
+    comps = _components(adj, sum(1 << p for c, p in pos.items() if c != net.center))
     macro_cells = {
         slot[0]
         for k, members in gamma.items()
         for slot in members
         if slot not in ports
     }
-    weak_ok = any(macro_cells <= comp for comp in comps) if macro_cells else True
+    weak_ok = not macro_cells or any(
+        all(c in pos and comp >> pos[c] & 1 for c in macro_cells) for comp in comps
+    )
     if len(comps) != 1:
         report.add(
             "ResidualDisconnected",
@@ -249,62 +232,69 @@ def check_port_condition(system: SubstitutionSystem, networks: NetworkSet) -> Va
 
 def search_networks(system: SubstitutionSystem, rule: Rule) -> tuple[Network, ...]:
     """Exhaustively enumerate all valid networks of a rule, in canonical
-    order (center, then branch paths per macro-facet).
+    order: by center position, then by branch paths in macro-facet order,
+    then by ports in macro-facet member order.
 
     Raises InvalidSystem when `system` fails `validate_system`: the search
     relies on disjoint macro-facets, so a macro-facet holds no port but its
     own and keeps a non-port member exactly when it has two or more members.
     Depth-first over vertex-disjoint path systems from an interior center,
     one branch per macro-facet in ascending order, each ending on a cell
-    that owns its port. Every edge a branch adds is deleted from the
-    residual graph, so residual connectivity only worsens as the system
-    grows: each time a branch reaches a port cell, a partial system whose
-    residual graph (with the current path's edges deleted too) is already
-    disconnected is pruned with every extension of it. The check at the
-    last port covers every network edge, so every network built passes
-    `validate_network` and none is checked again."""
+    that owns a member of its macro-facet. The walk visits neighbours in
+    sorted cell-id order, so it emits the canonical order unsorted. Each
+    step cuts the edge it walks from one list of dual-graph bitmasks and
+    restores it on return; cut edges only disconnect the residual graph
+    further, so a branch that reaches a port cell with the residual graph
+    already disconnected is pruned with every extension of it. The check at
+    the last port covers every network edge, so every network built passes
+    `validate_network`. Ports constrain nothing else: each complete path
+    system emits the product of its leaves' port choices."""
     build_numbering(system)  # raises InvalidSystem if `validate_system` fails
     gamma = rule.gamma_map()
     if any(len(members) < 2 for members in gamma.values()):
         return ()
     ks = sorted(gamma)
-    cells = rule.template.cell_ids()
-    external = set(system.external_slots(rule))
-    neighbors = rule.template.dual_neighbors
-    interior = [c for c in cells if not any(s[0] == c for s in external)]
+    template = rule.template
+    ids = template.cell_ids()
+    pos = template.position
+    adj = list(template.dual_masks)
+    neighbors = [sorted((p for p in pos.values() if m >> p & 1), key=ids.__getitem__)
+                 for m in adj]
+    external = {cell for cell, _ in system.external_slots(rule)}
+    # Per branch: each cell owning members of its macro-facet -> those members.
+    owned = [{pos[c]: [s for s in gamma[k] if s[0] == c] for c, _ in gamma[k]} for k in ks]
     results: list[Network] = []
+    path: list[int] = []  # the built branches' cells, then the current branch's
+    branches: list[list[Branch]] = []  # per built branch: one per port choice
 
-    def extend_branch(center, k_pos, used, removed, branches):
+    def extend_branch(center, k_pos, taken):
         if k_pos == len(ks):
-            results.append(Network(rule.rule_id, center, tuple(branches)))
+            results.extend(Network(rule.rule_id, ids[center], b) for b in product(*branches))
             return
-        k = ks[k_pos]
-        member_cells = {s[0] for s in gamma[k]}
-
-        def walk(path, path_removed):
-            cell = path[-1]
-            if cell in member_cells:
-                if len(_residual_components(rule, center, path_removed)) != 1:
-                    return
-                for slot in gamma[k]:
-                    if slot[0] == cell:
-                        branches.append(Branch(k, tuple(path), slot))
-                        extend_branch(
-                            center, k_pos + 1, used | set(path), path_removed, branches
-                        )
-                        branches.pop()
-            for nxt in neighbors[cell]:
-                if nxt == center or nxt in used or nxt in path:
-                    continue
-                walk(path + [nxt], path_removed | {frozenset((cell, nxt))})
-
         for first in neighbors[center]:
-            if first in used:
-                continue
-            walk([first], removed | {frozenset((center, first))})
+            if not taken >> first & 1:
+                walk(center, k_pos, len(path), center, first, taken | 1 << first)
 
-    for center in interior:
-        extend_branch(center, 0, set(), frozenset(), [])
-    pos = rule.template.position
-    results.sort(key=lambda net: (pos[net.center], tuple(b.path for b in net.branches)))
+    def walk(center, k_pos, start, prev, cell, taken):
+        adj[prev] ^= 1 << cell
+        adj[cell] ^= 1 << prev
+        path.append(cell)
+        choices = owned[k_pos].get(cell)
+        if choices is None or len(_components(adj, every ^ 1 << center)) == 1:
+            if choices is not None:
+                cells = tuple(ids[p] for p in path[start:])
+                branches.append([Branch(ks[k_pos], cells, port) for port in choices])
+                extend_branch(center, k_pos + 1, taken)
+                branches.pop()
+            for nxt in neighbors[cell]:
+                if not taken >> nxt & 1:
+                    walk(center, k_pos, start, cell, nxt, taken | 1 << nxt)
+        path.pop()
+        adj[prev] ^= 1 << cell
+        adj[cell] ^= 1 << prev
+
+    every = (1 << len(ids)) - 1
+    for center, cell in enumerate(ids):
+        if cell not in external:
+            extend_branch(center, 0, 1 << center)
     return tuple(results)

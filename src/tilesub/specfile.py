@@ -18,7 +18,7 @@ Printing is canonical and parse(print_spec(doc)) == doc.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ParseError, UnresolvedReference
@@ -48,14 +48,12 @@ class SecondNetwork:
 
 @dataclass
 class SpecDocument:
-    """A parsed document: the system plus attached networks. Source line
-    numbers are kept only for error messages and do not affect equality."""
+    """A parsed document: the system plus attached networks."""
 
     name: str
     system: SubstitutionSystem
     networks: NetworkSet
     second_networks: dict[str, SecondNetwork]
-    lines: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _facet_number(token: str, facet_count: int, line: int) -> int:
@@ -84,7 +82,6 @@ class _RuleBuilder:
         self.cells: list[tuple[str, str]] = []
         self.pairings = []
         self.gamma: dict[int, tuple[FacetRef, ...]] = {}
-        self.gamma_order: list[int] = []
         self.net_center: str | None = None
         self.branches: list[Branch] = []
         self.second: SecondNetwork | None = None
@@ -189,7 +186,6 @@ class _Parser:
         if k in rb.gamma:
             raise ParseError(f"gamma {k} declared twice", lineno)
         rb.gamma[k] = members
-        rb.gamma_order.append(k)
 
     def _kw_network(self, tokens, lineno):
         rb = self._require_rule(lineno)

@@ -70,6 +70,39 @@ def domino_system(rule=None):
     )
 
 
+def dual_neighbors(template):
+    """Oracle for `MacroTileTemplate.dual_masks`: the simple dual graph of a
+    template keyed by cell id, cell id -> sorted adjacent ids."""
+    adj = {c: set() for c in template.cell_ids()}
+    for (ca, _), (cb, _) in template.internal_pairings:
+        if ca != cb:
+            adj[ca].add(cb)
+            adj[cb].add(ca)
+    return {c: sorted(ns) for c, ns in adj.items()}
+
+
+def components_by_flood(cells, neighbors, removed):
+    """Oracle for `model._components`: the connected components, as sets of
+    cell ids, of the graph `neighbors` (cell id -> adjacent ids, as
+    `dual_neighbors` gives) on `cells`, with the `removed` edges (unordered
+    pairs of ids) deleted. A plain flood fill over the ids."""
+    left = set(cells)
+    comps = []
+    while left:
+        start = left.pop()
+        comp = {start}
+        stack = [start]
+        while stack:
+            cur = stack.pop()
+            for nxt in neighbors[cur]:
+                if nxt in left and frozenset((cur, nxt)) not in removed:
+                    left.discard(nxt)
+                    comp.add(nxt)
+                    stack.append(nxt)
+        comps.append(comp)
+    return comps
+
+
 def partial_gamma_3x3_text():
     """The bundled 3x3 spec with its S and N macro-facets cut to their first
     two members, so the external facets c3.S and c9.N belong to no

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import hashlib
 from importlib import resources
 from pathlib import Path
 
@@ -7,6 +8,8 @@ import pytest
 
 from tilesub import cli
 from tilesub.cli import main
+from tilesub.grids import make_square_grid_document
+from tilesub.specfile import print_spec
 
 SPEC = str(resources.files("tilesub.data") / "square3x3.sub")
 
@@ -88,6 +91,25 @@ def test_networks_refuses_an_invalid_system(capsys, tmp_path):
     code, out, err = run(capsys, "networks", str(bad))
     assert (code, out, err) == (
         1, "", "error: system invalid: ['AdjacencyRange', 'GammaOverlap']\n")
+
+
+# The count line and the SHA-256 of the whole `networks` stdout on the
+# square grid specs, taken while the search still sorted its results.
+NETWORKS_STDOUT_PINS = {
+    (4, 4): (660, "98e3ff92facec2124e6a734cc9c0cd296f4b0a1ae04071f05d3815e2eb0e81a9"),
+    (5, 5): (70363, "c425992e0813ab9d247c561b7a4d31129aea03fb32f972fcbaed8c1b249f06bc"),
+}
+
+
+@pytest.mark.parametrize("size", list(NETWORKS_STDOUT_PINS), ids=str)
+def test_networks_stdout_on_grids_is_pinned(capsys, tmp_path, size):
+    spec = tmp_path / "grid.sub"
+    spec.write_text(print_spec(make_square_grid_document(*size)))
+    code, out, err = run(capsys, "networks", str(spec))
+    count, digest = NETWORKS_STDOUT_PINS[size]
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == f"rule r1 networks={count}"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_assemble_output(capsys):

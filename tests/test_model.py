@@ -1,11 +1,25 @@
 """Core model: validation, numbering, facet classification."""
 
 import dataclasses
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import E, N, S, W, domino_rule, domino_system, partial_gamma_3x3_text
+from helpers import (
+    E,
+    N,
+    S,
+    W,
+    components_by_flood,
+    domino_rule,
+    domino_system,
+    dual_neighbors,
+    partial_gamma_3x3_text,
+)
 from tilesub.errors import InvalidSystem
+from tilesub.grids import make_square_grid_document
 from tilesub.model import (
     BOUNDARY,
     MACRO_FACET,
@@ -15,11 +29,13 @@ from tilesub.model import (
     Prototype,
     Rule,
     SubstitutionSystem,
+    _components,
     build_numbering,
     internal,
+    make_pairing,
     validate_system,
 )
-from tilesub.specfile import parse_spec
+from tilesub.specfile import load_bundled, parse_spec
 from tilesub.tileset import DecorationTriple, build_layout
 
 # Facet classes of the 3x3 cells, transcribed from the worked example
@@ -81,10 +97,72 @@ def test_disconnected_template_is_reported():
     assert "DisconnectedTemplate" in report.codes()
 
 
+def test_pairing_with_an_unknown_cell_is_reported_not_raised():
+    """A pairing that names a cell the template lacks is a `SlotInvalid`.
+    The rule's dual graph cannot be built, so its connectivity check is
+    skipped, and nothing raises."""
+    rule = domino_rule()
+    stray = make_pairing(("a", E), ("zz", W))
+    template = MacroTileTemplate(
+        rule.template.cells, rule.template.internal_pairings + (stray,)
+    )
+    bad = dataclasses.replace(rule, template=template)
+    report = validate_system(domino_system(bad))
+    assert [(v.code, v.detail) for v in report.entries] == [
+        ("SlotConflict", f"d1: slot ('a', {E}) paired twice"),
+        ("SlotInvalid", f"d1: pairing uses unknown slot ('zz', {W})"),
+    ]
+
+
+def test_repeated_cell_is_duplicate_and_disconnected():
+    """A repeated cell id: the dual graph keeps the id at its last position,
+    so the earlier one is cut off."""
+    rule = domino_rule()
+    template = dataclasses.replace(rule.template, cells=rule.template.cells + (("a", "sq"),))
+    report = validate_system(domino_system(dataclasses.replace(rule, template=template)))
+    assert [(v.code, v.detail) for v in report.entries] == [
+        ("DuplicateCell", "d1: repeated cell id"),
+        ("DisconnectedTemplate", "d1: dual graph is not connected"),
+    ]
+
+
+@cache
+def _template(name):
+    if name == "4x4":
+        return make_square_grid_document(4, 4).system.rules[0].template
+    spec, rule_id = name.split("/")
+    return load_bundled(spec).system.rule(rule_id).template
+
+
+@pytest.mark.parametrize("name", ["square3x3/r1", "4x4", "tworule3x3/ra", "tworule3x3/rb"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_components_match_flood_fill(name, data):
+    """`_components` on the template's dual bitmasks, with random edges cut
+    and random cells deleted (as a network's edges and centre are), gives
+    the components a flood fill over cell ids gives, lowest position first."""
+    template = _template(name)
+    ids, pos, neighbors = template.cell_ids(), template.position, dual_neighbors(template)
+    assert [sorted(ids[j] for j in range(len(ids)) if mask >> j & 1)
+            for mask in template.dual_masks] == [neighbors[c] for c in ids]
+    edges = sorted({(a, b) for a, ns in neighbors.items() for b in ns if a < b})
+    cut = data.draw(st.sets(st.sampled_from(edges)))
+    deleted = data.draw(st.sets(st.sampled_from(ids)))
+    adj = list(template.dual_masks)
+    for a, b in cut:
+        adj[pos[a]] &= ~(1 << pos[b])
+        adj[pos[b]] &= ~(1 << pos[a])
+    kept = [c for c in ids if c not in deleted]
+    comps = _components(adj, sum(1 << pos[c] for c in kept))
+    got = [{c for c in ids if comp >> pos[c] & 1} for comp in comps]
+    oracle = components_by_flood(kept, neighbors, {frozenset(e) for e in cut})
+    assert sorted(map(sorted, got)) == sorted(map(sorted, oracle))
+    assert [min(pos[c] for c in comp) for comp in got] == sorted(
+        min(pos[c] for c in comp) for comp in oracle)
+
+
 def test_orientation_clash_is_reported():
     # Gluing two south facets pairs equal orientation signs.
-    from tilesub.model import make_pairing
-
     rule = domino_rule()
     template = MacroTileTemplate(
         rule.template.cells, (make_pairing(("a", S), ("b", S)),)

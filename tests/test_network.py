@@ -7,7 +7,7 @@ from itertools import permutations
 
 import pytest
 
-from helpers import E, N, S, W
+from helpers import E, N, S, W, dual_neighbors
 from tilesub import network
 from tilesub.errors import InvalidSystem, MissingNetwork
 from tilesub.grids import make_square_grid_document
@@ -28,7 +28,7 @@ from tilesub.network import (
     search_networks,
     validate_network,
 )
-from tilesub.specfile import parse_spec
+from tilesub.specfile import parse_spec, print_spec
 
 # Count of valid networks on the 3x3 rule, frozen from exhaustive
 # enumeration: the straight cross, plus one variant per single branch
@@ -46,6 +46,8 @@ SEARCH_PINS = {
     (4, 4): (660, "8ae962130bbdb21b57a5ef920893f142136adb9793492eb451ee2db428b8a8cd"),
     "ra": (9, "27a63708a1a4a0a23d34cf9c1c82a13873639f8e119f6813c8cefc3976b8b6c8"),
     "rb": (9, "2a9f182fc72c05b19e78453c91d480a3b4f10e7aa2952b946373eceff44822f0"),
+    # Taken while the search still sorted its results.
+    "twoport4x4": (650, "c6da0a840899c490b78b72b5ac5802fc212617baf5ff9a84faad5d6ddf4cd515"),
 }
 
 
@@ -53,29 +55,66 @@ def _bundled_text(name="square3x3"):
     return resources.files("tilesub.data").joinpath(f"{name}.sub").read_text()
 
 
-def _singleton_we_text():
-    """The bundled 3x3 with its W and E macro-facets cut to their middle
-    member, the port: a valid system whose rule has no valid network, since
-    a macro-facet that is only its port has no non-port member."""
-    text = _bundled_text()
-    for old, new in (
-        ("gamma W : c1.W c4.W c7.W", "gamma W : c4.W"),
-        ("gamma E : c3.E c6.E c9.E", "gamma E : c6.E"),
-        ("macroadj (r1,W) ~ (r1,E) map 1:1 2:2 3:3", "macroadj (r1,W) ~ (r1,E) map 1:1"),
-    ):
+def _edited(text, edits):
+    """`text` with each (old, new) line edit applied."""
+    for old, new in edits:
         if old not in text:
-            raise ValueError(f"bundled 3x3 spec lacks the line {old!r}")
+            raise ValueError(f"spec lacks the line {old!r}")
         text = text.replace(old, new)
     return text
 
 
+def _singleton_we_text():
+    """The bundled 3x3 with its W and E macro-facets cut to their middle
+    member, the port: a valid system whose rule has no valid network, since
+    a macro-facet that is only its port has no non-port member."""
+    return _edited(_bundled_text(), (
+        ("gamma W : c1.W c4.W c7.W", "gamma W : c4.W"),
+        ("gamma E : c3.E c6.E c9.E", "gamma E : c6.E"),
+        ("macroadj (r1,W) ~ (r1,E) map 1:1 2:2 3:3", "macroadj (r1,W) ~ (r1,E) map 1:1"),
+    ))
+
+
+def _two_port_3x3_text():
+    """The bundled 3x3 with the W member of corner c1 moved into macro-facet
+    S and the E member of c9 into N: each of those corners owns two members
+    of one macro-facet, so a branch ending there has two ports."""
+    return _edited(_bundled_text(), (
+        ("gamma S : c1.S c2.S c3.S", "gamma S : c1.S c2.S c3.S c1.W"),
+        ("gamma N : c7.N c8.N c9.N", "gamma N : c7.N c8.N c9.N c9.E"),
+        ("gamma W : c1.W c4.W c7.W", "gamma W : c4.W c7.W"),
+        ("gamma E : c3.E c6.E c9.E", "gamma E : c3.E c6.E"),
+        ("macroadj (r1,S) ~ (r1,N) map 1:1 2:2 3:3", "macroadj (r1,S) ~ (r1,N) map 1:1 2:2 3:3 4:4"),
+        ("macroadj (r1,W) ~ (r1,E) map 1:1 2:2 3:3", "macroadj (r1,W) ~ (r1,E) map 1:1 2:2"),
+    ))
+
+
+def _two_port_4x4_text():
+    """The 4x4 grid with two-port corners c1 and c16, as `_two_port_3x3_text`."""
+    return _edited(print_spec(make_square_grid_document(4, 4)), (
+        ("gamma S : c1.S c2.S c3.S c4.S", "gamma S : c1.S c2.S c3.S c4.S c1.W"),
+        ("gamma N : c13.N c14.N c15.N c16.N", "gamma N : c13.N c14.N c15.N c16.N c16.E"),
+        ("gamma W : c1.W c5.W c9.W c13.W", "gamma W : c5.W c9.W c13.W"),
+        ("gamma E : c4.E c8.E c12.E c16.E", "gamma E : c4.E c8.E c12.E"),
+        ("macroadj (r1,S) ~ (r1,N) map 1:1 2:2 3:3 4:4",
+         "macroadj (r1,S) ~ (r1,N) map 1:1 2:2 3:3 4:4 5:5"),
+        ("macroadj (r1,W) ~ (r1,E) map 1:1 2:2 3:3 4:4", "macroadj (r1,W) ~ (r1,E) map 1:1 2:2 3:3"),
+    ))
+
+
 def _pinned_subject(subject):
-    """The system and rule behind a `SEARCH_PINS` key."""
+    """The system and rule behind a `SEARCH_PINS` key: a grid size, a rule of
+    the bundled `tworule3x3` spec, the 4x4 grid with two-port corners, or
+    the bundled `square3x3` spec."""
     if isinstance(subject, tuple):
         system = make_square_grid_document(*subject).system
         return system, system.rules[0]
-    system = parse_spec(_bundled_text("tworule3x3")).system
-    return system, system.rule(subject)
+    if subject in ("ra", "rb"):
+        system = parse_spec(_bundled_text("tworule3x3")).system
+        return system, system.rule(subject)
+    text = _two_port_4x4_text() if subject == "twoport4x4" else _bundled_text(subject)
+    system = parse_spec(text).system
+    return system, system.rules[0]
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +165,20 @@ def test_residual_disconnected_on_two_extensions(system, rule):
     report = validate_network(system, rule, Network("r1", "c5", branches))
     assert "ResidualDisconnected" in report.codes()
     assert any("residual_weak=disconnected" in note for note in report.notes)
+
+
+def test_unknown_branch_cell_is_reported_not_raised(system, rule, net):
+    """A branch through a cell the template lacks: `UnknownCell`, and the
+    residual check leaves the edges that name it alone."""
+    branches = tuple(
+        Branch(S, ("c2", "zz"), ("zz", S)) if b.k == S else b for b in net.branches
+    )
+    report = validate_network(system, rule, Network("r1", "c5", branches))
+    assert [(v.code, v.detail) for v in report.entries] == [
+        ("UnknownCell", f"r1: branch {S} cell zz"),
+        ("PortMembership", f"r1: port ('zz', {S}) not in macro-facet {S}"),
+    ]
+    assert report.notes == ["r1: residual_weak=connected"]
 
 
 def test_weak_reading_is_surfaced(system, rule, net):
@@ -195,6 +248,20 @@ def test_search_regression_pins(subject):
     assert (len(found), digest) == SEARCH_PINS[subject]
 
 
+@pytest.mark.parametrize("subject", [*SEARCH_PINS, "square3x3"], ids=str)
+def test_search_emits_canonical_order(subject):
+    """The walk's own order is canonical: it equals the result sorted by
+    center position and branch paths, and the stable sort keeps the port
+    order of networks on the same paths (on `twoport4x4`, a walk that
+    emitted each port's completions before the next port's would not)."""
+    system, rule = _pinned_subject(subject)
+    found = search_networks(system, rule)
+    pos = rule.template.position
+    assert list(found) == sorted(
+        found, key=lambda net: (pos[net.center], tuple(b.path for b in net.branches))
+    )
+
+
 def test_search_builds_only_valid_networks(monkeypatch):
     """The search checks no candidate after the fact, and every network it
     builds passes `validate_network` all the same."""
@@ -248,7 +315,7 @@ def _oracle_networks(system, rule):
     """Brute force over (center, vertex-disjoint simple paths, ports) with
     independently coded condition checks."""
     cells = rule.template.cell_ids()
-    nbr = rule.template.dual_neighbors
+    nbr = dual_neighbors(rule.template)
     gamma = rule.gamma_map()
     externals = set(system.external_slots(rule))
     interior = [c for c in cells if all(s[0] != c for s in externals)]
@@ -310,13 +377,14 @@ def _oracle_networks(system, rule):
 
 
 def test_search_matches_bruteforce_oracle():
-    """On both bundled specs, every rule, and on a valid variant whose rule
-    has no valid network."""
+    """On both bundled specs, every rule, on a valid variant whose rule has
+    no valid network, and on one whose branch leaves may own two ports."""
     subjects = [
         (_bundled_text(), "r1", NETWORKS_3X3),
         (_bundled_text("tworule3x3"), "ra", SEARCH_PINS["ra"][0]),
         (_bundled_text("tworule3x3"), "rb", SEARCH_PINS["rb"][0]),
         (_singleton_we_text(), "r1", 0),
+        (_two_port_3x3_text(), "r1", 9),
     ]
     for text, rule_id, count in subjects:
         system = parse_spec(text).system
