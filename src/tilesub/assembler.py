@@ -1,15 +1,19 @@
 """Square-grid patch assembly, phase analysis and macro-decomposition.
 
-A patch is its dense scanline tuple of tiles. Patches are filled by the
-key-indexed search that also enumerates macro-tiles (`simulation._search`),
-and each wraps the search's tuple as it comes. Phases are read off a table
-of wildcard-masked macro-index signatures built with the grid layout, and
-memoised per decoration tuple. The phase check walks a patch column by
-column, each from the south, and finds a cell's east and north neighbors
-at the next index and one row up, so its notes and entries come in sorted
-position order without a sort. `decompose_macro` looks each block up in one
-table per mask of UNDEFINED slots, keyed by `itemgetter` over instances
-flattened into rows of bases and decorations.
+A patch is one flat tuple: its scanline tiles, then its width and height.
+Readers index the tiles in place, `patch[x + y * width]`, and read the sides
+through `width` and `height`; where the sides sit is known only here.
+Patches are filled by the key-indexed search that also enumerates
+macro-tiles (`simulation._search`), and each is the search's tuple with the
+sides appended. Phases are read off a table of wildcard-masked macro-index
+signatures built with the grid layout, and memoised per decoration tuple.
+The phase check settles a patch whose every cell has a phase with one list
+comparison, and otherwise walks it column by column, each from the south,
+finding a cell's east and north neighbors at the next index and one row up,
+so its notes and entries come in sorted position order without a sort.
+`decompose_macro` looks each block up in one table per mask of UNDEFINED
+slots, keyed by `itemgetter` over instances flattened into rows of bases and
+decorations.
 
 This is the specialization to systems whose prototypes are unit squares with
 the facet convention (S, N, W, E) = (1, 2, 3, 4) and orientations
@@ -19,11 +23,11 @@ which the model deliberately excludes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from itertools import chain, compress, count, product, repeat
+from functools import partial
+from itertools import chain, compress, count, islice, product, repeat
 from operator import is_, itemgetter
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Mapping
 
 from .errors import AmbiguousSignature, NonSquareSystem
 from .model import GlobalNumbering, Rule, SubstitutionSystem, ValidationReport
@@ -34,53 +38,72 @@ from .tileset import DecoratedTile, Tileset, UNDEFINED, _Memo, _nogc, build_layo
 S, N, W, E = 1, 2, 3, 4
 
 
-class _GridFields(NamedTuple):
-    width: int
-    height: int
-    tiles: tuple[DecoratedTile | None, ...]
-
-
-class GridPatch(_GridFields):
+class GridPatch(tuple):
     """A (partial) rectangular assembly. Cell (0, 0) is the bottom-left;
     adjacent filled cells must carry equal decorations on their shared
     facet.
 
-    A patch is its dense scanline tuple: `tiles[x + y * width]` is the tile
-    at (x, y), None where the cell is empty. `GridPatch(width, height,
-    cells)` takes the filled cells as a position -> tile mapping; a side
-    below 1, or a cell outside `width x height`, raises ValueError. `cells`
-    is the read-only position -> tile view of the filled cells, in scanline
-    order, built on first access. A plain tuple underneath, so patches hash
-    and compare in C. (A `NamedTuple` body cannot override `__new__`, hence
-    the subclass.)"""
+    A patch is one flat tuple: its scanline tiles, `patch[x + y * width]`
+    the tile at (x, y) and None where the cell is empty, then its width and
+    height, with no inner tuple and no `__dict__`. A plain tuple
+    underneath, so it hashes and compares in C; patches of different sides
+    differ even when their tiles agree. `GridPatch(width, height, cells)`
+    takes the filled cells as a position -> tile mapping; a side below 1,
+    or a cell outside `width x height`, raises ValueError. `width`,
+    `height`, `tiles` (the scanline tuple, a copy) and `cells` (a read-only
+    position -> tile view of the filled cells, in scanline order, built on
+    each access) are read-only accessors; the readers in this package index
+    the patch in place."""
+
+    __slots__ = ()
 
     def __new__(cls, width: int, height: int,
                 cells: Mapping[tuple[int, int], DecoratedTile] | None = None):
         _check_sides(width, height)
-        tiles: list[DecoratedTile | None] = [None] * (width * height)
+        tiles: list = [None] * (width * height)
         for (x, y), tile in (cells or {}).items():
             tiles[_index(x, y, width, height)] = tile
-        return super().__new__(cls, width, height, tuple(tiles))
+        tiles += width, height
+        return super().__new__(cls, tiles)
+
+    width = property(itemgetter(-2), doc="Number of columns.")
+    height = property(itemgetter(-1), doc="Number of rows.")
+
+    @property
+    def tiles(self) -> tuple[DecoratedTile | None, ...]:
+        return self[:-2]
+
+    @property
+    def cells(self) -> Mapping[tuple[int, int], DecoratedTile]:
+        w = self.width
+        return MappingProxyType({
+            (i % w, i // w): tile
+            for i, tile in enumerate(islice(self, len(self) - 2)) if tile is not None
+        })
+
+    def __repr__(self) -> str:
+        return f"GridPatch(width={self.width!r}, height={self.height!r}, tiles={self.tiles!r})"
 
     def __reduce__(self):
         return GridPatch, (self.width, self.height, dict(self.cells))
 
-    @cached_property
-    def cells(self) -> Mapping[tuple[int, int], DecoratedTile]:
-        w = self.width
-        return MappingProxyType({
-            (i % w, i // w): tile for i, tile in enumerate(self.tiles) if tile is not None
-        })
-
     def matching_report(self) -> ValidationReport:
         report = ValidationReport()
-        for (x, y), tile in self.cells.items():
-            east = self.cells.get((x + 1, y))
-            if east is not None and tile.triples[E - 1] != east.triples[W - 1]:
-                report.add("SeamMismatch", f"({x},{y})-E vs ({x + 1},{y})-W")
-            north = self.cells.get((x, y + 1))
-            if north is not None and tile.triples[N - 1] != north.triples[S - 1]:
-                report.add("SeamMismatch", f"({x},{y})-N vs ({x},{y + 1})-S")
+        width, size = self.width, len(self) - 2
+        last = size - width  # the first index of the top row
+        for i in range(size):
+            tile = self[i]
+            if tile is None:
+                continue
+            x, y = i % width, i // width
+            if x + 1 < width:
+                east = self[i + 1]
+                if east is not None and tile.triples[E - 1] != east.triples[W - 1]:
+                    report.add("SeamMismatch", f"({x},{y})-E vs ({x + 1},{y})-W")
+            if i < last:
+                north = self[i + width]
+                if north is not None and tile.triples[N - 1] != north.triples[S - 1]:
+                    report.add("SeamMismatch", f"({x},{y})-N vs ({x},{y + 1})-S")
         return report
 
 
@@ -96,7 +119,8 @@ def _index(x: int, y: int, width: int, height: int) -> int:
     return x + y * width
 
 
-# Wraps a dense tuple whose sides and cells are known to be valid.
+# Wraps a flat sequence, scanline tiles then width and height, whose sides
+# and cells are known to be valid.
 _wrap = partial(tuple.__new__, GridPatch)
 
 
@@ -108,8 +132,10 @@ class GridLayout:
 
     `phases` maps each decoration tuple looked up in it to the phase
     `phase_of` gives a tile with those decorations, or None where it gives
-    none, computed on the first lookup. It only caches what the other
-    fields determine, so it takes no part in equality or repr."""
+    none, computed on the first lookup. `grids` maps (width, height, phase)
+    to the scanline phases of a coherent width x height patch whose cell
+    (0, 0) has that phase, built on the first lookup. Both only cache what
+    the other fields determine, so they take no part in equality or repr."""
 
     width: int
     height: int
@@ -118,9 +144,11 @@ class GridLayout:
     # the distinct positions of the tiles whose full signature it fits
     fits: dict[tuple, list[tuple[int, int]]]
     phases: dict[tuple, tuple[int, int] | None] = field(init=False, compare=False, repr=False)
+    grids: dict[tuple, list[tuple[int, int]]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "phases", _Memo(partial(_known_phase, self.fits)))
+        object.__setattr__(self, "grids", _Memo(partial(_phase_grid, self.width, self.height)))
 
 
 def _require_square(system: SubstitutionSystem) -> None:
@@ -233,28 +261,44 @@ def _known_phase(fits: dict[tuple, list[tuple[int, int]]], triples: tuple
         return None
 
 
+def _phase_grid(w: int, h: int, key: tuple[int, int, tuple[int, int]]
+                ) -> list[tuple[int, int]]:
+    """The scanline phases of a coherent width x height patch whose cell
+    (0, 0) has the phase (cx, cy), on a w x h template grid."""
+    width, height, (cx, cy) = key
+    return [((cx + x) % w, (cy + y) % h) for y in range(height) for x in range(width)]
+
+
 def check_phase_coherence(patch: GridPatch, layout: GridLayout) -> ValidationReport:
     """East neighbors advance the column phase by one (mod width) at equal
     row phase, and symmetrically northward. Cells whose signature does not
     determine a phase (wildcard-heavy hierarchy cells) are skipped with a
-    note. The cells are walked column by column, each from the south, so
-    notes and entries come in sorted position order, a cell's east entry
-    before its north one, without a sort; a cell's east and north
-    neighbors are the next index and the next row. Phases are read through
-    `layout.phases`, so checking many patches with one layout looks each
-    distinct tile's decorations up once."""
+    note.
+
+    Each cell's phase is read once, through `layout.phases`, so checking
+    many patches with one layout looks each distinct tile's decorations up
+    once. A patch whose every cell is filled and determined is coherent
+    exactly when its phases equal the grid its cell (0, 0) implies, which
+    is one list comparison against `layout.grids`. Otherwise the cells are
+    walked column by column, each from the south, so notes and entries come
+    in sorted position order, a cell's east entry before its north one,
+    without a sort; a cell's east and north neighbors are the next index
+    and the next row."""
     report = ValidationReport()
     w, h = layout.width, layout.height
-    width, _, tiles = patch
+    width, height = patch.width, patch.height
+    size = width * height
     memo = layout.phases
-    phases = [None if tile is None else memo[tile.triples] for tile in tiles]
-    last = len(tiles) - width  # the first index of the top row
+    phases = [None if tile is None else memo[tile.triples] for tile in islice(patch, size)]
+    if None not in phases and phases == layout.grids[width, height, phases[0]]:
+        return report
+    last = size - width  # the first index of the top row
     for x in range(width):
         east = x + 1 < width
-        for i in range(x, len(tiles), width):
+        for i in range(x, size, width):
             here = phases[i]
             if here is None:
-                if tiles[i] is not None:
+                if patch[i] is not None:
                     report.note(f"cell {(x, i // width)}: phase undetermined")
                 continue
             cx, cy = here
@@ -279,8 +323,8 @@ def assemble_patches(tau: Tileset, numbering: GlobalNumbering, width: int,
     west neighbor and the N facet of the south neighbor; a seeded position
     has its seed as sole candidate. Patches come out in lexicographic order
     of the tiles' canonical positions in `tau`, positions taken in scanline
-    order; each wraps the search's tuple as it is. A side below 1, or a
-    seed outside the patch, raises ValueError."""
+    order; each is the search's tuple with the two sides appended. A side
+    below 1, or a seed outside the patch, raises ValueError."""
     _require_square(numbering.system)
     _check_sides(width, height)
     pools: list = [tau] * (width * height)
@@ -290,7 +334,8 @@ def assemble_patches(tau: Tileset, numbering: GlobalNumbering, width: int,
         (pool, *_seam_keys([(W, i - 1, E)] * (i % width > 0) + [(S, i - width, N)] * (i >= width)))
         for i, pool in enumerate(pools)
     ]
-    return [_wrap((width, height, placed)) for placed in _search(cells)]
+    sides = width, height
+    return [_wrap(placed + sides) for placed in _search(cells)]
 
 
 @dataclass
@@ -329,9 +374,10 @@ def decompose_macro(patch: GridPatch, instances: tuple[MacroTileInstance, ...],
     rows = [_row(sorted(inst.tiles, key=lambda tile: at[tile.base][::-1])) for inst in instances]
     # Per mask, the key that reads the visible positions and the table.
     tables: dict[tuple[int, ...], tuple[Callable, dict[Any, MacroTileInstance]]] = {}
-    width, height, grid = patch
+    width, height = patch.width, patch.height
+    size = width * height
     memo = layout.phases
-    phases = [None if tile is None else memo[tile.triples] for tile in grid]
+    phases = [None if tile is None else memo[tile.triples] for tile in islice(patch, size)]
     anchors = sorted((i % width, i // width) for i, phase in enumerate(phases) if phase == (0, 0))
     block_at = [dx + dy * width for dy in range(h) for dx in range(w)]
     blocks: dict[tuple[int, int], MacroTileInstance] = {}
@@ -340,7 +386,7 @@ def decompose_macro(patch: GridPatch, instances: tuple[MacroTileInstance, ...],
         if ax + w > width or ay + h > height:
             continue
         positions = [ax + ay * width + d for d in block_at]
-        tiles = [grid[i] for i in positions]
+        tiles = [patch[i] for i in positions]
         if None in tiles:
             continue
         row = _row(tiles)
@@ -361,7 +407,7 @@ def decompose_macro(patch: GridPatch, instances: tuple[MacroTileInstance, ...],
         blocks[(ax, ay)] = instance
         covered.update(positions)
     margins = tuple(sorted(
-        (i % width, i // width) for i, tile in enumerate(grid)
+        (i % width, i // width) for i, tile in enumerate(islice(patch, size))
         if tile is not None and i not in covered
     ))
     for pos in margins:
@@ -410,11 +456,12 @@ def grid_from_hierarchy(hpatch: HierarchyPatch, layout: GridLayout,
     if list(bottom.offset) != list(range(0, len(decs) + 1, 4)):
         raise NonSquareSystem("hierarchy cells of a grid patch need four facets each")
     width, height = w ** hpatch.depth, h ** hpatch.depth
-    tiles: list[DecoratedTile | None] = [None] * (width * height)
+    tiles: list = [None] * (width * height)
     shared: dict[tuple, DecoratedTile] = {}  # (base, four decorations) -> its tile
     for x, y, key in zip(xs, ys, zip(bottom.base, *[iter(decs)] * 4)):
         tile = shared.get(key)
         if tile is None:
             tile = shared[key] = DecoratedTile(key[0], key[1:])
         tiles[x + y * width] = tile
-    return _wrap((width, height, tuple(tiles)))
+    tiles += width, height
+    return _wrap(tiles)

@@ -360,6 +360,19 @@ def validate_system(system: SubstitutionSystem) -> ValidationReport:
     return report
 
 
+def _orientation(system: SubstitutionSystem, rule: Rule, slot: FacetRef) -> str | None:
+    """The orientation of `slot`, or None where it is no facet of a template
+    cell with a known prototype. `validate_system` reports such a gamma
+    member already (GammaNotExternal, or UnknownPrototype for its cell), so
+    the adjacency check skips it."""
+    cell, k = slot
+    try:
+        proto = system.cell_prototype(rule, cell)
+    except KeyError:
+        return None
+    return proto.orientation(k) if 1 <= k <= proto.facet_count else None
+
+
 def _validate_adjacency(system: SubstitutionSystem, report: ValidationReport) -> None:
     canonical = {e.canonical() for e in system.macro_adjacency}
     if len(canonical) != len(system.macro_adjacency):
@@ -392,7 +405,8 @@ def _validate_adjacency(system: SubstitutionSystem, report: ValidationReport) ->
             continue
         for pa, pb in entry.mapping:
             sa, sb = ga[pa - 1], gb[pb - 1]
-            if system.slot_orientation(rule_a, sa) == system.slot_orientation(rule_b, sb):
+            oa, ob = _orientation(system, rule_a, sa), _orientation(system, rule_b, sb)
+            if oa is not None and oa == ob:
                 report.add(
                     "AdjacencyOrientation",
                     f"{entry.side_a}~{entry.side_b}: {sa} and {sb} share orientation",

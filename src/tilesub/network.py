@@ -117,6 +117,12 @@ def validate_network(system: SubstitutionSystem, rule: Rule, net: Network) -> Va
     if net.center not in cells:
         report.add("UnknownCell", f"{rid}: center {net.center} not in template")
         return report
+    # The dual graph needs every paired cell (`validate_system` reports the
+    # stray slot as SlotInvalid).
+    stray = sorted({c for pairing in rule.template.internal_pairings for c, _ in pairing} - cells)
+    if stray:
+        report.add("UnknownCell", f"{rid}: pairings name cells {stray} not in template")
+        return report
     if sorted(b.k for b in net.branches) != sorted(gamma):
         report.add(
             "BranchCount",

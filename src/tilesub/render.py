@@ -124,9 +124,9 @@ def render_patch_svg(patch: GridPatch) -> str:
     ys = _Memo(lambda y: _ys(MARGIN + (patch.height - 1 - y) * CELL))
     labels = _Memo(_labels).__getitem__
     # Column by column, each from the south: sorted position order.
-    width, _, tiles = patch
+    width = patch.width
     for x in range(width):
-        for i in range(x, len(tiles), width):
-            if tiles[i] is not None:
-                body.append(_TILE.format(*xs[x], *ys[i // width], *_fields(tiles[i], labels)))
+        for i in range(x, width * patch.height, width):
+            if patch[i] is not None:
+                body.append(_TILE.format(*xs[x], *ys[i // width], *_fields(patch[i], labels)))
     return _document(patch.width, patch.height, body)

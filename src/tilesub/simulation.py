@@ -72,11 +72,11 @@ from .tileset import (
 )
 
 
-@dataclass(frozen=True)
-class MacroTileInstance:
+class MacroTileInstance(NamedTuple):
     """One decorated filling of a rule's template: all internal facets match,
     and so, by the strong residual connecting condition, every non-central
-    cell carries the same parent index."""
+    cell carries the same parent index. A `NamedTuple`, like
+    `DecoratedTile`: five slots, no `__dict__`, hashed and compared in C."""
 
     rule_id: str
     cells: tuple[str, ...]

@@ -185,14 +185,15 @@ def decompose_by_scan(patch, instances, layout):
     tile's template position (None if no instance does), found by scanning
     every instance."""
     w, h, at = layout.width, layout.height, layout.position_of
+    cells = patch.cells  # built on each access
     blocks = {}
-    for (ax, ay), tile in patch.cells.items():
+    for (ax, ay), tile in cells.items():
         try:
             if phase_of(tile, layout) != (0, 0):
                 continue
         except (KeyError, AmbiguousSignature):
             continue
-        if any((ax + dx, ay + dy) not in patch.cells for dy in range(h) for dx in range(w)):
+        if any((ax + dx, ay + dy) not in cells for dy in range(h) for dx in range(w)):
             continue
         blocks[(ax, ay)] = next(
             (
@@ -202,7 +203,7 @@ def decompose_by_scan(patch, instances, layout):
                     and all(d is UNDEFINED or d == e
                             for d, e in zip(mine.triples, theirs.triples))
                     for theirs in inst.tiles
-                    for mine in [patch.cells[(ax + at[theirs.base][0], ay + at[theirs.base][1])]]
+                    for mine in [cells[(ax + at[theirs.base][0], ay + at[theirs.base][1])]]
                 )
             ),
             None,

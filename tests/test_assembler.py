@@ -226,6 +226,44 @@ def test_patch_cells_are_a_read_only_scanline_view(patches_2x2):
     assert dict(sparse.cells) == {(2, 1): patch.tiles[0]}
 
 
+def test_a_patch_is_one_flat_tuple_with_no_instance_dict(patches_2x2):
+    """The scanline tiles and the two sides, read in place: no inner tuple
+    and no `__dict__`; `repr` keeps its named-field form."""
+    patch = patches_2x2[0]
+    for each in (patch, GridPatch(3, 2)):
+        assert not hasattr(each, "__dict__")
+        assert all(not isinstance(item, tuple) or isinstance(item, DecoratedTile)
+                   for item in each)
+    assert [patch[i] for i in range(4)] == list(patch.tiles)
+    assert (patch.width, patch.height) == (2, 2)
+    assert repr(patch) == f"GridPatch(width=2, height=2, tiles={patch.tiles!r})"
+    assert repr(GridPatch(1, 2)) == "GridPatch(width=1, height=2, tiles=(None, None))"
+
+
+def test_dense_and_sparse_patches_keep_equality_hash_pickle_and_copy(patches_2x2):
+    dense = patches_2x2[0]
+    sparse = GridPatch(3, 2, {(2, 1): dense.tiles[0], (0, 0): dense.tiles[1]})
+    for patch in (dense, sparse):
+        twin = GridPatch(patch.width, patch.height, dict(patch.cells))
+        assert twin == patch and hash(twin) == hash(patch)
+        for copied in (pickle.loads(pickle.dumps(patch)), copy.copy(patch), copy.deepcopy(patch)):
+            assert type(copied) is GridPatch
+            assert copied == patch and hash(copied) == hash(patch)
+            assert (copied.width, copied.height, copied.tiles) == (
+                patch.width, patch.height, patch.tiles)
+    assert dense != sparse
+
+
+def test_patches_of_other_sides_with_the_same_tiles_differ(patches_2x2):
+    """A 2x2 and a 4x1 patch holding the same four tiles in scanline order
+    are unequal: the sides are part of the patch."""
+    tiles = patches_2x2[0].tiles
+    square = GridPatch(2, 2, {(i % 2, i // 2): tile for i, tile in enumerate(tiles)})
+    row = GridPatch(4, 1, {(i, 0): tile for i, tile in enumerate(tiles)})
+    assert square.tiles == row.tiles == tiles
+    assert square != row and row != square
+
+
 def test_assemble_rejects_non_square():
     from tilesub.model import build_numbering
     from tilesub.model import MacroTileTemplate, Prototype, Rule, SubstitutionSystem
@@ -347,16 +385,6 @@ def assert_phases_match_reference(patches, layout):
     return sum(not r.ok for r in expected)
 
 
-@pytest.mark.parametrize("spec", ["square3x3", "tworule3x3"])
-def test_phase_memo_matches_reference_on_every_bundled_2x2_patch(spec):
-    doc = load_bundled(spec)
-    numbering = build_numbering(doc.system)
-    tau = generate_tileset(doc.system, numbering, doc.networks)
-    patches = assemble_patches(tau, numbering, 2, 2)
-    assert len(patches) == {"square3x3": 8137, "tworule3x3": 37768}[spec]
-    assert assert_phases_match_reference(patches, fresh_grid_layout(doc)) == 0
-
-
 @pytest.fixture(scope="module")
 def grid4x4():
     """The 4x4 grid spec, its numbering and tileset, and its 2x2 patches."""
@@ -366,12 +394,25 @@ def grid4x4():
     return doc, numbering, tau, assemble_patches(tau, numbering, 2, 2)
 
 
-def test_phase_memo_matches_reference_on_the_4x4_grid(grid4x4):
-    """Every report, the 24 incoherent ones included, has the reference's
-    entries and notes in text and order."""
-    doc, _, _, patches = grid4x4
-    assert len(patches) == 53160
-    assert assert_phases_match_reference(patches, fresh_grid_layout(doc)) == 24
+# Patch count and incoherent patches of each spec's 2x2 evidence.
+EVIDENCE_2X2 = {"square3x3": (8137, 0), "tworule3x3": (37768, 0), "grid4x4": (53160, 24)}
+
+
+@pytest.mark.parametrize("spec", sorted(EVIDENCE_2X2))
+def test_phase_memo_matches_reference_on_every_bundled_2x2_patch(spec, request):
+    """Every report, the 4x4 grid's 24 incoherent ones included, has the
+    reference's entries and notes in text and order, whether the check
+    settles it with one comparison or walks its cells."""
+    if spec == "grid4x4":
+        doc, _, _, patches = request.getfixturevalue("grid4x4")
+    else:
+        doc = load_bundled(spec)
+        numbering = build_numbering(doc.system)
+        tau = generate_tileset(doc.system, numbering, doc.networks)
+        patches = assemble_patches(tau, numbering, 2, 2)
+    count, incoherent = EVIDENCE_2X2[spec]
+    assert len(patches) == count
+    assert assert_phases_match_reference(patches, fresh_grid_layout(doc)) == incoherent
 
 
 def test_dense_4x4_patches_read_as_the_search_cell_dicts(grid4x4):

@@ -24,6 +24,7 @@ from tilesub.model import (
     BOUNDARY,
     MACRO_FACET,
     FacetClass,
+    MacroAdjacency,
     MacroTileTemplate,
     PORT,
     Prototype,
@@ -111,6 +112,23 @@ def test_pairing_with_an_unknown_cell_is_reported_not_raised():
     assert [(v.code, v.detail) for v in report.entries] == [
         ("SlotConflict", f"d1: slot ('a', {E}) paired twice"),
         ("SlotInvalid", f"d1: pairing uses unknown slot ('zz', {W})"),
+    ]
+
+
+def test_gamma_member_on_an_unknown_cell_is_reported_under_a_macro_adjacency():
+    """A gamma member naming a cell the template lacks is GammaNotExternal;
+    a macro-adjacency entry over its macro-facet skips the orientation check
+    for that member instead of looking the cell up."""
+    rule = dataclasses.replace(domino_rule(), gamma=tuple(
+        (k, (("zz", E),) if k == E else members) for k, members in domino_rule().gamma
+    ))
+    system = dataclasses.replace(
+        domino_system(rule),
+        macro_adjacency=(MacroAdjacency(("d1", W), ("d1", E), ((1, 1),)),),
+    )
+    report = validate_system(system)
+    assert [(v.code, v.detail) for v in report.entries] == [
+        ("GammaNotExternal", f"d1: gamma {E} member ('zz', {E})"),
     ]
 
 

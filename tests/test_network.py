@@ -181,6 +181,18 @@ def test_unknown_branch_cell_is_reported_not_raised(system, rule, net):
     assert report.notes == ["r1: residual_weak=connected"]
 
 
+def test_pairing_on_an_unknown_cell_is_reported_not_raised(system, rule, net):
+    """A template pairing that names a cell the template lacks leaves no
+    dual graph to check: `UnknownCell`, and nothing after it."""
+    stray = ((("c1", S), ("zz", N)),)
+    template = MacroTileTemplate(rule.template.cells, rule.template.internal_pairings + stray)
+    bad = dataclasses.replace(rule, template=template)
+    report = validate_network(system, bad, net)
+    assert [(v.code, v.detail) for v in report.entries] == [
+        ("UnknownCell", "r1: pairings name cells ['zz'] not in template"),
+    ]
+
+
 def test_weak_reading_is_surfaced(system, rule, net):
     report = validate_network(system, rule, net)
     assert any("residual_weak=connected" in note for note in report.notes)

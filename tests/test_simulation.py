@@ -70,6 +70,33 @@ def test_enumeration_count_regression(instances):
     assert len(instances) == INSTANCES_3X3
 
 
+# SHA-256 of `repr` of the whole instance tuple, taken while instances were
+# frozen dataclasses: the `NamedTuple` keeps fields, order and text.
+INSTANCES_REPR_SHA256 = {
+    "square3x3": "50306d16e477c30b30fbf07d5326373a88e2e26fd08a56f98d4bcd83a01175d6",
+    "tworule3x3": "32fca8783e9e1bf2159977f24404ec5553583807845c6a1f4b5e7e7a8debb1e4",
+    "grid4x4": "32054f8cc9838f9807e76f14500e59914d34abe3fe02e9abd37b332adcd0214f",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(INSTANCES_REPR_SHA256))
+def test_instance_repr_is_pinned(spec):
+    doc = make_square_grid_document(4, 4) if spec == "grid4x4" else load_bundled(spec)
+    numbering = build_numbering(doc.system)
+    tau = generate_tileset(doc.system, numbering, doc.networks)
+    instances = enumerate_macro_tiles(tau, doc.system, numbering, doc.networks)
+    digest = hashlib.sha256(repr(instances).encode()).hexdigest()
+    assert digest == INSTANCES_REPR_SHA256[spec]
+
+
+def test_instances_have_no_instance_dict(instances):
+    """Five slots a tuple, hashed and compared by value."""
+    inst = instances[0]
+    assert not hasattr(inst, "__dict__")
+    assert inst == inst._replace() and hash(inst) == hash(inst._replace())
+    assert inst._fields == ("rule_id", "cells", "tiles", "parent_index", "central_tile")
+
+
 def test_parent1_instances_collapse_to_single_index(instances, numbering, networks):
     parent1 = [inst for inst in instances if inst.parent_index == 1]
     assert len(parent1) == 9
