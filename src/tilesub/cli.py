@@ -122,6 +122,7 @@ def cmd_verify(args) -> int:
     numbering, tau = _generated(doc)
     instances = enumerate_macro_tiles(tau, doc.system, numbering, doc.networks)
     report = verify_self_simulation(tau, doc.system, numbering, doc.networks, instances)
+    del instances  # nothing below reads them, so the 2x2 evidence need not hold them too
     layout = build_grid_layout(doc.system, numbering, doc.networks)
     patches = assemble_patches(tau, numbering, 2, 2)
     bad = sum(

@@ -296,6 +296,13 @@ def validate_system(system: SubstitutionSystem) -> ValidationReport:
     macro-adjacency well-formedness.
     """
     report = ValidationReport()
+    # A repeated name resolves to its first declaration everywhere but the
+    # numbering, which numbers every rule's cells.
+    for code, names in (("DuplicatePrototype", [p.name for p in system.prototypes]),
+                        ("DuplicateRule", [r.rule_id for r in system.rules])):
+        for name in dict.fromkeys(names):
+            if names.count(name) > 1:
+                report.add(code, f"{name}: declared {names.count(name)} times")
     proto_names = {p.name for p in system.prototypes}
     for rule in system.rules:
         rid = rule.rule_id

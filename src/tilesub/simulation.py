@@ -25,7 +25,12 @@ one level up. A hierarchy level (`LevelPatch`) is frozen flat data indexed
 by integers, where a cell is its rank in sorted address order and a slot its
 cell's offset plus the facet index less one; what grows with the slot count
 (pairs, offsets, blocks, UNDEFINED origins) sits in read-only C-int buffers.
-Every hierarchy stage reads and writes only that data. The quotient recovers
+Every hierarchy stage reads and writes only that data, and the tables that
+`build_layout` compiles once: each rule's template as a block
+(`Layout.blocks`: its tiles, facet counts, internal pairs, macro-facet
+members and parent readers as block slots), the block-slot pairs each
+macro-adjacency entry glues (`Layout.block_seams`) and each tile's native
+`slot_origin` row (`Layout.native_origin`). The quotient recovers
 a level from the bottom's data and the parents of the level above; the few
 tuple-address views that remain (`cells`, `pairs`, ...) are built on first
 access, as is the one slot -> cell table per level that the expansion below
@@ -529,30 +534,6 @@ def _sorted_pairs(flat: Iterable[int]) -> memoryview:
     return _frozen(halves)
 
 
-class _Shape(NamedTuple):
-    """A rule's template as laid out in one block: its cells sorted by id,
-    their slots numbered from the block's first slot."""
-
-    cells: tuple[str, ...]
-    bases: tuple[int, ...]  # the cells' tiles
-    counts: tuple[int, ...]  # the cells' facet counts
-    local: dict[FacetRef, int]  # (cell, k) -> slot
-    internal: tuple[int, ...]  # internal pairings, ascending, flat as in `pair_slots`
-
-
-def _shape(layout: Layout, rule: Rule) -> _Shape:
-    cells = tuple(sorted(rule.template.cell_ids()))
-    bases = tuple(layout.numbering.tile_index(rule.rule_id, cell) for cell in cells)
-    counts = tuple(layout.facet_count[j] for j in bases)
-    slots = [(cell, k) for cell, count in zip(cells, counts) for k in range(1, count + 1)]
-    local = {slot: s for s, slot in enumerate(slots)}
-    internal = sorted(
-        (local[a], local[b]) if local[a] <= local[b] else (local[b], local[a])
-        for a, b in rule.template.internal_pairings
-    )
-    return _Shape(cells, bases, counts, local, tuple(chain.from_iterable(internal)))
-
-
 @_nogc
 def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
                        networks: NetworkSet, seed_rule: str, depth: int,
@@ -591,7 +572,7 @@ def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
         )
 
     tops: tuple[int, ...] = (top_parent,)
-    expanders: list[Rule] = [seed]
+    expanders: list[str] = [seed_rule]
     above: LevelPatch | None = None
     levels: list[LevelPatch] = []
     rows: dict[tuple[int, int], tuple[FacetDecoration, ...]] = {}
@@ -601,13 +582,13 @@ def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
         )
         levels.append(above)
         if level_no:
-            rule_of_tile: dict[int, Rule] = {}
+            rule_of_tile: dict[int, str] = {}
             for j in dict.fromkeys(above.base):
                 proto = layout.prototype_name[j]
                 rule = layout.rule_for_prototype.get(proto)
                 if rule is None:
                     raise InconsistentGluing(f"no rule expands prototype {proto}")
-                rule_of_tile[j] = rule
+                rule_of_tile[j] = rule.rule_id
             tops, expanders = above.base, [rule_of_tile[j] for j in above.base]
     levels.reverse()
     return HierarchyPatch(seed_rule, depth, top_parent, tuple(levels))
@@ -624,20 +605,13 @@ def _decorate_level(layout: Layout, rows, level_no, base, parent, rule, block, o
 
     `rows` memoises, across the levels of one call, the row of each tile and
     parent (the tile fixes the rule and the cell): per facet the `_steps13`
-    triple, or UNDEFINED where the slot is native-undefined. The slot
-    decorations are the cells' rows laid end to end, and so are the origins,
-    from one row of bytes per tile (0 where native-undefined, else -1), so
-    `_steps13` runs once per distinct tile and parent, and only the
-    `inherited` slots are visited one by one.
+    triple, or UNDEFINED where the tile's `Layout.native_origin` row reads
+    0. The slot decorations are the cells' rows laid end to end, and so are
+    the origins, from the cells' `native_origin` rows, so `_steps13` runs
+    once per distinct tile and parent, and only the `inherited` slots are
+    visited one by one.
     """
-    tiles = layout.numbering.tiles
-    native: dict[int, bytes] = {}  # tile -> its `slot_origin` row
-    for j0 in set(base):
-        rule_id, cell = tiles[j0 - 1]
-        local = layout.native_undefined[rule_id]
-        native[j0] = bytes(
-            0 if (cell, k) in local else 0xFF for k in range(1, layout.facet_count[j0] + 1)
-        )
+    native = layout.native_origin
     for j0, p in set(zip(base, parent)).difference(rows):
         at = native[j0]
         rows[(j0, p)] = tuple(
@@ -658,72 +632,61 @@ def _decorate_level(layout: Layout, rows, level_no, base, parent, rule, block, o
     )
 
 
-def _expand_level(layout: Layout, tops: Sequence[int], expanders: list[Rule],
+def _expand_level(layout: Layout, tops: Sequence[int], expanders: Sequence[str],
                   above: LevelPatch | None):
     """Blow block b, tile `tops[b]`, up by one application of the rule
-    `expanders[b]`, gluing the blocks along macro-facets via the layout's
-    seams.
+    `expanders[b]`, laid out as that rule's `Layout.blocks` entry, gluing
+    the blocks along macro-facets via the layout's `block_seams`.
 
     `above` is the level the blocks form, or None for the one top block:
     each of its pairs becomes the member pairs of its seam, and each of its
     UNDEFINED slots passes down to its members one origin further. The
     children of block b take the next cell ids, in sorted cell-id order,
-    and the next slots, so ids and slots stay in address order. Each rule's
-    layout in a block (`_Shape`) is read off once per call. The pairs come
-    flat, as in `pair_slots`, and lazily, so that no list of them is built
-    before `_sorted_pairs` reads them: blocks come in ascending order, so
-    the internal pairs of all blocks form one ascending run, and the seam
-    pairs follow the level's sorted pairs.
+    and the next slots, so ids and slots stay in address order; every
+    block-local slot is read off the compiled tables, none derived here.
+    The pairs come flat, as in `pair_slots`, and lazily, so that no list of
+    them is built before `_sorted_pairs` reads them: blocks come in
+    ascending order, so the internal pairs of all blocks form one ascending
+    run, and the seam pairs follow the level's sorted pairs.
     """
-    shapes: dict[str, _Shape] = {}
-    for rule in expanders:
-        if rule.rule_id not in shapes:
-            shapes[rule.rule_id] = _shape(layout, rule)
-    block_shapes = [shapes[rule.rule_id] for rule in expanders]
-    sizes = [len(shape.bases) for shape in block_shapes]
-    base = tuple(chain.from_iterable(shape.bases for shape in block_shapes))
+    block_of = [layout.blocks[rule_id] for rule_id in expanders]
+    sizes = [len(blk.bases) for blk in block_of]
+    base = tuple(chain.from_iterable(blk.bases for blk in block_of))
     parent = tuple(chain.from_iterable(map(repeat, tops, sizes)))
-    rule_ids = tuple(chain.from_iterable(
-        map(repeat, [rule.rule_id for rule in expanders], sizes)
-    ))
+    rule_ids = tuple(chain.from_iterable(map(repeat, expanders, sizes)))
     # `array` reads a list faster than an iterator.
     block = _frozen(array("i", list(chain.from_iterable(map(repeat, range(len(sizes)), sizes)))))
-    offsets = [0, *accumulate(chain.from_iterable(shape.counts for shape in block_shapes))]
+    offsets = [0, *accumulate(chain.from_iterable(blk.counts for blk in block_of))]
     offset = _frozen(array("i", offsets))
     first = [0, *accumulate(sizes)]  # block -> its first cell; then the cell count
     first_slot = [offsets[i] for i in first]
     pairs: Iterable[int] = (
-        s0 + s for s0, shape in zip(first_slot, block_shapes) for s in shape.internal
+        s0 + s for s0, blk in zip(first_slot, block_of) for s in blk.internal
     )
     inherited: dict[int, int] = {}
     if above is not None:
         above_offset, above_cell = above.offset, above.slot_cell
-        seams: dict[tuple[str, int, str, int], tuple[tuple[int, int], ...]] = {}
+        seams = layout.block_seams
         glued = []  # per pair of the level above: both blocks' first slots, the seam
         it = iter(above.pair_slots)
         for sa, sb in zip(it, it):
             ba, bb = above_cell[sa], above_cell[sb]
-            key = (expanders[ba].rule_id, sa - above_offset[ba] + 1,
-                   expanders[bb].rule_id, sb - above_offset[bb] + 1)
-            local = seams.get(key)
-            if local is None:
+            key = (expanders[ba], sa - above_offset[ba] + 1,
+                   expanders[bb], sb - above_offset[bb] + 1)
+            seam = seams.get(key)
+            if seam is None:
                 ra, a, rb, b = key
-                seam = layout.seams.get(((ra, a), (rb, b)))
-                if seam is None:
-                    raise InconsistentGluing(f"no macro-adjacency for ({ra},{a}) ~ ({rb},{b})")
-                at_a, at_b = shapes[ra].local, shapes[rb].local
-                local = seams[key] = tuple((at_a[ma], at_b[mb]) for ma, mb in seam)
-            glued.append((first_slot[ba], first_slot[bb], local))
+                raise InconsistentGluing(f"no macro-adjacency for ({ra},{a}) ~ ({rb},{b})")
+            glued.append((first_slot[ba], first_slot[bb], seam))
         pairs = chain(pairs, (
-            s for pa, pb, local in glued for la, lb in local for s in (pa + la, pb + lb)
+            s for pa, pb, seam in glued for la, lb in seam for s in (pa + la, pb + lb)
         ))
         above_origin = above.slot_origin
         for s in _undefined_slots(above_origin):
             b = above_cell[s]
-            rule_id = expanders[b].rule_id
-            at, s0, origin = shapes[rule_id].local, first_slot[b], above_origin[s] + 1
-            for member in layout.gamma[rule_id][s - above_offset[b] + 1]:
-                inherited[s0 + at[member]] = origin
+            s0, origin = first_slot[b], above_origin[s] + 1
+            for member in block_of[b].members[s - above_offset[b] + 1]:
+                inherited[s0 + member] = origin
     tiles = layout.numbering.tiles
 
     def addresses() -> tuple[Address, ...]:
@@ -768,25 +731,15 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
     block_rule = [bottom.rule[i] for i in first]
     first.append(len(cell_block))
     block_slot = [cell_offset[i] for i in first]
-    shapes = {rule_id: _shape(layout, system.rule(rule_id)) for rule_id in dict.fromkeys(block_rule)}
-    # Per rule of the bottom cells, the block slots its cells read their
-    # parent index from.
-    reads = {
-        rule_id: [
-            shape.local[(cell, k)]
-            for cell, j in zip(shape.cells, shape.bases)
-            for k in layout.parent_facets.get(j, ())
-        ]
-        for rule_id, shape in shapes.items()
-    }
+    block_of = [layout.blocks[rule_id] for rule_id in block_rule]
 
     def prefix(b: int) -> Address:
         return bottom.cells[first[b]][:-1]
 
     base: list[int] = []
-    for b, (rule_id, s0) in enumerate(zip(block_rule, block_slot)):
+    for b, (blk, s0) in enumerate(zip(block_of, block_slot)):
         parents = {
-            dec.j for dec in [decs[s0 + s] for s in reads[rule_id]] if dec is not UNDEFINED
+            dec.j for dec in [decs[s0 + s] for s in blk.reads] if dec is not UNDEFINED
         }
         if len(parents) != 1:
             raise PartialBlock(f"block {prefix(b)}: parent indices {sorted(parents)}")
@@ -809,50 +762,32 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
 
     # Only pairs between two blocks glue the recovered cells. Slot s of
     # block b is its block-local slot `s - block_slot[b]`, which lies on
-    # the macro-facet `on_facet[rule][local]` of the recovered cell.
+    # the macro-facet `block_of[b].facet_of[local]` of the recovered cell.
     slot_block = list(chain.from_iterable(
         map(repeat, range(len(base)), map(sub, block_slot[1:], block_slot))
     ))
-    facet_idx = layout.macro_facet_idx
-    on_facet = {
-        rule_id: {
-            shape.local[(cell, k)]: facet_idx[(j, k)]
-            for cell, j in zip(shape.cells, shape.bases)
-            for k in range(1, layout.facet_count[j] + 1) if (j, k) in facet_idx
-        }
-        for rule_id, shape in shapes.items()
-    }
+    facet_of = [blk.facet_of for blk in block_of]
     pairs: list[int] = []
     it = iter(bottom.pair_slots)
     for sa, sb in zip(it, it):
         ba, bb = slot_block[sa], slot_block[sb]
         if ba != bb:
             pairs += (
-                offsets[ba] + on_facet[block_rule[ba]][sa - block_slot[ba]] - 1,
-                offsets[bb] + on_facet[block_rule[bb]][sb - block_slot[bb]] - 1,
+                offsets[ba] + facet_of[ba][sa - block_slot[ba]] - 1,
+                offsets[bb] + facet_of[bb][sb - block_slot[bb]] - 1,
             )
 
-    # Per rule of the bottom cells, each macro-facet's member slots,
-    # block-local; per recovered tile, its cell, native slots and facets.
-    members_of = {
-        rule_id: {a: [shape.local[m] for m in members] for a, members in layout.gamma[rule_id].items()}
-        for rule_id, shape in shapes.items()
-    }
-    recovered = {
-        j_b: (numbering.tiles[j_b - 1][1], layout.native_undefined[rule_id],
-              range(1, layout.facet_count[j_b] + 1))
-        for j_b, rule_id in dict(zip(base, rule_ids)).items()
-    }
+    # A facet of recovered tile j_b is native to its level where the
+    # `native_origin` row of j_b reads 0.
+    native = layout.native_origin
     origin = bottom.slot_origin.tolist()
     inherited: dict[int, int] = {}
-    for b, (j_b, rule_id, s0) in enumerate(zip(base, block_rule, block_slot)):
-        cell, native, facets = recovered[j_b]
-        members_at = members_of[rule_id]
-        for a in facets:
-            members = [s0 + m for m in members_at[a]]
+    for b, (j_b, blk, s0) in enumerate(zip(base, block_of, block_slot)):
+        for a, own in enumerate(native[j_b], start=1):
+            members = [s0 + m for m in blk.members[a]]
             if all(map(is_, map(decs.__getitem__, members), repeat(UNDEFINED))):
                 inherited[offsets[b] + a - 1] = max(0, max(map(origin.__getitem__, members)) - 1)
-            elif (cell, a) in native:
+            elif own == 0:
                 raise PartialBlock(f"block {prefix(b)}: facet {a} should be undefined")
 
     def addresses() -> tuple[Address, ...]:

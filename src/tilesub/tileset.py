@@ -24,7 +24,7 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import groupby
+from itertools import chain, groupby
 from operator import getitem, itemgetter
 from typing import Collection, Iterable, NamedTuple
 
@@ -182,6 +182,20 @@ class Tileset:
 Side = tuple[str, int]  # (rule id, parent facet): one macro-facet
 
 
+class Block(NamedTuple):
+    """A rule's template as one block of a hierarchy level: its cells in
+    sorted cell-id order, the order the levels use, and their slots
+    numbered from the block's first slot (facet k of the i-th cell is slot
+    `sum(counts[:i]) + k - 1`)."""
+
+    bases: tuple[int, ...]  # the cells' tiles
+    counts: tuple[int, ...]  # the cells' facet counts
+    internal: tuple[int, ...]  # internal pairings, ascending, flat as in `pair_slots`
+    members: dict[int, tuple[int, ...]]  # macro-facet k -> its member slots, gamma order
+    facet_of: dict[int, int]  # member slot -> its macro-facet k
+    reads: tuple[int, ...]  # the slots that read the parent index, ascending
+
+
 @dataclass(frozen=True)
 class Layout:
     """Every per-tile and per-seam table of one system with its networks,
@@ -202,12 +216,17 @@ class Layout:
     macro_facet_idx: dict[tuple[int, int], int]  # (j0, facet) -> macro-facet k
     parents_for: dict[int, tuple[int, ...]]  # j0 -> eligible parent indices
     parent_facets: dict[int, tuple[int, ...]]  # j0 -> internal non-crossed facets
-    gamma: dict[str, dict[int, tuple[FacetRef, ...]]]  # rule id -> gamma map
     # Each macro-adjacency entry, in both directions -> the member slot pairs
     # ((cell_a, k_a), (cell_b, k_b)) it glues, in sorted mapping order.
     seams: dict[tuple[Side, Side], tuple[tuple[FacetRef, FacetRef], ...]]
-    native_undefined: dict[str, frozenset[FacetRef]]  # rule id -> hierarchy slots
     rule_for_prototype: dict[str, Rule]  # prototype -> the first rule expanding it
+    blocks: dict[str, Block]  # rule id -> its template as a hierarchy block
+    # The `seams`, keyed flat (rule a, facet a, rule b, facet b), with each
+    # member slot as its block slot: the pairs (slot a, slot b) glued.
+    block_seams: dict[tuple[str, int, str, int], tuple[tuple[int, int], ...]]
+    # j0 -> its `slot_origin` row in a hierarchy level: per facet 0 where the
+    # slot is on its rule's network (UNDEFINED at that level), else -1 (0xFF).
+    native_origin: dict[int, bytes]
 
 
 def build_layout(numbering: GlobalNumbering, networks: NetworkSet) -> Layout:
@@ -246,7 +265,9 @@ def build_layout(numbering: GlobalNumbering, networks: NetworkSet) -> Layout:
     parents_for = {}
     parent_facets = {}
     rule_for_prototype: dict[str, Rule] = {}
-    native_undefined: dict[str, frozenset[FacetRef]] = {}
+    blocks: dict[str, Block] = {}
+    block_slot: dict[str, dict[FacetRef, int]] = {}  # rule id -> (cell, k) -> block slot
+    native_origin: dict[int, bytes] = {}
     for rule in system.rules:
         rule_id = rule.rule_id
         net = networks[rule_id]
@@ -258,7 +279,7 @@ def build_layout(numbering: GlobalNumbering, networks: NetworkSet) -> Layout:
         # The hierarchy leaves every network slot undefined (ports and both
         # sides of branch-crossed pairings) and everything on the central
         # cell, whose pairs are derived data never fixed by the base decoration.
-        undefined = [slot for _, slots in slots_of.values() for slot in slots]
+        undefined = {slot for _, slots in slots_of.values() for slot in slots}
         for cell in rule.template.cell_ids():
             j = numbering.tile_index(rule_id, cell)
             count = facet_count[j]
@@ -276,7 +297,7 @@ def build_layout(numbering: GlobalNumbering, networks: NetworkSet) -> Layout:
                     macro_idx[(j, k)] = macro_of[slot]
             if cell == net.center:
                 central_cells.append(j)
-                undefined += [(cell, k) for k in range(1, count + 1)]
+                undefined.update((cell, k) for k in range(1, count + 1))
                 continue
             if cell in slots_of:
                 branch_k, slots = slots_of[cell]
@@ -291,17 +312,41 @@ def build_layout(numbering: GlobalNumbering, networks: NetworkSet) -> Layout:
                 for k in range(1, count + 1)
                 if nsigma[(j, k)].is_internal and k not in slot_ks
             )
-        native_undefined[rule_id] = frozenset(undefined)
+        # The template as a hierarchy block, its cells in sorted id order.
+        cells = sorted(rule.template.cell_ids())
+        bases = tuple(numbering.tile_index(rule_id, cell) for cell in cells)
+        slots = [(cell, k) for cell, j in zip(cells, bases) for k in range(1, facet_count[j] + 1)]
+        local = block_slot[rule_id] = {slot: s for s, slot in enumerate(slots)}
+        for cell, j in zip(cells, bases):
+            native_origin[j] = bytes(
+                0 if (cell, k) in undefined else 0xFF for k in range(1, facet_count[j] + 1)
+            )
+        internal_pairs = sorted(
+            sorted([local[a], local[b]]) for a, b in rule.template.internal_pairings
+        )
+        members = {k: tuple(map(local.__getitem__, ms)) for k, ms in rule.gamma}
+        blocks[rule_id] = Block(
+            bases=bases,
+            counts=tuple(facet_count[j] for j in bases),
+            internal=tuple(chain.from_iterable(internal_pairs)),
+            members=members,
+            facet_of={s: k for k, ms in members.items() for s in ms},
+            reads=tuple(local[(cell, k)] for cell, j in zip(cells, bases)
+                        for k in parent_facets.get(j, ())),
+        )
     gamma = {rule.rule_id: rule.gamma_map() for rule in system.rules}
     seams = {}
+    block_seams = {}
     for entry in system.macro_adjacency:
         inverse = [(b, a) for a, b in entry.mapping]
         for (rid_a, a), (rid_b, b), mapping in ((entry.side_a, entry.side_b, entry.mapping),
                                                 (entry.side_b, entry.side_a, inverse)):
             ga, gb = gamma[rid_a][a], gamma[rid_b][b]
-            seams[((rid_a, a), (rid_b, b))] = tuple(
+            seam = seams[((rid_a, a), (rid_b, b))] = tuple(
                 (ga[pa - 1], gb[pb - 1]) for pa, pb in sorted(mapping)
             )
+            at_a, at_b = block_slot[rid_a], block_slot[rid_b]
+            block_seams[(rid_a, a, rid_b, b)] = tuple((at_a[sa], at_b[sb]) for sa, sb in seam)
     return Layout(
         numbering=numbering,
         networks=networks,
@@ -315,10 +360,11 @@ def build_layout(numbering: GlobalNumbering, networks: NetworkSet) -> Layout:
         macro_facet_idx=macro_idx,
         parents_for=parents_for,
         parent_facets=parent_facets,
-        gamma=gamma,
         seams=seams,
-        native_undefined=native_undefined,
         rule_for_prototype=rule_for_prototype,
+        blocks=blocks,
+        block_seams=block_seams,
+        native_origin=native_origin,
     )
 
 

@@ -18,6 +18,7 @@ from tilesub.model import (
     internal,
     make_pairing,
 )
+from tilesub.network import network_slots
 from tilesub.tileset import (
     PROVENANCE_BASE,
     PROVENANCE_CENTRAL,
@@ -281,6 +282,19 @@ def addressed_hierarchy(layout, seed, top_parent, depth):
     return levels
 
 
+def native_undefined(layout, rule_id):
+    """The slots (cell, k) of a rule's template that a hierarchy leaves
+    UNDEFINED on its own level: every network slot (ports and both sides
+    of branch-crossed pairings, by `network_slots`) and every facet of the
+    centre."""
+    numbering, net = layout.numbering, layout.networks[rule_id]
+    rule = numbering.system.rule(rule_id)
+    centre_facets = layout.facet_count[numbering.tile_index(rule_id, net.center)]
+    return {slot for _, slots in network_slots(rule, net).values() for slot in slots} | {
+        (net.center, k) for k in range(1, centre_facets + 1)
+    }
+
+
 def _addressed_decorate(layout, rows, level_no, cells, rule_of, base_of, parent_of,
                         pairs, inherited):
     decoration = {}
@@ -290,7 +304,7 @@ def _addressed_decorate(layout, rows, level_no, cells, rule_of, base_of, parent_
         key = (j0, parent, rule_id, cell)
         row = rows.get(key)
         if row is None:
-            local = layout.native_undefined[rule_id]
+            local = native_undefined(layout, rule_id)
             row = rows[key] = tuple(
                 UNDEFINED if (cell, k) in local else dec
                 for k, dec in enumerate(_steps13(layout, j0, parent), start=1)
@@ -356,7 +370,7 @@ def _addressed_expand(layout, blocks, pairs, undefined_from):
             new_pairs.append(((addr_a + (ca,), ka), (addr_b + (cb,), kb)))
     inherited = {}
     for (addr, a), origin in undefined_from.items():
-        for cm, km in layout.gamma[expander[addr].rule_id][a]:
+        for cm, km in expander[addr].gamma_map()[a]:
             inherited[(addr + (cm,), km)] = origin + 1
     return new_cells, rule_of, base_of, parent_of, new_pairs, inherited
 
@@ -399,8 +413,8 @@ def addressed_quotient(bottom, above, layout):
     inherited = {}
     for prefix, j_b in base_of.items():
         rule_id, cell = numbering.base_of(j_b)
-        gamma = layout.gamma[bottom.rule_of[blocks[prefix][0]]]
-        native = layout.native_undefined[rule_id]
+        gamma = numbering.system.rule(bottom.rule_of[blocks[prefix][0]]).gamma_map()
+        native = native_undefined(layout, rule_id)
         for a in range(1, layout.facet_count[j_b] + 1):
             members = [(prefix + (cm,), km) for cm, km in gamma[a]]
             if all(bottom.decoration[m] is UNDEFINED for m in members):

@@ -419,3 +419,24 @@ def test_unwritable_output_is_one_error_line(capsys, tmp_path, case):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
     assert stage_file.read_text() == "kept\n"
+
+
+def _repeated_rule(text):
+    """The bundled 3x3 with its `rule r1` block declared twice."""
+    start, end = text.index("rule r1 "), text.index("macroadj ")
+    return text[:end] + text[start:end] + text[end:]
+
+
+def test_a_repeated_rule_id_is_refused_by_every_command(capsys, tmp_path):
+    """`validate` reports the repeated rule; every other command exits 1
+    with one error line and no traceback."""
+    spec = _edited_spec(tmp_path, _repeated_rule)
+    code, out, _ = run(capsys, "validate", spec)
+    assert (code, out) == (1, "VIOLATION DuplicateRule: r1: declared 2 times\nresult=FAIL\n")
+    svg = str(tmp_path / "x.svg")
+    for argv in (["verify"], ["count", "--exact"], ["hierarchy", "--depth", "2"],
+                 ["networks"], ["generate"], ["assemble", "--width", "2", "--height", "1"],
+                 ["render", "--svg", svg, "--hierarchy-depth", "1"],
+                 ["render", "--svg", svg, "--empty", "2x2"]):
+        code, out, err = run(capsys, argv[0], spec, *argv[1:])
+        assert (code, out, err) == (1, "", "error: system invalid: ['DuplicateRule']\n"), argv

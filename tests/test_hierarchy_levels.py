@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 
 from tilesub import simulation
 from tilesub.errors import PartialBlock, TilesubError
+from tilesub.grids import make_square_grid_document
 from tilesub.model import build_numbering
 from tilesub.simulation import _sorted_pairs, hierarchy_decorate, quotient_hierarchy
 from tilesub.specfile import load_bundled, parse_spec
 from tilesub.tileset import UNDEFINED, build_layout
 
-from helpers import address_views, addressed_hierarchy, addressed_quotient
+from helpers import address_views, addressed_hierarchy, addressed_quotient, native_undefined
 
 # (spec, seed rule) -> SHA-256 of the depth-3 levels, bottom first. The
 # quotient of the bottom must hash to the pin of the level above it.
@@ -57,8 +58,21 @@ def _level_sha256(level) -> str:
 
 
 def _bundled(spec):
-    doc = load_bundled(spec)
+    doc = _document(spec)
     return doc, build_numbering(doc.system)
+
+
+def _document(spec):
+    """A bundled spec by name. `gridWxH` is the W x H square grid: with ten
+    cells or more its ids run to two digits, so `c10` sorts before `c2` and
+    a block's sorted cell-id order is not the declaration order.
+    `reversed3x3` is the bundled 3x3 with its cells declared c9 first."""
+    if spec == "reversed3x3":
+        return _reversed_cells_3x3()
+    if spec.startswith("grid"):
+        width, height = map(int, spec[len("grid"):].split("x"))
+        return make_square_grid_document(width, height)
+    return load_bundled(spec)
 
 
 @pytest.mark.parametrize("spec, seed_rule", sorted(PINS))
@@ -75,7 +89,7 @@ QUOTIENT_CASES = [
     (spec, seed_rule, depth)
     for spec, seed_rule in (("square3x3", "r1"), ("tworule3x3", "ra"), ("tworule3x3", "rb"))
     for depth in (2, 3, 4)
-]
+] + [(spec, "r1", depth) for spec in ("grid3x4", "grid4x4") for depth in (2, 3)]
 
 
 @pytest.mark.parametrize("spec, seed_rule, depth", QUOTIENT_CASES)
@@ -213,7 +227,7 @@ def test_quotient_rejects_a_defined_member_of_a_native_facet(depth2_square):
     doc, numbering, hpatch, layout = depth2_square
     decoration = address_views(hpatch.bottom).decoration
     center = (doc.networks["r1"].center,)
-    cell, k = layout.gamma["r1"][1][0]
+    cell, k = doc.system.rule("r1").gamma_map()[1][0]
     assert decoration[(center + (cell,), k)] is UNDEFINED
     defined = next(dec for dec in decoration.values() if dec is not UNDEFINED)
     forged = _forged_bottom(hpatch, center + (cell,), k, defined)
@@ -246,6 +260,7 @@ ORACLE_CASES = (
     [("square3x3", "r1", depth) for depth in (1, 2, 3, 4)]
     + [("tworule3x3", rule, depth) for rule in ("ra", "rb") for depth in (1, 2, 3)]
     + [("reversed3x3", "r1", depth) for depth in (1, 2, 3)]
+    + [(spec, "r1", depth) for spec in ("grid3x4", "grid4x4") for depth in (1, 2, 3)]
 )
 
 
@@ -253,8 +268,7 @@ ORACLE_CASES = (
 def test_levels_and_quotients_equal_the_addressed_oracle(spec, seed_rule, depth):
     """Every flat level, and its quotient, equals what the tuple-address
     builders give; where they raise, the flat ones raise the same error."""
-    doc = _reversed_cells_3x3() if spec == "reversed3x3" else load_bundled(spec)
-    numbering = build_numbering(doc.system)
+    doc, numbering = _bundled(spec)
     layout = build_layout(numbering, doc.networks)
     hpatch = hierarchy_decorate(doc.system, numbering, doc.networks, seed_rule, depth)
     want = addressed_hierarchy(layout, doc.system.rule(seed_rule), hpatch.top_parent, depth)
@@ -297,3 +311,51 @@ def test_sorted_pairs_matches_sorting_each_pair(depth2_pairs, data):
     got = _sorted_pairs(chain.from_iterable(fed))
     assert got.tolist() == list(chain.from_iterable(sorted({tuple(sorted(p)) for p in fed})))
     assert got == depth2_pairs
+
+
+@pytest.mark.parametrize("spec", ["square3x3", "tworule3x3", "grid4x4"])
+def test_block_tables_equal_a_plain_derivation(spec):
+    """Each rule's compiled hierarchy block, the block-slot seams and the
+    native `slot_origin` rows equal what the template, gamma and network
+    give when read directly: the cells in sorted id order, each slot
+    numbered after the slots of the cells before it."""
+    doc, numbering = _bundled(spec)
+    system = doc.system
+    layout = build_layout(numbering, doc.networks)
+    slot_of = {}
+    for rule in system.rules:
+        rule_id, net, gamma = rule.rule_id, doc.networks[rule.rule_id], rule.gamma_map()
+        cells = sorted(rule.template.cell_ids())
+        if spec == "grid4x4":
+            assert cells != list(rule.template.cell_ids())
+        bases = tuple(numbering.tile_index(rule_id, cell) for cell in cells)
+        counts = tuple(numbering.prototype_of(j).facet_count for j in bases)
+        slots = [(cell, k) for cell, n in zip(cells, counts) for k in range(1, n + 1)]
+        local = slot_of[rule_id] = {slot: s for s, slot in enumerate(slots)}
+        native = native_undefined(layout, rule_id)
+        block = layout.blocks[rule_id]
+        assert block.bases == bases and block.counts == counts
+        assert list(zip(block.internal[::2], block.internal[1::2])) == sorted(
+            tuple(sorted((local[a], local[b]))) for a, b in rule.template.internal_pairings
+        )
+        assert block.members == {k: tuple(local[m] for m in ms) for k, ms in gamma.items()}
+        assert block.facet_of == {local[m]: k for k, ms in gamma.items() for m in ms}
+        # The parent index is read on the internal slots off the network.
+        assert block.reads == tuple(sorted(
+            local[slot] for slot in rule.template.paired_slots
+            if slot[0] != net.center and slot not in native
+        ))
+        for cell, j, n in zip(cells, bases, counts):
+            assert layout.native_origin[j] == bytes(
+                0 if (cell, k) in native else 0xFF for k in range(1, n + 1)
+            )
+    seams = {}
+    for entry in system.macro_adjacency:
+        inverse = [(b, a) for a, b in entry.mapping]
+        for (ra, a), (rb, b), mapping in ((entry.side_a, entry.side_b, entry.mapping),
+                                          (entry.side_b, entry.side_a, inverse)):
+            ga, gb = system.rule(ra).gamma_map()[a], system.rule(rb).gamma_map()[b]
+            seams[(ra, a, rb, b)] = tuple(
+                (slot_of[ra][ga[i - 1]], slot_of[rb][gb[j - 1]]) for i, j in sorted(mapping)
+            )
+    assert layout.block_seams == seams

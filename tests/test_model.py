@@ -144,6 +144,25 @@ def test_repeated_cell_is_duplicate_and_disconnected():
     ]
 
 
+def test_repeated_rule_and_prototype_are_duplicates():
+    """A repeated rule id or prototype name resolves to its first
+    declaration, but the numbering would number both rules' cells, so the
+    system is refused before anything is numbered."""
+    doc = load_bundled("square3x3")
+    system = dataclasses.replace(
+        doc.system,
+        prototypes=doc.system.prototypes * 2,
+        rules=doc.system.rules * 3,
+    )
+    report = validate_system(system)
+    assert [(v.code, v.detail) for v in report.entries] == [
+        ("DuplicatePrototype", "sq: declared 2 times"),
+        ("DuplicateRule", "r1: declared 3 times"),
+    ]
+    with pytest.raises(InvalidSystem, match=r"\['DuplicatePrototype', 'DuplicateRule'\]"):
+        build_numbering(system)
+
+
 @cache
 def _template(name):
     if name == "4x4":
