@@ -7,6 +7,9 @@ bare indices, the special classes as p/m/b/u. Output is byte-stable.
 """
 from __future__ import annotations
 
+import re
+from operator import itemgetter
+
 from .assembler import GridPatch
 from .errors import NonSquareSystem
 from .tileset import DecoratedTile, UNDEFINED, _Memo
@@ -25,14 +28,17 @@ def _text(x: str, y: str, content: str, anchor: str = "middle") -> str:
     )
 
 
-def _tile_template() -> str:
-    """The <rect> and nine <text> elements of one tile as a `str.format`
-    template: fields 0-3 are the tile's x coordinates (`_xs`), fields 4-9
-    its y coordinates (`_ys`), fields 10-21 the (f, j, g) labels of the S,
-    N, W and E facets in turn and field 22 the base index."""
+def _tile_template() -> tuple[str, itemgetter]:
+    """The <rect> and nine <text> elements of one tile as a `%` template,
+    and the getter that puts a tile's values in the order of its fields.
+
+    The values are numbered: 0-3 are the tile's x coordinates (`_xs`), 4-9
+    its y coordinates (`_ys`) and 10-22 its labels (`_fields`), which are
+    in text order. The getter takes the tuple of all 23 values."""
     x_left, x_west, x_mid, x_east = "{0}", "{1}", "{2}", "{3}"
     y_top, y_north, y_side2, y_side1, y_side0, y_south = (f"{{{i}}}" for i in range(4, 10))
-    facet = [[f"{{{10 + 3 * side + part}}}" for part in range(3)] for side in (S, N, W, E)]
+    facet = {S: ["{10}", "{11}", "{12}"], N: ["{13}", "{14}", "{15}"],
+             W: ["{16}", "{18}", "{20}"], E: ["{17}", "{19}", "{21}"]}
     frags = [
         f'<rect x="{x_left}" y="{y_top}" width="{CELL}" height="{CELL}" '
         f'fill="none" stroke="black"/>',
@@ -43,19 +49,21 @@ def _tile_template() -> str:
         frags.append(_text(x_west, y, facet[W][part], "start"))
         frags.append(_text(x_east, y, facet[E][part], "end"))
     frags.append(_text(x_mid, y_side1, "T{22}"))
-    return "\n".join(frags)
+    text = "\n".join(frags)
+    field = re.compile(r"\{(\d+)\}")
+    return field.sub("%s", text), itemgetter(*map(int, field.findall(text)))
 
 
-_TILE = _tile_template()
+_TILE, _TILE_FIELDS = _tile_template()
 
 
 def _xs(ox: float) -> tuple[str, ...]:
-    """The x fields of `_TILE` for a tile whose left side is at ox."""
+    """The x values of `_TILE` for a tile whose left side is at ox."""
     return (f"{ox:.1f}", f"{ox + 6:.1f}", f"{ox + CELL / 2:.1f}", f"{ox + CELL - 6:.1f}")
 
 
 def _ys(oy: float) -> tuple[str, ...]:
-    """The y fields of `_TILE` for a tile whose top side is at oy."""
+    """The y values of `_TILE` for a tile whose top side is at oy."""
     mid = oy + CELL / 2
     return (f"{oy:.1f}", f"{oy + 13:.1f}", f"{mid - 10:.1f}", f"{mid + 4:.1f}",
             f"{mid + 18:.1f}", f"{oy + CELL - 5:.1f}")
@@ -73,13 +81,14 @@ def _labels(dec) -> tuple[str, str, str]:
 
 
 def _fields(tile: DecoratedTile, labels=_labels) -> tuple:
-    """Fields 10-22 of `_TILE`: the (f, j, g) labels of the S, N, W and E
-    facets in turn, then the base index. `labels` gives a decoration's
-    three labels."""
+    """Values 10-22 of `_TILE`, in text order: the (f, j, g) labels of the S
+    and N facets, those of the W and E facets part by part, then the base
+    index. `labels` gives a decoration's three labels."""
     if len(tile.triples) != 4:
         raise NonSquareSystem("SVG rendering needs four-facet tiles")
     s, n, w, e = tile.triples
-    return (*labels(s), *labels(n), *labels(w), *labels(e), tile.base)
+    (w0, w1, w2), (e0, e1, e2) = labels(w), labels(e)
+    return (*labels(s), *labels(n), w0, e0, w1, e1, w2, e2, tile.base)
 
 
 def _document(width: int, height: int, body: list[str]) -> str:
@@ -89,17 +98,16 @@ def _document(width: int, height: int, body: list[str]) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{total_w}" '
         f'height="{total_h}" viewBox="0 0 {total_w} {total_h}">'
     )
-    return "\n".join([head, *body, "</svg>"]) + "\n"
+    return "\n".join([head, *body, "</svg>\n"])
 
 
-# The whole one-tile document with the tile's coordinates filled in: fields
-# 0-12 are `_fields`.
-_SINGLE = _document(1, 1, [_TILE.format(*_xs(MARGIN), *_ys(MARGIN),
-                                        *(f"{{{i}}}" for i in range(13)))])
+# The whole one-tile document with the tile's coordinates filled in: a `%`
+# template whose fields are `_fields`.
+_SINGLE = _document(1, 1, [_TILE % _TILE_FIELDS((*_xs(MARGIN), *_ys(MARGIN), *["%s"] * 13))])
 
 
 def render_tile_svg(tile: DecoratedTile) -> str:
-    return _SINGLE.format(*_fields(tile))
+    return _SINGLE % _fields(tile)
 
 
 def render_patch_svg(patch: GridPatch) -> str:
@@ -126,7 +134,9 @@ def render_patch_svg(patch: GridPatch) -> str:
     # Column by column, each from the south: sorted position order.
     width = patch.width
     for x in range(width):
+        column = xs[x]
         for i in range(x, width * patch.height, width):
             if patch[i] is not None:
-                body.append(_TILE.format(*xs[x], *ys[i // width], *_fields(patch[i], labels)))
+                values = (*column, *ys[i // width], *_fields(patch[i], labels))
+                body.append(_TILE % _TILE_FIELDS(values))
     return _document(patch.width, patch.height, body)

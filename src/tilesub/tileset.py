@@ -11,8 +11,9 @@ and `derive_central` for the center tiles. `close` runs it semi-naively: the
 network step is fed only the (parent-index, neighbor-index) pairs new since
 the last round, the central step only the new tiles. Within one `close`
 call every distinct decoration is built once and shared, so equal
-decorations are one object. The result is ordered canonically, so two runs
-on the same input produce byte-identical dumps.
+decorations are one object. The rounds' tables are freed before the result
+is sorted in the tiles' own tuple order, so two runs on the same input
+produce byte-identical dumps.
 
 The bulk builders of the package (`close` here, and the enumeration,
 verification, hierarchy and assembly builders) run under `_nogc`: they
@@ -392,8 +393,8 @@ class _Closure:
     public step gets a table of its own). `shared` maps every distinct
     decoration built so far to its one shared object, so equal decorations
     are the same object and compare by identity. Each `_steps13` row, each
-    network-slot decoration, each center conversion and each center tile is
-    built once; no table outlives the call."""
+    network-slot decoration and each center conversion is built once; no
+    table outlives the rounds."""
 
     def __init__(self, layout: Layout):
         self.layout = layout
@@ -401,7 +402,6 @@ class _Closure:
         self._rows: dict[tuple[int, int], tuple[DecorationTriple, ...]] = {}
         self._slots: dict[int, dict] = {}  # j0 -> pair -> its slot decorations
         self._converts: dict[int, tuple[_Converted, ...]] = {}  # center -> per facet
-        self._centers: dict[int, set[tuple]] = {}  # center -> its rows built so far
 
     def share(self, dec: DecorationTriple) -> DecorationTriple:
         return self.shared.setdefault(dec, dec)
@@ -455,16 +455,12 @@ class _Closure:
                 converts = self._converts[j] = tuple(
                     _Converted(layout.nsigma[(j, k)], self.shared) for k in range(1, count + 1)
                 )
-            built = self._centers.setdefault(j, set())
             for tile in tiles:
                 if tile.base in central or len(tile.triples) != count:
                     continue
                 if UNDEFINED in tile.triples:
                     continue
-                row = tuple(map(getitem, converts, tile.triples))
-                if row not in built:
-                    built.add(row)
-                    new.add(DecoratedTile(j, row))
+                new.add(DecoratedTile(j, tuple(map(getitem, converts, tile.triples))))
         return new
 
 
@@ -540,17 +536,34 @@ def close(layout: Layout) -> Tileset:
     Both closure steps are unions of per-pair or per-tile contributions, so
     the rounds are semi-naive: the network step gets only the pairs of each
     (parent, branch facet) first realized in the last round, and the central
-    step only the tiles new since the last one. No network or center tile is
-    built twice, and within the call every distinct decoration is one shared
-    object (see `_Closure`). The canonical order sorts the distinct
-    decorations once, then the tiles by base and their decorations' places
-    in that order, facet by facet.
+    step only the tiles new since the last one. No network tile is built
+    twice, and every distinct decoration is one shared object (see
+    `_Closure`). The rounds run in `_fixpoint`, so their tables are freed
+    before the tiles are sorted in their own tuple order: by base, then
+    facet by facet by decoration. Provenance is a fact of the base, read
+    once per base.
 
     `close(replace(layout, macro_facet_idx={}))` is the seam-blind negative
     control: macro-facet members stop reporting the parent's facet class and
     repeat their own macro-index, which is exactly the defect the
     self-simulation check must catch.
     """
+    tiles = tuple(sorted(_fixpoint(layout)))
+    kind = dict.fromkeys(layout.facet_count, PROVENANCE_NETWORK)
+    kind.update(dict.fromkeys(layout.off_network, PROVENANCE_BASE))
+    kind.update(dict.fromkeys(layout.central_cells, PROVENANCE_CENTRAL))
+    result = Tileset(tiles, tuple(kind[base] for base, _ in tiles))
+    _check_step1(layout, result)
+    numbering = layout.numbering
+    params = params_from_system(numbering.system, numbering, layout.networks)
+    if params.p >= params.r:  # else the first-network bound is undefined
+        exact_count(result, params)  # raises BoundViolated above the bound
+    return result
+
+
+def _fixpoint(layout: Layout) -> set[DecoratedTile]:
+    """The semi-naive rounds of `close`: the closed tile set, unordered.
+    `seen` holds the pairs already fed on each (parent, branch facet)."""
     steps = _Closure(layout)
     new = set(steps.base())
     tiles = set(new)
@@ -570,25 +583,7 @@ def close(layout: Layout) -> Tileset:
                     fresh[key] = pairs
         new = (steps.network(fresh) | steps.central(new)) - tiles
         tiles |= new
-
-    rank = {dec: i for i, dec in enumerate(sorted(steps.shared))}
-    ordered = sorted(tiles, key=lambda t: (t.base, *map(rank.__getitem__, t.triples)))
-    provenance = tuple(_provenance_of(layout, t) for t in ordered)
-    result = Tileset(tuple(ordered), provenance)
-    _check_step1(layout, result)
-    numbering = layout.numbering
-    params = params_from_system(numbering.system, numbering, layout.networks)
-    if params.p >= params.r:  # else the first-network bound is undefined
-        exact_count(result, params)  # raises BoundViolated above the bound
-    return result
-
-
-def _provenance_of(layout: Layout, tile: DecoratedTile) -> str:
-    if tile.base in layout.central_cells:
-        return PROVENANCE_CENTRAL
-    if tile.base in layout.off_network:
-        return PROVENANCE_BASE
-    return PROVENANCE_NETWORK
+    return tiles
 
 
 def _check_step1(layout: Layout, tileset: Tileset) -> None:

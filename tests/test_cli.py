@@ -112,6 +112,25 @@ def test_networks_stdout_on_grids_is_pinned(capsys, tmp_path, size):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# The SHA-256 of the whole `generate` stdout (the closure's dump) on the
+# square grid specs, taken while the closure still sorted by decoration rank.
+GENERATE_STDOUT_PINS = {
+    (4, 4): (10104, "eed2bcb044449ea77c056050fd2ad46fa2fcbd6ec6df5e578b4b3854b634dd06"),
+    (5, 5): (42368, "01eaa216b26ecafc4b16fc403ce1dc4d3c803ca9fa5e3c25fb1f686c83ca13c6"),
+}
+
+
+@pytest.mark.parametrize("size", list(GENERATE_STDOUT_PINS), ids=str)
+def test_generate_stdout_on_grids_is_pinned(capsys, tmp_path, size):
+    spec = tmp_path / "grid.sub"
+    spec.write_text(print_spec(make_square_grid_document(*size)))
+    code, out, err = run(capsys, "generate", str(spec))
+    count, digest = GENERATE_STDOUT_PINS[size]
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == count
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_assemble_output(capsys):
     code, out, _ = run(capsys, "assemble", SPEC, "--width", "1", "--height", "1")
     assert code == 0

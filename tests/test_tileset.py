@@ -1,5 +1,6 @@
 """Tileset construction: the staged decorations, the closure, and its size."""
 
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -233,6 +234,21 @@ def test_close_shares_each_decoration(spec):
     closed = set(tau.tiles)
     assert decorate_network(layout, _pairs_table(tau)) <= closed
     assert derive_central(layout, tau) <= closed
+
+
+def test_close_keeps_little_beyond_its_tileset():
+    """The rounds' tables are freed before the tiles are sorted, so on the
+    4x4 grid the closure's peak of traced memory is at most twice what its
+    result keeps (2.32 times while the tables lived through the sort)."""
+    layout = CLOSURE_SPECS["grid4x4"]()
+    tracemalloc.start()
+    try:
+        tau = close(layout)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tau) == 10104
+    assert peak <= 2.0 * kept
 
 
 def test_provenance_partition(tau):
