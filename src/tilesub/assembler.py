@@ -22,6 +22,7 @@ which the model deliberately excludes.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress, count, islice, product, repeat
@@ -451,9 +452,9 @@ def grid_from_hierarchy(hpatch: HierarchyPatch, layout: GridLayout,
     bottom = hpatch.bottom
     decs = bottom.slot_decoration
     # A square's facets S, N, W, E are its slots 4i .. 4i + 3, so the
-    # decorations are read four at a time. Compared as lists, since the
-    # level's `offset` is a buffer, which equals no tuple.
-    if list(bottom.offset) != list(range(0, len(decs) + 1, 4)):
+    # decorations are read four at a time. The level's `offset` buffer is
+    # compared with a C-int array, element by element in C.
+    if bottom.offset != array("i", range(0, len(decs) + 1, 4)):
         raise NonSquareSystem("hierarchy cells of a grid patch need four facets each")
     width, height = w ** hpatch.depth, h ** hpatch.depth
     tiles: list = [None] * (width * height)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .assembler import (
@@ -106,6 +107,10 @@ def _generated(doc):
     return numbering, tau
 
 
+# Lines of the `generate` dump per write to stdout.
+_DUMP_BATCH = 4096
+
+
 def cmd_generate(args) -> int:
     doc = _load(args.spec)
     numbering, tau = _generated(doc)
@@ -113,7 +118,13 @@ def cmd_generate(args) -> int:
         outdir = Path(args.stages)
         for name, text in stage_views(tau, numbering, doc.networks).items():
             _write(outdir / f"after_{name}.txt", text, parents=True)
-    print(tau.dump())
+    # The dump's lines are printed in batches: neither the whole dump nor
+    # one write a line. The first batch is printed even when empty, as
+    # `print(tau.dump())` would.
+    lines = tau.lines()
+    print("\n".join(islice(lines, _DUMP_BATCH)))
+    while batch := list(islice(lines, _DUMP_BATCH)):
+        print("\n".join(batch))
     return 0
 
 

@@ -131,12 +131,16 @@ def render_patch_svg(patch: GridPatch) -> str:
     xs = _Memo(lambda x: _xs(MARGIN + x * CELL))
     ys = _Memo(lambda y: _ys(MARGIN + (patch.height - 1 - y) * CELL))
     labels = _Memo(_labels).__getitem__
-    # Column by column, each from the south: sorted position order.
+    # Column by column, each from the south: sorted position order. Each
+    # column's tiles are joined as it is done, so the document is built from
+    # one string a column, not one a tile.
     width = patch.width
     for x in range(width):
         column = xs[x]
-        for i in range(x, width * patch.height, width):
-            if patch[i] is not None:
-                values = (*column, *ys[i // width], *_fields(patch[i], labels))
-                body.append(_TILE % _TILE_FIELDS(values))
+        tiles = [
+            _TILE % _TILE_FIELDS((*column, *ys[i // width], *_fields(patch[i], labels)))
+            for i in range(x, width * patch.height, width) if patch[i] is not None
+        ]
+        if tiles:
+            body.append("\n".join(tiles))
     return _document(patch.width, patch.height, body)

@@ -27,23 +27,26 @@ cell's offset plus the facet index less one; what grows with the slot count
 (pairs, offsets, blocks, UNDEFINED origins) sits in read-only C-int buffers.
 Every hierarchy stage reads and writes only that data, and the tables that
 `build_layout` compiles once: each rule's template as a block
-(`Layout.blocks`: its tiles, facet counts, internal pairs, macro-facet
-members and parent readers as block slots), the block-slot pairs each
-macro-adjacency entry glues (`Layout.block_seams`) and each tile's native
-`slot_origin` row (`Layout.native_origin`). The quotient recovers
-a level from the bottom's data and the parents of the level above; the few
+(`Layout.blocks`), the block-slot pairs each macro-adjacency entry glues
+(`Layout.block_seams`) and each tile's native `slot_origin` row
+(`Layout.native_origin`). A level is built per block type, not per slot,
+and what runs per slot runs in C iterators: no list, dict or int per slot
+is held. The quotient recovers a
+level from the bottom's data and the parents of the level above; the few
 tuple-address views that remain (`cells`, `pairs`, ...) are built on first
 access, as is the one slot -> cell table per level that the expansion below
 a level and the views share.
 """
 from __future__ import annotations
 
-import sys
 from array import array
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain, compress, repeat
-from operator import is_, ne, sub
+from operator import add, and_, is_, itemgetter, mul, ne, sub
+from struct import Struct
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -64,6 +67,7 @@ from .model import (
 )
 from .network import NetworkSet
 from .tileset import (
+    Block,
     DecoratedTile,
     DecorationTriple,
     FacetDecoration,
@@ -374,6 +378,21 @@ Address = tuple[str, ...]
 Slot = tuple[Address, int]
 
 
+_INT = Struct("i")
+
+
+def _runs(values: Iterable[int], lengths: Iterable[int]) -> array:
+    """C ints: each of `values` repeated its entry of `lengths` times."""
+    return array("i", b"".join(map(mul, map(_INT.pack, values), lengths)))
+
+
+def _starts(lengths: Iterable[int]) -> array:
+    """C ints: 0, then the running sums of `lengths`."""
+    starts = array("i", [0])
+    starts.extend(accumulate(lengths))
+    return starts
+
+
 def _frozen(values: array) -> memoryview:
     """A read-only view of `values`, an array that nothing else holds."""
     return memoryview(values).toreadonly()
@@ -454,12 +473,10 @@ class LevelPatch:
     @cached_property
     def slot_cell(self) -> Sequence[int]:
         """The cell of each slot, built on first access and shared by the
-        expansion of the level below and the views. An `array` of C ints,
-        so it costs 4 bytes a slot."""
+        expansion of the level below, the quotient and the views. An `array`
+        of C ints, so it costs 4 bytes a slot."""
         offset = self.offset
-        return array("i", chain.from_iterable(
-            map(repeat, range(len(offset) - 1), map(sub, offset[1:], offset))
-        ))
+        return _runs(range(len(offset) - 1), map(sub, offset[1:], offset))
 
     @cached_property
     def cells(self) -> tuple[Address, ...]:
@@ -511,27 +528,72 @@ class HierarchyPatch:
         return self.levels[0]
 
 
+def _pair_slots(partner: array) -> memoryview:
+    """The `pair_slots` of a level whose slot a is glued to a + partner[a]
+    where that entry is not 0, each pair entered on its lower slot only: the
+    slots with an entry ascend, so the pairs come out sorted."""
+    lows = array("i", compress(range(len(partner)), partner))
+    flat = array("i", bytes(8 * len(lows)))
+    flat[::2] = lows
+    flat[1::2] = array("i", map(add, lows, filter(None, partner)))
+    return _frozen(flat)
+
+
 def _sorted_pairs(flat: Iterable[int]) -> memoryview:
     """The distinct slot pairs of `flat` (pair i at 2i and 2i + 1), each
     with its smaller slot first, in ascending order, as a `pair_slots`
-    buffer.
+    buffer, through a `_pair_slots` row: a slot may repeat only within
+    copies of one pair, as in a level, where a facet is glued to one other."""
+    ends = array("i", flat)
+    partner = array("i", bytes(4 * (max(ends, default=-1) + 1)))
+    lows = array("i", map(min, ends[::2], ends[1::2]))
+    gaps = map(abs, map(sub, ends[::2], ends[1::2]))
+    deque(map(partner.__setitem__, lows, gaps), maxlen=0)
+    return _pair_slots(partner)
 
-    Pair (a, b) with a <= b is sorted as the one int `a << 32 | b`, whose
-    order is the pairs' order. The levels generate their pairs in long
-    ascending runs, which the sort merges in near-linear time; equal keys
-    are then adjacent, and each key that differs from the one before it is
-    kept. A key's two 32-bit halves are its slots, so the kept keys, laid
-    out as C long longs, read back as the flat buffer of C ints once the
-    halves of a little-endian key are swapped.
-    """
-    it = iter(flat)
-    keys = [a << 32 | b if a <= b else b << 32 | a for a, b in zip(it, it)]
-    keys.sort()
-    distinct = list(compress(keys, map(ne, keys, chain((None,), keys))))
-    halves = array("i", array("q", distinct).tobytes())
-    if sys.byteorder == "little":
-        halves[::2], halves[1::2] = halves[1::2], halves[::2]
-    return _frozen(halves)
+
+def _cell_rows(buffer: bytes, offset: Sequence[int]) -> Iterator[bytes]:
+    """Each cell's bytes of a one-byte-a-slot `buffer`, given the cells'
+    first slots (or each block's, given the blocks')."""
+    return map(buffer.__getitem__, map(slice, offset, offset[1:]))
+
+
+def _decoration_rows(layout: Layout) -> _Memo:
+    """A memo of the slot decorations and `slot_origin` bytes of each run of
+    cells of one type: (the cells' tiles, their parent, the origins that
+    came down to their slots, 0xFF where none did). A cell's own network
+    slots are origin 0 whatever came down, so the origins are the cells'
+    `native_origin` rows and-ed bytewise with what came down; a slot with an
+    origin is UNDEFINED, any other carries its `_steps13` triple, and
+    `_steps13` runs once per tile and parent."""
+    steps = _Memo(lambda key: _steps13(layout, *key))
+    native = layout.native_origin
+
+    def row(key: tuple[tuple[int, ...], int, bytes]) -> tuple[tuple, bytes]:
+        bases, parent, inherited = key
+        origin = bytes(map(and_, b"".join(map(native.__getitem__, bases)), inherited))
+        decs = chain.from_iterable([steps[(j0, parent)] for j0 in bases])
+        return tuple([dec if o == 0xFF else UNDEFINED for dec, o in zip(decs, origin)]), origin
+
+    return _Memo(row)
+
+
+def _inherited_rows(layout: Layout) -> _Memo:
+    """A memo of the `slot_origin` bytes that a cell passes down to its
+    block, per (rule that expands it, the cell's `slot_origin` row): each
+    UNDEFINED facet's members one origin further, 0xFF elsewhere."""
+
+    def row(key: tuple[str, bytes]) -> bytes:
+        rule_id, origin = key
+        blk = layout.blocks[rule_id]
+        out = bytearray(b"\xff") * len(blk.facet)
+        for a, o in enumerate(origin, start=1):
+            if o != 0xFF:
+                for member in blk.members[a]:
+                    out[member] = o + 1
+        return bytes(out)
+
+    return _Memo(row)
 
 
 @_nogc
@@ -550,6 +612,7 @@ def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
     coarser grids. The parent of the topmost expansion is a free choice
     (`top_parent`, smallest eligible index by default) since nothing above
     it exists to fix one; it must have the seed rule's parent prototype.
+    Both steps work per block type, through memos that live for the call.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -575,10 +638,10 @@ def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
     expanders: list[str] = [seed_rule]
     above: LevelPatch | None = None
     levels: list[LevelPatch] = []
-    rows: dict[tuple[int, int], tuple[FacetDecoration, ...]] = {}
+    rows, inherits = _decoration_rows(layout), _inherited_rows(layout)
     for level_no in reversed(range(depth)):
         above = _decorate_level(
-            layout, rows, level_no, *_expand_level(layout, tops, expanders, above)
+            layout, rows, level_no, *_expand_level(layout, inherits, tops, expanders, above)
         )
         levels.append(above)
         if level_no:
@@ -589,85 +652,63 @@ def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
                 if rule is None:
                     raise InconsistentGluing(f"no rule expands prototype {proto}")
                 rule_of_tile[j] = rule.rule_id
-            tops, expanders = above.base, [rule_of_tile[j] for j in above.base]
+            tops, expanders = above.base, list(map(rule_of_tile.__getitem__, above.base))
     levels.reverse()
     return HierarchyPatch(seed_rule, depth, top_parent, tuple(levels))
 
 
-def _decorate_level(layout: Layout, rows, level_no, base, parent, rule, block, offset,
-                    pairs, inherited, addresses) -> LevelPatch:
+def _decorate_level(layout: Layout, rows: _Memo, level_no, base, parent, rule, block,
+                    offset, pair_slots, runs, addresses) -> LevelPatch:
     """Decorate one level's slots: UNDEFINED on the cell's own network
-    slots (origin 0) and on the slots `inherited` from the level above
-    (slot -> origin), `_steps13` of the cell's tile and parent everywhere
-    else. `pairs` are the level's glued slot pairs, flat, in any order and
-    orientation. This is the only place that decorates a level: every level
-    of a hierarchy and the quotient of its bottom go through it.
+    slots (origin 0) and on the slots that inherit an origin from the level
+    above, `_steps13` of the cell's tile and parent everywhere else. This is
+    the only place that decorates a level: every level of a hierarchy and
+    the quotient of its bottom go through it.
 
-    `rows` memoises, across the levels of one call, the row of each tile and
-    parent (the tile fixes the rule and the cell): per facet the `_steps13`
-    triple, or UNDEFINED where the tile's `Layout.native_origin` row reads
-    0. The slot decorations are the cells' rows laid end to end, and so are
-    the origins, from the cells' `native_origin` rows, so `_steps13` runs
-    once per distinct tile and parent, and only the `inherited` slots are
-    visited one by one.
+    `runs` cuts the level's cells, in order, into runs of one type, each
+    given as its key in `rows` (from `_decoration_rows`): a hierarchy's
+    runs are its blocks, a quotient's its cells. The slot decorations and
+    origins are the runs' rows laid end to end.
     """
-    native = layout.native_origin
-    for j0, p in set(zip(base, parent)).difference(rows):
-        at = native[j0]
-        rows[(j0, p)] = tuple(
-            dec if at[k] else UNDEFINED for k, dec in enumerate(_steps13(layout, j0, p))
-        )
-    pair_slots = _sorted_pairs(pairs)
-    decs: list[FacetDecoration] = list(
-        chain.from_iterable(map(rows.__getitem__, zip(base, parent)))
-    )
-    origin = array("b", b"".join(map(native.__getitem__, base)))
-    for s, o in inherited.items():
-        if decs[s] is not UNDEFINED:
-            decs[s] = UNDEFINED
-            origin[s] = o
+    typed = list(map(rows.__getitem__, runs))
+    decs = tuple(chain.from_iterable(map(itemgetter(0), typed)))
+    origin = array("b", b"".join(map(itemgetter(1), typed)))
     return LevelPatch(
         level_no, base, parent, rule, block, offset,
-        tuple(decs), _frozen(origin), pair_slots, addresses,
+        decs, _frozen(origin), pair_slots, addresses,
     )
 
 
-def _expand_level(layout: Layout, tops: Sequence[int], expanders: Sequence[str],
-                  above: LevelPatch | None):
+def _expand_level(layout: Layout, inherits: _Memo, tops: Sequence[int],
+                  expanders: Sequence[str], above: LevelPatch | None):
     """Blow block b, tile `tops[b]`, up by one application of the rule
     `expanders[b]`, laid out as that rule's `Layout.blocks` entry, gluing
     the blocks along macro-facets via the layout's `block_seams`.
 
     `above` is the level the blocks form, or None for the one top block:
     each of its pairs becomes the member pairs of its seam, and each of its
-    UNDEFINED slots passes down to its members one origin further. The
-    children of block b take the next cell ids, in sorted cell-id order,
-    and the next slots, so ids and slots stay in address order; every
-    block-local slot is read off the compiled tables, none derived here.
-    The pairs come flat, as in `pair_slots`, and lazily, so that no list of
-    them is built before `_sorted_pairs` reads them: blocks come in
-    ascending order, so the internal pairs of all blocks form one ascending
-    run, and the seam pairs follow the level's sorted pairs.
+    UNDEFINED slots passes down to its members one origin further, by
+    `inherits` (from `_inherited_rows`); each block is one run of
+    `_decorate_level`. The children of block b take the next cell ids, in
+    sorted cell-id order, and the next slots, so ids and slots stay in
+    address order; every block-local slot is read off the compiled tables,
+    none derived here. The blocks' `partner` rows laid end to end hold the
+    internal pairs, and only the seam pairs are entered one by one.
     """
     block_of = [layout.blocks[rule_id] for rule_id in expanders]
     sizes = [len(blk.bases) for blk in block_of]
     base = tuple(chain.from_iterable(blk.bases for blk in block_of))
     parent = tuple(chain.from_iterable(map(repeat, tops, sizes)))
     rule_ids = tuple(chain.from_iterable(map(repeat, expanders, sizes)))
-    # `array` reads a list faster than an iterator.
-    block = _frozen(array("i", list(chain.from_iterable(map(repeat, range(len(sizes)), sizes)))))
-    offsets = [0, *accumulate(chain.from_iterable(blk.counts for blk in block_of))]
-    offset = _frozen(array("i", offsets))
-    first = [0, *accumulate(sizes)]  # block -> its first cell; then the cell count
-    first_slot = [offsets[i] for i in first]
-    pairs: Iterable[int] = (
-        s0 + s for s0, blk in zip(first_slot, block_of) for s in blk.internal
-    )
-    inherited: dict[int, int] = {}
-    if above is not None:
+    block = _frozen(_runs(range(len(sizes)), sizes))
+    offset = _frozen(_starts(chain.from_iterable(blk.counts for blk in block_of)))
+    first_slot = _starts(len(blk.facet) for blk in block_of)  # block -> its first slot
+    partner = array("i", b"".join(blk.partner for blk in block_of))
+    if above is None:
+        inherited: Iterable[bytes] = [b"\xff" * len(block_of[0].facet)]
+    else:
         above_offset, above_cell = above.offset, above.slot_cell
         seams = layout.block_seams
-        glued = []  # per pair of the level above: both blocks' first slots, the seam
         it = iter(above.pair_slots)
         for sa, sb in zip(it, it):
             ba, bb = above_cell[sa], above_cell[sb]
@@ -677,23 +718,23 @@ def _expand_level(layout: Layout, tops: Sequence[int], expanders: Sequence[str],
             if seam is None:
                 ra, a, rb, b = key
                 raise InconsistentGluing(f"no macro-adjacency for ({ra},{a}) ~ ({rb},{b})")
-            glued.append((first_slot[ba], first_slot[bb], seam))
-        pairs = chain(pairs, (
-            s for pa, pb, seam in glued for la, lb in seam for s in (pa + la, pb + lb)
-        ))
-        above_origin = above.slot_origin
-        for s in _undefined_slots(above_origin):
-            b = above_cell[s]
-            s0, origin = first_slot[b], above_origin[s] + 1
-            for member in block_of[b].members[s - above_offset[b] + 1]:
-                inherited[s0 + member] = origin
+            pa, pb = first_slot[ba], first_slot[bb]
+            for la, lb in seam:
+                a, b = pa + la, pb + lb
+                if a < b:
+                    partner[a] = b - a
+                else:
+                    partner[b] = a - b
+        above_rows = _cell_rows(bytes(above.slot_origin), above_offset)
+        inherited = map(inherits.__getitem__, zip(expanders, above_rows))
+    runs = zip([blk.bases for blk in block_of], tops, inherited)
     tiles = layout.numbering.tiles
 
     def addresses() -> tuple[Address, ...]:
         heads = above.cells if above is not None else ((),)
         return tuple([heads[b] + (tiles[j - 1][1],) for b, j in zip(block, base)])
 
-    return base, parent, rule_ids, block, offset, pairs, inherited, addresses
+    return base, parent, rule_ids, block, offset, _pair_slots(partner), runs, addresses
 
 
 @_nogc
@@ -708,9 +749,9 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
     slots belong to. A facet of a recovered tile whose whole member seam is
     UNDEFINED is inherited as UNDEFINED one origin closer (never below 0);
     a facet native to the level's networks must be one of them
-    (PartialBlock otherwise). The recovered level is then decorated like
-    any level, by `_decorate_level` with a memo of its own, so `_steps13`
-    runs once per recovered tile index. Its addresses are those of the
+    (PartialBlock otherwise), which is read once per block type. The
+    recovered level is then decorated like any level, by `_decorate_level`
+    with memos of its own, so `_steps13` runs once per recovered tile index. Its addresses are those of the
     bottom's cells less their last step; it records no blocks of its own.
     The parent of recovered block b is read from the level above,
     `hpatch.levels[1].parent[b]`: the bottom does not carry it (on the
@@ -727,7 +768,7 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
     cell_block, cell_offset, decs = bottom.block, bottom.offset, bottom.slot_decoration
     # The first cell of each block, then the cell count; each block's rule,
     # and its first slot, then the slot count.
-    first = list(compress(range(len(cell_block)), map(ne, cell_block, (None, *cell_block))))
+    first = list(compress(range(len(cell_block)), map(ne, cell_block, chain((None,), cell_block))))
     block_rule = [bottom.rule[i] for i in first]
     first.append(len(cell_block))
     block_slot = [cell_offset[i] for i in first]
@@ -758,45 +799,69 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
                 f"block {prefix(b)}: parent T{p} has prototype "
                 f"{layout.prototype_name[p]}, not {wanted[rule_id]}"
             )
-    offsets = [0, *accumulate(layout.facet_count[j_b] for j_b in base)]
+    offset = _starts(map(layout.facet_count.__getitem__, base))
 
-    # Only pairs between two blocks glue the recovered cells. Slot s of
-    # block b is its block-local slot `s - block_slot[b]`, which lies on
-    # the macro-facet `block_of[b].facet_of[local]` of the recovered cell.
-    slot_block = list(chain.from_iterable(
-        map(repeat, range(len(base)), map(sub, block_slot[1:], block_slot))
-    ))
-    facet_of = [blk.facet_of for blk in block_of]
-    pairs: list[int] = []
-    it = iter(bottom.pair_slots)
-    for sa, sb in zip(it, it):
-        ba, bb = slot_block[sa], slot_block[sb]
-        if ba != bb:
-            pairs += (
-                offsets[ba] + facet_of[ba][sa - block_slot[ba]] - 1,
-                offsets[bb] + facet_of[bb][sb - block_slot[bb]] - 1,
-            )
+    # A seam glues every member of both its macro-facets, and each of its
+    # pairs has its lower slot in the lower block, so the pairs whose lower
+    # slot is the first member of a macro-facet (a `lead`) are one per
+    # glued pair of recovered cells.
+    leads = {rule_id: _lead_row(layout.blocks[rule_id]) for rule_id in set(block_rule)}
+    lead = b"".join(map(leads.__getitem__, block_rule))
+    facet = b"".join([blk.facet for blk in block_of])
+    ends = bottom.pair_slots
+    crossing = bytes(map(lead.__getitem__, ends[::2]))
+    block_at = partial(bisect_right, block_slot[1:])  # a slot's block
+    recovered = []
+    for side in (ends[::2], ends[1::2]):
+        slots = list(compress(side, crossing))
+        recovered.append(map(add, map(offset.__getitem__, map(block_at, slots)),
+                             map(facet.__getitem__, slots)))
+    pairs = _sorted_pairs(map(sub, chain.from_iterable(zip(*recovered)), repeat(1)))
 
-    # A facet of recovered tile j_b is native to its level where the
-    # `native_origin` row of j_b reads 0.
-    native = layout.native_origin
-    origin = bottom.slot_origin.tolist()
-    inherited: dict[int, int] = {}
-    for b, (j_b, blk, s0) in enumerate(zip(base, block_of, block_slot)):
-        for a, own in enumerate(native[j_b], start=1):
-            members = [s0 + m for m in blk.members[a]]
-            if all(map(is_, map(decs.__getitem__, members), repeat(UNDEFINED))):
-                inherited[offsets[b] + a - 1] = max(0, max(map(origin.__getitem__, members)) - 1)
-            elif own == 0:
-                raise PartialBlock(f"block {prefix(b)}: facet {a} should be undefined")
+    undefined = bytes(map(is_, decs, repeat(UNDEFINED)))
+    inherits = _Memo(lambda key: _recovered_row(layout, *key))
+    rows = list(map(inherits.__getitem__, zip(
+        base, block_rule, _cell_rows(undefined, block_slot),
+        _cell_rows(bytes(bottom.slot_origin), block_slot),
+    )))
+    for b, row in enumerate(rows):
+        if row.__class__ is int:
+            raise PartialBlock(f"block {prefix(b)}: facet {row} should be undefined")
 
     def addresses() -> tuple[Address, ...]:
         return tuple([prefix(b) for b in range(len(base))])
 
     return _decorate_level(
-        layout, {}, bottom.level + 1, tuple(base), parent, rule_ids, None,
-        _frozen(array("i", offsets)), pairs, inherited, addresses,
+        layout, _decoration_rows(layout), bottom.level + 1, tuple(base), parent, rule_ids,
+        None, _frozen(offset), pairs, zip(zip(base), parent, rows), addresses,
     )
+
+
+def _lead_row(blk: Block) -> bytes:
+    """Per slot of a block, k on the first member of macro-facet k, else 0."""
+    row = bytearray(len(blk.facet))
+    for k, members in blk.members.items():
+        row[members[0]] = k
+    return bytes(row)
+
+
+def _recovered_row(layout: Layout, j_b: int, rule_id: str, undefined: bytes,
+                   origin: bytes) -> bytes | int:
+    """The `slot_origin` bytes that a block of rule `rule_id`, recovered as
+    tile j_b, inherits: per facet, one origin closer than its members' (at
+    least 0) where all are UNDEFINED (by `undefined`), else 0xFF; or the
+    first facet native to its level (origin 0) with a defined member."""
+    members = layout.blocks[rule_id].members
+    signed = array("b", origin)
+    out = bytearray()
+    for a, own in enumerate(layout.native_origin[j_b], start=1):
+        if all(map(undefined.__getitem__, members[a])):
+            out.append(max(0, max(map(signed.__getitem__, members[a])) - 1))
+        elif own == 0:
+            return a
+        else:
+            out.append(0xFF)
+    return bytes(out)
 
 
 @dataclass

@@ -23,11 +23,12 @@ collections of the cyclic garbage collector that find nothing to free.
 from __future__ import annotations
 
 import gc
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import chain, groupby
+from itertools import groupby
 from operator import getitem, itemgetter
-from typing import Collection, Iterable, NamedTuple
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .counting import exact_count, params_from_system
 from .errors import InvalidNetwork, TilesubError
@@ -172,12 +173,17 @@ class Tileset:
     def _by_tile(self) -> dict[DecoratedTile, int]:
         return {t: i for i, t in enumerate(self.tiles)}
 
-    def dump(self) -> str:
+    def lines(self) -> Iterator[str]:
+        """The dump's lines, one a tile in canonical order, each formatted
+        only when it is asked for: `T{base} {provenance} | k=1:(f,j,g) ...`."""
         columns = ColumnRenderer()
-        return "\n".join(
+        return (
             f"T{tile.base} {prov} | {columns(tile)}"
             for tile, prov in zip(self.tiles, self.provenance)
         )
+
+    def dump(self) -> str:
+        return "\n".join(self.lines())
 
 
 Side = tuple[str, int]  # (rule id, parent facet): one macro-facet
@@ -187,13 +193,17 @@ class Block(NamedTuple):
     """A rule's template as one block of a hierarchy level: its cells in
     sorted cell-id order, the order the levels use, and their slots
     numbered from the block's first slot (facet k of the i-th cell is slot
-    `sum(counts[:i]) + k - 1`)."""
+    `sum(counts[:i]) + k - 1`). `partner` and `facet` are rows with one
+    entry a slot, laid end to end block by block to cover a level: a level
+    reads them with no per-slot step."""
 
     bases: tuple[int, ...]  # the cells' tiles
     counts: tuple[int, ...]  # the cells' facet counts
-    internal: tuple[int, ...]  # internal pairings, ascending, flat as in `pair_slots`
+    # Per slot a C int: b - a on the lower slot a of each internal pairing
+    # (a, b), else 0.
+    partner: bytes
     members: dict[int, tuple[int, ...]]  # macro-facet k -> its member slots, gamma order
-    facet_of: dict[int, int]  # member slot -> its macro-facet k
+    facet: bytes  # per slot the macro-facet k (at most 255) it is a member of, else 0
     reads: tuple[int, ...]  # the slots that read the parent index, ascending
 
 
@@ -322,16 +332,21 @@ def build_layout(numbering: GlobalNumbering, networks: NetworkSet) -> Layout:
             native_origin[j] = bytes(
                 0 if (cell, k) in undefined else 0xFF for k in range(1, facet_count[j] + 1)
             )
-        internal_pairs = sorted(
-            sorted([local[a], local[b]]) for a, b in rule.template.internal_pairings
-        )
+        partner = array("i", bytes(4 * len(slots)))
+        for a, b in rule.template.internal_pairings:
+            low, high = sorted([local[a], local[b]])
+            partner[low] = high - low
         members = {k: tuple(map(local.__getitem__, ms)) for k, ms in rule.gamma}
+        facet = bytearray(len(slots))
+        for k, ms in members.items():
+            for s in ms:
+                facet[s] = k
         blocks[rule_id] = Block(
             bases=bases,
             counts=tuple(facet_count[j] for j in bases),
-            internal=tuple(chain.from_iterable(internal_pairs)),
+            partner=partner.tobytes(),
             members=members,
-            facet_of={s: k for k, ms in members.items() for s in ms},
+            facet=bytes(facet),
             reads=tuple(local[(cell, k)] for cell, j in zip(cells, bases)
                         for k in parent_facets.get(j, ())),
         )

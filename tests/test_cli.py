@@ -54,6 +54,17 @@ def test_generate_deterministic(capsys):
     assert len(out1.splitlines()) == 1544
 
 
+@pytest.mark.parametrize("batch", [1, 7, 1544, 5000])
+def test_generate_writes_the_dump_in_batches(capsys, monkeypatch, batch):
+    """Whatever the batch size, including one that does not divide the 1544
+    lines and one larger than the dump, stdout is the golden dump."""
+    monkeypatch.setattr(cli, "_DUMP_BATCH", batch)
+    code, out, err = run(capsys, "generate", SPEC)
+    golden = Path(__file__).parent / "golden" / "square3x3" / "tileset_dump.txt"
+    assert (code, err) == (0, "")
+    assert out == golden.read_text()
+
+
 def test_generate_stage_files(capsys, tmp_path):
     stage_dir = tmp_path / "stages"
     code, _, _ = run(capsys, "generate", SPEC, "--stages", str(stage_dir))
