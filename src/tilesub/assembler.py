@@ -4,9 +4,11 @@ A patch is one flat tuple: its scanline tiles, then its width and height.
 Readers index the tiles in place, `patch[x + y * width]`, and read the sides
 through `width` and `height`; where the sides sit is known only here.
 Patches are filled by the key-indexed search that also enumerates
-macro-tiles (`simulation._search`), and each is the search's tuple with the
-sides appended. Phases are read off a table of wildcard-masked macro-index
-signatures built with the grid layout, and memoised per decoration tuple.
+macro-tiles (`simulation._search`), on tile indices keyed by decoration ids;
+`assemble_patches` keeps the solutions as one C-int array of tile indices,
+a `PatchSequence`, which builds each `GridPatch` when it is read. Phases
+are read off a table of wildcard-masked macro-index signatures built with
+the grid layout, and memoised per decoration tuple.
 The phase check settles a patch whose every cell has a phase with one list
 comparison, and otherwise walks it column by column, each from the south,
 finding a cell's east and north neighbors at the next index and one row up,
@@ -23,18 +25,29 @@ which the model deliberately excludes.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, compress, count, islice, product, repeat
-from operator import is_, itemgetter
+from itertools import chain, compress, count, islice, product, repeat, starmap
+from operator import eq, is_, itemgetter
+from struct import Struct
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import AmbiguousSignature, NonSquareSystem
 from .model import GlobalNumbering, Rule, SubstitutionSystem, ValidationReport
 from .network import NetworkSet
 from .simulation import HierarchyPatch, MacroTileInstance, _seam_keys, _search
-from .tileset import DecoratedTile, Tileset, UNDEFINED, _Memo, _nogc, build_layout
+from .tileset import (
+    DecoratedTile,
+    Tileset,
+    UNDEFINED,
+    _Memo,
+    _Numbering,
+    _id_columns,
+    _nogc,
+    build_layout,
+)
 
 S, N, W, E = 1, 2, 3, 4
 
@@ -314,29 +327,97 @@ def check_phase_coherence(patch: GridPatch, layout: GridLayout) -> ValidationRep
     return report
 
 
+class PatchSequence(Sequence):
+    """The patches of one `assemble_patches` call, read-only: one C-int
+    array of tile indices into `tiles`, `width * height` a patch in
+    scanline order, each patch built as a `GridPatch` when it is read.
+
+    It reads as the list of those patches did: `len`, truth, integer and
+    negative indices (IndexError past either end), slices (a list), any
+    number of iterations, and `==` against a list or another sequence of
+    patches. Iteration runs C iterators over the array, so no Python frame
+    runs per patch."""
+
+    __slots__ = ("tiles", "width", "height", "_flat")
+
+    def __init__(self, tiles: Sequence[DecoratedTile], width: int, height: int, flat: array):
+        self.tiles = tiles
+        self.width = width
+        self.height = height
+        self._flat = flat
+
+    def __len__(self) -> int:
+        return len(self._flat) // (self.width * self.height)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        size = self.width * self.height
+        start = range(0, len(self._flat), size)[index]  # IndexError past either end
+        cells = map(self.tiles.__getitem__, self._flat[start:start + size])
+        return _wrap((*cells, self.width, self.height))
+
+    def __iter__(self) -> Iterator[GridPatch]:
+        width, height = self.width, self.height
+        cells = map(self.tiles.__getitem__, self._flat)
+        # Each row is a patch's tiles, then its sides.
+        return map(_wrap, zip(*[cells] * (width * height), repeat(width), repeat(height)))
+
+    def tile_indices(self) -> Iterator[tuple[int, ...]]:
+        """Each patch's stored tile indices, in scanline order."""
+        return zip(*[iter(self._flat)] * (self.width * self.height))
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, PatchSequence)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
+
 @_nogc
 def assemble_patches(tau: Tileset, numbering: GlobalNumbering, width: int,
                      height: int, seeds: dict[tuple[int, int], DecoratedTile] | None = None
-                     ) -> list[GridPatch]:
+                     ) -> PatchSequence:
     """Exhaustively enumerate all valid width x height patches in scanline
     order (bottom row first, west to east). A position's candidates are
-    keyed by their W and S decorations, which must equal the E facet of the
-    west neighbor and the N facet of the south neighbor; a seeded position
-    has its seed as sole candidate. Patches come out in lexicographic order
-    of the tiles' canonical positions in `tau`, positions taken in scanline
-    order; each is the search's tuple with the two sides appended. A side
-    below 1, or a seed outside the patch, raises ValueError."""
+    keyed by their W and S decoration ids, which must equal those of the E
+    facet of the west neighbor and the N facet of the south neighbor; a
+    seeded position has its seed as sole candidate. Patches come out in
+    lexicographic order of the tiles' canonical positions in `tau`,
+    positions taken in scanline order, as a `PatchSequence` over the search's
+    tile indices. A seed in `tau` is its index there; any other seed is
+    appended to the tile table, its decorations numbered for this call. A
+    side below 1, or a seed outside the patch, raises ValueError."""
     _require_square(numbering.system)
     _check_sides(width, height)
-    pools: list = [tau] * (width * height)
+    tiles = tau.tiles
+    table, columns = tau.decoration_ids
+    pools: list = [list(range(len(tiles)))] * (width * height)  # one int object per index
+    foreign = []
     for (x, y), seed in (seeds or {}).items():
-        pools[_index(x, y, width, height)] = (seed,)
-    cells = [
-        (pool, *_seam_keys([(W, i - 1, E)] * (i % width > 0) + [(S, i - width, N)] * (i >= width)))
-        for i, pool in enumerate(pools)
-    ]
-    sides = width, height
-    return [_wrap(placed + sides) for placed in _search(cells)]
+        at = _index(x, y, width, height)
+        if seed in tau:
+            pools[at] = (tau.index(seed),)
+        else:
+            pools[at] = (len(tiles) + len(foreign),)
+            foreign.append(seed)
+    if foreign:
+        tiles = tiles + tuple(foreign)
+        table = _Numbering(table)
+        columns = _id_columns(tiles, table)
+    flat = array("i")
+    if all(pools):  # else no patch, and an empty table has no columns to key on
+        cells = [
+            (pool, *_seam_keys(columns, len(table) + 1, [(W, i - 1, E)] * (i % width > 0)
+                               + [(S, i - width, N)] * (i >= width)))
+            for i, pool in enumerate(pools)
+        ]
+        # The solutions packed, 4096 a write: faster than one int at a time.
+        packed = starmap(Struct(f"{len(pools)}i").pack, _search(cells))
+        while chunk := b"".join(islice(packed, 4096)):
+            flat.frombytes(chunk)
+    return PatchSequence(tiles, width, height, flat)
 
 
 @dataclass

@@ -193,9 +193,8 @@ def cmd_assemble(args) -> int:
     patches = assemble_patches(tau, numbering, args.width, args.height, seeds)
     print(f"patches={len(patches)}")
     if args.print_patches:
-        cells = range(args.width * args.height)  # a patch's tile at scanline i is patch[i]
-        for patch in patches:
-            print(" ".join([str(tau.index(patch[i])) for i in cells]))
+        for indices in patches.tile_indices():
+            print(" ".join(map(str, indices)))
     return 0
 
 

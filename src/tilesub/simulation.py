@@ -10,13 +10,17 @@ two parents equal, and the strong residual connecting condition, which
 `build_layout` enforces, carries that to every non-central cell. The
 enumeration runs on `_search`, the one key-indexed, iterative backtracking
 search of the package, which the grid assembler also uses to fill patches.
-`phi` folds such an assembly back onto a single decorated parent tile;
-`verify_self_simulation` checks exhaustively that the tileset and its
-assemblies behave identically through `phi`. Its condition 3 reads each
-side of a macro-facet seam once, into two single-valued maps (side key ->
-image, image -> side key), and checks each seam with one pass over the keys
-and images both sides share. The steps below the public entry points read
-every per-tile and per-seam fact from the `tileset.Layout`.
+It places tile indices, keyed by the decoration ids of
+`Tileset.decoration_ids`, and the instances and patches are built from its
+solutions. `phi` folds such an assembly back onto a single decorated parent
+tile; `verify_self_simulation` checks exhaustively that the tileset and its
+assemblies behave identically through `phi`, building the images of one
+call from decorations it shares. Its condition 3 reads each side of a
+macro-facet seam once, into two single-valued maps (side key -> image,
+image -> side key, both as decoration ids), and checks each seam with one
+pass over the keys and images both sides share. The steps below the public
+entry points read every per-tile and per-seam fact from the
+`tileset.Layout`.
 
 `hierarchy_decorate` builds the finite-depth telescope of images with the
 distinguished UNDEFINED decoration confined to the networks of every level,
@@ -75,6 +79,7 @@ from .tileset import (
     Tileset,
     UNDEFINED,
     _Memo,
+    _Numbering,
     _nogc,
     _steps13,
     build_layout,
@@ -92,6 +97,10 @@ class MacroTileInstance(NamedTuple):
     tiles: tuple[DecoratedTile, ...]
     parent_index: int
     central_tile: DecoratedTile
+
+
+# Builds an instance from its five fields in C, with no Python frame.
+_instance = partial(tuple.__new__, MacroTileInstance)
 
 
 def _search(cells: Sequence[tuple[Iterable[Any], Callable, Callable]]
@@ -148,25 +157,34 @@ def _search(cells: Sequence[tuple[Iterable[Any], Callable, Callable]]
             stack.pop()
 
 
-def _seam_keys(seams: Sequence[tuple[int, int, int]]) -> tuple[Callable, Callable]:
-    """The key and wanted key of a cell whose facet k must carry the
-    decoration of facet k2 of placed cell i, for each (k, i, k2) in
-    `seams`. Both keys are tuples in `seams` order.
+def _seam_keys(columns: Sequence[Sequence[int]], radix: int,
+               seams: Sequence[tuple[int, int, int]]) -> tuple[Callable, Callable]:
+    """The key and wanted key of a cell whose candidate tile's facet k must
+    carry the decoration of facet k2 of placed cell i, for each (k, i, k2)
+    in `seams`. Candidates and placed cells are tile indices, and
+    `columns[k - 1]` is the decoration-id column of facet k
+    (`Tileset.decoration_ids`), whose ids lie in -1 .. radix - 2. One
+    seam's keys are ids, two seams' ids a and b are the one int
+    `a * radix + b`, which no other pair gives, and more seams' are tuples
+    of ids in `seams` order.
 
-    The search calls the wanted key once per placement, so one and two
-    seams, which cover every cell of a square template or grid, get closures
-    of fixed arity; other counts loop over the seams."""
-    at = [(k - 1, i, k2 - 1) for k, i, k2 in seams]
+    The search calls the key once per candidate and the wanted key once per
+    placement, so no seam (the first cell) and one and two seams, which
+    cover every cell of a square template or grid, get closures of fixed
+    arity, and one seam's key is its column's own `__getitem__`; other
+    counts loop over the seams."""
+    at = [(columns[k - 1], i, columns[k2 - 1]) for k, i, k2 in seams]
+    if not at:
+        return (lambda t: (), lambda placed: ())
     if len(at) == 1:
-        ((k, i, k2),) = at
-        return (lambda tile: (tile.triples[k],),
-                lambda placed: (placed[i].triples[k2],))
+        ((col, i, col2),) = at
+        return col.__getitem__, lambda placed: col2[placed[i]]
     if len(at) == 2:
-        (ka, ia, ka2), (kb, ib, kb2) = at
-        return (lambda tile: (tile.triples[ka], tile.triples[kb]),
-                lambda placed: (placed[ia].triples[ka2], placed[ib].triples[kb2]))
-    return (lambda tile: tuple([tile.triples[k] for k, _, _ in at]),
-            lambda placed: tuple([placed[i].triples[k2] for _, i, k2 in at]))
+        (ca, ia, ca2), (cb, ib, cb2) = at
+        return (lambda t: ca[t] * radix + cb[t],
+                lambda placed: ca2[placed[ia]] * radix + cb2[placed[ib]])
+    return (lambda t: tuple([col[t] for col, _, _ in at]),
+            lambda placed: tuple([col2[placed[i]] for _, i, col2 in at]))
 
 
 @_nogc
@@ -195,11 +213,13 @@ def _enumerate_rule(tau: Tileset, layout: Layout, rule: Rule) -> Iterator[MacroT
     numbering = layout.numbering
     cells = rule.template.cell_ids()
     pos = rule.template.position
-    pools: dict[str, list[DecoratedTile]] = {c: [] for c in cells}
-    for tile in tau:
-        rule_id, cell = numbering.base_of(tile.base)
-        if rule_id == rule.rule_id:
-            pools[cell].append(tile)
+    # Each cell's candidates: the indices of the tiles of its base, in order.
+    cell_of = {numbering.tile_index(rule.rule_id, c): c for c in cells}
+    pools: dict[str, list[int]] = {c: [] for c in cells}
+    for i, tile in enumerate(tau.tiles):
+        cell = cell_of.get(tile.base)
+        if cell is not None:
+            pools[cell].append(i)
     # Seams binding each cell to earlier cells, as `_seam_keys` reads them.
     back: dict[str, list[tuple[int, int, int]]] = {c: [] for c in cells}
     for (ca, ka), (cb, kb) in rule.template.internal_pairings:
@@ -217,9 +237,16 @@ def _enumerate_rule(tau: Tileset, layout: Layout, rule: Rule) -> Iterator[MacroT
         raise TilesubError(f"rule {rule.rule_id}: no cell of an instance reads its parent")
     first, k_first = reads[0]
     center = pos[layout.networks[rule.rule_id].center]
-    for tiles in _search([(pools[c], *_seam_keys(back[c])) for c in cells]):
+    if not all(pools.values()):  # no filling; an empty tileset has no columns to key on
+        return
+    table, columns = tau.decoration_ids
+    radix = len(table) + 1
+    tile_of = tau.tiles.__getitem__
+    rule_id = rule.rule_id
+    for placed in _search([(pools[c], *_seam_keys(columns, radix, back[c])) for c in cells]):
+        tiles = tuple(map(tile_of, placed))
         parent = tiles[first].triples[k_first].j
-        yield MacroTileInstance(rule.rule_id, cells, tiles, parent, tiles[center])
+        yield _instance((rule_id, cells, tiles, parent, tiles[center]))
 
 
 def phi(layout: Layout, instance: MacroTileInstance) -> DecoratedTile:
@@ -289,38 +316,66 @@ def verify_self_simulation(tau: Tileset, system: SubstitutionSystem,
     if not instances:
         raise NoMacroTiles("the tileset admits no macro-tile")
     failures: list[str] = []
+    nsigma = layout.nsigma
+    # Decoration -> id, as in `tau`, numbering on from there the decorations
+    # of images outside it.
+    ids = _Numbering(tau.decoration_ids[0])
 
+    def fold(key: tuple[int, int, FacetDecoration]) -> tuple[FacetDecoration, int]:
+        """What `phi` puts on facet k of T_parent from the central tile's
+        decoration there, and its id."""
+        parent, k, dec = key
+        if dec is not UNDEFINED:
+            dec = DecorationTriple(nsigma[(parent, k)], dec.j, dec.g)
+        return dec, ids[dec]
+
+    # (parent, k, central decoration) -> `fold` of it: every image is built
+    # of decorations shared within the call.
+    folded = _Memo(fold)
+    width = max(layout.facet_count.values())
+    # The images as ids: `width` a row, facet k of instance idx's image at
+    # `idx * width + k - 1`, -1 past the image's facets.
+    image_ids = array("i")
+    padding = array("i", [-1]) * width
     cond1 = True
     phi_ok = True
-    images: dict[int, DecoratedTile] = {}
-    by_rule: dict[str, list[int]] = {}
+    by_rule: dict[str, array] = {}  # rule id -> its instances' indices
     # Per rule, the prototypes of its template's cells and its parent's.
     shapes = _Memo(lambda rule_id: (
         tuple([p for _, p in system.rule(rule_id).template.cells]), system.rule(rule_id).parent
     ))
     for idx, inst in enumerate(instances):
-        by_rule.setdefault(inst.rule_id, []).append(idx)
-        expected, parent = shapes[inst.rule_id]
+        by_rule.setdefault(inst.rule_id, array("i")).append(idx)
+        expected, parent_proto = shapes[inst.rule_id]
         got = tuple([layout.prototype_name[t.base] for t in inst.tiles])
-        image = phi(layout, inst)
-        images[idx] = image
-        if got != expected or layout.prototype_name[image.base] != parent:
+        parent = inst.parent_index
+        count = layout.facet_count[parent]
+        decs, row = zip(*[
+            folded[(parent, k, dec)]
+            for k, dec in enumerate(inst.central_tile.triples[:count], start=1)
+        ])
+        image_ids.extend(row)
+        if len(row) < width:
+            image_ids.extend(padding[len(row):])
+        if got != expected or layout.prototype_name[parent] != parent_proto:
             cond1 = False
             failures.append(f"instance {idx}: projection mismatch")
-        if image not in tau:
+        if DecoratedTile(parent, decs) not in tau:
             phi_ok = False
             failures.append(f"instance {idx}: phi image not in tileset")
 
     def side(key: tuple[str, int, tuple[FacetRef, ...]]) -> tuple[dict, dict]:
         """The rule's instances read along the given member slots of its
-        macro-facet k and through facet k of their images, by `_side`."""
+        macro-facet k, as tuples of ids, and through facet k of their
+        images, by `_side`."""
         rule_id, k, members = key
         pos = system.rule(rule_id).template.position
         at = [(pos[c], m - 1) for c, m in members]
         idxs = by_rule.get(rule_id, ())
+        column = image_ids[k - 1::width]
         return _side(
-            [tuple([instances[idx].tiles[i].triples[m] for i, m in at]) for idx in idxs],
-            [images[idx].triples[k - 1] for idx in idxs],
+            (tuple([ids[instances[idx].tiles[i].triples[m]] for i, m in at]) for idx in idxs),
+            map(column.__getitem__, idxs),
         )
 
     # Each side is built once, though every seam of a macro-facet reads it.
@@ -339,11 +394,11 @@ def verify_self_simulation(tau: Tileset, system: SubstitutionSystem,
 _CONFLICT = object()
 
 
-def _side(keys: Sequence, images: Sequence) -> tuple[dict, dict]:
+def _side(keys: Iterable, images: Iterable) -> tuple[dict, dict]:
     """One seam side of condition 3 as two single-valued maps: each side
     key to the one image its instances have, and each image to the one side
-    key, or to `_CONFLICT` where two instances disagree. `keys[i]` and
-    `images[i]` belong to one instance."""
+    key, or to `_CONFLICT` where two instances disagree. The i-th key and
+    the i-th image belong to one instance."""
     to_image: dict = {}
     to_key: dict = {}
     for key, image in zip(keys, images):

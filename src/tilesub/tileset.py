@@ -26,9 +26,11 @@ import gc
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import groupby
+from itertools import groupby, zip_longest
 from operator import getitem, itemgetter
-from typing import Collection, Iterable, Iterator, NamedTuple
+from struct import pack
+from types import MappingProxyType
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .counting import exact_count, params_from_system
 from .errors import InvalidNetwork, TilesubError
@@ -60,6 +62,18 @@ class _Memo(dict):
 
     def __missing__(self, key):
         value = self[key] = self.fn(key)
+        return value
+
+
+class _Numbering(dict):
+    """Decoration -> id: a decoration not yet numbered gets the next id on
+    first request. None, the facet a shorter tile lacks, reads -1 and is
+    not numbered."""
+
+    def __missing__(self, key):
+        if key is None:
+            return -1
+        value = self[key] = len(self)
         return value
 
 
@@ -149,10 +163,29 @@ PROVENANCE_NETWORK = "network"
 PROVENANCE_CENTRAL = "central"
 
 
+def _id_columns(tiles: Sequence[DecoratedTile], ids: _Numbering) -> tuple[array, ...]:
+    """Per facet k, a C-int column: the id `ids` gives facet k of each of
+    `tiles`, in order, or -1 where the tile has fewer facets. Each column
+    is packed in one call, which converts the ids faster than an array
+    takes them one at a time."""
+    return tuple(
+        array("i", pack(f"{len(column)}i", *map(ids.__getitem__, column)))
+        for column in zip_longest(*[tile.triples for tile in tiles])
+    )
+
+
 @dataclass(frozen=True)
 class Tileset:
     """A finite, canonically ordered set of decorated tiles with per-tile
-    provenance (which construction stage owns its base cell)."""
+    provenance (which construction stage owns its base cell).
+
+    `decoration_ids` is the tileset as integers, which the searches of the
+    verify path read: a read-only table numbering each distinct decoration
+    on the tiles, in order of first appearance facet by facet, and per
+    facet k one C-int column, the id of facet k of each tile (-1 where a
+    tile has fewer facets). A tile is then its index. Both are built on
+    first use, so the closure, the writers and the hierarchy never build
+    them."""
 
     tiles: tuple[DecoratedTile, ...]
     provenance: tuple[str, ...]
@@ -172,6 +205,12 @@ class Tileset:
     @cached_property
     def _by_tile(self) -> dict[DecoratedTile, int]:
         return {t: i for i, t in enumerate(self.tiles)}
+
+    @cached_property
+    def decoration_ids(self) -> tuple[Mapping[FacetDecoration, int], tuple[array, ...]]:
+        ids = _Numbering()
+        columns = _id_columns(self.tiles, ids)
+        return MappingProxyType(dict(ids)), columns
 
     def lines(self) -> Iterator[str]:
         """The dump's lines, one a tile in canonical order, each formatted

@@ -2,8 +2,10 @@
 
 import copy
 import dataclasses
+import hashlib
 import pickle
 import re
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -161,6 +163,130 @@ def test_assemble_seeded_2x3_matches_bruteforce(tau, numbering):
     ]
     assert [p.cells[(1, 2)] for p in fast] == oracle
     assert all(p.matching_report().ok for p in fast[:5])
+
+
+# SHA-256 of `repr(list(patches))` for each spec's 2x2 patches, and for the
+# seeded 2x3 case of `test_assemble_seeded_2x3_matches_bruteforce`, taken
+# while `assemble_patches` still returned a list of patches.
+PATCHES_REPR_SHA256 = {
+    "square3x3": "5e5094e00c5560a619edf2ef222645537ff6985a835523ba2569a0f040370147",
+    "tworule3x3": "548572ea263546044c03199db376a1a86920533cc9833d7e6b00fe56a322af33",
+    "grid4x4": "ddf4e68b7bb8e0acb8f04787ad104db472c38a141d22a7743423f2994142402f",
+    "seeded2x3": "f3e362ad3f2fdbc359b056e220e8e46c201443a8d4ecd835f23129286f75de5b",
+}
+
+
+def repr_sha256(patches):
+    return hashlib.sha256(repr(list(patches)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("spec", ["square3x3", "tworule3x3"])
+def test_bundled_2x2_patches_are_pinned(spec):
+    doc = load_bundled(spec)
+    numbering = build_numbering(doc.system)
+    tau = generate_tileset(doc.system, numbering, doc.networks)
+    assert repr_sha256(assemble_patches(tau, numbering, 2, 2)) == PATCHES_REPR_SHA256[spec]
+
+
+def test_grid4x4_and_seeded_patches_are_pinned(grid4x4, tau, numbering):
+    assert repr_sha256(grid4x4[3]) == PATCHES_REPR_SHA256["grid4x4"]
+    full = assemble_patches(tau, numbering, 2, 3)[0]
+    seeds = {pos: full.cells[pos] for pos in [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2)]}
+    seeded = assemble_patches(tau, numbering, 2, 3, seeds=seeds)
+    assert repr_sha256(seeded) == PATCHES_REPR_SHA256["seeded2x3"]
+
+
+def test_patches_read_as_the_list_did(patches_2x2):
+    """The patch sequence answers as the list of its patches does."""
+    patches = patches_2x2
+    listed = list(patches)
+    count = len(listed)
+    assert len(patches) == count == 8137 and patches
+    assert all(isinstance(patch, GridPatch) for patch in listed[:10])
+    for index in (0, 1, 4096, count - 1, -1, -2, -count):
+        assert patches[index] == listed[index]
+    for index in (count, count + 5, -count - 1):
+        with pytest.raises(IndexError):
+            patches[index]
+    for cut in (slice(3, 9), slice(None, 5), slice(-4, None), slice(None, None, -997),
+                slice(9, 3), slice(count - 2, count + 7)):
+        assert patches[cut] == listed[cut]
+        assert type(patches[cut]) is list
+    assert list(patches) == listed and list(patches) == listed  # iterates again
+    assert patches == listed and listed == patches
+    assert patches != listed[:-1] and listed[1:] != patches
+    assert patches != tuple(listed) and patches != "patches"
+    assert patches[0] in patches and patches.index(patches[5]) == 5
+    with pytest.raises(TypeError):
+        patches[0] = listed[1]
+    with pytest.raises(TypeError):
+        hash(patches)
+    tiles = patches.tiles
+    for patch, indices in zip(listed[:50], patches.tile_indices()):
+        assert patch.tiles == tuple(tiles[i] for i in indices)
+
+
+def test_empty_tileset_assembles_no_patch(numbering):
+    """An empty tileset has no decorations and no columns, and no patch of
+    any size."""
+    empty = Tileset((), ())
+    assert empty.decoration_ids == ({}, ())
+    for width, height in [(1, 1), (2, 2), (3, 1)]:
+        patches = assemble_patches(empty, numbering, width, height)
+        assert len(patches) == 0 and not patches and patches == [] and list(patches) == []
+        with pytest.raises(IndexError):
+            patches[0]
+
+
+def test_foreign_seeds_match_bruteforce(numbering):
+    """Seeds that are not tileset members, one carrying a decoration no
+    tile of the set has, are appended to the tile table: the patches are
+    exactly the brute-force assignments over the set and the seeds that
+    hold the seeds at their positions, in the same order."""
+    tau = synthetic_tileset()
+    a, b, c = trip(1, 0, 1), trip(2, 0, 2), trip(7, 0, 7)
+    fresh = DecoratedTile(1, (c, a, b, a))  # c: no tile of tau has it
+    mixed = DecoratedTile(1, (a, b, b, b))  # tau's decorations, not a tau tile
+    assert c not in tau.decoration_ids[0] and fresh not in tau and mixed not in tau
+    cases = [
+        (2, 2, {(0, 0): fresh}),
+        (2, 2, {(1, 0): fresh}),  # its S facet, c, faces no cell
+        (2, 2, {(0, 1): fresh}),  # its S facet faces a cell: no patch
+        (2, 2, {(0, 0): mixed, (1, 0): fresh}),
+        (3, 2, {(0, 0): fresh, (2, 1): tau.tiles[2]}),
+        (2, 3, {(0, 0): mixed, (1, 2): mixed}),
+    ]
+    for width, height, seeds in cases:
+        patches = assemble_patches(tau, numbering, width, height, seeds=seeds)
+        extra = tuple(dict.fromkeys(t for t in seeds.values() if t not in tau))
+        oracle = [
+            cells for cells in brute_force_patches(tau.tiles + extra, width, height)
+            if all(cells[pos] == tile for pos, tile in seeds.items())
+            and all(cells[pos] in tau for pos in cells if pos not in seeds)
+        ]
+        assert [dict(patch.cells) for patch in patches] == oracle
+        assert all(patch.matching_report().ok for patch in patches)
+    assert assemble_patches(tau, numbering, 2, 2, seeds={(1, 0): fresh})
+    assert not assemble_patches(tau, numbering, 2, 2, seeds={(0, 1): fresh})
+    # The tileset's own table is left as it was.
+    assert c not in tau.decoration_ids[0]
+
+
+def test_assembly_keeps_at_most_20_bytes_a_patch(grid4x4):
+    """The 4x4 grid's 53160 2x2 patches are kept as four C-int tile indices
+    each, 16 bytes and the array's spare room; the list of `GridPatch`
+    tuples took about 100. The tileset's own id columns, built on first
+    use, are the tileset's, so they are built before tracing."""
+    _, numbering, tau, _ = grid4x4
+    tau.decoration_ids
+    tracemalloc.start()
+    try:
+        patches = assemble_patches(tau, numbering, 2, 2)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(patches) == 53160
+    assert kept <= 20 * len(patches)
 
 
 def test_all_2x2_patches_phase_coherent(patches_2x2, layout):
@@ -416,15 +542,17 @@ def test_phase_memo_matches_reference_on_every_bundled_2x2_patch(spec, request):
 
 
 def test_dense_4x4_patches_read_as_the_search_cell_dicts(grid4x4):
-    """Each patch wraps the search's tuple: its `cells` equal the position
-    dict built from that tuple, in scanline order."""
+    """Each patch holds the search's tile indices: its `cells` equal the
+    position dict of the tiles at those indices, in scanline order."""
     _, _, tau, patches = grid4x4
     order = [(x, y) for y in range(2) for x in range(2)]
+    table, columns = tau.decoration_ids
     cells = [
-        (tau, *_seam_keys([(W, i - 1, E)] * (x > 0) + [(S, i - 2, N)] * (y > 0)))
+        (range(len(tau)), *_seam_keys(columns, len(table) + 1,
+                                      [(W, i - 1, E)] * (x > 0) + [(S, i - 2, N)] * (y > 0)))
         for i, (x, y) in enumerate(order)
     ]
-    oracle = [dict(zip(order, placed)) for placed in _search(cells)]
+    oracle = [dict(zip(order, map(tau.tiles.__getitem__, placed))) for placed in _search(cells)]
     assert len(oracle) == len(patches)
     for patch, want in zip(patches, oracle):
         assert dict(patch.cells) == want and list(patch.cells) == order

@@ -148,6 +148,22 @@ def test_assemble_output(capsys):
     assert out.splitlines()[0] == "patches=1544"
 
 
+# The SHA-256 of the whole `assemble --print-patches` stdout on the bundled
+# 3x3, taken while the command still looked each tile's index up in the
+# tileset.
+ASSEMBLE_2X2_STDOUT_SHA256 = "5422bb583dbf85e804a9dc1ea41bdd8fd76d288d0e647c1ebdedede75a10b4a2"
+
+
+def test_assemble_print_patches_stdout_is_pinned(capsys):
+    code, out, err = run(capsys, "assemble", SPEC, "--width", "2", "--height", "2",
+                         "--print-patches")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:3] == ["patches=8137", "0 50 228 492", "0 50 229 493"]
+    assert len(lines) == 8138
+    assert hashlib.sha256(out.encode()).hexdigest() == ASSEMBLE_2X2_STDOUT_SHA256
+
+
 def test_assemble_seeded(capsys, tmp_path):
     seed = tmp_path / "seed.txt"
     seed.write_text("# seed the bottom-left corner\n0 0 7\n")

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from array import array
 from dataclasses import replace
 from importlib import resources
 from itertools import product
@@ -160,13 +161,14 @@ def test_instances_and_patches_in_canonical_order(spec):
     assert keys and all(a < b for a, b in zip(keys, keys[1:]))
 
 
-def search_by_product(pools, seams):
+def search_by_product(pools, rows, seams):
     """Oracle for `_search` on `_seam_keys` keys: every assignment of the
-    pools in `product` order, kept when each cell repeats its seams."""
+    index pools in `product` order, kept when each cell's row repeats its
+    seams."""
     return [
         combo for combo in product(*pools)
         if all(
-            combo[c].triples[k - 1] == combo[i].triples[k2 - 1]
+            rows[combo[c]][k - 1] == rows[combo[i]][k2 - 1]
             for c, cell_seams in enumerate(seams) for k, i, k2 in cell_seams
         )
     ]
@@ -195,17 +197,36 @@ def test_search_matches_product_filter(name, seed):
     prefixes meet an empty group, at middle cells and at the last one."""
     seams = SEARCH_LAYOUTS[name]
     rng = random.Random(seed)
-    pools = [
-        [SimpleNamespace(triples=tuple(rng.choice(SKEWED) for _ in range(4)))
-         for _ in range(rng.randrange(3, 7))]
-        for _ in seams
-    ]
-    cells = [(pool, *_seam_keys(cell_seams)) for pool, cell_seams in zip(pools, seams)]
-    assert list(_search(cells)) == search_by_product(pools, seams)
+    # Candidates are indices into `rows`, each a row of four decoration ids,
+    # and each pool a run of fresh indices; the columns are read as a
+    # tileset's `decoration_ids`.
+    rows, pools = [], []
+    for _ in seams:
+        size = rng.randrange(3, 7)
+        pools.append(range(len(rows), len(rows) + size))
+        rows.extend(tuple(rng.choice(SKEWED) for _ in range(4)) for _ in range(size))
+    columns = [array("i", column) for column in zip(*rows)]
+    radix = max(SKEWED) + 2
+    cells = [(pool, *_seam_keys(columns, radix, cell_seams))
+             for pool, cell_seams in zip(pools, seams)]
+    assert list(_search(cells)) == search_by_product(pools, rows, seams)
     # An emptied pool, in the middle or last, leaves no solution.
     for c in (len(cells) // 2, len(cells) - 1):
         emptied = cells[:c] + [([], *cells[c][1:])] + cells[c + 1:]
         assert list(_search(emptied)) == []
+
+
+def test_two_seam_keys_are_one_to_one():
+    """Two seams' ids, each in -1 .. radix - 2 (-1 for a facet a tile lacks),
+    pack into one key that no other pair gives, and a placed cell's wanted
+    key equals its own key."""
+    radix = 5
+    ids = range(-1, radix - 1)
+    pairs = [(a, b) for a in ids for b in ids]
+    columns = [array("i", [a for a, _ in pairs]), array("i", [b for _, b in pairs])]
+    key, want = _seam_keys(columns, radix, [(1, 0, 1), (2, 0, 2)])
+    assert len({key(t) for t in range(len(pairs))}) == len(pairs)
+    assert all(want([t]) == key(t) for t in range(len(pairs)))
 
 
 def test_search_of_zero_and_one_cell():
