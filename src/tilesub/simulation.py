@@ -14,11 +14,12 @@ It places tile indices, keyed by the decoration ids of
 `Tileset.decoration_ids`, and the instances and patches are built from its
 solutions. `phi` folds such an assembly back onto a single decorated parent
 tile; `verify_self_simulation` checks exhaustively that the tileset and its
-assemblies behave identically through `phi`, building the images of one
-call from decorations it shares. Its condition 3 reads each side of a
-macro-facet seam once, into two single-valued maps (side key -> image,
-image -> side key, both as decoration ids), and checks each seam with one
-pass over the keys and images both sides share. The steps below the public
+assemblies behave identically through `phi`, reading each image as a row of
+decoration ids and its membership off one int per tile of the tileset. Its
+condition 3 reads each side of a macro-facet seam once, into two
+single-valued maps (side key -> image, image -> side key, both as
+decoration ids), and checks each seam with one pass over the keys and images
+both sides share. The steps below the public
 entry points read every per-tile and per-seam fact from the
 `tileset.Layout`.
 
@@ -36,23 +37,25 @@ Every hierarchy stage reads and writes only that data, and the tables that
 (`Layout.native_origin`). A level is built per block type, not per slot,
 and what runs per slot runs in C iterators: no list, dict or int per slot
 is held. The quotient recovers a
-level from the bottom's data and the parents of the level above; the few
-tuple-address views that remain (`cells`, `pairs`, ...) are built on first
-access, as is the one slot -> cell table per level that the expansion below
-a level and the views share.
+level from the bottom's data and the parents of the level above. The
+tuple-address views that remain (`cells`, `pairs`, ...) are computed on
+read from the flat fields, keeping no address or key: a length costs
+nothing and a full read is one ordered pass. The one slot -> cell table per
+level, which the expansion below a level and the views share, is built on
+first access.
 """
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
+from collections.abc import ItemsView, Mapping, Sequence, ValuesView
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from itertools import accumulate, chain, compress, repeat
-from operator import add, and_, is_, itemgetter, mul, ne, sub
+from operator import add, and_, eq, is_, itemgetter, mul, ne, sub
 from struct import Struct
-from types import MappingProxyType
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     IndexOutOfRange,
@@ -319,19 +322,24 @@ def verify_self_simulation(tau: Tileset, system: SubstitutionSystem,
     nsigma = layout.nsigma
     # Decoration -> id, as in `tau`, numbering on from there the decorations
     # of images outside it.
-    ids = _Numbering(tau.decoration_ids[0])
+    table, columns = tau.decoration_ids
+    ids = _Numbering(table)
 
-    def fold(key: tuple[int, int, FacetDecoration]) -> tuple[FacetDecoration, int]:
-        """What `phi` puts on facet k of T_parent from the central tile's
-        decoration there, and its id."""
+    def fold(key: tuple[int, int, FacetDecoration]) -> int:
+        """The id of what `phi` puts on facet k of T_parent from the central
+        tile's decoration there."""
         parent, k, dec = key
         if dec is not UNDEFINED:
             dec = DecorationTriple(nsigma[(parent, k)], dec.j, dec.g)
-        return dec, ids[dec]
+        return ids[dec]
 
-    # (parent, k, central decoration) -> `fold` of it: every image is built
-    # of decorations shared within the call.
+    # (parent, k, central decoration) -> `fold` of it, once per call.
     folded = _Memo(fold)
+    # The tiles of `tau` as ints, by `_row_key` of their rows of `columns`.
+    # An image is a member when it has no more facets than there are
+    # columns, no id outside `table`, and its row, padded, gives one of them.
+    radix = len(table) + 1
+    members = set(map(_row_key, [t.base for t in tau.tiles], zip(*columns), repeat(radix)))
     width = max(layout.facet_count.values())
     # The images as ids: `width` a row, facet k of instance idx's image at
     # `idx * width + k - 1`, -1 past the image's facets.
@@ -350,17 +358,18 @@ def verify_self_simulation(tau: Tileset, system: SubstitutionSystem,
         got = tuple([layout.prototype_name[t.base] for t in inst.tiles])
         parent = inst.parent_index
         count = layout.facet_count[parent]
-        decs, row = zip(*[
+        row = [
             folded[(parent, k, dec)]
             for k, dec in enumerate(inst.central_tile.triples[:count], start=1)
-        ])
+        ]
         image_ids.extend(row)
         if len(row) < width:
             image_ids.extend(padding[len(row):])
         if got != expected or layout.prototype_name[parent] != parent_proto:
             cond1 = False
             failures.append(f"instance {idx}: projection mismatch")
-        if DecoratedTile(parent, decs) not in tau:
+        if (len(row) > len(columns) or max(row, default=-1) >= len(table)
+                or _row_key(parent, row + [-1] * (len(columns) - len(row)), radix) not in members):
             phi_ok = False
             failures.append(f"instance {idx}: phi image not in tileset")
 
@@ -389,6 +398,15 @@ def verify_self_simulation(tau: Tileset, system: SubstitutionSystem,
             failures.append(f"condition3 fails across ({rid_a},{a})~({rid_b},{b})")
 
     return SimulationReport(len(instances), cond1, phi_ok, cond3, failures)
+
+
+def _row_key(base: int, row: Iterable[int], radix: int) -> int:
+    """A tile as one int: its `base`, then each id of its decoration row
+    plus one, as a digit base `radix`. Rows of one length with ids in
+    -1 .. radix - 2 give distinct ints."""
+    for i in row:
+        base = base * radix + i + 1
+    return base
 
 
 _CONFLICT = object()
@@ -458,6 +476,120 @@ def _undefined_slots(origin: Sequence[int]) -> Iterator[int]:
     return compress(range(len(origin)), map(ne, origin, repeat(-1)))
 
 
+class _View:
+    """A view computed on read from a level's flat fields: `size()` is its
+    length, `read()` one ordered pass over its items and `item(key)` one
+    item. It keeps only these three functions."""
+
+    __slots__ = ("_size", "_read", "_item")
+
+    def __init__(self, size: Callable[[], int], read: Callable[[], Iterator],
+                 item: Callable[[Any], Any]):
+        self._size, self._read, self._item = size, read, item
+
+    def __len__(self) -> int:
+        return self._size()
+
+
+class _Tuple(_View, Sequence):
+    """A tuple view, `item(i)` its item i >= 0. It equals, hashes and shows
+    as the tuple of its items, in either operand order; its items ascend, so
+    `index` bisects."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator:
+        return self._read()
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        return self._item(range(self._size())[i])
+
+    def index(self, value) -> int:
+        i = bisect_left(self, value)
+        if i == len(self) or self[i] != value:
+            raise ValueError("tuple.index(x): x not in tuple")
+        return i
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _Tuple)):
+            return NotImplemented
+        return self is other or (len(self) == len(other) and all(map(eq, self, other)))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+class _Paths(_Tuple):
+    """The addresses of an expanded level's cells: cell i's is its block's,
+    `heads[block[i]]`, and one step more, `steps[base[i]]`, the 1-tuple of
+    its tile's cell id. `heads` holds the addresses of the level above, or
+    is `((),)` for the top level's one block. A full read is one ordered
+    pass over `heads`; one item recurses once per level above."""
+
+    __slots__ = ("heads",)
+
+    def __init__(self, heads: Sequence[Address], block: Sequence[int], base: Sequence[int],
+                 steps: Sequence[Address]):
+        self.heads = heads
+        super().__init__(
+            block.__len__,
+            lambda: map(add, map(tuple(heads).__getitem__, block), map(steps.__getitem__, base)),
+            lambda i: heads[block[i]] + steps[base[i]],
+        )
+
+
+class _Table(_View, Mapping):
+    """A read-only dict view: `read()` runs over its items in key order and
+    `item(key)` gives one value or KeyError. Iteration, `items()`, `values()`
+    and `==` are each one ordered pass; it equals the dict of its items and
+    shows as that dict's `mappingproxy`."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator:
+        return map(itemgetter(0), self._read())
+
+    def __getitem__(self, key):
+        return self._item(key)
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def values(self) -> ValuesView:
+        return _Values(self)
+
+    def __eq__(self, other):
+        if isinstance(other, _Table):
+            return self is other or (
+                len(self) == len(other) and all(map(eq, self._read(), other._read()))
+            )
+        if isinstance(other, Mapping):
+            return dict(self._read()) == dict(other.items())
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"mappingproxy({dict(self._read())!r})"
+
+
+class _Items(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator:
+        return self._mapping._read()
+
+
+class _Values(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator:
+        return map(itemgetter(1), self._mapping._read())
+
+
 @dataclass(frozen=True, eq=False)
 class LevelPatch:
     """One level of the hierarchy, stored as frozen flat data indexed by
@@ -481,11 +613,14 @@ class LevelPatch:
     hierarchy of at most 128 levels), the others tuples.
 
     `cells`, `rule_of`, `base_of`, `pairs` and `undefined_from` are views of
-    the same data addressed by expansion path, built on first access; the
-    dict views are read-only and iterate in address order. Equality compares
-    the flat fields and `cells`, not `level` (0 = finest, positional
-    metadata) nor `block`, which a quotient does not record. The repr shows
-    each buffer as the list of its numbers.
+    the same data addressed by expansion path, computed on read: a view
+    keeps no address or key, its length is read off the flat fields, and
+    each full read is one ordered pass. `cells` and `pairs` equal and show
+    as tuples; the dict views are read-only, equal and show as the
+    `mappingproxy`s of their dicts and iterate in address order. Equality
+    compares the flat fields and `cells`, not `level` (0 = finest,
+    positional metadata) nor `block`, which a quotient does not record. The
+    repr shows each buffer as the list of its numbers.
     """
 
     level: int = field(compare=False)
@@ -497,8 +632,8 @@ class LevelPatch:
     slot_decoration: tuple[FacetDecoration, ...]
     slot_origin: Sequence[int]
     pair_slots: Sequence[int]
-    # The addresses of the cells, computed when `cells` is first read.
-    addresses: Callable[[], tuple[Address, ...]] = field(compare=False, repr=False)
+    # The addresses of the cells, in order, computed on read: the `cells` view.
+    addresses: Sequence[Address] = field(compare=False, repr=False)
 
     def matching_report(self) -> ValidationReport:
         report = ValidationReport()
@@ -506,55 +641,88 @@ class LevelPatch:
         it = iter(self.pair_slots)
         for a, b in zip(it, it):
             if decs[a] != decs[b]:
-                key_a, key_b = self._slot_keys((a, b))
+                key_a, key_b = self._slot_keys((a, b), self.cells)
                 report.add("SeamMismatch", f"{key_a} vs {key_b}")
         return report
 
     @property
     def undefined_count(self) -> int:
         """The number of UNDEFINED slots: the bytes of `slot_origin` that
-        are not -1."""
+        are not -1, counted 4096 at a time, so no copy of it is made."""
         origin = self.slot_origin
-        return len(origin) - bytes(origin).count(b"\xff")
+        return len(origin) - sum(
+            bytes(origin[i:i + 4096]).count(b"\xff") for i in range(0, len(origin), 4096)
+        )
 
-    def _slot_keys(self, slots: Sequence[int]) -> list[Slot]:
-        """The (address, facet) key of each slot."""
-        cells, offset, cell_of = self.cells, self.offset, self.slot_cell
-        return [(cells[i], s - offset[i] + 1) for s in slots for i in [cell_of[s]]]
+    def _slot_keys(self, slots: Iterable[int], cells: Sequence[Address]) -> Iterator[Slot]:
+        """The (address, facet) key of each slot, its address read off
+        `cells`: the view for a few slots, a tuple of it for a full read."""
+        offset, cell_of = self.offset, self.slot_cell
+        return ((cells[i], s - offset[i] + 1) for s in slots for i in [cell_of[s]])
 
-    def _by_cell(self, values: Sequence) -> Mapping:
-        return MappingProxyType(dict(zip(self.cells, values)))
+    def _cell(self, addr: Address) -> int:
+        """The cell at address `addr`, or KeyError."""
+        try:
+            return self.cells.index(addr)
+        except (TypeError, ValueError):
+            raise KeyError(addr) from None
+
+    def _origin(self, key: Slot) -> int:
+        """`undefined_from[key]`: the origin of the UNDEFINED slot `key`."""
+        offset, origin = self.offset, self.slot_origin
+        try:
+            addr, k = key
+            i = self._cell(addr)
+            if k in range(1, offset[i + 1] - offset[i] + 1) and origin[offset[i] + k - 1] != -1:
+                return origin[offset[i] + k - 1]
+        except (KeyError, TypeError, ValueError):
+            pass
+        raise KeyError(key)
+
+    def _per_cell(self, values: Sequence) -> Mapping:
+        return _Table(values.__len__, partial(zip, self.cells, values),
+                      lambda addr: values[self._cell(addr)])
 
     @cached_property
     def slot_cell(self) -> Sequence[int]:
         """The cell of each slot, built on first access and shared by the
-        expansion of the level below, the quotient and the views. An `array`
-        of C ints, so it costs 4 bytes a slot."""
+        expansion of the level below and the slot keys of the views. An
+        `array` of C ints, so it costs 4 bytes a slot."""
         offset = self.offset
         return _runs(range(len(offset) - 1), map(sub, offset[1:], offset))
 
-    @cached_property
-    def cells(self) -> tuple[Address, ...]:
-        return self.addresses()
+    @property
+    def cells(self) -> Sequence[Address]:
+        return self.addresses
 
-    @cached_property
+    @property
     def rule_of(self) -> Mapping[Address, str]:
-        return self._by_cell(self.rule)
+        return self._per_cell(self.rule)
 
-    @cached_property
+    @property
     def base_of(self) -> Mapping[Address, int]:
-        return self._by_cell(self.base)
+        return self._per_cell(self.base)
 
-    @cached_property
-    def pairs(self) -> tuple[tuple[Slot, Slot], ...]:
-        keys = self._slot_keys(self.pair_slots)
-        return tuple(zip(keys[::2], keys[1::2]))
+    @property
+    def pairs(self) -> Sequence[tuple[Slot, Slot]]:
+        ends = self.pair_slots
 
-    @cached_property
+        def read() -> Iterator[tuple[Slot, Slot]]:
+            keys = self._slot_keys(ends, tuple(self.cells))
+            return zip(keys, keys)
+
+        return _Tuple(lambda: len(ends) // 2, read,
+                      lambda i: tuple(self._slot_keys(ends[2 * i:2 * i + 2], self.cells)))
+
+    @property
     def undefined_from(self) -> Mapping[Slot, int]:
         origin = self.slot_origin
-        slots = list(_undefined_slots(origin))
-        return MappingProxyType(dict(zip(self._slot_keys(slots), map(origin.__getitem__, slots))))
+
+        def read() -> Iterator[tuple[Slot, int]]:
+            keys = self._slot_keys(_undefined_slots(origin), tuple(self.cells))
+            return zip(keys, filter(partial(ne, -1), origin))
+
+        return _Table(lambda: self.undefined_count, read, self._origin)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -783,12 +951,8 @@ def _expand_level(layout: Layout, inherits: _Memo, tops: Sequence[int],
         above_rows = _cell_rows(bytes(above.slot_origin), above_offset)
         inherited = map(inherits.__getitem__, zip(expanders, above_rows))
     runs = zip([blk.bases for blk in block_of], tops, inherited)
-    tiles = layout.numbering.tiles
-
-    def addresses() -> tuple[Address, ...]:
-        heads = above.cells if above is not None else ((),)
-        return tuple([heads[b] + (tiles[j - 1][1],) for b, j in zip(block, base)])
-
+    steps = ((),) + tuple([(cell,) for _, cell in layout.numbering.tiles])
+    addresses = _Paths(above.cells if above is not None else ((),), block, base, steps)
     return base, parent, rule_ids, block, offset, _pair_slots(partner), runs, addresses
 
 
@@ -806,8 +970,9 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
     a facet native to the level's networks must be one of them
     (PartialBlock otherwise), which is read once per block type. The
     recovered level is then decorated like any level, by `_decorate_level`
-    with memos of its own, so `_steps13` runs once per recovered tile index. Its addresses are those of the
-    bottom's cells less their last step; it records no blocks of its own.
+    with memos of its own, so `_steps13` runs once per recovered tile index.
+    Its addresses are the bottom's block heads, in order: those of the
+    bottom's cells less their last step. It records no blocks of its own.
     The parent of recovered block b is read from the level above,
     `hpatch.levels[1].parent[b]`: the bottom does not carry it (on the
     bundled specs every slot of a block's centre cell is UNDEFINED). It
@@ -828,9 +993,7 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
     first.append(len(cell_block))
     block_slot = [cell_offset[i] for i in first]
     block_of = [layout.blocks[rule_id] for rule_id in block_rule]
-
-    def prefix(b: int) -> Address:
-        return bottom.cells[first[b]][:-1]
+    heads = bottom.cells.heads  # the address of each block
 
     base: list[int] = []
     for b, (blk, s0) in enumerate(zip(block_of, block_slot)):
@@ -838,7 +1001,7 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
             dec.j for dec in [decs[s0 + s] for s in blk.reads] if dec is not UNDEFINED
         }
         if len(parents) != 1:
-            raise PartialBlock(f"block {prefix(b)}: parent indices {sorted(parents)}")
+            raise PartialBlock(f"block {heads[b]}: parent indices {sorted(parents)}")
         base.append(parents.pop())
 
     rule_ids = tuple([numbering.base_of(j_b)[0] for j_b in base])
@@ -848,10 +1011,10 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
     wanted = {rule_id: system.rule(rule_id).parent for rule_id in set(rule_ids)}
     for b, (p, rule_id) in enumerate(zip(parent, rule_ids)):
         if p not in layout.facet_count:
-            raise IndexOutOfRange(f"block {prefix(b)}: parent {p} outside 1..{numbering.n}")
+            raise IndexOutOfRange(f"block {heads[b]}: parent {p} outside 1..{numbering.n}")
         if layout.prototype_name[p] != wanted[rule_id]:
             raise InconsistentGluing(
-                f"block {prefix(b)}: parent T{p} has prototype "
+                f"block {heads[b]}: parent T{p} has prototype "
                 f"{layout.prototype_name[p]}, not {wanted[rule_id]}"
             )
     offset = _starts(map(layout.facet_count.__getitem__, base))
@@ -881,14 +1044,11 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
     )))
     for b, row in enumerate(rows):
         if row.__class__ is int:
-            raise PartialBlock(f"block {prefix(b)}: facet {row} should be undefined")
-
-    def addresses() -> tuple[Address, ...]:
-        return tuple([prefix(b) for b in range(len(base))])
+            raise PartialBlock(f"block {heads[b]}: facet {row} should be undefined")
 
     return _decorate_level(
         layout, _decoration_rows(layout), bottom.level + 1, tuple(base), parent, rule_ids,
-        None, _frozen(offset), pairs, zip(zip(base), parent, rows), addresses,
+        None, _frozen(offset), pairs, zip(zip(base), parent, rows), heads,
     )
 
 

@@ -113,6 +113,26 @@ def test_hierarchy_keeps_little_beyond_its_levels():
     assert peak <= 2.0 * kept
 
 
+def test_view_lengths_are_read_off_the_flat_fields():
+    """The five address views keep no address or key, so reading the length
+    of each on the bundled 3x3 depth-4 bottom allocates a few KiB at most
+    (several MB while the views were built on first access), and each length
+    is the level's flat count."""
+    doc, numbering = _bundled("square3x3")
+    bottom = hierarchy_decorate(doc.system, numbering, doc.networks, "r1", 4).bottom
+    tracemalloc.start()
+    try:
+        lengths = [len(bottom.cells), len(bottom.rule_of), len(bottom.base_of),
+                   len(bottom.pairs), len(bottom.undefined_from)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lengths == [len(bottom.base)] * 3 + [len(bottom.pair_slots) // 2,
+                                                bottom.undefined_count]
+    assert (lengths[0], lengths[-1]) == (6561, 11220)
+    assert peak <= 8192
+
+
 @pytest.mark.parametrize("spec, seed_rule", sorted(PINS))
 def test_depth3_levels_and_quotient_are_pinned(spec, seed_rule):
     doc, numbering = _bundled(spec)
@@ -148,7 +168,9 @@ def test_quotient_equals_the_level_above(spec, seed_rule, depth):
 
 def test_levels_are_frozen(depth2_square):
     """A level cannot change once built, so no view read off it goes stale:
-    neither its fields nor anything written into its tuples or buffers."""
+    neither its fields nor anything written into its tuples or buffers. Its
+    address views, on built levels and quotients of both bundled specs,
+    act as the tuples and read-only dicts they were once built as."""
     _, _, hpatch, _ = depth2_square
     bottom = hpatch.bottom
     s = next(s for s, origin in enumerate(bottom.slot_origin) if origin != -1)
@@ -165,6 +187,42 @@ def test_levels_are_frozen(depth2_square):
         with pytest.raises(TypeError):
             getattr(bottom, name)[0] = 1
     assert bottom.slot_origin[s] == 0
+    for spec, seed_rule in (("square3x3", "r1"), ("tworule3x3", "ra")):
+        doc, numbering = _bundled(spec)
+        hpatch = hierarchy_decorate(doc.system, numbering, doc.networks, seed_rule, 2)
+        lifted = quotient_hierarchy(hpatch, doc.system, numbering, doc.networks)
+        for level in (hpatch.bottom, lifted):
+            _assert_views_act_as_built(level)
+
+
+def _assert_views_act_as_built(level):
+    """The address views of `level` act as the tuples and read-only dicts
+    they were built as: equal to them in either operand order, shown as
+    them, indexed and looked up like them, and closed to item assignment."""
+    cells, pairs = tuple(level.cells), tuple(level.pairs)
+    for view, built in ((level.cells, cells), (level.pairs, pairs)):
+        assert view == built and built == view and not (built != view)
+        assert repr(view) == repr(built) and hash(view) == hash(built)
+        assert [view[i] for i in (0, -1)] == [built[0], built[-1]]
+        assert view[1:3] == built[1:3]
+        assert [view.index(item) for item in built] == list(range(len(built)))
+    with pytest.raises(ValueError):
+        level.cells.index(("nowhere",))
+    assert level.cells != cells[1:] and level.pairs != cells
+    undefined = level.undefined_from
+    defined = next((cells[0], k) for k in range(1, 5) if (cells[0], k) not in undefined)
+    for view, missing in ((level.rule_of, ("nowhere",)), (level.base_of, cells[0][:-1]),
+                          (undefined, defined)):
+        built = dict(view)
+        assert built == view and view == built and list(view) == list(built)
+        assert list(view.items()) == list(built.items())
+        assert list(view.values()) == list(built.values())
+        assert repr(view) == f"mappingproxy({built!r})"
+        with pytest.raises(KeyError):
+            view[missing]
+        with pytest.raises(TypeError):
+            view[next(iter(view))] = None
+    assert list(level.rule_of) == list(cells)
 
 
 def test_level_repr_lists_the_buffer_numbers():

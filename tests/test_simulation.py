@@ -295,6 +295,16 @@ def test_verify_passes(tau, system, numbering, networks, instances):
     assert "patch-scale" in report.condition2_note
 
 
+def test_phi_membership_keeps_no_tile_table(system, numbering, networks, instances):
+    """Condition 1 looks each phi image up by its base and its row of
+    decoration ids, so the tileset keeps no tile -> index table once the
+    check has returned."""
+    tau = generate_tileset(system, numbering, networks)
+    report = verify_self_simulation(tau, system, numbering, networks, instances)
+    assert report.ok and report.phi_in_tileset
+    assert "_by_tile" not in vars(tau)
+
+
 def _blind_seam_mutant(compiled):
     """The seam-blind negative control: the closure of a layout without its
     macro-facet table."""
