@@ -397,9 +397,9 @@ def assemble_patches(tau: Tileset, numbering: GlobalNumbering, width: int,
     foreign = []
     for (x, y), seed in (seeds or {}).items():
         at = _index(x, y, width, height)
-        if seed in tau:
-            pools[at] = (tau.index(seed),)
-        else:
+        try:  # a scan of the tiles: no table of them is built or kept
+            pools[at] = (tiles.index(seed),)
+        except ValueError:
             pools[at] = (len(tiles) + len(foreign),)
             foreign.append(seed)
     if foreign:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import islice
 from pathlib import Path
 
 from .assembler import (
@@ -28,7 +27,7 @@ from .render import render_patch_svg, render_tile_svg
 from .simulation import enumerate_macro_tiles, hierarchy_decorate, verify_self_simulation
 from .specfile import parse_spec
 from .stages import stage_views
-from .tileset import build_layout, close, generate_tileset
+from .tileset import build_layout, close, generate_tileset, line_batches
 
 
 def _read(path: str) -> str:
@@ -107,10 +106,6 @@ def _generated(doc):
     return numbering, tau
 
 
-# Lines of the `generate` dump per write to stdout.
-_DUMP_BATCH = 4096
-
-
 def cmd_generate(args) -> int:
     doc = _load(args.spec)
     numbering, tau = _generated(doc)
@@ -118,13 +113,9 @@ def cmd_generate(args) -> int:
         outdir = Path(args.stages)
         for name, text in stage_views(tau, numbering, doc.networks).items():
             _write(outdir / f"after_{name}.txt", text, parents=True)
-    # The dump's lines are printed in batches: neither the whole dump nor
-    # one write a line. The first batch is printed even when empty, as
-    # `print(tau.dump())` would.
-    lines = tau.lines()
-    print("\n".join(islice(lines, _DUMP_BATCH)))
-    while batch := list(islice(lines, _DUMP_BATCH)):
-        print("\n".join(batch))
+    # The dump in batches: neither the whole dump nor one write a line.
+    for batch in line_batches(tau.lines()):
+        print(batch)
     return 0
 
 

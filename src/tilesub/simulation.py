@@ -1112,8 +1112,9 @@ def quotient_preimage(decomposed, system: SubstitutionSystem,
     nodes = {
         bid: phi(layout, inst) for bid, inst in decomposed.blocks.items()
     }
+    missing = set(nodes.values()).difference(tau)  # one pass, no table of tau kept
     for bid, node in nodes.items():
-        if node not in tau:
+        if node in missing:
             report.add("PhiNotInTileset", f"block {bid}")
     edges = []
     for bid_a, a, bid_b, b in decomposed.adjacencies:

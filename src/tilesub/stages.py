@@ -7,6 +7,9 @@ views are byte-stable.
 """
 from __future__ import annotations
 
+from itertools import compress, groupby
+from operator import attrgetter, itemgetter
+
 from .model import GlobalNumbering
 from .network import NetworkSet
 from .tileset import (
@@ -16,6 +19,7 @@ from .tileset import (
     Tileset,
     _steps13,
     build_layout,
+    line_batches,
 )
 
 STAGE_NAMES = ("step1", "step2", "step3", "step4", "step5")
@@ -23,7 +27,9 @@ STAGE_NAMES = ("step1", "step2", "step3", "step4", "step5")
 
 def stage_views(tau: Tileset, numbering: GlobalNumbering,
                 networks: NetworkSet) -> dict[str, str]:
-    """Render the five stage files from a generated tileset."""
+    """Render the five stage files from a generated tileset, each its lines
+    and a final newline joined through `line_batches`. `tau` must be in
+    canonical order: step 4 sorts one base's network tiles at a time."""
     layout = build_layout(numbering, networks)
     columns = ColumnRenderer()
     slots_of = {j0: ks for j0, _, ks in layout.network_cells}
@@ -39,20 +45,13 @@ def stage_views(tau: Tileset, numbering: GlobalNumbering,
     step2: list[str] = []
     step3: list[str] = []
     for j in range(1, numbering.n + 1):
-        if j in layout.central_cells:
-            cols2 = " ".join(
-                f"k={k}:({layout.nsigma[(j, k)].render()},-)"
-                for k in range(1, facets[j] + 1)
-            )
-            step2.append(f"T{j} | {cols2}")
-            cols3 = " ".join(f"k={k}:-" for k in range(1, facets[j] + 1))
-            step3.append(f"T{j} | {cols3}")
-            continue
-        slot_ks = slots_of.get(j, ())
-        for parent in layout.parents_for[j]:
-            partial = _steps13(layout, j, parent)
-            cols2 = []
-            cols3 = []
+        # A center tile has no parent, and each of its facets is a slot.
+        central = j in layout.central_cells
+        slot_ks = range(1, facets[j] + 1) if central else slots_of.get(j, ())
+        for parent in (None,) if central else layout.parents_for[j]:
+            head = f"T{j}" if central else f"T{j} parent={parent}"
+            partial = () if central else _steps13(layout, j, parent)
+            cols2, cols3 = [], []
             for k in range(1, facets[j] + 1):
                 f = layout.nsigma[(j, k)].render()
                 if k in slot_ks:
@@ -62,29 +61,23 @@ def stage_views(tau: Tileset, numbering: GlobalNumbering,
                     triple = partial[k - 1]
                     cols2.append(f"k={k}:({f},{triple.j})")
                     cols3.append(f"k={k}:{triple.render()}")
-            step2.append(f"T{j} parent={parent} | " + " ".join(cols2))
-            step3.append(f"T{j} parent={parent} | " + " ".join(cols3))
+            step2.append(f"{head} | " + " ".join(cols2))
+            step3.append(f"{head} | " + " ".join(cols3))
 
-    rows4 = []
-    for tile, prov in zip(tau.tiles, tau.provenance):
-        if prov != PROVENANCE_NETWORK:
-            continue
-        slot_ks = slots_of[tile.base]
-        pair_dec = tile.triples[slot_ks[0] - 1]
-        parent_ks = layout.parent_facets[tile.base]
-        parent = tile.triples[parent_ks[0] - 1].j if parent_ks else 0
-        rows4.append((tile.base, parent, pair_dec, tile))
-    rows4.sort(key=lambda r: r[:3])
-    step4 = [
-        f"T{base} parent={parent} pair=({pair.j},{pair.g.render()}) | {columns(tile)}"
-        for base, parent, pair, tile in rows4
-    ]
+    def step4():
+        # In canonical order a base's tiles are contiguous and the bases
+        # ascend, so stable sorts per base give one sort by (base, parent, pair).
+        network = compress(tau.tiles, map(PROVENANCE_NETWORK.__eq__, tau.provenance))
+        for base, group in groupby(network, key=attrgetter("base")):
+            pair_k = slots_of[base][0] - 1
+            parent_ks = layout.parent_facets[base]
+            rows = [(t.triples[parent_ks[0] - 1].j if parent_ks else 0, t.triples[pair_k], t)
+                    for t in group]
+            for parent, pair, t in sorted(rows, key=itemgetter(0, 1)):
+                yield f"T{base} parent={parent} pair=({pair.j},{pair.g.render()}) | {columns(t)}"
 
-    step5 = [
-        f"T{tile.base} | {columns(tile)}"
-        for tile, prov in zip(tau.tiles, tau.provenance)
-        if prov == PROVENANCE_CENTRAL
-    ]
+    step5 = (f"T{t.base} | {columns(t)}"
+             for t in compress(tau.tiles, map(PROVENANCE_CENTRAL.__eq__, tau.provenance)))
 
-    views = (step1, step2, step3, step4, step5)
-    return {name: "\n".join(lines) + "\n" for name, lines in zip(STAGE_NAMES, views)}
+    views = (step1, step2, step3, step4(), step5)
+    return {name: "\n".join([*line_batches(lines), ""]) for name, lines in zip(STAGE_NAMES, views)}

@@ -26,7 +26,7 @@ import gc
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import groupby, zip_longest
+from itertools import groupby, islice, zip_longest
 from operator import getitem, itemgetter
 from struct import pack
 from types import MappingProxyType
@@ -185,7 +185,7 @@ class Tileset:
     facet k one C-int column, the id of facet k of each tile (-1 where a
     tile has fewer facets). A tile is then its index. Both are built on
     first use, so the closure, the writers and the hierarchy never build
-    them."""
+    them; `in` and `index` keep a tile -> index dict, and the package uses neither."""
 
     tiles: tuple[DecoratedTile, ...]
     provenance: tuple[str, ...]
@@ -222,7 +222,21 @@ class Tileset:
         )
 
     def dump(self) -> str:
-        return "\n".join(self.lines())
+        """The dump's lines, newline-joined through `line_batches`."""
+        return "\n".join(line_batches(self.lines()))
+
+
+_LINE_BATCH = 1024  # lines a batch: 4096 measured a higher `generate` peak RSS
+
+
+def line_batches(lines: Iterable[str]) -> Iterator[str]:
+    """`lines` in runs of `_LINE_BATCH`, each run newline-joined, so that
+    the batches newline-joined are the lines newline-joined, and no list of
+    every line is built. The first batch comes even when there are none."""
+    lines = iter(lines)
+    yield "\n".join(islice(lines, _LINE_BATCH))
+    while batch := list(islice(lines, _LINE_BATCH)):
+        yield "\n".join(batch)
 
 
 Side = tuple[str, int]  # (rule id, parent facet): one macro-facet

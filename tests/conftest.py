@@ -1,6 +1,7 @@
 import pytest
 
 from tilesub.assembler import assemble_patches, build_grid_layout
+from tilesub.grids import make_square_grid_document
 from tilesub.model import build_numbering
 from tilesub.simulation import enumerate_macro_tiles
 from tilesub.specfile import load_bundled
@@ -52,3 +53,12 @@ def layout(doc3, numbering):
 @pytest.fixture(scope="session")
 def patches_2x2(tau, numbering):
     return assemble_patches(tau, numbering, 2, 2)
+
+
+@pytest.fixture(scope="session")
+def grid4x4():
+    """The 4x4 grid spec, its numbering and tileset, and its 2x2 patches."""
+    doc = make_square_grid_document(4, 4)
+    numbering = build_numbering(doc.system)
+    tau = generate_tileset(doc.system, numbering, doc.networks)
+    return doc, numbering, tau, assemble_patches(tau, numbering, 2, 2)

@@ -24,11 +24,13 @@ from tilesub.tileset import (
     PROVENANCE_CENTRAL,
     PROVENANCE_NETWORK,
     UNDEFINED,
+    ColumnRenderer,
     DecoratedTile,
     DecorationTriple,
     Tileset,
     _pairs_table,
     _steps13,
+    build_layout,
 )
 
 S, N, W, E = 1, 2, 3, 4
@@ -487,3 +489,25 @@ def tile_level_close(layout):
         for t in ordered
     )
     return Tileset(tuple(ordered), provenance)
+
+
+def step4_by_global_sort(tau, numbering, networks):
+    """Oracle for `stage_views`' step 4: every network tile's row, then one
+    stable sort of all of them by (base, parent, pair)."""
+    layout = build_layout(numbering, networks)
+    columns = ColumnRenderer()
+    slots_of = {j0: ks for j0, _, ks in layout.network_cells}
+    rows4 = []
+    for tile, prov in zip(tau.tiles, tau.provenance):
+        if prov != PROVENANCE_NETWORK:
+            continue
+        pair_dec = tile.triples[slots_of[tile.base][0] - 1]
+        parent_ks = layout.parent_facets[tile.base]
+        parent = tile.triples[parent_ks[0] - 1].j if parent_ks else 0
+        rows4.append((tile.base, parent, pair_dec, tile))
+    rows4.sort(key=lambda r: r[:3])
+    lines = [
+        f"T{base} parent={parent} pair=({pair.j},{pair.g.render()}) | {columns(tile)}"
+        for base, parent, pair, tile in rows4
+    ]
+    return "\n".join(lines) + "\n"

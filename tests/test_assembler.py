@@ -22,7 +22,6 @@ from tilesub.assembler import (
     phase_of,
 )
 from tilesub.errors import AmbiguousSignature, NonSquareSystem
-from tilesub.grids import make_square_grid_document
 from tilesub.model import build_numbering
 from tilesub.simulation import _seam_keys, _search, hierarchy_decorate
 from tilesub.specfile import load_bundled
@@ -163,6 +162,21 @@ def test_assemble_seeded_2x3_matches_bruteforce(tau, numbering):
     ]
     assert [p.cells[(1, 2)] for p in fast] == oracle
     assert all(p.matching_report().ok for p in fast[:5])
+
+
+def test_seeded_assembly_keeps_no_tile_table(system, numbering, networks):
+    """Seeds are found by a scan of the tiles, so the tileset keeps no
+    tile -> index table afterwards. A seed equal to a tile of tau is that
+    tile's index; one with UNDEFINED facets is appended as a foreign tile."""
+    tau = generate_tileset(system, numbering, networks)
+    full = assemble_patches(tau, numbering, 2, 3)[0]
+    seeds = {pos: full.cells[pos] for pos in [(0, 0), (1, 0), (0, 1)]}
+    seeded = assemble_patches(tau, numbering, 2, 3, seeds=seeds)
+    assert seeded.tiles is tau.tiles and full in seeded
+    blank = DecoratedTile(full.cells[(0, 0)].base, (UNDEFINED,) * 4)
+    blanked = assemble_patches(tau, numbering, 2, 3, seeds={(0, 0): blank})
+    assert blanked.tiles == tau.tiles + (blank,) and not blanked
+    assert "_by_tile" not in vars(tau)
 
 
 # SHA-256 of `repr(list(patches))` for each spec's 2x2 patches, and for the
@@ -509,15 +523,6 @@ def assert_phases_match_reference(patches, layout):
         assert [(r.entries, r.notes) for r in got] == [(r.entries, r.notes) for r in expected]
     assert layout.phases
     return sum(not r.ok for r in expected)
-
-
-@pytest.fixture(scope="module")
-def grid4x4():
-    """The 4x4 grid spec, its numbering and tileset, and its 2x2 patches."""
-    doc = make_square_grid_document(4, 4)
-    numbering = build_numbering(doc.system)
-    tau = generate_tileset(doc.system, numbering, doc.networks)
-    return doc, numbering, tau, assemble_patches(tau, numbering, 2, 2)
 
 
 # Patch count and incoherent patches of each spec's 2x2 evidence.

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from tilesub import cli
+from tilesub import cli, tileset
 from tilesub.cli import main
 from tilesub.grids import make_square_grid_document
 from tilesub.specfile import print_spec
+from tilesub.tileset import Tileset
 
 SPEC = str(resources.files("tilesub.data") / "square3x3.sub")
 
@@ -58,11 +59,18 @@ def test_generate_deterministic(capsys):
 def test_generate_writes_the_dump_in_batches(capsys, monkeypatch, batch):
     """Whatever the batch size, including one that does not divide the 1544
     lines and one larger than the dump, stdout is the golden dump."""
-    monkeypatch.setattr(cli, "_DUMP_BATCH", batch)
+    monkeypatch.setattr(tileset, "_LINE_BATCH", batch)
     code, out, err = run(capsys, "generate", SPEC)
     golden = Path(__file__).parent / "golden" / "square3x3" / "tileset_dump.txt"
     assert (code, err) == (0, "")
     assert out == golden.read_text()
+
+
+def test_generate_prints_one_empty_line_for_no_tiles(capsys, monkeypatch):
+    """A tileset without tiles prints one empty line, as `print("")` does."""
+    generated = cli._generated
+    monkeypatch.setattr(cli, "_generated", lambda doc: (generated(doc)[0], Tileset((), ())))
+    assert run(capsys, "generate", SPEC) == (0, "\n", "")
 
 
 def test_generate_stage_files(capsys, tmp_path):

@@ -607,6 +607,22 @@ def test_quotient_single_instance(instances, system, numbering, networks, tau):
     assert len(quotient.nodes) == 1 and quotient.edges == ()
 
 
+def test_quotient_membership_keeps_no_tile_table(instances, system, numbering, networks):
+    """Each node is looked up by one pass over the tileset, which keeps no
+    tile -> index table afterwards; a tileset without the node's tile
+    reports it."""
+    tau = generate_tileset(system, numbering, networks)
+    decomposed = SimpleNamespace(
+        blocks={(0, 0): instances[0]}, adjacencies=(), margins=()
+    )
+    node = quotient_preimage(decomposed, system, numbering, networks, tau).nodes[(0, 0)]
+    assert "_by_tile" not in vars(tau)
+    without = Tileset(tuple(t for t in tau if t != node), ())
+    quotient = quotient_preimage(decomposed, system, numbering, networks, without)
+    assert quotient.report.codes() == {"PhiNotInTileset"}
+    assert "_by_tile" not in vars(without)
+
+
 def _stacked_pair(instances):
     """A parent-1 block and a parent-4 block that glue along S~N."""
     lower = next(i for i in instances if i.parent_index == 1)
