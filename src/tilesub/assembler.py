@@ -13,9 +13,9 @@ The phase check settles a patch whose every cell has a phase with one list
 comparison, and otherwise walks it column by column, each from the south,
 finding a cell's east and north neighbors at the next index and one row up,
 so its notes and entries come in sorted position order without a sort.
-`decompose_macro` looks each block up in one table per mask of UNDEFINED
-slots, keyed by `itemgetter` over instances flattened into rows of bases and
-decorations.
+`decompose_macro` keys each block by `itemgetter` over its row of bases and
+decorations, one table per mask of UNDEFINED slots, and reads the instances
+once, flattened the same way, keeping the first that fills each key.
 
 This is the specialization to systems whose prototypes are unit squares with
 the facet convention (S, N, W, E) = (1, 2, 3, 4) and orientations
@@ -28,16 +28,15 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, compress, count, islice, product, repeat, starmap
+from itertools import chain, compress, count, islice, product, repeat
 from operator import eq, is_, itemgetter
-from struct import Struct
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import AmbiguousSignature, NonSquareSystem
 from .model import GlobalNumbering, Rule, SubstitutionSystem, ValidationReport
 from .network import NetworkSet
-from .simulation import HierarchyPatch, MacroTileInstance, _seam_keys, _search
+from .simulation import HierarchyPatch, MacroTileInstance, _packed, _seam_keys, _search
 from .tileset import (
     DecoratedTile,
     Tileset,
@@ -413,10 +412,7 @@ def assemble_patches(tau: Tileset, numbering: GlobalNumbering, width: int,
                                + [(S, i - width, N)] * (i >= width)))
             for i, pool in enumerate(pools)
         ]
-        # The solutions packed, 4096 a write: faster than one int at a time.
-        packed = starmap(Struct(f"{len(pools)}i").pack, _search(cells))
-        while chunk := b"".join(islice(packed, 4096)):
-            flat.frombytes(chunk)
+        flat = _packed(_search(cells), len(pools))
     return PatchSequence(tiles, width, height, flat)
 
 
@@ -430,7 +426,7 @@ class DecomposedPatch:
     report: ValidationReport
 
 
-def decompose_macro(patch: GridPatch, instances: tuple[MacroTileInstance, ...],
+def decompose_macro(patch: GridPatch, instances: Sequence[MacroTileInstance],
                     layout: GridLayout, wildcard: bool = False) -> DecomposedPatch:
     """Align w x h blocks at phase-(0,0) anchors and identify each complete
     block with an enumerated instance.
@@ -441,29 +437,29 @@ def decompose_macro(patch: GridPatch, instances: tuple[MacroTileInstance, ...],
     outside complete blocks are margins. Blocks, reports and adjacencies
     come in sorted anchor order, margins in sorted position order.
 
-    Each instance is flattened once per call into a row: its tiles in
-    scanline order of their template positions, each as its base followed by
-    its decorations. A complete block is flattened the same way, and the
-    positions of its row's UNDEFINED decorations (none without `wildcard`)
-    are its mask. Per mask one table maps `itemgetter(*visible)` of each
-    instance row to the instance, `visible` being the positions the mask
-    leaves, filled in instance order so that the first matching instance
-    wins; a block is then one lookup in its mask's table.
+    A complete block is flattened into a row: its tiles in scanline order,
+    each as its base followed by its decorations. The positions of its row's
+    UNDEFINED decorations (none without `wildcard`) are its mask. Per mask
+    one table maps `itemgetter(*visible)` of each block's row to the
+    instance it names, `visible` being the positions the mask leaves. The
+    instances are then read once, each flattened the same way with its
+    tiles in scanline order of their template positions. Per mask, each
+    block's key gets the first instance whose row gives it, so the tables
+    keep only the winners.
     """
     w, h = layout.width, layout.height
     report = ValidationReport()
     at = layout.position_of
-    rows = [_row(sorted(inst.tiles, key=lambda tile: at[tile.base][::-1])) for inst in instances]
-    # Per mask, the key that reads the visible positions and the table.
-    tables: dict[tuple[int, ...], tuple[Callable, dict[Any, MacroTileInstance]]] = {}
+    # Per mask, the key that reads the visible positions, and each key a
+    # block gives -> the first instance that gives it, or None.
+    tables: dict[tuple[int, ...], tuple[Callable, dict[Any, MacroTileInstance | None]]] = {}
     width, height = patch.width, patch.height
     size = width * height
     memo = layout.phases
     phases = [None if tile is None else memo[tile.triples] for tile in islice(patch, size)]
     anchors = sorted((i % width, i // width) for i, phase in enumerate(phases) if phase == (0, 0))
     block_at = [dx + dy * width for dy in range(h) for dx in range(w)]
-    blocks: dict[tuple[int, int], MacroTileInstance] = {}
-    covered: set[int] = set()
+    complete = []  # per complete block: its anchor, positions, table and key
     for ax, ay in anchors:
         if ax + w > width or ay + h > height:
             continue
@@ -477,12 +473,24 @@ def decompose_macro(patch: GridPatch, instances: tuple[MacroTileInstance, ...],
         if found is None:
             hidden = set(mask)
             key = itemgetter(*[i for i in range(len(row)) if i not in hidden])
-            table: dict[Any, MacroTileInstance] = {}
-            for inst_row, inst in zip(rows, instances):
-                table.setdefault(key(inst_row), inst)
-            found = tables[mask] = key, table
+            found = tables[mask] = key, {}
         key, table = found
-        instance = table.get(key(row))
+        wanted = key(row)
+        table[wanted] = None
+        complete.append(((ax, ay), positions, table, wanted))
+    if tables:
+        listed = list(instances)
+        rows = [_row(sorted(inst.tiles, key=lambda tile: at[tile.base][::-1])) for inst in listed]
+        for key, table in tables.values():
+            # Each key -> the first instance that gives it: filled from the
+            # last instance back, so that an earlier one overwrites.
+            first = dict(zip(map(key, reversed(rows)), reversed(listed)))
+            for wanted in table:
+                table[wanted] = first.get(wanted)
+    blocks: dict[tuple[int, int], MacroTileInstance] = {}
+    covered: set[int] = set()
+    for (ax, ay), positions, table, wanted in complete:
+        instance = table[wanted]
         if instance is None:
             report.add("NonInstanceBlock", f"anchor ({ax},{ay})")
             continue

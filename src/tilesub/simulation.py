@@ -11,16 +11,20 @@ two parents equal, and the strong residual connecting condition, which
 enumeration runs on `_search`, the one key-indexed, iterative backtracking
 search of the package, which the grid assembler also uses to fill patches.
 It places tile indices, keyed by the decoration ids of
-`Tileset.decoration_ids`, and the instances and patches are built from its
-solutions. `phi` folds such an assembly back onto a single decorated parent
+`Tileset.decoration_ids`, and the enumeration keeps each rule's solutions as
+one C-int array of them, beside the instances' parent indices and central
+tiles: an `InstanceSequence`, which builds each `MacroTileInstance` when it
+is read. `phi` folds such an assembly back onto a single decorated parent
 tile; `verify_self_simulation` checks exhaustively that the tileset and its
-assemblies behave identically through `phi`, reading each image as a row of
-decoration ids and its membership off one int per tile of the tileset. Its
-condition 3 reads each side of a macro-facet seam once, into two
-single-valued maps (side key -> image, image -> side key, both as
-decoration ids), and checks each seam with one pass over the keys and images
-both sides share. The steps below the public
-entry points read every per-tile and per-seam fact from the
+assemblies behave identically through `phi`, on the ints: it reads the
+projection cell by cell off the arrays, folds each image into decoration
+ids and checks its membership with one int per tile of the tileset. Its condition 3
+reads each side of a macro-facet seam once, into two single-valued maps
+(side key -> image, image -> side key, both as decoration ids, a side key
+zipped from the id columns of the member cells), and checks each seam with
+one pass over the keys and images both sides share. Any other sequence of
+instances is converted to tile indices once, at the call. The steps below
+the public entry points read every per-tile and per-seam fact from the
 `tileset.Layout`.
 
 `hierarchy_decorate` builds the finite-depth telescope of images with the
@@ -52,8 +56,8 @@ from collections import deque
 from collections.abc import ItemsView, Mapping, Sequence, ValuesView
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
-from itertools import accumulate, chain, compress, repeat
-from operator import add, and_, eq, is_, itemgetter, mul, ne, sub
+from itertools import accumulate, chain, compress, islice, repeat, starmap
+from operator import add, and_, attrgetter, eq, is_, itemgetter, mul, ne, not_, or_, sub
 from struct import Struct
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
@@ -83,6 +87,7 @@ from .tileset import (
     UNDEFINED,
     _Memo,
     _Numbering,
+    _id_columns,
     _nogc,
     _steps13,
     build_layout,
@@ -104,6 +109,97 @@ class MacroTileInstance(NamedTuple):
 
 # Builds an instance from its five fields in C, with no Python frame.
 _instance = partial(tuple.__new__, MacroTileInstance)
+
+
+class _Fillings(NamedTuple):
+    """Consecutive instances of one rule as ints: `flat` holds `len(cells)`
+    tile indices an instance, in cell order, and `parents` and `centrals`
+    each instance's parent index and the tile index of its central tile."""
+
+    rule_id: str
+    cells: tuple[str, ...]
+    flat: array
+    parents: array
+    centrals: array
+
+
+class InstanceSequence(Sequence):
+    """Instances as ints, read-only: runs of one rule's instances
+    (`_Fillings`) over the tile table `tiles`, each instance built as a
+    `MacroTileInstance` when it is read. `enumerate_macro_tiles` returns one
+    run per rule, over the tiles of its tileset.
+
+    It reads as the tuple of those instances did: `len`, truth, integer and
+    negative indices (IndexError past either end), slices (a list), any
+    number of iterations, `==` against a tuple, a list or another sequence
+    of instances, and the tuple's `repr`. Iteration runs C iterators over
+    the arrays, so no Python frame runs per instance."""
+
+    __slots__ = ("tiles", "runs", "starts")
+
+    def __init__(self, tiles: Sequence[DecoratedTile], runs: Sequence[_Fillings]):
+        self.tiles = tiles
+        self.runs = runs
+        # The index of each run's first instance, then the instance count.
+        self.starts = _starts([len(run.parents) for run in runs])
+
+    def __len__(self) -> int:
+        return self.starts[-1]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]  # IndexError past either end
+        r = bisect_right(self.starts, i) - 1
+        run = self.runs[r]
+        j = i - self.starts[r]
+        size = len(run.cells)
+        tiles = tuple(map(self.tiles.__getitem__, run.flat[j * size:(j + 1) * size]))
+        return _instance((run.rule_id, run.cells, tiles, run.parents[j],
+                          self.tiles[run.centrals[j]]))
+
+    def __iter__(self) -> Iterator[MacroTileInstance]:
+        return chain.from_iterable(map(self._read, self.runs))
+
+    def _read(self, run: _Fillings) -> Iterator[MacroTileInstance]:
+        tile_of = self.tiles.__getitem__
+        tiles = zip(*[map(tile_of, run.flat)] * len(run.cells))
+        return map(_instance, zip(repeat(run.rule_id), repeat(run.cells), tiles,
+                                  run.parents, map(tile_of, run.centrals)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, list, InstanceSequence)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+def _as_instance_sequence(tiles: tuple[DecoratedTile, ...],
+                          instances: Sequence[MacroTileInstance]) -> InstanceSequence:
+    """`instances` as ints: an `InstanceSequence` as it is, and any other
+    sequence read once, in runs of consecutive instances of one rule and
+    cell tuple, over `tiles` and, appended, the tiles of the instances that
+    `tiles` lacks. Each instance keeps its own parent index and central
+    tile. An instance with another number of tiles than cells raises
+    ValueError."""
+    if isinstance(instances, InstanceSequence):
+        return instances
+    index = _Numbering(zip(tiles, range(len(tiles))))  # a tile not there gets the next index
+    runs: list[_Fillings] = []
+    for i, inst in enumerate(instances):
+        if len(inst.tiles) != len(inst.cells):
+            raise ValueError(f"instance {i} has {len(inst.tiles)} tiles for {len(inst.cells)} cells")
+        if not runs or (runs[-1].rule_id, runs[-1].cells) != (inst.rule_id, inst.cells):
+            runs.append(_Fillings(inst.rule_id, inst.cells, array("i"), array("i"), array("i")))
+        run = runs[-1]
+        run.flat.extend(map(index.__getitem__, inst.tiles))
+        run.parents.append(inst.parent_index)
+        run.centrals.append(index[inst.central_tile])
+    return InstanceSequence(tiles if len(index) == len(tiles) else tuple(index), runs)
 
 
 def _search(cells: Sequence[tuple[Iterable[Any], Callable, Callable]]
@@ -190,10 +286,20 @@ def _seam_keys(columns: Sequence[Sequence[int]], radix: int,
             lambda placed: tuple([col2[placed[i]] for _, i, col2 in at]))
 
 
+def _packed(solutions: Iterable[tuple[int, ...]], size: int) -> array:
+    """The `_search` solutions of `size` ints each, in one C-int array,
+    packed 4096 solutions a write: faster than one int at a time."""
+    flat = array("i")
+    packed = starmap(Struct(f"{size}i").pack, solutions)
+    while chunk := b"".join(islice(packed, 4096)):
+        flat.frombytes(chunk)
+    return flat
+
+
 @_nogc
 def enumerate_macro_tiles(tau: Tileset, system: SubstitutionSystem,
                           numbering: GlobalNumbering, networks: NetworkSet
-                          ) -> tuple[MacroTileInstance, ...]:
+                          ) -> InstanceSequence:
     """Every filling of each rule's template by tiles of `tau` whose internal
     facets match.
 
@@ -204,15 +310,15 @@ def enumerate_macro_tiles(tau: Tileset, system: SubstitutionSystem,
     so matching seams alone make them read one parent. The instance takes
     it from the first cell that reads one. Instances come out rule by rule,
     in lexicographic order of the tiles' canonical positions in `tau`, cells
-    taken in template order.
+    taken in template order, as an `InstanceSequence` over the search's tile
+    indices. The search runs here, so the sequence holds every solution when
+    it is returned.
     """
     layout = build_layout(numbering, networks)
-    return tuple(
-        inst for rule in system.rules for inst in _enumerate_rule(tau, layout, rule)
-    )
+    return InstanceSequence(tau.tiles, [_enumerate_rule(tau, layout, rule) for rule in system.rules])
 
 
-def _enumerate_rule(tau: Tileset, layout: Layout, rule: Rule) -> Iterator[MacroTileInstance]:
+def _enumerate_rule(tau: Tileset, layout: Layout, rule: Rule) -> _Fillings:
     numbering = layout.numbering
     cells = rule.template.cell_ids()
     pos = rule.template.position
@@ -240,16 +346,16 @@ def _enumerate_rule(tau: Tileset, layout: Layout, rule: Rule) -> Iterator[MacroT
         raise TilesubError(f"rule {rule.rule_id}: no cell of an instance reads its parent")
     first, k_first = reads[0]
     center = pos[layout.networks[rule.rule_id].center]
-    if not all(pools.values()):  # no filling; an empty tileset has no columns to key on
-        return
-    table, columns = tau.decoration_ids
-    radix = len(table) + 1
-    tile_of = tau.tiles.__getitem__
-    rule_id = rule.rule_id
-    for placed in _search([(pools[c], *_seam_keys(columns, radix, back[c])) for c in cells]):
-        tiles = tuple(map(tile_of, placed))
-        parent = tiles[first].triples[k_first].j
-        yield _instance((rule_id, cells, tiles, parent, tiles[center]))
+    flat = array("i")
+    if all(pools.values()):  # else no filling; an empty tileset has no columns to key on
+        table, columns = tau.decoration_ids
+        flat = _packed(
+            _search([(pools[c], *_seam_keys(columns, len(table) + 1, back[c])) for c in cells]),
+            len(cells),
+        )
+    size = len(cells)
+    parents = array("i", [tau.tiles[t].triples[k_first].j for t in flat[first::size]])
+    return _Fillings(rule.rule_id, cells, flat, parents, flat[center::size])
 
 
 def phi(layout: Layout, instance: MacroTileInstance) -> DecoratedTile:
@@ -303,7 +409,7 @@ class SimulationReport:
 @_nogc
 def verify_self_simulation(tau: Tileset, system: SubstitutionSystem,
                            numbering: GlobalNumbering, networks: NetworkSet,
-                           instances: tuple[MacroTileInstance, ...]) -> SimulationReport:
+                           instances: Sequence[MacroTileInstance]) -> SimulationReport:
     """Check the self-simulation conditions exhaustively at template scale,
     over `instances`, the enumeration `enumerate_macro_tiles` gives for `tau`.
 
@@ -314,77 +420,49 @@ def verify_self_simulation(tau: Tileset, system: SubstitutionSystem,
     the biconditional is checked as an exact logical equivalence over the
     enumeration. Condition (2) quantifies over complete tilings and is only
     evidenced at patch scale, never claimed proven.
+
+    The check reads the instances as ints (`_as_instance_sequence`) and the
+    tiles as decoration ids. An instance with another number of cells than
+    its rule's template fails condition (1) and is left out of condition (3).
     """
     layout = build_layout(numbering, networks)
     if not instances:
         raise NoMacroTiles("the tileset admits no macro-tile")
     failures: list[str] = []
-    nsigma = layout.nsigma
+    seq = _as_instance_sequence(tau.tiles, instances)
     # Decoration -> id, as in `tau`, numbering on from there the decorations
-    # of images outside it.
+    # of tiles and images outside it.
     table, columns = tau.decoration_ids
     ids = _Numbering(table)
-
-    def fold(key: tuple[int, int, FacetDecoration]) -> int:
-        """The id of what `phi` puts on facet k of T_parent from the central
-        tile's decoration there."""
-        parent, k, dec = key
-        if dec is not UNDEFINED:
-            dec = DecorationTriple(nsigma[(parent, k)], dec.j, dec.g)
-        return ids[dec]
-
-    # (parent, k, central decoration) -> `fold` of it, once per call.
-    folded = _Memo(fold)
-    # The tiles of `tau` as ints, by `_row_key` of their rows of `columns`.
-    # An image is a member when it has no more facets than there are
-    # columns, no id outside `table`, and its row, padded, gives one of them.
-    radix = len(table) + 1
-    members = set(map(_row_key, [t.base for t in tau.tiles], zip(*columns), repeat(radix)))
-    width = max(layout.facet_count.values())
-    # The images as ids: `width` a row, facet k of instance idx's image at
-    # `idx * width + k - 1`, -1 past the image's facets.
-    image_ids = array("i")
-    padding = array("i", [-1]) * width
-    cond1 = True
-    phi_ok = True
-    by_rule: dict[str, array] = {}  # rule id -> its instances' indices
+    if seq.tiles != tau.tiles:
+        columns = _id_columns(seq.tiles, ids)
+    images = _phi_images(layout, ids, columns, seq.runs)
     # Per rule, the prototypes of its template's cells and its parent's.
     shapes = _Memo(lambda rule_id: (
         tuple([p for _, p in system.rule(rule_id).template.cells]), system.rule(rule_id).parent
     ))
-    for idx, inst in enumerate(instances):
-        by_rule.setdefault(inst.rule_id, array("i")).append(idx)
-        expected, parent_proto = shapes[inst.rule_id]
-        got = tuple([layout.prototype_name[t.base] for t in inst.tiles])
-        parent = inst.parent_index
-        count = layout.facet_count[parent]
-        row = [
-            folded[(parent, k, dec)]
-            for k, dec in enumerate(inst.central_tile.triples[:count], start=1)
-        ]
-        image_ids.extend(row)
-        if len(row) < width:
-            image_ids.extend(padding[len(row):])
-        if got != expected or layout.prototype_name[parent] != parent_proto:
-            cond1 = False
-            failures.append(f"instance {idx}: projection mismatch")
-        if (len(row) > len(columns) or max(row, default=-1) >= len(table)
-                or _row_key(parent, row + [-1] * (len(columns) - len(row)), radix) not in members):
-            phi_ok = False
-            failures.append(f"instance {idx}: phi image not in tileset")
+    cond1, phi_ok = _check_images(tau, layout, shapes, ids, seq, images, failures)
+
+    # Each rule's runs of template-sized instances, with their images.
+    of_rule: dict[str, list[tuple[_Fillings, list[array]]]] = {}
+    for run, image in zip(seq.runs, images):
+        if len(run.cells) == len(shapes[run.rule_id][0]):
+            of_rule.setdefault(run.rule_id, []).append((run, image))
 
     def side(key: tuple[str, int, tuple[FacetRef, ...]]) -> tuple[dict, dict]:
         """The rule's instances read along the given member slots of its
         macro-facet k, as tuples of ids, and through facet k of their
         images, by `_side`."""
-        rule_id, k, members = key
+        rule_id, k, slots = key
         pos = system.rule(rule_id).template.position
-        at = [(pos[c], m - 1) for c, m in members]
-        idxs = by_rule.get(rule_id, ())
-        column = image_ids[k - 1::width]
+        found = of_rule.get(rule_id, ())
         return _side(
-            (tuple([ids[instances[idx].tiles[i].triples[m]] for i, m in at]) for idx in idxs),
-            map(column.__getitem__, idxs),
+            chain.from_iterable(
+                zip(*[map(columns[m - 1].__getitem__, run.flat[pos[c]::len(run.cells)])
+                      for c, m in slots])
+                for run, _ in found
+            ),
+            chain.from_iterable(image[k - 1] for _, image in found),
         )
 
     # Each side is built once, though every seam of a macro-facet reads it.
@@ -400,13 +478,116 @@ def verify_self_simulation(tau: Tileset, system: SubstitutionSystem,
     return SimulationReport(len(instances), cond1, phi_ok, cond3, failures)
 
 
-def _row_key(base: int, row: Iterable[int], radix: int) -> int:
-    """A tile as one int: its `base`, then each id of its decoration row
-    plus one, as a digit base `radix`. Rows of one length with ids in
-    -1 .. radix - 2 give distinct ints."""
-    for i in row:
-        base = base * radix + i + 1
-    return base
+def _phi_images(layout: Layout, ids: _Numbering, columns: Sequence[array],
+                runs: Sequence[_Fillings]) -> list[list[array]]:
+    """Per run, per facet k of the widest prototype, the id of what `phi`
+    puts on facet k of each instance's image, -1 past the parent's facets or
+    the central tile's. `columns` are the decoration-id columns of the tile
+    table the runs index, numbered by `ids`, which numbers on the images'
+    decorations outside it. Each (parent, facet, central id) is folded once
+    per call."""
+    nsigma, facet_count = layout.nsigma, layout.facet_count
+    # A fold key is parent * span + the central tile's id on the facet + 1.
+    span = len(ids) + 1
+    decorations = list(ids)  # id -> decoration
+
+    def fold(k: int, key: int) -> int:
+        parent, digit = divmod(key, span)
+        if digit == 0 or k > facet_count[parent]:
+            return -1
+        dec = decorations[digit - 1]
+        if dec is not UNDEFINED:
+            dec = DecorationTriple(nsigma[(parent, k)], dec.j, dec.g)
+        return ids[dec]
+
+    folds = [_Memo(partial(fold, k)) for k in range(1, max(facet_count.values()) + 1)]
+    images = []
+    for run in runs:
+        heads = array("q", map(add, map(mul, run.parents, repeat(span)), repeat(1)))
+        central_ids = [
+            map(columns[k].__getitem__, run.centrals) if k < len(columns) else repeat(-1)
+            for k in range(len(folds))
+        ]
+        images.append([
+            array("i", map(memo.__getitem__, map(add, heads, cids)))
+            for memo, cids in zip(folds, central_ids)
+        ])
+    return images
+
+
+def _check_images(tau: Tileset, layout: Layout, shapes: Mapping[str, tuple[tuple[str, ...], str]],
+                  ids: _Numbering, seq: InstanceSequence, images: Sequence[Sequence[array]],
+                  failures: list[str]) -> tuple[bool, bool]:
+    """Condition (1) and the membership of the images in `tau`, instance by
+    instance in order, each failure appended to `failures`: whether every
+    instance projects to its rule's template (`shapes`) and parent, and
+    whether every image is a tile of `tau`.
+
+    The tiles of `tau` are ints, by `_row_keys` of their rows of decoration
+    ids, and an image is a member when its row, padded to as many ids,
+    gives one of them. Every id lies in -1 .. len(ids) - 1, so the ints are
+    distinct, and an image with a decoration that no tile of `tau` carries
+    gives none of them. The set of them lives only for this check."""
+    prototype_name = layout.prototype_name
+    # Per run, per instance, whether its parent or a tile has the wrong
+    # prototype: each distinct parent, and each distinct tile of a cell, is
+    # looked up once.
+    wrongs = []
+    for run in seq.runs:
+        expected, parent_proto = shapes[run.rule_id]
+        size = len(run.cells)
+        if size != len(expected):
+            wrongs.append(b"\x01" * len(run.parents))
+            continue
+        wrong = _marked(bytes(len(run.parents)), run.parents, {
+            j for j in set(run.parents) if prototype_name[j] != parent_proto
+        })
+        for i, name in enumerate(expected):
+            column = run.flat[i::size]
+            wrong = _marked(wrong, column, {
+                t for t in set(column) if prototype_name[seq.tiles[t].base] != name
+            })
+        wrongs.append(wrong)
+    tau_columns = tau.decoration_ids[1]
+    width = max(layout.facet_count.values())
+    digits = max(width, len(tau_columns))
+    radix = len(ids) + 1
+    pad = [repeat(-1)] * (digits - len(tau_columns))
+    members = set(_row_keys(map(_BASE, tau.tiles), [*tau_columns, *pad], radix))
+    pad = [repeat(-1)] * (digits - width)
+    cond1 = phi_ok = True
+    for start, run, image, wrong in zip(seq.starts, seq.runs, images, wrongs):
+        keys = _row_keys(run.parents, [*image, *pad], radix)
+        missing = bytes(map(not_, map(members.__contains__, keys)))
+        for i in compress(range(len(wrong)), map(or_, wrong, missing)):
+            if wrong[i]:
+                cond1 = False
+                failures.append(f"instance {start + i}: projection mismatch")
+            if missing[i]:
+                phi_ok = False
+                failures.append(f"instance {start + i}: phi image not in tileset")
+    return cond1, phi_ok
+
+
+_BASE = attrgetter("base")
+
+
+def _marked(flags: bytes, values: Sequence[int], bad: set[int]) -> bytes:
+    """`flags` with flag i set where `values[i]` is in `bad`: as they are,
+    reading no value, when `bad` is empty."""
+    return bytes(map(or_, flags, map(bad.__contains__, values))) if bad else flags
+
+
+def _row_keys(heads: Iterable[int], columns: Sequence[Iterable[int]], radix: int
+              ) -> Iterator[int]:
+    """Each row as one int: its head, then each of its ids from `columns`,
+    as the digits of a number base `radix`. Rows as long as `columns`, with
+    ids in -1 .. radix - 2, give distinct ints: each is less, by one
+    constant, than the number whose digits are the ids plus one."""
+    keys = heads
+    for column in columns:
+        keys = map(add, map(mul, keys, repeat(radix)), column)
+    return keys
 
 
 _CONFLICT = object()

@@ -477,7 +477,7 @@ def test_indexed_wildcard_decomposition_matches_linear_scan(system, numbering, n
     decomposed = decompose_macro(patch, instances, layout, wildcard=True)
     assert decomposed.report.ok
     assert decomposed.blocks.keys() == oracle.keys()
-    assert all(decomposed.blocks[a] is oracle[a] for a in oracle)
+    assert all(decomposed.blocks[a] == oracle[a] for a in oracle)
     # Without wildcards UNDEFINED is a decoration like any other, which no
     # enumerated instance carries.
     exact = decompose_macro(patch, instances, layout)
@@ -500,8 +500,45 @@ def test_indexed_wildcard_decomposition_matches_linear_scan(system, numbering, n
     decomposed = decompose_macro(forged, instances, layout, wildcard=True)
     assert decomposed.report.codes() == {"NonInstanceBlock"}
     assert decomposed.blocks.keys() == oracle.keys() - {(0, 0)}
-    assert all(decomposed.blocks[a] is oracle[a] for a in decomposed.blocks)
+    assert all(decomposed.blocks[a] == oracle[a] for a in decomposed.blocks)
 
+
+
+class _CountedReads:
+    """The instances, recording each iteration and each index read."""
+
+    def __init__(self, instances):
+        self.instances = instances
+        self.reads = []
+
+    def __len__(self):
+        return len(self.instances)
+
+    def __getitem__(self, index):
+        self.reads.append(index)
+        return self.instances[index]
+
+    def __iter__(self):
+        self.reads.append("iter")
+        return iter(self.instances)
+
+
+@pytest.mark.parametrize("wildcard", [True, False])
+def test_decomposition_reads_its_instances_once(system, numbering, networks, instances,
+                                                layout, wildcard):
+    """However many masks the blocks have, the instances are read in one
+    pass, and blocks and reports are those of the scan."""
+    hpatch = hierarchy_decorate(system, numbering, networks, "r1", 3)
+    patch = grid_from_hierarchy(hpatch, layout, networks)
+    counted = _CountedReads(instances)
+    decomposed = decompose_macro(patch, counted, layout, wildcard=wildcard)
+    assert counted.reads == ["iter"]
+    oracle = decompose_by_scan(patch, instances, layout) if wildcard else {}
+    assert decomposed.blocks == oracle
+    assert len(decomposed.report.entries) == (0 if wildcard else 81)
+    empty = _CountedReads(instances)
+    assert not decompose_macro(GridPatch(2, 2), empty, layout).blocks
+    assert empty.reads == []
 
 # ---------------------------------------------------------------------------
 # The phase memo: `check_phase_coherence` and `decompose_macro` read each
@@ -602,7 +639,7 @@ def test_phase_memo_leaves_layout_equality_repr_and_decomposition_unchanged(
     warm = decompose_macro(patch, instances, filled, wildcard=True)
     assert cold == warm and cold.report.ok and len(cold.blocks) == 81
     oracle = decompose_by_scan(patch, instances, fresh)
-    assert all(cold.blocks[a] is oracle[a] for a in oracle) and cold.blocks.keys() == oracle.keys()
+    assert all(cold.blocks[a] == oracle[a] for a in oracle) and cold.blocks.keys() == oracle.keys()
 
 
 def test_phase_memo_is_read_only_by_its_own_layout(doc3, tau, numbering):

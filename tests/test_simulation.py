@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from array import array
 from dataclasses import replace
 from importlib import resources
@@ -88,6 +89,100 @@ def test_instance_repr_is_pinned(spec):
     instances = enumerate_macro_tiles(tau, doc.system, numbering, doc.networks)
     digest = hashlib.sha256(repr(instances).encode()).hexdigest()
     assert digest == INSTANCES_REPR_SHA256[spec]
+
+
+# Per bundled spec, the instance count and the SHA-256 over `repr` of each
+# instance in order; for the 4x4 grid the count and the SHA-256 of the
+# `repr` of its first and of its last instance. Taken while the enumeration
+# returned a tuple of `MacroTileInstance`s.
+INSTANCE_DIGESTS = {
+    "square3x3": (1544, "6ad6d86e0be1ad6a649211c11024ec0997d707bca6d08e3b6dfb42b74d5b669e"),
+    "tworule3x3": (7608, "7ad1bd94ea12c1aeea2f16599c8cd2bd8e3dc39a2b90069d59b2f4f2990468b6"),
+}
+GRID4X4_INSTANCES = 10104
+GRID4X4_ENDS_SHA256 = (
+    "db597b7e562d68c2d5cf174e44dcd0ae05eb7031c8199d40215a6c22676027c2",
+    "316c2391fc4db5079e910f21c024cf4d5836f64d0aad1b2655a05cd740eea56b",
+)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _bundled_instances(spec):
+    doc = load_bundled(spec)
+    numbering = build_numbering(doc.system)
+    tau = generate_tileset(doc.system, numbering, doc.networks)
+    return doc, numbering, tau, enumerate_macro_tiles(tau, doc.system, numbering, doc.networks)
+
+
+@pytest.mark.parametrize("spec", sorted(INSTANCE_DIGESTS))
+def test_each_instance_repr_is_pinned(spec):
+    """Each instance, built when it is read, has the fields, order and text
+    the tuple of instances had, one by one."""
+    instances = _bundled_instances(spec)[3]
+    digest = hashlib.sha256()
+    for inst in instances:
+        digest.update(repr(inst).encode())
+    assert (len(instances), digest.hexdigest()) == INSTANCE_DIGESTS[spec]
+
+
+def test_grid4x4_instance_ends_are_pinned(grid4x4):
+    doc, numbering, tau, _ = grid4x4
+    instances = enumerate_macro_tiles(tau, doc.system, numbering, doc.networks)
+    assert len(instances) == GRID4X4_INSTANCES
+    ends = (instances[0], instances[-1])
+    assert tuple(_sha256(repr(inst)) for inst in ends) == GRID4X4_ENDS_SHA256
+    assert ends == (instances[-len(instances)], instances[len(instances) - 1])
+
+
+@pytest.mark.parametrize("spec", sorted(INSTANCE_DIGESTS))
+def test_instance_sequence_reads_as_the_tuple(spec):
+    """Indices on both sides of every rule's first instance, negative
+    indices, slices, repeated iteration, `==` either way round and `repr`
+    read as the tuple of the same instances."""
+    doc, numbering, tau, instances = _bundled_instances(spec)
+    listed = list(instances)
+    assert list(instances) == listed and len(listed) == len(instances)
+    assert [instances[i] for i in range(len(listed))] == listed
+    assert [instances[-i] for i in range(1, len(listed) + 1)] == listed[::-1]
+    assert instances[5:40:3] == listed[5:40:3] and instances[::-1] == listed[::-1]
+    assert instances[len(listed):] == [] and isinstance(instances[:1], list)
+    again = enumerate_macro_tiles(tau, doc.system, numbering, doc.networks)
+    for same in (tuple(listed), listed, again):
+        assert instances == same and same == instances and not instances != same
+    for other in (tuple(listed[:-1]), listed[1:] + listed[:1], ()):
+        assert instances != other and other != instances
+    assert instances != "instances" and instances and repr(instances) == repr(tuple(listed))
+    for outside in (len(listed), -len(listed) - 1):
+        with pytest.raises(IndexError):
+            instances[outside]
+
+
+def test_no_filling_gives_an_empty_instance_sequence(system, numbering, networks):
+    instances = enumerate_macro_tiles(Tileset((), ()), system, numbering, networks)
+    assert len(instances) == 0 and not instances
+    assert instances == () and instances == [] and list(instances) == []
+    with pytest.raises(IndexError):
+        instances[0]
+
+
+def test_enumeration_keeps_at_most_1_mib(grid4x4):
+    """The 4x4 grid's 10104 instances are kept as 16 C-int tile indices
+    each, 0.62 MiB and the arrays' spare room; the tuple of
+    `MacroTileInstance`s kept 2.55 MB. The tileset's own id columns, built
+    on first use, are the tileset's, so they are built before tracing."""
+    doc, numbering, tau, _ = grid4x4
+    tau.decoration_ids
+    tracemalloc.start()
+    try:
+        instances = enumerate_macro_tiles(tau, doc.system, numbering, doc.networks)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(instances) == GRID4X4_INSTANCES
+    assert kept <= 1 << 20
 
 
 def test_instances_have_no_instance_dict(instances):
@@ -460,6 +555,69 @@ def test_report_counts_the_failures_it_leaves_out(tau, system, numbering, networ
         "condition2 delegated to patch-scale evidence (exhaustive 2x2 coherence "
         "in the assembler)"
     )
+
+
+
+# Per bundled spec, the true instances checked against the seam-blind
+# mutant: the failure count, and the SHA-256 of the rendered report and of
+# all its failure lines. Taken while the enumeration returned a tuple.
+MANY_FAILURES_PINS = {
+    "square3x3": (344, "99caaf5d7cb317f9069082350c734a9e06b3db054f80c02a68576e8cea158b49",
+                  "f1b20fb9d166cb894b2dc76eb8489a5426d38218ce0e54f3a7d3448201c5b1c8"),
+    "tworule3x3": (1440, "2af37fc7c2976000c040bd0c6320159148ead4f2157829ad827e8ec14d55b129",
+                   "2fdf233feb318f13d58578f4f3314bb057421816549f067bc5c85f1daab04673"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(MANY_FAILURES_PINS))
+def test_verdict_is_the_same_for_any_sequence_of_the_instances(spec):
+    """The enumerated sequence, its tuple and its list give byte-identical
+    reports: on the tileset they were enumerated from, on the seam-blind
+    mutant with its own instances, and on the mutant with the true
+    instances, whose tiles are not all the mutant's."""
+    doc, numbering, tau, instances = _bundled_instances(spec)
+    system, networks = doc.system, doc.networks
+    mutant = _blind_seam_mutant(build_layout(numbering, networks))
+    own = enumerate_macro_tiles(mutant, system, numbering, networks)
+    for tiles, checked in ((tau, instances), (mutant, own), (mutant, instances)):
+        renders = {
+            verify_self_simulation(tiles, system, numbering, networks, form).render()
+            for form in (checked, tuple(checked), list(checked))
+        }
+        assert len(renders) == 1
+    many = verify_self_simulation(mutant, system, numbering, networks, instances)
+    count, render_sha, failures_sha = MANY_FAILURES_PINS[spec]
+    assert len(many.failures) == count
+    assert _sha256(many.render()) == render_sha
+    assert _sha256("\n".join(many.failures)) == failures_sha
+    with pytest.raises(NoMacroTiles):
+        verify_self_simulation(tau, system, numbering, networks, ())
+
+
+def test_checked_instances_keep_their_own_parent_and_central_tile(
+        tau, system, numbering, networks, instances, compiled):
+    """A plain list of instances is read instance by instance: one given
+    another parent index and one another central tile are checked with
+    those, as `phi` folds them, and their failures keep their indices."""
+    forged = list(instances)
+    members = set(tau.tiles)
+    forged[3] = next(
+        moved for donor in instances
+        if phi(compiled, moved := forged[3]._replace(parent_index=donor.parent_index))
+        not in members
+    )
+    forged[5] = next(
+        moved for donor in instances
+        if phi(compiled, moved := forged[5]._replace(central_tile=donor.central_tile))
+        not in members
+    )
+    missing = [i for i, inst in enumerate(forged) if phi(compiled, inst) not in members]
+    assert missing == [3, 5]
+    report = verify_self_simulation(tau, system, numbering, networks, forged)
+    assert report.condition1_ok and not report.phi_in_tileset
+    assert [f for f in report.failures if not f.startswith("condition3")] == [
+        f"instance {i}: phi image not in tileset" for i in missing
+    ]
 
 
 def test_hierarchy_depth1(system, numbering, networks):

@@ -179,7 +179,7 @@ def test_ra_depth3_hierarchy_decomposes_into_full_blocks(doc, numbering, instanc
     assert decomposed.margins == ()
     oracle = decompose_by_scan(patch, instances, grid)
     assert decomposed.blocks.keys() == oracle.keys()
-    assert all(decomposed.blocks[a] is oracle[a] for a in oracle)
+    assert all(decomposed.blocks[a] == oracle[a] for a in oracle)
     # Each block is an instance of the rule that expanded it: the level
     # above the bottom has 73 a-cells, expanded by ra, and 8 b-cells.
     by_rule = Counter(inst.rule_id for inst in decomposed.blocks.values())
@@ -200,11 +200,11 @@ def test_decomposition_of_both_rules_matches_the_scan(doc, numbering, instances,
         oracle = decompose_by_scan(patch, order, grid)
         assert decomposed.report.ok and decomposed.margins == ()
         assert list(decomposed.blocks) == sorted(oracle) and len(oracle) == 9 ** (depth - 1)
-        assert all(decomposed.blocks[a] is oracle[a] for a in oracle)
+        assert all(decomposed.blocks[a] == oracle[a] for a in oracle)
         assert Counter(i.rule_id for i in oracle.values()) == Counter(hpatch.bottom.rule[::9])
         winners[order is instances] = decomposed.blocks
     # The order matters: some block matches more than one instance.
-    assert any(winners[True][a] is not winners[False][a] for a in winners[True])
+    assert any(winners[True][a] != winners[False][a] for a in winners[True])
 
 
 def test_decomposition_without_instances_reports_every_block(doc, numbering, grid):
