@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from .assembler import (
@@ -26,7 +27,7 @@ from .network import check_port_condition, search_networks, validate_network
 from .render import render_patch_svg, render_tile_svg
 from .simulation import enumerate_macro_tiles, hierarchy_decorate, verify_self_simulation
 from .specfile import parse_spec
-from .stages import stage_views
+from .stages import stage_lines
 from .tileset import build_layout, close, generate_tileset, line_batches
 
 
@@ -42,16 +43,18 @@ def _read(path: str) -> str:
                          ) from None
 
 
-def _write(path: Path, text: str, *, parents: bool = False) -> None:
-    """Write an output file, first making its missing parent directories if
-    `parents`. One that cannot be written (a directory, a parent that is a
-    file, no permission) raises ParseError (exit 2)."""
+def _write(path: Path, chunks: Iterable[str], *, parents: bool = False) -> None:
+    """Write an output file, its text in `chunks`, first making its missing
+    parent directories if `parents`. One that cannot be written (a
+    directory, a parent that is a file, no permission) raises ParseError
+    (exit 2)."""
     try:
         if parents:
             path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with path.open("w") as out:
+            out.writelines(chunks)
     except OSError as exc:
-        # mkdir names the parent it could not make, write_text the file.
+        # mkdir names the parent it could not make, open the file.
         raise ParseError(f"cannot write {exc.filename or path}: {exc.strerror or exc}"
                          ) from None
 
@@ -111,8 +114,10 @@ def cmd_generate(args) -> int:
     numbering, tau = _generated(doc)
     if args.stages:
         outdir = Path(args.stages)
-        for name, text in stage_views(tau, numbering, doc.networks).items():
-            _write(outdir / f"after_{name}.txt", text, parents=True)
+        # Each stage written as it is made, a batch of lines a write.
+        for name, lines in stage_lines(tau, numbering, doc.networks):
+            _write(outdir / f"after_{name}.txt", map("{}\n".format, line_batches(lines)),
+                   parents=True)
     # The dump in batches: neither the whole dump nor one write a line.
     for batch in line_batches(tau.lines()):
         print(batch)
@@ -244,7 +249,7 @@ def cmd_render(args) -> int:
         print("render: choose --tile, --instance, --hierarchy-depth or --empty",
               file=sys.stderr)
         return 2
-    _write(Path(args.svg), svg)
+    _write(Path(args.svg), (svg,))
     print(f"wrote {args.svg}")
     return 0
 

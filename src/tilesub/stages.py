@@ -7,6 +7,7 @@ views are byte-stable.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import compress, groupby
 from operator import attrgetter, itemgetter
 
@@ -30,6 +31,18 @@ def stage_views(tau: Tileset, numbering: GlobalNumbering,
     """Render the five stage files from a generated tileset, each its lines
     and a final newline joined through `line_batches`. `tau` must be in
     canonical order: step 4 sorts one base's network tiles at a time."""
+    return {
+        name: "\n".join([*line_batches(lines), ""])
+        for name, lines in stage_lines(tau, numbering, networks)
+    }
+
+
+def stage_lines(tau: Tileset, numbering: GlobalNumbering,
+                networks: NetworkSet) -> Iterator[tuple[str, Iterable[str]]]:
+    """The five stages in order, each its name and its lines, as
+    `stage_views` renders them. Steps 1-3 are short lists; steps 4 and 5,
+    nearly all the lines, are made while they are read, so a caller that
+    writes each stage before reading the next never holds them whole."""
     layout = build_layout(numbering, networks)
     columns = ColumnRenderer()
     slots_of = {j0: ks for j0, _, ks in layout.network_cells}
@@ -79,5 +92,4 @@ def stage_views(tau: Tileset, numbering: GlobalNumbering,
     step5 = (f"T{t.base} | {columns(t)}"
              for t in compress(tau.tiles, map(PROVENANCE_CENTRAL.__eq__, tau.provenance)))
 
-    views = (step1, step2, step3, step4(), step5)
-    return {name: "\n".join([*line_batches(lines), ""]) for name, lines in zip(STAGE_NAMES, views)}
+    yield from zip(STAGE_NAMES, (step1, step2, step3, step4(), step5))

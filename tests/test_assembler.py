@@ -210,6 +210,26 @@ def test_grid4x4_and_seeded_patches_are_pinned(grid4x4, tau, numbering):
     assert repr_sha256(seeded) == PATCHES_REPR_SHA256["seeded2x3"]
 
 
+# Per (width, height) on the bundled square3x3 tileset: the patch count and
+# the SHA-256 of the patches' tile indices, one tuple's repr a line, taken
+# while `_search` kept a list of candidates for every key.
+SQUARE3X3_TILE_INDICES = {
+    (3, 3): (15696, "1e94c260addc2b2d56cdb36755fd312973acfa1055d1492c0147f2c92c62e715"),
+    (4, 2): (29882, "a1dc7ffe9a239383a6fba3581351a9f709787d3059f206aab355bdbbd413d105"),
+}
+
+
+@pytest.mark.parametrize("sides", SQUARE3X3_TILE_INDICES, ids=["3x3", "4x2"])
+def test_larger_square3x3_patches_are_pinned(tau, numbering, sides):
+    """Patches with several cells of two seams and middle cells of one come
+    out in the same order whatever the search's index keeps."""
+    count, sha256 = SQUARE3X3_TILE_INDICES[sides]
+    patches = assemble_patches(tau, numbering, *sides)
+    text = "".join(f"{indices}\n" for indices in patches.tile_indices())
+    assert len(patches) == count
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
 def test_patches_read_as_the_list_did(patches_2x2):
     """The patch sequence answers as the list of its patches does."""
     patches = patches_2x2

@@ -35,6 +35,7 @@ from tilesub.model import build_numbering
 from tilesub.network import check_port_condition
 from tilesub.simulation import (
     _biconditional_holds,
+    _by_key,
     _search,
     _seam_keys,
     _side,
@@ -185,6 +186,29 @@ def test_enumeration_keeps_at_most_1_mib(grid4x4):
     assert kept <= 1 << 20
 
 
+def test_search_peaks_on_the_4x4_grid(grid4x4):
+    """`_search` indexes a key with one candidate without a list, and its
+    solutions are packed 1024 a write: the 4x4 enumeration traces about 1.8
+    MiB above its start and the 2x2 assembly about 2.4 MiB (Python 3.11),
+    where a list for every key and 4096 solutions a write took 3.1 and 3.65
+    MiB. The tileset's id columns are built before tracing."""
+    doc, numbering, tau, _ = grid4x4
+    tau.decoration_ids
+    peaks = []
+    for run in (lambda: enumerate_macro_tiles(tau, doc.system, numbering, doc.networks),
+                lambda: assemble_patches(tau, numbering, 2, 2)):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    enumeration, assembly = peaks
+    assert enumeration <= 2.5 * 2**20
+    assert assembly <= 3 * 2**20
+
+
 def test_instances_have_no_instance_dict(instances):
     """Five slots a tuple, hashed and compared by value."""
     inst = instances[0]
@@ -280,31 +304,78 @@ SEARCH_LAYOUTS = {
     "a middle cell without seams": [[], [(1, 0, 2), (2, 0, 1)], [], [(3, 2, 4)]],
 }
 # Decoration values skewed to 0, so that most pools have solutions and
-# dead ends both.
+# dead ends both, and most keys hold several candidates.
 SKEWED = (0, 0, 0, 0, 1, 2)
+# Decoration values drawn without repeats within a pool's facet, one row of
+# the pool then repeated whole, so that most keys hold one candidate and
+# one key several.
+SPREAD = range(6)
 
 
-@pytest.mark.parametrize("name", SEARCH_LAYOUTS)
+def spread_rows(rng, size, wanted):
+    """`size` rows of four decoration ids from `SPREAD`, distinct on each
+    facet but for one row drawn twice. One row carries id `wanted[k]` on
+    facet k + 1, and is returned as well."""
+    columns = []
+    for k in range(4):
+        column = rng.sample(SPREAD, size - 1)
+        if k in wanted:  # moved first, or put there in place of the last id
+            if wanted[k] in column:
+                column.remove(wanted[k])
+            else:
+                column.pop()
+            column.insert(0, wanted[k])
+        columns.append(column)
+    rows = list(zip(*columns))
+    planted = rows[0]
+    rows.insert(rng.randrange(size), rng.choice(rows))
+    return rows, planted
+
+
+# The same layouts with `SPREAD` pools.
+SPREAD_LAYOUTS = {f"{name}, most keys one candidate": seams
+                  for name, seams in SEARCH_LAYOUTS.items()}
+
+
+@pytest.mark.parametrize("name", {**SEARCH_LAYOUTS, **SPREAD_LAYOUTS})
 @pytest.mark.parametrize("seed", range(6))
 def test_search_matches_product_filter(name, seed):
     """`_search` yields exactly the assignments a filter over `product`
     keeps, in the same order, on random pools small enough that many
-    prefixes meet an empty group, at middle cells and at the last one."""
-    seams = SEARCH_LAYOUTS[name]
+    prefixes meet an empty group, at middle cells and at the last one.
+    Skewed pools key most candidates alike. Spread pools give most keys one
+    candidate, which the index keeps without a group, and one key of each
+    cell with seams two candidates, which it keeps in a group; each has one
+    solution planted."""
+    spread = name in SPREAD_LAYOUTS
+    seams = SPREAD_LAYOUTS[name] if spread else SEARCH_LAYOUTS[name]
     rng = random.Random(seed)
     # Candidates are indices into `rows`, each a row of four decoration ids,
     # and each pool a run of fresh indices; the columns are read as a
     # tileset's `decoration_ids`.
-    rows, pools = [], []
-    for _ in seams:
-        size = rng.randrange(3, 7)
+    rows, pools, planted = [], [], []
+    for cell_seams in seams:
+        size = rng.randrange(4, 7) if spread else rng.randrange(3, 7)
         pools.append(range(len(rows), len(rows) + size))
-        rows.extend(tuple(rng.choice(SKEWED) for _ in range(4)) for _ in range(size))
+        if spread:  # with one solution planted, through each pool's first drawn row
+            wanted = {k - 1: planted[i][k2 - 1] for k, i, k2 in cell_seams}
+            pool_rows, row = spread_rows(rng, size, wanted)
+            rows.extend(pool_rows)
+            planted.append(row)
+        else:
+            rows.extend(tuple(rng.choice(SKEWED) for _ in range(4)) for _ in range(size))
     columns = [array("i", column) for column in zip(*rows)]
-    radix = max(SKEWED) + 2
+    radix = len(SPREAD) + 1 if spread else max(SKEWED) + 2
     cells = [(pool, *_seam_keys(columns, radix, cell_seams))
              for pool, cell_seams in zip(pools, seams)]
-    assert list(_search(cells)) == search_by_product(pools, rows, seams)
+    if spread:
+        for (pool, key, _), cell_seams in zip(cells, seams):
+            index, groups = _by_key(pool, key)
+            ones = sum(found >= 0 for found in index.values())
+            assert (ones, len(groups)) == ((len(pool) - 2, 1) if cell_seams else (0, 1))
+    expected = search_by_product(pools, rows, seams)
+    assert expected or not spread
+    assert list(_search(cells)) == expected
     # An emptied pool, in the middle or last, leaves no solution.
     for c in (len(cells) // 2, len(cells) - 1):
         emptied = cells[:c] + [([], *cells[c][1:])] + cells[c + 1:]
@@ -327,30 +398,32 @@ def test_two_seam_keys_are_one_to_one():
 def test_search_of_zero_and_one_cell():
     nothing = lambda _: ()  # noqa: E731
     assert list(_search([])) == [()]
-    assert list(_search([("abc", nothing, nothing)])) == [("a",), ("b",), ("c",)]
-    assert list(_search([("abc", nothing, lambda _: ("x",))])) == []
-    assert list(_search([("", nothing, nothing)])) == []
+    assert list(_search([(range(3), nothing, nothing)])) == [(0,), (1,), (2,)]
+    assert list(_search([(range(3), nothing, lambda _: ("x",))])) == []
+    assert list(_search([((), nothing, nothing)])) == []
     # A one-cell search filters the pool by the wanted key.
-    assert list(_search([("abcb", lambda c: c, lambda _: "b")])) == [("b",), ("b",)]
+    assert list(_search([([0, 1, 2, 1], lambda c: c, lambda _: 1)])) == [(1,), (1,)]
+    assert list(_search([([0, 2], lambda c: c, lambda _: 1)])) == []
 
 
 def test_search_dead_ends_at_the_last_and_a_middle_cell():
     """Hand-made pools: the second of three cells has no candidate for the
     first cell's value 2, and the last none for the middle's value 5."""
-    # A candidate (a, b) follows one whose b is a.
+    # Candidates index `pairs`; a pair (a, b) follows one whose b is a.
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (3, 6), (3, 5), (4, 7), (6, 8), (6, 9)]
     cells = [
-        ([(0, 1), (0, 2), (0, 3)], lambda c: 0, lambda _: 0),
-        ([(1, 4), (1, 5), (3, 6), (3, 5)], lambda c: c[0], lambda placed: placed[0][1]),
-        ([(4, 7), (6, 8), (6, 9)], lambda c: c[0], lambda placed: placed[1][1]),
+        (range(0, 3), lambda c: 0, lambda _: 0),
+        (range(3, 7), lambda c: pairs[c][0], lambda placed: pairs[placed[0]][1]),
+        (range(7, 10), lambda c: pairs[c][0], lambda placed: pairs[placed[1]][1]),
     ]
-    pools = [pool for pool, _, _ in cells]
+    pools = [[pairs[c] for c in pool] for pool, _, _ in cells]
     expected = [
         combo for combo in product(*pools)
         if combo[1][0] == combo[0][1] and combo[2][0] == combo[1][1]
     ]
     assert expected == [((0, 1), (1, 4), (4, 7)), ((0, 3), (3, 6), (6, 8)),
                         ((0, 3), (3, 6), (6, 9))]
-    assert list(_search(cells)) == expected
+    assert [tuple(map(pairs.__getitem__, found)) for found in _search(cells)] == expected
 
 
 def test_instances_match_internally(instances, doc3):
