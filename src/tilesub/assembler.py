@@ -4,7 +4,7 @@ A patch is one flat tuple: its scanline tiles, then its width and height.
 Readers index the tiles in place, `patch[x + y * width]`, and read the sides
 through `width` and `height`; where the sides sit is known only here.
 Patches are filled by the key-indexed search that also enumerates
-macro-tiles (`simulation._search`), on tile indices keyed by decoration ids;
+macro-tiles (`simulation._fill`), on tile indices keyed by decoration ids;
 `assemble_patches` keeps the solutions as one C-int array of tile indices,
 a `PatchSequence`, which builds each `GridPatch` when it is read. Phases
 are read off a table of wildcard-masked macro-index signatures built with
@@ -19,7 +19,7 @@ once, flattened the same way, keeping the first that fills each key.
 
 This is the specialization to systems whose prototypes are unit squares with
 the facet convention (S, N, W, E) = (1, 2, 3, 4) and orientations
-(-, +, -, +). Generic polytope assembly would need geometric realization,
+(-, +, -, +), both defined in `model`. Generic polytope assembly would need geometric realization,
 which the model deliberately excludes.
 """
 from __future__ import annotations
@@ -29,14 +29,24 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress, count, islice, product, repeat
-from operator import eq, is_, itemgetter
+from operator import is_, itemgetter
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import AmbiguousSignature, NonSquareSystem
-from .model import GlobalNumbering, Rule, SubstitutionSystem, ValidationReport
+from .model import (
+    E,
+    N,
+    S,
+    SQUARE_ORIENTATIONS,
+    W,
+    GlobalNumbering,
+    Rule,
+    SubstitutionSystem,
+    ValidationReport,
+)
 from .network import NetworkSet
-from .simulation import HierarchyPatch, MacroTileInstance, _packed, _seam_keys, _search
+from .simulation import HierarchyPatch, MacroTileInstance, _IntRows, _fill
 from .tileset import (
     DecoratedTile,
     Tileset,
@@ -47,8 +57,6 @@ from .tileset import (
     _nogc,
     build_layout,
 )
-
-S, N, W, E = 1, 2, 3, 4
 
 
 class GridPatch(tuple):
@@ -166,7 +174,7 @@ class GridLayout:
 
 def _require_square(system: SubstitutionSystem) -> None:
     for proto in system.prototypes:
-        if proto.facet_count != 4 or proto.orientations != ("-", "+", "-", "+"):
+        if proto.facet_count != 4 or proto.orientations != SQUARE_ORIENTATIONS:
             raise NonSquareSystem(
                 f"prototype {proto.name} is not a unit square (S,N,W,E / -,+,-,+)"
             )
@@ -326,52 +334,31 @@ def check_phase_coherence(patch: GridPatch, layout: GridLayout) -> ValidationRep
     return report
 
 
-class PatchSequence(Sequence):
+class PatchSequence(_IntRows):
     """The patches of one `assemble_patches` call, read-only: one C-int
     array of tile indices into `tiles`, `width * height` a patch in
-    scanline order, each patch built as a `GridPatch` when it is read.
+    scanline order, each patch built as a `GridPatch` when it is read. It
+    reads as the list of those patches did (`_IntRows`) and equals a list
+    or another sequence of patches."""
 
-    It reads as the list of those patches did: `len`, truth, integer and
-    negative indices (IndexError past either end), slices (a list), any
-    number of iterations, and `==` against a list or another sequence of
-    patches. Iteration runs C iterators over the array, so no Python frame
-    runs per patch."""
-
-    __slots__ = ("tiles", "width", "height", "_flat")
+    __slots__ = ("width", "height")
+    _peers = (list,)
 
     def __init__(self, tiles: Sequence[DecoratedTile], width: int, height: int, flat: array):
-        self.tiles = tiles
         self.width = width
         self.height = height
-        self._flat = flat
+        super().__init__(tiles, [flat], [len(flat) // (width * height)])
 
-    def __len__(self) -> int:
-        return len(self._flat) // (self.width * self.height)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        size = self.width * self.height
-        start = range(0, len(self._flat), size)[index]  # IndexError past either end
-        cells = map(self.tiles.__getitem__, self._flat[start:start + size])
-        return _wrap((*cells, self.width, self.height))
-
-    def __iter__(self) -> Iterator[GridPatch]:
+    def _read(self, flat: array, start: int, stop: int) -> Iterator[GridPatch]:
         width, height = self.width, self.height
-        cells = map(self.tiles.__getitem__, self._flat)
+        size = width * height
+        cells = map(self.tiles.__getitem__, memoryview(flat)[start * size:stop * size])
         # Each row is a patch's tiles, then its sides.
-        return map(_wrap, zip(*[cells] * (width * height), repeat(width), repeat(height)))
+        return map(_wrap, zip(*[cells] * size, repeat(width), repeat(height)))
 
     def tile_indices(self) -> Iterator[tuple[int, ...]]:
         """Each patch's stored tile indices, in scanline order."""
-        return zip(*[iter(self._flat)] * (self.width * self.height))
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, PatchSequence)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    __hash__ = None
+        return zip(*[iter(self.runs[0])] * (self.width * self.height))
 
 
 @_nogc
@@ -405,15 +392,9 @@ def assemble_patches(tau: Tileset, numbering: GlobalNumbering, width: int,
         tiles = tiles + tuple(foreign)
         table = _Numbering(table)
         columns = _id_columns(tiles, table)
-    flat = array("i")
-    if all(pools):  # else no patch, and an empty table has no columns to key on
-        cells = [
-            (pool, *_seam_keys(columns, len(table) + 1, [(W, i - 1, E)] * (i % width > 0)
-                               + [(S, i - width, N)] * (i >= width)))
-            for i, pool in enumerate(pools)
-        ]
-        flat = _packed(_search(cells), len(pools))
-    return PatchSequence(tiles, width, height, flat)
+    seams = [[(W, i - 1, E)] * (i % width > 0) + [(S, i - width, N)] * (i >= width)
+             for i in range(len(pools))]
+    return PatchSequence(tiles, width, height, _fill(pools, seams, (table, columns)))
 
 
 @dataclass
@@ -439,9 +420,10 @@ def decompose_macro(patch: GridPatch, instances: Sequence[MacroTileInstance],
 
     A complete block is flattened into a row: its tiles in scanline order,
     each as its base followed by its decorations. The positions of its row's
-    UNDEFINED decorations (none without `wildcard`) are its mask. Per mask
-    one table maps `itemgetter(*visible)` of each block's row to the
-    instance it names, `visible` being the positions the mask leaves. The
+    UNDEFINED decorations (none without `wildcard`) are its mask. Per row
+    length and mask one table maps `itemgetter(*visible)` of each block's
+    row to the instance it names, `visible` being the positions the mask
+    leaves. The
     instances are then read once, each flattened the same way with its
     tiles in scanline order of their template positions. Per mask, each
     block's key gets the first instance whose row gives it, so the tables
@@ -450,9 +432,11 @@ def decompose_macro(patch: GridPatch, instances: Sequence[MacroTileInstance],
     w, h = layout.width, layout.height
     report = ValidationReport()
     at = layout.position_of
-    # Per mask, the key that reads the visible positions, and each key a
-    # block gives -> the first instance that gives it, or None.
-    tables: dict[tuple[int, ...], tuple[Callable, dict[Any, MacroTileInstance | None]]] = {}
+    # Per (row length, mask), the key that reads the visible positions, and
+    # each key a block gives -> the first instance that gives it, or None.
+    tables = _Memo(lambda shape: (
+        itemgetter(*[i for i in range(shape[0]) if i not in shape[1]]), {}
+    ))
     width, height = patch.width, patch.height
     size = width * height
     memo = layout.phases
@@ -469,12 +453,7 @@ def decompose_macro(patch: GridPatch, instances: Sequence[MacroTileInstance],
             continue
         row = _row(tiles)
         mask = tuple(compress(count(), map(is_, row, repeat(UNDEFINED)))) if wildcard else ()
-        found = tables.get(mask)
-        if found is None:
-            hidden = set(mask)
-            key = itemgetter(*[i for i in range(len(row)) if i not in hidden])
-            found = tables[mask] = key, {}
-        key, table = found
+        key, table = tables[len(row), mask]
         wanted = key(row)
         table[wanted] = None
         complete.append(((ax, ay), positions, table, wanted))
@@ -547,11 +526,8 @@ def grid_from_hierarchy(hpatch: HierarchyPatch, layout: GridLayout,
         raise NonSquareSystem("hierarchy cells of a grid patch need four facets each")
     width, height = w ** hpatch.depth, h ** hpatch.depth
     tiles: list = [None] * (width * height)
-    shared: dict[tuple, DecoratedTile] = {}  # (base, four decorations) -> its tile
+    shared = _Memo(lambda key: DecoratedTile(key[0], key[1:]))  # (base, four decorations)
     for x, y, key in zip(xs, ys, zip(bottom.base, *[iter(decs)] * 4)):
-        tile = shared.get(key)
-        if tile is None:
-            tile = shared[key] = DecoratedTile(key[0], key[1:])
-        tiles[x + y * width] = tile
+        tiles[x + y * width] = shared[key]
     tiles += width, height
     return _wrap(tiles)

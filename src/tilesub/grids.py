@@ -4,6 +4,11 @@ instance equals the bundled document exactly."""
 from __future__ import annotations
 
 from .model import (
+    E,
+    N,
+    S,
+    SQUARE_ORIENTATIONS,
+    W,
     MacroAdjacency,
     MacroTileTemplate,
     Prototype,
@@ -13,8 +18,6 @@ from .model import (
 )
 from .network import Branch, Network
 from .specfile import SecondNetwork, SpecDocument
-
-S, N, W, E = 1, 2, 3, 4
 
 
 def make_square_grid_document(width: int, height: int) -> SpecDocument:
@@ -59,7 +62,7 @@ def make_square_grid_document(width: int, height: int) -> SpecDocument:
         MacroAdjacency(("r1", W), ("r1", E), tuple((i, i) for i in range(1, height + 1))),
     )
     system = SubstitutionSystem(
-        prototypes=(Prototype("sq", 4, ("-", "+", "-", "+")),),
+        prototypes=(Prototype("sq", 4, SQUARE_ORIENTATIONS),),
         rules=(rule,),
         consistent=True,
         macro_adjacency=adjacency,

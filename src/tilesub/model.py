@@ -20,6 +20,12 @@ from .errors import IndexOutOfRange, InvalidSystem
 ORIENT_PLUS = "+"
 ORIENT_MINUS = "-"
 
+# The square facet convention, the only geometry the square-grid layers
+# assume: a unit square's facets S, N, W, E are 1-4, with these orientations.
+S, N, W, E = 1, 2, 3, 4
+FACET_NAMES = {"S": S, "N": N, "W": W, "E": E}
+SQUARE_ORIENTATIONS = (ORIENT_MINUS, ORIENT_PLUS, ORIENT_MINUS, ORIENT_PLUS)
+
 # A facet slot: (cell id, facet index). A pairing glues two slots.
 FacetRef = tuple[str, int]
 Pairing = tuple[FacetRef, FacetRef]

@@ -12,13 +12,12 @@ from operator import itemgetter
 
 from .assembler import GridPatch
 from .errors import NonSquareSystem
+from .model import E, N, S, W
 from .tileset import DecoratedTile, UNDEFINED, _Memo
 
 CELL = 100
 MARGIN = 10
 FONT = 11
-
-S, N, W, E = 0, 1, 2, 3
 
 
 def _text(x: str, y: str, content: str, anchor: str = "middle") -> str:

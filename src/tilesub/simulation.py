@@ -9,7 +9,8 @@ read (f, parent, f) in every tile of the tileset; matching them makes the
 two parents equal, and the strong residual connecting condition, which
 `build_layout` enforces, carries that to every non-central cell. The
 enumeration runs on `_search`, the one key-indexed, iterative backtracking
-search of the package, which the grid assembler also uses to fill patches.
+search of the package, which the grid assembler also uses to fill patches;
+both fill it through `_fill`.
 It places tile indices, keyed by the decoration ids of
 `Tileset.decoration_ids`, and the enumeration keeps each rule's solutions as
 one C-int array of them, beside the instances' parent indices and central
@@ -123,25 +124,25 @@ class _Fillings(NamedTuple):
     centrals: array
 
 
-class InstanceSequence(Sequence):
-    """Instances as ints, read-only: runs of one rule's instances
-    (`_Fillings`) over the tile table `tiles`, each instance built as a
-    `MacroTileInstance` when it is read. `enumerate_macro_tiles` returns one
-    run per rule, over the tiles of its tileset.
+class _IntRows(Sequence):
+    """A read-only sequence of objects stored as rows of C ints, each object
+    built from its row when it is read. `runs` holds the rows in runs, and
+    a subclass's `_read(run, start, stop)` builds the objects of rows
+    `start` to `stop` of one run, in C iterators over `memoryview` cuts of
+    its arrays, so no Python frame runs per object and no array is copied.
 
-    It reads as the tuple of those instances did: `len`, truth, integer and
-    negative indices (IndexError past either end), slices (a list), any
-    number of iterations, `==` against a tuple, a list or another sequence
-    of instances, and the tuple's `repr`. Iteration runs C iterators over
-    the arrays, so no Python frame runs per instance."""
+    It does `len`, truth, integer and negative indices (IndexError past
+    either end), slices (a list), any number of iterations, and `==`
+    against a sequence of its own class or of one of `_peers`, object by
+    object. It is not hashable."""
 
     __slots__ = ("tiles", "runs", "starts")
+    _peers: tuple[type, ...] = ()
 
-    def __init__(self, tiles: Sequence[DecoratedTile], runs: Sequence[_Fillings]):
-        self.tiles = tiles
+    def __init__(self, tiles: Sequence[DecoratedTile], runs: Sequence, counts: Iterable[int]):
+        self.tiles = tiles  # the tile table the rows index
         self.runs = runs
-        # The index of each run's first instance, then the instance count.
-        self.starts = _starts([len(run.parents) for run in runs])
+        self.starts = _starts(counts)  # each run's first index, then the length
 
     def __len__(self) -> int:
         return self.starts[-1]
@@ -151,28 +152,44 @@ class InstanceSequence(Sequence):
             return [self[i] for i in range(len(self))[index]]
         i = range(len(self))[index]  # IndexError past either end
         r = bisect_right(self.starts, i) - 1
-        run = self.runs[r]
         j = i - self.starts[r]
-        size = len(run.cells)
-        tiles = tuple(map(self.tiles.__getitem__, run.flat[j * size:(j + 1) * size]))
-        return _instance((run.rule_id, run.cells, tiles, run.parents[j],
-                          self.tiles[run.centrals[j]]))
+        return next(self._read(self.runs[r], j, j + 1))
 
-    def __iter__(self) -> Iterator[MacroTileInstance]:
-        return chain.from_iterable(map(self._read, self.runs))
-
-    def _read(self, run: _Fillings) -> Iterator[MacroTileInstance]:
-        tile_of = self.tiles.__getitem__
-        tiles = zip(*[map(tile_of, run.flat)] * len(run.cells))
-        return map(_instance, zip(repeat(run.rule_id), repeat(run.cells), tiles,
-                                  run.parents, map(tile_of, run.centrals)))
+    def __iter__(self) -> Iterator:
+        starts = self.starts
+        return chain.from_iterable(
+            map(self._read, self.runs, repeat(0), map(sub, starts[1:], starts))
+        )
 
     def __eq__(self, other):
-        if not isinstance(other, (tuple, list, InstanceSequence)):
+        if not isinstance(other, (self.__class__, *self._peers)):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
 
     __hash__ = None
+
+
+class InstanceSequence(_IntRows):
+    """Instances as ints, read-only: runs of one rule's instances
+    (`_Fillings`) over the tile table `tiles`, each instance built as a
+    `MacroTileInstance` when it is read. `enumerate_macro_tiles` returns one
+    run per rule, over the tiles of its tileset. It reads as the tuple of
+    those instances did (`_IntRows`), equals a tuple, a list or another
+    sequence of instances, and shows as the tuple."""
+
+    __slots__ = ()
+    _peers = (tuple, list)
+
+    def __init__(self, tiles: Sequence[DecoratedTile], runs: Sequence[_Fillings]):
+        super().__init__(tiles, runs, [len(run.parents) for run in runs])
+
+    def _read(self, run: _Fillings, start: int, stop: int) -> Iterator[MacroTileInstance]:
+        tile_of = self.tiles.__getitem__
+        size = len(run.cells)
+        tiles = zip(*[map(tile_of, memoryview(run.flat)[start * size:stop * size])] * size)
+        return map(_instance, zip(repeat(run.rule_id), repeat(run.cells), tiles,
+                                  memoryview(run.parents)[start:stop],
+                                  map(tile_of, memoryview(run.centrals)[start:stop])))
 
     def __repr__(self) -> str:
         return repr(tuple(self))
@@ -287,13 +304,11 @@ def _seam_keys(columns: Sequence[Sequence[int]], radix: int,
     of ids in `seams` order.
 
     The search calls the key once per candidate and the wanted key once per
-    placement, so no seam (the first cell) and one and two seams, which
-    cover every cell of a square template or grid, get closures of fixed
-    arity, and one seam's key is its column's own `__getitem__`; other
-    counts loop over the seams."""
+    placement, so one and two seams, which cover every cell but the first
+    of a square template or grid, get closures of fixed arity, and one
+    seam's key is its column's own `__getitem__`; other counts loop over
+    the seams, and no seam gives every candidate the key `()`."""
     at = [(columns[k - 1], i, columns[k2 - 1]) for k, i, k2 in seams]
-    if not at:
-        return (lambda t: (), lambda placed: ())
     if len(at) == 1:
         ((col, i, col2),) = at
         return col.__getitem__, lambda placed: col2[placed[i]]
@@ -303,6 +318,22 @@ def _seam_keys(columns: Sequence[Sequence[int]], radix: int,
                 lambda placed: ca2[placed[ia]] * radix + cb2[placed[ib]])
     return (lambda t: tuple([col[t] for col, _, _ in at]),
             lambda placed: tuple([col2[placed[i]] for _, i, col2 in at]))
+
+
+def _fill(pools: Sequence[Sequence[int]], seams: Iterable[Sequence[tuple[int, int, int]]],
+          ids: tuple[Mapping, Sequence[array]]) -> array:
+    """Every filling of cells by tile indices, one from each of `pools`,
+    whose tile at cell c carries on facet k the decoration of facet k2 of
+    cell i, for each (k, i, k2) of its `seams` entry: the `_search`
+    solutions on `_seam_keys` over `ids` (decoration table and id columns,
+    as `Tileset.decoration_ids` gives them), packed by `_packed`. Empty
+    when a pool is empty, so an empty tile table needs no columns."""
+    if not all(pools):
+        return array("i")
+    table, columns = ids
+    radix = len(table) + 1
+    cells = [(pool, *_seam_keys(columns, radix, cell)) for pool, cell in zip(pools, seams)]
+    return _packed(_search(cells), len(pools))
 
 
 def _packed(solutions: Iterable[tuple[int, ...]], size: int) -> array:
@@ -366,13 +397,7 @@ def _enumerate_rule(tau: Tileset, layout: Layout, rule: Rule) -> _Fillings:
         raise TilesubError(f"rule {rule.rule_id}: no cell of an instance reads its parent")
     first, k_first = reads[0]
     center = pos[layout.networks[rule.rule_id].center]
-    flat = array("i")
-    if all(pools.values()):  # else no filling; an empty tileset has no columns to key on
-        table, columns = tau.decoration_ids
-        flat = _packed(
-            _search([(pools[c], *_seam_keys(columns, len(table) + 1, back[c])) for c in cells]),
-            len(cells),
-        )
+    flat = _fill([pools[c] for c in cells], [back[c] for c in cells], tau.decoration_ids)
     size = len(cells)
     parents = array("i", [tau.tiles[t].triples[k_first].j for t in flat[first::size]])
     return _Fillings(rule.rule_id, cells, flat, parents, flat[center::size])
@@ -1066,31 +1091,33 @@ def hierarchy_decorate(system: SubstitutionSystem, numbering: GlobalNumbering,
             f"{layout.prototype_name[top_parent]}, not {seed.parent}"
         )
 
+    def expander(j: int) -> str:
+        """The rule that expands a cell of tile j: the first of its prototype."""
+        proto = layout.prototype_name[j]
+        rule = layout.rule_for_prototype.get(proto)
+        if rule is None:
+            raise InconsistentGluing(f"no rule expands prototype {proto}")
+        return rule.rule_id
+
     tops: tuple[int, ...] = (top_parent,)
     expanders: list[str] = [seed_rule]
     above: LevelPatch | None = None
     levels: list[LevelPatch] = []
     rows, inherits = _decoration_rows(layout), _inherited_rows(layout)
+    rule_of_tile = _Memo(expander)
     for level_no in reversed(range(depth)):
         above = _decorate_level(
-            layout, rows, level_no, *_expand_level(layout, inherits, tops, expanders, above)
+            rows, level_no, *_expand_level(layout, inherits, tops, expanders, above)
         )
         levels.append(above)
         if level_no:
-            rule_of_tile: dict[int, str] = {}
-            for j in dict.fromkeys(above.base):
-                proto = layout.prototype_name[j]
-                rule = layout.rule_for_prototype.get(proto)
-                if rule is None:
-                    raise InconsistentGluing(f"no rule expands prototype {proto}")
-                rule_of_tile[j] = rule.rule_id
             tops, expanders = above.base, list(map(rule_of_tile.__getitem__, above.base))
     levels.reverse()
     return HierarchyPatch(seed_rule, depth, top_parent, tuple(levels))
 
 
-def _decorate_level(layout: Layout, rows: _Memo, level_no, base, parent, rule, block,
-                    offset, pair_slots, runs, addresses) -> LevelPatch:
+def _decorate_level(rows: _Memo, level_no, base, parent, rule, block, offset, pair_slots,
+                    runs, addresses) -> LevelPatch:
     """Decorate one level's slots: UNDEFINED on the cell's own network
     slots (origin 0) and on the slots that inherit an origin from the level
     above, `_steps13` of the cell's tile and parent everywhere else. This is
@@ -1256,8 +1283,8 @@ def quotient_hierarchy(hpatch: HierarchyPatch, system: SubstitutionSystem,
             raise PartialBlock(f"block {heads[b]}: facet {row} should be undefined")
 
     return _decorate_level(
-        layout, _decoration_rows(layout), bottom.level + 1, tuple(base), parent, rule_ids,
-        None, _frozen(offset), pairs, zip(zip(base), parent, rows), heads,
+        _decoration_rows(layout), bottom.level + 1, tuple(base), parent, rule_ids, None,
+        _frozen(offset), pairs, zip(zip(base), parent, rows), heads,
     )
 
 

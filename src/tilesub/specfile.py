@@ -23,6 +23,7 @@ from importlib import resources
 
 from .errors import ParseError, UnresolvedReference
 from .model import (
+    FACET_NAMES,
     FacetRef,
     MacroAdjacency,
     MacroTileTemplate,
@@ -33,7 +34,6 @@ from .model import (
 )
 from .network import Branch, Network, NetworkSet
 
-FACET_NAMES = {"S": 1, "N": 2, "W": 3, "E": 4}
 FACET_LABELS = {v: k for k, v in FACET_NAMES.items()}
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import gc
 from array import array
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property, partial, wraps
 from itertools import groupby, islice, zip_longest
 from operator import getitem, itemgetter
 from struct import pack
@@ -458,56 +458,59 @@ def _steps13(layout: Layout, j0: int, parent: int) -> tuple[DecorationTriple, ..
 
 class _Closure:
     """The construction steps with the tables of one `close` call (a single
-    public step gets a table of its own). `shared` maps every distinct
-    decoration built so far to its one shared object, so equal decorations
-    are the same object and compare by identity. Each `_steps13` row, each
-    network-slot decoration and each center conversion is built once; no
-    table outlives the rounds."""
+    public step gets a table of its own). `share` gives every decoration
+    built the one object of its value, so equal decorations are the same
+    object and compare by identity. Each `_steps13` row, each
+    network-slot decoration and each center conversion is built once, in a
+    `_Memo` that closes over the tables and `layout`, never over the
+    `_Closure`, so no table outlives the rounds in a reference cycle."""
 
     def __init__(self, layout: Layout):
         self.layout = layout
-        self.shared: dict[DecorationTriple, DecorationTriple] = {}
-        self._rows: dict[tuple[int, int], tuple[DecorationTriple, ...]] = {}
-        self._slots: dict[int, dict] = {}  # j0 -> pair -> its slot decorations
-        self._converts: dict[int, tuple[_Converted, ...]] = {}  # center -> per facet
+        nsigma = layout.nsigma
+        shared: dict[DecorationTriple, DecorationTriple] = {}
+        share = lambda dec: shared.setdefault(dec, dec)  # noqa: E731
 
-    def share(self, dec: DecorationTriple) -> DecorationTriple:
-        return self.shared.setdefault(dec, dec)
+        def copies(heads: Sequence[FacetClass], pair: tuple[int, FacetClass]) -> list:
+            return [share(DecorationTriple(f, *pair)) for f in heads]
 
-    def row(self, j0: int, parent: int) -> tuple[DecorationTriple, ...]:
-        key = (j0, parent)
-        row = self._rows.get(key)
-        if row is None:
-            row = self._rows[key] = tuple(map(self.share, _steps13(self.layout, j0, parent)))
-        return row
+        def copy(head: FacetClass, dec: DecorationTriple) -> DecorationTriple:
+            return share(DecorationTriple(head, dec.j, dec.g))
+
+        # (j0, parent) -> its `_steps13` row.
+        self.rows = _Memo(lambda key: tuple(map(share, _steps13(layout, *key))))
+        # j0 -> pair (j, g) -> `(f, j, g)` on each of its network slots.
+        self.slots = {
+            j0: _Memo(partial(copies, [nsigma[(j0, k)] for k in slot_ks]))
+            for j0, _, slot_ks in layout.network_cells
+        }
+        # Center -> per facet k, source decoration -> `(class of facet k, j, g)`.
+        self.converts = {
+            j: tuple(_Memo(partial(copy, nsigma[(j, k)]))
+                     for k in range(1, layout.facet_count[j] + 1))
+            for j in layout.central_cells
+        }
 
     def base(self) -> list[DecoratedTile]:
-        layout = self.layout
+        layout, rows = self.layout, self.rows
         return [
-            DecoratedTile(j0, self.row(j0, parent))
+            DecoratedTile(j0, rows[(j0, parent)])
             for j0 in layout.off_network
             for parent in layout.parents_for[j0]
         ]
 
     def network(self, pairs: PairTable) -> set[DecoratedTile]:
-        layout = self.layout
+        layout, rows = self.layout, self.rows
         new: set[DecoratedTile] = set()
         for j0, branch_k, slot_ks in layout.network_cells:
-            heads = [layout.nsigma[(j0, k)] for k in slot_ks]
-            slot_decs = self._slots.setdefault(j0, {})
+            slot_decs = self.slots[j0]
             for parent in layout.parents_for[j0]:
                 flowing = pairs.get((parent, branch_k))
                 if not flowing:
                     continue
-                triples = list(self.row(j0, parent))
+                triples = list(rows[(j0, parent)])
                 for pair in flowing:
-                    decs = slot_decs.get(pair)
-                    if decs is None:
-                        pj, pg = pair
-                        decs = slot_decs[pair] = [
-                            self.share(DecorationTriple(f, pj, pg)) for f in heads
-                        ]
-                    for k, dec in zip(slot_ks, decs):
+                    for k, dec in zip(slot_ks, slot_decs[pair]):
                         triples[k - 1] = dec
                     new.add(DecoratedTile(j0, tuple(triples)))
         return new
@@ -516,13 +519,8 @@ class _Closure:
         layout = self.layout
         central = layout.central_cells
         new: set[DecoratedTile] = set()
-        for j in central:
-            count = layout.facet_count[j]
-            converts = self._converts.get(j)
-            if converts is None:
-                converts = self._converts[j] = tuple(
-                    _Converted(layout.nsigma[(j, k)], self.shared) for k in range(1, count + 1)
-                )
+        for j, converts in self.converts.items():
+            count = len(converts)
             for tile in tiles:
                 if tile.base in central or len(tile.triples) != count:
                     continue
@@ -530,21 +528,6 @@ class _Closure:
                     continue
                 new.add(DecoratedTile(j, tuple(map(getitem, converts, tile.triples))))
         return new
-
-
-class _Converted(dict):
-    """Source decoration -> the decoration a center facet of class `head`
-    copies from it, `(head, j, g)`, built once and shared."""
-
-    def __init__(self, head: FacetClass, shared: dict[DecorationTriple, DecorationTriple]):
-        super().__init__()
-        self.head = head
-        self.shared = shared
-
-    def __missing__(self, dec: DecorationTriple) -> DecorationTriple:
-        out = DecorationTriple(self.head, dec.j, dec.g)
-        out = self[dec] = self.shared.setdefault(out, out)
-        return out
 
 
 def decorate_base(layout: Layout) -> list[DecoratedTile]:

@@ -6,15 +6,20 @@ from importlib import resources
 
 from tilesub.assembler import phase_of
 from tilesub.errors import AmbiguousSignature, InconsistentGluing, PartialBlock
-from tilesub.model import (
+from tilesub.model import (  # E, N, S, W: the facet names the tests import from here
     BOUNDARY,
+    E,
     MACRO_FACET,
     MacroTileTemplate,
+    N,
     PORT,
     Prototype,
     Rule,
+    S,
+    SQUARE_ORIENTATIONS,
     SubstitutionSystem,
     ValidationReport,
+    W,
     internal,
     make_pairing,
 )
@@ -33,9 +38,7 @@ from tilesub.tileset import (
     build_layout,
 )
 
-S, N, W, E = 1, 2, 3, 4
-
-SQUARE = Prototype("sq", 4, ("-", "+", "-", "+"))
+SQUARE = Prototype("sq", 4, SQUARE_ORIENTATIONS)
 
 
 def fc(x):

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import runpy
 import tracemalloc
 from contextlib import redirect_stdout
 from importlib import resources
@@ -29,6 +30,25 @@ def test_validate_passes(capsys):
     code, out, _ = run(capsys, "validate", SPEC)
     assert code == 0
     assert "result=PASS" in out
+
+
+# The CI ceiling runner: `run(["<ceiling MiB>", command...])`.
+PEAK_RSS = runpy.run_path(str(Path(__file__).parents[1] / "ci" / "peak_rss.py"))["run"]
+
+
+def test_peak_rss_runner_exits_3_on_a_breach_and_the_code_otherwise(capsys, tmp_path):
+    """A ceiling breach exits 3, whatever the command's code; under the
+    ceiling the command's own code comes through: 0 for a PASS, 1 for a
+    FAIL, which a breach must not be mistaken for."""
+    nobranch = tmp_path / "nobranch.sub"
+    nobranch.write_text("".join(
+        line for line in Path(SPEC).read_text().splitlines(keepends=True)
+        if "branch S :" not in line
+    ))
+    for spec, code in ((SPEC, 0), (str(nobranch), 1)):
+        assert PEAK_RSS(["1", "validate", spec]) == 3
+        assert PEAK_RSS(["100000", "validate", spec]) == code
+    assert capsys.readouterr().err.count("peak_rss_kib=") == 4
 
 
 def test_count_exact_output(capsys):

@@ -142,7 +142,8 @@ def test_grid4x4_instance_ends_are_pinned(grid4x4):
 def test_instance_sequence_reads_as_the_tuple(spec):
     """Indices on both sides of every rule's first instance, negative
     indices, slices, repeated iteration, `==` either way round and `repr`
-    read as the tuple of the same instances."""
+    read as the tuple of the same instances; unlike the tuple, the sequence
+    is not hashable."""
     doc, numbering, tau, instances = _bundled_instances(spec)
     listed = list(instances)
     assert list(instances) == listed and len(listed) == len(instances)
@@ -159,6 +160,8 @@ def test_instance_sequence_reads_as_the_tuple(spec):
     for outside in (len(listed), -len(listed) - 1):
         with pytest.raises(IndexError):
             instances[outside]
+    with pytest.raises(TypeError):
+        hash(instances)
 
 
 def test_no_filling_gives_an_empty_instance_sequence(system, numbering, networks):

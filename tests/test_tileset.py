@@ -1,6 +1,7 @@
 """Tileset construction: the staged decorations, the closure, and its size."""
 
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ from tilesub.simulation import (
     verify_self_simulation,
 )
 from tilesub.specfile import load_bundled
+from tilesub import tileset
 from tilesub.stages import stage_views
 from tilesub.tileset import (
     DecoratedTile,
@@ -234,6 +236,24 @@ def test_close_shares_each_decoration(spec):
     closed = set(tau.tiles)
     assert decorate_network(layout, _pairs_table(tau)) <= closed
     assert derive_central(layout, tau) <= closed
+
+
+@pytest.mark.parametrize("spec", ["square3x3", "tworule3x3", "grid4x4"])
+def test_close_runs_steps13_once_per_tile_and_parent(monkeypatch, spec):
+    """The closure builds each `_steps13` row once, for the base step and
+    every network round alike, and builds one for every base tile."""
+    layout = CLOSURE_SPECS[spec]()
+    calls = Counter()
+    steps13 = tileset._steps13
+
+    def counted(layout, j0, parent):
+        calls[(j0, parent)] += 1
+        return steps13(layout, j0, parent)
+
+    monkeypatch.setattr(tileset, "_steps13", counted)
+    close(layout)
+    assert max(calls.values()) == 1
+    assert {(j0, p) for j0 in layout.off_network for p in layout.parents_for[j0]} < set(calls)
 
 
 def test_close_keeps_little_beyond_its_tileset():
